@@ -105,6 +105,18 @@ def _load_run_scenario(args) -> tuple[Scenario, dict, int]:
     return scenario, cfg, int(seed)
 
 
+def _parse_grid(flag: str, text: str) -> list[float]:
+    """Comma-separated finite numbers."""
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ContractError(f"{flag} must be a comma-separated list of "
+                            f"numbers, got {text!r}") from None
+    if not all(np.isfinite(values)):
+        raise ContractError(f"{flag} values must be finite, got {text!r}")
+    return values
+
+
 def _load_params(path: str):
     spec = json.loads(Path(path).read_text())
     return params_from_dict(spec)
@@ -151,8 +163,11 @@ def cmd_optimize(args) -> int:
 
 def cmd_flyby(args) -> int:
     scenario, cfg, seed = _load_run_scenario(args)
-    pd_grid = [float(x) for x in args.pd_grid.split(",")]
-    cnu_grid = [float(x) for x in args.cnu_grid.split(",")]
+    pd_grid = _parse_grid("--pd-grid", args.pd_grid)
+    cnu_grid = _parse_grid("--cnu-grid", args.cnu_grid)
+    if args.rollouts < 1:
+        raise ContractError(f"--rollouts must be at least 1, "
+                            f"got {args.rollouts}")
     cfg["pd_grid"], cfg["cnu_grid"] = pd_grid, cnu_grid
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -185,13 +200,13 @@ def cmd_flyby(args) -> int:
 
 def cmd_periodic_sweep(args) -> int:
     scenario, cfg, seed = _load_run_scenario(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    k_max = args.kmax or scenario.tau_max
+    k_max = args.kmax if args.kmax is not None else scenario.tau_max
     cfg["kmax"] = k_max
     h = config_hash(cfg)
     eval_seed = child_seed(seed, "cli.periodic.eval")
     curve = periodic_cost_curve(scenario, eval_seed, args.rollouts, k_max)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     rows = [[k + 1, float(curve[:, k].mean()),
              float(curve[:, k].std() / np.sqrt(curve.shape[0]))]
             for k in range(k_max)]

@@ -125,17 +125,28 @@ def _target_infos(belief: Belief, weights: CostWeights) -> np.ndarray:
     ])
 
 
+def aggregate_rivals(values: np.ndarray, a: int,
+                     case: StoppingCase) -> np.ndarray:
+    """Minus the priority target's value plus the rivals' aggregate.
+
+    ``values`` holds one entry per target on its last axis, so any stack
+    of them aggregates at once; ``case`` picks max, min or sum over the
+    rivals.
+    """
+    rivals = np.delete(values, a, axis=-1)
+    if case is StoppingCase.MAX_DIFF:
+        agg = np.max(rivals, axis=-1)
+    elif case is StoppingCase.MIN_DIFF:
+        agg = np.min(rivals, axis=-1)
+    else:
+        agg = np.sum(rivals, axis=-1)
+    return -values[..., a] + agg
+
+
 def stopping_cost(belief: Belief, weights: CostWeights) -> float:
     """Aggregated mutual-information difference at the stop action."""
-    infos = _target_infos(belief, weights)
-    others = np.delete(infos, belief.a)
-    if weights.case is StoppingCase.MAX_DIFF:
-        agg = float(np.max(others))
-    elif weights.case is StoppingCase.MIN_DIFF:
-        agg = float(np.min(others))
-    else:
-        agg = float(np.sum(others))
-    return -infos[belief.a] + agg
+    return float(aggregate_rivals(_target_infos(belief, weights), belief.a,
+                                  weights.case))
 
 
 def belief_step(belief: Belief, detected: Sequence[bool],

@@ -1,14 +1,32 @@
 """Rollout cost evaluation and the SPSA policy-parameter search.
 
-A rollout advances the belief one epoch at a time (per-target Bernoulli
-detection draws, Riccati posteriors, Lyapunov priors), queries the
-policy, and on stop charges the accumulated operating cost plus the
-stopping cost. The search minimizes the Monte-Carlo mean of that sample
-cost over the unconstrained policy parameters with a two-sided
-simultaneous-perturbation gradient estimate.
+Given its seed, a rollout's belief path does not depend on the policy:
+detections are drawn for every target at every epoch and the priors are
+deterministic. The batched path engine uses that. ``simulate_paths``
+runs the Riccati/Lyapunov recursion for many seeds at once on stacked
+(paths, targets, m, m) arrays, with the priors computed once for all
+paths, and records each path's log-determinants and stopping cost at
+every epoch. ``score_paths`` then scores a parametrized policy on those
+paths: its decision statistic is evaluated for the whole batch, tau is
+the first epoch where it reaches 1, and the sample cost is (tau - 1)
+times the operating cost plus the stopping cost at tau. Two views are
+built on the engine: ``periodic_cost_curve`` and ``evaluate_cost`` for
+PolicyParams. The SPSA search minimizes that mean sample cost over the
+unconstrained policy parameters with a two-sided simultaneous-
+perturbation gradient estimate; its two perturbed evaluations share one
+simulation.
+
+``rollout`` keeps the scalar epoch-by-epoch loop, with one belief
+object per epoch. It serves what the engine cannot or must not:
+callable policies (``stop_at`` and arbitrary deciders, which see the
+belief object), the macro/micro loop in ``gmti.run_macro_cycles``,
+which records the full belief trajectory, and ``periodic_policy_cost``,
+which stays an independent reference that the engine is checked
+against.
 
 Determinism: everything is driven by named Philox streams, so identical
-(scenario, params, seed) inputs reproduce rollouts bit for bit. The two
+(scenario, params, seed) inputs reproduce rollouts bit for bit, and the
+engine draws each seed's detections exactly as ``rollout`` does. The two
 perturbed evaluations inside one gradient estimate share their detection
 streams (common random numbers), which keeps the estimate exactly zero
 for policy-independent objectives.
@@ -16,15 +34,16 @@ for policy-independent objectives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ContractError, NumericalError
-from .observability import Belief, belief_step, stopping_cost
+from .observability import (Belief, aggregate_rivals, belief_step,
+                            stopping_cost)
 from .policy import (Action, ParamLayout, PolicyFamily, PolicyParams, decide,
-                     decision_statistic)
+                     decision_statistic, stacked_statistic)
 from .streams import child_seed, stream
 
 # A policy is PolicyParams or any callable (belief, epoch) -> Action.
@@ -138,38 +157,300 @@ def rollout(scenario, policy: PolicyLike, seed: int,
         if epoch == scenario.tau_max:
             tau = epoch
             truncated = True
-    cost = (tau - 1) * scenario.weights.operating_cost \
-        + stopping_cost(belief, scenario.weights)
+    try:
+        cost = (tau - 1) * scenario.weights.operating_cost \
+            + stopping_cost(belief, scenario.weights)
+    except ContractError as exc:
+        raise NumericalError(f"stopping cost failed at epoch {tau}: "
+                             f"{exc}") from exc
     return RolloutResult(tau=tau, sample_cost=cost,
                          belief_trajectory=trajectory, truncated=truncated,
                          detections=np.array(detections))
 
 
-def _eval_seed(seed: int, b: int) -> int:
-    # b = 0 reuses the caller's seed so a single-rollout evaluation
+# Posterior entries simulated together (8 MB of float64). Paths are
+# simulated in chunks of this size whatever the number of seeds: 273
+# flyby paths (60 epochs, four 4x4 targets) to a chunk, or 17,476 paths
+# of a 30-epoch scalar two-target scenario.
+_CHUNK_ENTRIES = 2**20
+
+
+@dataclass(frozen=True)
+class PathBatch:
+    """Belief paths of a batch of seeds over the whole horizon.
+
+    Axis 0 indexes seeds, axis 1 epochs: index k - 1 holds the belief
+    after the k-th update. ``failed_at`` holds each path's first epoch
+    whose covariance update failed or left a non-positive determinant,
+    0 if there is none; a failed path's later entries are placeholders.
+    """
+
+    a: int
+    operating_cost: float
+    detections: np.ndarray  # (B, T, L) applied-detection flags
+    posteriors: np.ndarray  # (B, T, L, m, m)
+    priors: np.ndarray  # (T, L, m, m), shared by every path
+    logdet_posteriors: np.ndarray  # (B, T, L)
+    logdet_priors: np.ndarray  # (T, L)
+    stopping_costs: np.ndarray  # (B, T)
+    failed_at: np.ndarray  # (B,)
+
+    def raise_failures(self, until: np.ndarray | None = None) -> None:
+        """NumericalError for paths that failed at or before ``until``.
+
+        ``until`` is a per-path epoch; None means the whole horizon.
+        """
+        failed = self.failed_at > 0
+        if until is not None:
+            failed &= self.failed_at <= until
+        if failed.any():
+            raise NumericalError(
+                f"covariance update failed at epoch "
+                f"{int(self.failed_at[failed].min())} on {int(failed.sum())} "
+                f"of {failed.size} paths")
+
+
+_PER_PATH_FIELDS = ("detections", "posteriors", "logdet_posteriors",
+                    "stopping_costs", "failed_at")
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """filter_core.symmetrize for each matrix of a stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _cholesky(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack and a mask of its non-PD entries.
+
+    A non-PD entry gets the identity factor as a placeholder.
+    """
+    try:
+        return np.linalg.cholesky(s), np.zeros(len(s), dtype=bool)
+    except np.linalg.LinAlgError:
+        bad = np.zeros(len(s), dtype=bool)
+        for i, matrix in enumerate(s):
+            try:
+                np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                bad[i] = True
+        s = s.copy()
+        s[bad] = np.eye(s.shape[-1])
+        return np.linalg.cholesky(s), bad
+
+
+def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L L' X = B for stacks of lower factors L.
+
+    Forward then backward substitution, multiplying by the reciprocal of
+    each pivot as LAPACK's triangular solves do, so that scalar
+    observations reproduce scipy's cho_solve bit for bit.
+    """
+    x = b.copy()
+    n = chol.shape[-1]
+    inv_diag = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)[..., None]
+    for i in range(n):
+        x[..., i, :] *= inv_diag[..., i, :]
+        x[..., i + 1:, :] -= chol[..., i + 1:, i, None] * x[..., i, None, :]
+    for i in reversed(range(n)):
+        x[..., i, :] *= inv_diag[..., i, :]
+        x[..., :i, :] -= chol[..., i, :i, None] * x[..., i, None, :]
+    return x
+
+
+def _logdets(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-determinants of a stack and a mask of non-positive ones."""
+    sign, logdet = np.linalg.slogdet(p)
+    return logdet, ~(sign > 0.0)
+
+
+def _path_chunks(scenario, seeds: Sequence[int],
+                 initial_belief: Belief | None) -> Iterator[PathBatch]:
+    """Simulate the seeds' paths in chunks of about _CHUNK_ENTRIES.
+
+    Failures are recorded in each batch's ``failed_at``, not raised.
+    The arithmetic mirrors lyapunov_update and riccati_update operation
+    by operation on stacked arrays.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise ContractError("need at least one seed")
+    belief = (initial_belief if initial_belief is not None
+              else scenario.initial_belief())
+    models = scenario.models
+    n_targets, horizon = len(models), scenario.tau_max
+    if belief.n_targets != n_targets:
+        raise ContractError("belief and scenario disagree on target count")
+    if len({(m.state_dim, m.obs_dim) for m in models}) != 1:
+        raise ContractError("batched paths need one state and one "
+                            "observation dimension for every target")
+    priorities = np.asarray(scenario.priorities, dtype=float)
+    measurable = priorities > 0.0
+    p_d = np.array([m.p_d for m in models])
+    f = np.array([m.F for m in models])
+    ft = np.swapaxes(f, -1, -2)
+    q = np.array([m.Q for m in models])
+    h = np.array([m.H for m in models])
+    ht = np.swapaxes(h, -1, -2)
+    # Zero-priority targets are never measured; their entry is unused.
+    r = np.array([m.effective_noise(nu) if nu > 0.0 else m.r_base
+                  for m, nu in zip(models, priorities)])
+    weights = scenario.weights
+
+    # Priors are deterministic: one recursion serves every path.
+    priors = np.empty((horizon,) + np.shape(belief.priors))
+    prior = np.array(belief.priors)
+    for k in range(horizon):
+        prior = _symmetrize(f @ prior @ ft + q)
+        priors[k] = prior
+    logdet_priors, bad_priors = _logdets(priors)
+    bad_priors = bad_priors.any(axis=1)  # a bad prior fails every path
+
+    start_post = np.array(belief.posteriors)
+    eye = np.eye(start_post.shape[-1])
+    chunk_size = max(1, _CHUNK_ENTRIES // (horizon * start_post.size))
+    for start in range(0, len(seeds), chunk_size):
+        chunk = seeds[start:start + chunk_size]
+        draws = np.array([stream(s, "rollout.detect").random(
+            (horizon, n_targets)) for s in chunk])
+        detections = (draws < p_d) & measurable
+        n_paths = len(chunk)
+        post = np.broadcast_to(start_post,
+                               (n_paths,) + start_post.shape).copy()
+        posteriors = np.empty((n_paths, horizon) + start_post.shape)
+        logdet_posteriors = np.empty((n_paths, horizon, n_targets))
+        failed_at = np.zeros(n_paths, dtype=int)
+        for k in range(horizon):
+            predicted = _symmetrize(f @ post @ ft + q)
+            paths, targets = np.nonzero(detections[:, k])
+            failed = np.zeros(n_paths, dtype=bool)
+            if paths.size:
+                p = post[paths, targets]
+                pht = p @ ht[targets]
+                chol, bad = _cholesky(_symmetrize(h[targets] @ pht
+                                                 + r[targets]))
+                fpht = f[targets] @ pht
+                gain = fpht @ _cho_solve(chol, np.swapaxes(fpht, -1, -2))
+                predicted[paths, targets] = _symmetrize(
+                    predicted[paths, targets] - gain)
+                failed[paths[bad]] = True
+            post = predicted
+            logdet, bad_dets = _logdets(post)
+            failed |= bad_dets.any(axis=1) | bad_priors[k]
+            newly = failed & (failed_at == 0)
+            failed_at[newly] = k + 1
+            if failed.any():
+                post[failed] = eye  # keep failed paths finite
+            posteriors[:, k] = post
+            logdet_posteriors[:, k] = logdet
+        with np.errstate(invalid="ignore"):  # inf - inf on failed paths
+            infos = weights.alpha * logdet_priors \
+                - weights.beta * logdet_posteriors
+        yield PathBatch(
+            a=belief.a, operating_cost=weights.operating_cost,
+            detections=detections, posteriors=posteriors, priors=priors,
+            logdet_posteriors=logdet_posteriors, logdet_priors=logdet_priors,
+            stopping_costs=aggregate_rivals(infos, belief.a, weights.case),
+            failed_at=failed_at)
+
+
+def _simulate(scenario, seeds: Sequence[int],
+              initial_belief: Belief | None) -> PathBatch:
+    batches = list(_path_chunks(scenario, seeds, initial_belief))
+    return replace(batches[0], **{
+        name: np.concatenate([getattr(b, name) for b in batches])
+        for name in _PER_PATH_FIELDS})
+
+
+def simulate_paths(scenario, seeds: Sequence[int],
+                   initial_belief: Belief | None = None) -> PathBatch:
+    """Simulate one belief path per seed over the whole horizon.
+
+    Seed ``s`` draws its detections from the same stream as
+    ``rollout(scenario, policy, s)`` and gets the same covariances, up
+    to round-off in the last bits. Works through the seeds in chunks of
+    fixed size. Raises NumericalError if any path's innovation
+    covariance is not positive definite or any covariance loses its
+    positive determinant.
+    """
+    batch = _simulate(scenario, seeds, initial_belief)
+    batch.raise_failures()
+    return batch
+
+
+def score_paths(paths: PathBatch,
+                params: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
+    """Stopping epochs and sample costs of a policy on simulated paths.
+
+    tau is the first epoch whose decision statistic reaches 1, or the
+    horizon if none does. As in ``rollout``, a path's numerical failure
+    raises NumericalError only when it happens at or before its tau.
+    """
+    stops = stacked_statistic(paths.posteriors, paths.priors, paths.a,
+                              params) >= 1.0
+    tau = np.where(stops.any(axis=1), stops.argmax(axis=1) + 1,
+                   stops.shape[1])
+    paths.raise_failures(until=tau)
+    costs = (tau - 1) * paths.operating_cost \
+        + paths.stopping_costs[np.arange(tau.size), tau - 1]
+    return tau, costs
+
+
+def policy_costs(scenario, params: PolicyParams, seeds: Sequence[int],
+                 initial_belief: Belief | None = None) -> np.ndarray:
+    """Sample costs of a parametrized policy, one per seed.
+
+    Equals ``rollout(scenario, params, s).sample_cost`` for each seed
+    ``s`` up to round-off; the paths are simulated and scored chunk by
+    chunk, so memory stays bounded however many seeds there are.
+    """
+    return np.concatenate([
+        score_paths(batch, params)[1]
+        for batch in _path_chunks(scenario, seeds, initial_belief)])
+
+
+def _eval_seeds(seed: int, n_rollouts: int) -> list[int]:
+    # Rollout 0 reuses the caller's seed so a single-rollout evaluation
     # matches rollout() exactly.
-    return seed if b == 0 else child_seed(seed, "eval.rollout", b)
+    if n_rollouts < 1:
+        raise ContractError("need at least one rollout")
+    return [seed] + [child_seed(seed, "eval.rollout", b)
+                     for b in range(1, n_rollouts)]
 
 
 def evaluate_cost(scenario, policy: PolicyLike, seed: int, n_rollouts: int,
                   initial_belief: Belief | None = None) -> float:
-    """Monte-Carlo mean sample cost over decorrelated rollout streams."""
-    if n_rollouts < 1:
-        raise ContractError("need at least one rollout")
-    costs = [rollout(scenario, policy, _eval_seed(seed, b),
-                     initial_belief=initial_belief).sample_cost
-             for b in range(n_rollouts)]
+    """Monte-Carlo mean sample cost over decorrelated rollout streams.
+
+    PolicyParams are scored on the batched path engine, callables on the
+    scalar rollout loop.
+    """
+    seeds = _eval_seeds(seed, n_rollouts)
+    if isinstance(policy, PolicyParams):
+        costs = policy_costs(scenario, policy, seeds, initial_belief)
+    else:
+        costs = [rollout(scenario, policy, s,
+                         initial_belief=initial_belief).sample_cost
+                 for s in seeds]
     return float(np.mean(costs))
 
 
 def rollout_objective(scenario, layout: ParamLayout, n_rollouts: int,
                       initial_belief: Belief | None = None) -> Objective:
-    """Objective closure mapping (phi, seed) to the evaluated cost."""
+    """Objective closure mapping (phi, seed) to the evaluated cost.
+
+    Equals ``evaluate_cost`` on ``layout.build(phi)``. The path batch of
+    the last seed is kept, so calls that share a seed, such as the two
+    sides of an SPSA gradient estimate, share one simulation.
+    """
+    last: dict = {}  # seed -> PathBatch, one slot
 
     def objective(phi: np.ndarray, seed: int) -> float:
-        params = layout.build(phi)
-        return evaluate_cost(scenario, params, seed, n_rollouts,
-                             initial_belief=initial_belief)
+        if seed not in last:
+            last.clear()
+            last[seed] = _simulate(scenario, _eval_seeds(seed, n_rollouts),
+                                   initial_belief)
+        _, costs = score_paths(last[seed], layout.build(phi))
+        return float(np.mean(costs))
 
     return objective
 
@@ -375,20 +656,23 @@ def periodic_cost_curve(scenario, seed: int, n_rollouts: int,
                         initial_belief: Belief | None = None) -> np.ndarray:
     """Sample costs of every deterministic stopping time in one sweep.
 
-    Returns an (n_rollouts, k_max) array whose [b, k-1] entry equals
-    periodic_policy_cost's underlying sample for the same seed, rollout
-    index and k; each rollout's belief path is shared across all k so
-    the sweep costs one horizon instead of k_max of them.
+    Returns an (n_rollouts, k_max) array whose [b, k-1] entry equals,
+    up to round-off, periodic_policy_cost's underlying sample for the
+    same seed, rollout index and k. A view on the batched path engine
+    (``simulate_paths``): each rollout's path is simulated once, chunk
+    by chunk, and its stopping costs serve every k. periodic_policy_cost
+    keeps the scalar ``rollout`` loop, as do callable policies and
+    ``gmti.run_macro_cycles``, so the curve and the per-k cost stay
+    independent and each checks the other. Any numerical failure within
+    the horizon raises NumericalError.
     """
     k_max = scenario.tau_max if k_max is None else k_max
     if not 1 <= k_max <= scenario.tau_max:
         raise ContractError("k_max must lie in [1, tau_max]")
-    c_nu = scenario.weights.operating_cost
-    costs = np.empty((n_rollouts, k_max))
-    for b in range(n_rollouts):
-        result = rollout(scenario, stop_at(scenario.tau_max),
-                         _eval_seed(seed, b), initial_belief=initial_belief)
-        for k in range(1, k_max + 1):
-            costs[b, k - 1] = (k - 1) * c_nu + stopping_cost(
-                result.belief_trajectory[k], scenario.weights)
-    return costs
+    stopping_costs = []
+    for batch in _path_chunks(scenario, _eval_seeds(seed, n_rollouts),
+                              initial_belief):
+        batch.raise_failures()
+        stopping_costs.append(batch.stopping_costs[:, :k_max])
+    return np.arange(k_max) * scenario.weights.operating_cost \
+        + np.concatenate(stopping_costs)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ContractError
 from .filter_core import eigenvalues_sorted, symmetrize
-from .observability import Belief
+from .observability import Belief, StoppingCase, aggregate_rivals
 from .sampling import random_pd, random_psd
 from .streams import stream
 
@@ -42,6 +42,9 @@ class PolicyFamily(Enum):
 
 _EIGEN_FAMILIES = (PolicyFamily.EIGEN_MAX, PolicyFamily.EIGEN_MIN,
                    PolicyFamily.EIGEN_SUM)
+# How stacked_statistic aggregates the rival targets; the rest sum.
+_RIVAL_AGGREGATE = {PolicyFamily.EIGEN_MAX: StoppingCase.MAX_DIFF,
+                    PolicyFamily.EIGEN_MIN: StoppingCase.MIN_DIFF}
 
 
 def reparam_positive(phi: np.ndarray) -> np.ndarray:
@@ -134,6 +137,33 @@ def decision_statistic(belief: Belief, params: PolicyParams) -> float:
     if params.family is PolicyFamily.QUADFORM:
         return _quadform_statistic(belief, params)
     return _eigen_statistic(belief, params)
+
+
+def stacked_statistic(posteriors: np.ndarray, priors: np.ndarray, a: int,
+                      params: PolicyParams) -> np.ndarray:
+    """decision_statistic over stacks of beliefs.
+
+    ``posteriors`` and ``priors`` are (..., L, m, m) stacks that
+    broadcast against each other; the result has their broadcast leading
+    shape. The covariances must be exactly symmetric, as every
+    covariance update leaves them, so none is re-symmetrized here.
+    """
+    if params.family is PolicyFamily.QUADFORM:
+        post = np.einsum("...lij,li,lj->...l", posteriors, params.theta,
+                         params.theta)
+        prior = np.einsum("...lij,li,lj->...l", priors, params.theta_bar,
+                          params.theta_bar)
+    else:
+        # eigvalsh sorts ascending; the weights pair with descending order
+        post = np.einsum("...lm,lm->...l",
+                         np.linalg.eigvalsh(posteriors)[..., ::-1],
+                         params.theta)
+        prior = np.einsum("...lm,lm->...l",
+                          np.linalg.eigvalsh(priors)[..., ::-1],
+                          params.theta_bar)
+    return aggregate_rivals(post - prior, a,
+                            _RIVAL_AGGREGATE.get(params.family,
+                                                 StoppingCase.AVG_DIFF))
 
 
 def decide_eigen(belief: Belief, params: PolicyParams) -> Action:

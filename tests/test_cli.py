@@ -1,0 +1,93 @@
+import csv
+import json
+import math
+
+import numpy as np
+import pytest
+
+from covstop.cli import _bundled_path, main
+from covstop.config import params_to_dict
+from covstop.policy import ParamLayout, PolicyFamily
+
+
+def csv_values(path):
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# config_hash=")
+    return [cell for row in csv.reader(lines[2:]) for cell in row]
+
+
+@pytest.fixture
+def stop_first_params(tmp_path):
+    # Eigen-sum weights on the priority target's prior only: the
+    # statistic is about 100 times the prior's trace, so every rollout
+    # stops at epoch 1.
+    layout = ParamLayout(PolicyFamily.EIGEN_SUM, 4, 4)
+    phi = np.zeros(layout.n_params)
+    phi[16:20] = 10.0
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params_to_dict(layout.build(phi), layout)))
+    return path
+
+
+@pytest.fixture
+def singular_config(tmp_path):
+    # A zero sampling period freezes the covariances, and target 0
+    # starts from a zero covariance, so its determinant stays 0.
+    spec = json.loads(_bundled_path("flyby").read_text())
+    spec["model"]["period"] = 0.0
+    spec["targets"][0]["posterior_cov"] = [0.0, 0.0, 0.0, 0.0]
+    spec["targets"][0]["prior_cov"] = [0.0, 0.0, 0.0, 0.0]
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+class TestPeriodicSweep:
+    def test_reruns_identical_manifest_complete_values_finite(self, tmp_path):
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["periodic-sweep", "--rollouts", "5", "--seed", "3",
+                         "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1]
+        manifest = json.loads(outputs[0]["manifest.json"])
+        assert manifest["outputs"] == sorted(set(outputs[0]) -
+                                             {"manifest.json"})
+        for name in manifest["outputs"]:
+            for cell in csv_values(tmp_path / "a" / name):
+                assert math.isfinite(float(cell))
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["periodic-sweep", "--rollouts", "0"],
+        ["periodic-sweep", "--rollouts", "-3"],
+        ["periodic-sweep", "--kmax", "0"],
+        ["flyby", "--rollouts", "0"],
+        ["flyby", "--pd-grid", "0.6,abc"],
+        ["flyby", "--cnu-grid", "0.8,x"],
+        ["flyby", "--cnu-grid", "nan"],
+    ])
+    def test_bad_input_exits_2(self, argv, tmp_path, stop_first_params,
+                               capsys):
+        out = tmp_path / "out"
+        code = main(argv + ["--params", str(stop_first_params), "--seed", "1",
+                            "--out", str(out)])
+        assert code == 2
+        assert "validation error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["periodic-sweep", "--rollouts", "2"],
+        ["flyby", "--rollouts", "2", "--pd-grid", "0.75",
+         "--cnu-grid", "0.8"],
+    ])
+    def test_singular_covariance_exits_3(self, argv, tmp_path,
+                                         stop_first_params, singular_config,
+                                         capsys):
+        code = main(argv + ["--config", str(singular_config),
+                            "--params", str(stop_first_params),
+                            "--seed", "1", "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "numerical failure:" in capsys.readouterr().err

@@ -1,16 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from covstop.dp_oracle import make_scalar_model, scalar_scenario
-from covstop.errors import ContractError
-from covstop.gmti import build_flyby_scenario
-from covstop.observability import stopping_cost
+from covstop.errors import ContractError, NumericalError
+from covstop.gmti import build_flyby_scenario, build_persistent_scenario
+from covstop.observability import Belief, stopping_cost
 from covstop.optimizer import (SpsaSchedule, evaluate_cost,
                                periodic_cost_curve, periodic_policy_cost,
-                               rademacher, rollout, rollout_objective,
+                               policy_costs, rademacher, rollout,
+                               rollout_objective, score_paths, simulate_paths,
                                spsa_gradient, spsa_minimize, spsa_optimize,
                                stop_at)
-from covstop.policy import Action, ParamLayout, PolicyFamily
+from covstop.policy import Action, ParamLayout, PolicyFamily, PolicyParams
 from covstop.streams import child_seed, stream
 
 
@@ -22,6 +25,11 @@ def scalar_test_scenario(p0=(9.0, 4.0), tau_max=40, p_d=0.75, p_d_other=0.0):
 
 def always(action):
     return lambda belief, epoch: action
+
+
+def zero_priority_scenario():
+    scenario = scalar_test_scenario(p_d=0.9, p_d_other=0.9)
+    return dataclasses.replace(scenario, priorities=np.array([1.0, 0.0]))
 
 
 class TestRollout:
@@ -77,11 +85,7 @@ class TestRollout:
                 assert np.array_equal(p1, p2)
 
     def test_zero_priority_target_gets_no_detections(self):
-        scenario = scalar_test_scenario(p_d=0.9, p_d_other=0.9)
-        scenario = scenario.with_overrides()
-        import dataclasses
-        scenario = dataclasses.replace(scenario,
-                                       priorities=np.array([1.0, 0.0]))
+        scenario = zero_priority_scenario()
         result = rollout(scenario, always(Action.CONTINUE), seed=3)
         assert not result.detections[:, 1].any()
         # posterior equals prior for the measurement-free target
@@ -107,10 +111,10 @@ class TestEvaluateCost:
         scenario = scalar_test_scenario(tau_max=30)
         layout = ParamLayout(PolicyFamily.EIGEN_SUM, 2, 1)
         params = layout.build(np.array([0.3, 0.0, 0.25, 0.0]))
-        small = [rollout(scenario, params, child_seed(5, "mc", b)).sample_cost
-                 for b in range(10_000)]
-        big = [rollout(scenario, params, child_seed(6, "mc", b)).sample_cost
-               for b in range(100_000)]
+        small = policy_costs(scenario, params,
+                             [child_seed(5, "mc", b) for b in range(10_000)])
+        big = policy_costs(scenario, params,
+                           [child_seed(6, "mc", b) for b in range(100_000)])
         se = np.std(big) / np.sqrt(len(small))
         assert abs(np.mean(small) - np.mean(big)) < 3 * se
 
@@ -314,3 +318,104 @@ class TestPeriodicPolicies:
             periodic_policy_cost(scenario, 0, 1, 1)
         with pytest.raises(ContractError):
             periodic_policy_cost(scenario, 11, 1, 1)
+
+
+ENGINE_SCENARIOS = {
+    "flyby": build_flyby_scenario,
+    "persistent-location-1": lambda: build_persistent_scenario(location=1),
+    "scalar-zero-priority": zero_priority_scenario,
+}
+
+
+def negative_posterior_belief(p_a):
+    # The rival's posterior is fine, the priority target's negative. At
+    # -10 the innovation variance -10 + 25 stays positive and the
+    # updated posterior negative; at -30 the innovation is negative.
+    return Belief((np.array([[p_a]]), np.array([[4.0]])),
+                  (np.array([[9.0]]), np.array([[4.0]])), 0)
+
+
+class TestPathEngine:
+    @pytest.mark.parametrize("name", sorted(ENGINE_SCENARIOS))
+    def test_matches_scalar_rollout(self, name):
+        # The scalar rollout is the reference: same detections and tau,
+        # sample costs equal up to round-off, for every family and a
+        # spread of weight scales (early, interior and late stops).
+        scenario = ENGINE_SCENARIOS[name]()
+        seeds = [child_seed(31, "engine", b) for b in range(5)]
+        paths = simulate_paths(scenario, seeds)
+        taus = set()
+        for family in PolicyFamily:
+            layout = ParamLayout(family, scenario.n_targets,
+                                 scenario.models[0].state_dim)
+            for scale in (0.03, 0.1, 1.0):
+                for i in range(2):
+                    phi = stream(i, "engine.params").uniform(
+                        -1.0, 1.0, layout.n_params)
+                    params = layout.build(scale * phi)
+                    tau, costs = score_paths(paths, params)
+                    for b, seed in enumerate(seeds):
+                        ref = rollout(scenario, params, seed)
+                        assert tau[b] == ref.tau
+                        np.testing.assert_array_equal(
+                            paths.detections[b, :ref.tau], ref.detections)
+                        assert costs[b] == pytest.approx(ref.sample_cost,
+                                                         rel=1e-12, abs=0)
+                        taus.add(ref.tau)
+        assert len(taus) > 2
+
+    def test_curve_means_match_periodic_policy_cost(self):
+        scenario = build_flyby_scenario()
+        curve = periodic_cost_curve(scenario, 23, 20)
+        for k in (1, 15, 60):
+            expected = periodic_policy_cost(scenario, k, 23, 20)
+            assert curve[:, k - 1].mean() == pytest.approx(expected,
+                                                           rel=1e-12, abs=0)
+
+    def test_evaluate_cost_matches_scalar_mean(self):
+        scenario = build_flyby_scenario()
+        layout = ParamLayout(PolicyFamily.EIGEN_MIN, 4, 4)
+        params = layout.build(0.1 * stream(0, "engine.params").uniform(
+            -1.0, 1.0, layout.n_params))
+        expected = np.mean([rollout(scenario, params, seed).sample_cost
+                            for seed in [4] + [child_seed(4, "eval.rollout",
+                                                          b)
+                                               for b in range(1, 6)]])
+        assert evaluate_cost(scenario, params, 4, 6) == \
+            pytest.approx(expected, rel=1e-12, abs=0)
+        objective = rollout_objective(scenario, layout, 6)
+        assert objective(params.phi, 4) == \
+            evaluate_cost(scenario, params, 4, 6)
+
+    def test_empty_seed_list_rejected(self):
+        with pytest.raises(ContractError):
+            simulate_paths(scalar_test_scenario(), [])
+        with pytest.raises(ContractError):
+            periodic_cost_curve(scalar_test_scenario(), 1, 0)
+
+    def test_nonpd_posterior_is_a_numerical_failure(self, monkeypatch):
+        scenario = scalar_test_scenario(p_d=1.0, p_d_other=1.0)
+        for p_a in (-10.0, -30.0):
+            belief = negative_posterior_belief(p_a)
+            with pytest.raises(NumericalError):
+                rollout(scenario, always(Action.STOP), 0,
+                        initial_belief=belief)
+            with pytest.raises(NumericalError):
+                simulate_paths(scenario, [0, 1], initial_belief=belief)
+        monkeypatch.setattr("covstop.observability.riccati_update",
+                            lambda p, detected, model, priority: -np.eye(1))
+        with pytest.raises(NumericalError):
+            rollout(scenario, always(Action.STOP), 0)
+
+    def test_failure_raises_only_at_or_before_tau(self):
+        scenario = scalar_test_scenario()
+        paths = simulate_paths(scenario, [1, 2, 3])
+        failed = dataclasses.replace(paths, failed_at=np.full(3, 2))
+        zeros = np.zeros((2, 1))
+        stop_first = PolicyParams(PolicyFamily.EIGEN_SUM, zeros,
+                                  np.array([[1e6], [0.0]]))
+        tau, _ = score_paths(failed, stop_first)
+        np.testing.assert_array_equal(tau, [1, 1, 1])
+        never = PolicyParams(PolicyFamily.EIGEN_SUM, zeros, zeros)
+        with pytest.raises(NumericalError):
+            score_paths(failed, never)
