@@ -33,8 +33,8 @@ from .filter_core import (det_ratio_lyapunov, det_ratio_riccati, loewner_geq,
 from .gmti import Scenario, build_flyby_scenario, run_macro_cycles
 from .linearization import validate_linearization
 from .observability import StoppingCase
-from .optimizer import (SpsaSchedule, evaluate_cost, periodic_cost_curve,
-                        rollout, spsa_optimize)
+from .optimizer import (SpsaSchedule, _path_chunks, evaluate_cost,
+                        periodic_cost_curve, score_paths, spsa_optimize)
 from .policy import (MonotoneSamplerConfig, ParamLayout, PolicyFamily,
                      verify_monotone)
 from .sampling import ordered_pair, random_pd, random_transition
@@ -64,13 +64,39 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, columns: list, rows, cfg_hash: str,
+# Rows formatted and written together; bounds the text held in memory.
+CSV_BLOCK_ROWS = 65536
+
+
+def _format_column(column: np.ndarray):
+    """Cell texts of a 1-D column, as ``_fmt`` gives them cell by cell."""
+    kind = column.dtype.kind
+    if kind == "f":
+        return map(float.__repr__, column.tolist())
+    if kind in "iu":
+        return map(str, column.tolist())
+    if kind == "b":
+        return map(("0", "1").__getitem__, column.tolist())
+    return map(_fmt, column)
+
+
+def write_csv(path: Path, names: list, columns: list, cfg_hash: str,
               units: str) -> None:
-    lines = [f"# config_hash={cfg_hash} units: {units}"]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write equal-length 1-D columns under a config-hash and units line.
+
+    An ndarray column is formatted by its dtype; any other sequence is
+    taken as objects and formatted cell by cell, so mixed cells such as
+    text labels and empty strings keep their own rule.
+    """
+    columns = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object)
+               for c in columns]
+    with open(path, "w") as fh:
+        fh.write(f"# config_hash={cfg_hash} units: {units}\n"
+                 + ",".join(names) + "\n")
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            cells = [_format_column(c[start:start + CSV_BLOCK_ROWS])
+                     for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_manifest(out_dir: Path, command: str, cfg: dict, seed: int,
@@ -146,10 +172,14 @@ def cmd_optimize(args) -> int:
     result, layout, schedule = _train_params(scenario, args, seed)
     h = config_hash(cfg)
     phi_cols = [f"phi_{i}" for i in range(layout.n_params)]
+    trace = result.trace
+    phis = np.array([t.phi for t in trace])
     write_csv(out / "spsa_trace.csv",
               ["restart", "iteration", "cost"] + phi_cols,
-              [[t.restart, t.iteration, t.cost] + list(t.phi)
-               for t in result.trace],
+              [np.array([t.restart for t in trace]),
+               np.array([t.iteration for t in trace]),
+               np.array([t.cost for t in trace], dtype=float)]
+              + list(phis.T),
               h, "cost=nats+epochs*c_nu, phi=unconstrained")
     (out / "best_params.json").write_text(
         json.dumps(params_to_dict(result.best_params, layout), indent=2,
@@ -179,21 +209,20 @@ def cmd_flyby(args) -> int:
     h = config_hash(cfg)
     rows = []
     eval_seed = child_seed(seed, "cli.flyby.eval")
+    seeds = [child_seed(eval_seed, "pair", b) for b in range(args.rollouts)]
     for p_d in pd_grid:
         for c_nu in cnu_grid:
             variant = scenario.with_overrides(operating_cost=c_nu, p_d=p_d)
-            costs = []
-            taus = []
-            for b in range(args.rollouts):
-                res = rollout(variant, params, child_seed(eval_seed, "pair", b))
-                costs.append(res.sample_cost)
-                taus.append(res.tau)
+            scored = [score_paths(batch, params)
+                      for batch in _path_chunks(variant, seeds, None)]
+            taus = np.concatenate([tau for tau, _ in scored])
+            costs = np.concatenate([cost for _, cost in scored])
             rows.append([p_d, c_nu, float(np.mean(costs)),
                          float(np.std(costs) / np.sqrt(len(costs))),
                          float(np.mean(taus))])
     write_csv(out / "figure4_grid.csv",
               ["p_d", "c_nu", "mean_cost", "stderr_cost", "mean_tau"],
-              rows, h, "cost=nats+epochs*c_nu, tau=epochs")
+              np.array(rows).T, h, "cost=nats+epochs*c_nu, tau=epochs")
     write_manifest(out, "flyby", cfg, seed, ["figure4_grid.csv"])
     return 0
 
@@ -207,12 +236,13 @@ def cmd_periodic_sweep(args) -> int:
     curve = periodic_cost_curve(scenario, eval_seed, args.rollouts, k_max)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [[k + 1, float(curve[:, k].mean()),
-             float(curve[:, k].std() / np.sqrt(curve.shape[0]))]
-            for k in range(k_max)]
+    means = np.array([curve[:, k].mean() for k in range(k_max)])
+    stderrs = np.array([curve[:, k].std() / np.sqrt(curve.shape[0])
+                        for k in range(k_max)])
     files = ["periodic_costs.csv"]
     write_csv(out / "periodic_costs.csv", ["k_stop", "mean_cost", "stderr"],
-              rows, h, "cost=nats+epochs*c_nu")
+              [np.arange(1, k_max + 1), means, stderrs], h,
+              "cost=nats+epochs*c_nu")
     if args.params:
         params, _ = _load_params(args.params)
         policy_cost = evaluate_cost(scenario, params, eval_seed,
@@ -220,8 +250,8 @@ def cmd_periodic_sweep(args) -> int:
         best_k = int(np.argmin(curve.mean(axis=0))) + 1
         write_csv(out / "envelope.csv",
                   ["policy_cost", "best_periodic_cost", "best_k_stop"],
-                  [[policy_cost, float(curve.mean(axis=0).min()), best_k]],
-                  h, "cost=nats+epochs*c_nu")
+                  [[policy_cost], [float(curve.mean(axis=0).min())],
+                   [best_k]], h, "cost=nats+epochs*c_nu")
         files.append("envelope.csv")
     write_manifest(out, "periodic-sweep", cfg, seed, files)
     return 0
@@ -229,6 +259,8 @@ def cmd_periodic_sweep(args) -> int:
 
 def cmd_persistent(args) -> int:
     scenario, cfg, seed = _load_run_scenario(args)
+    if args.cycles < 1:
+        raise ContractError(f"--cycles must be at least 1, got {args.cycles}")
     cfg["cycles"] = args.cycles
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -240,17 +272,17 @@ def cmd_persistent(args) -> int:
     h = config_hash(cfg)
     trace = run_macro_cycles(scenario, params, args.cycles,
                              child_seed(seed, "cli.persistent"))
+    records = trace.records
     write_csv(out / "logdet_trace.csv",
               ["cycle", "epoch", "target", "log_det_P", "log_det_Pbar",
                "detected", "action"],
-              [[r.cycle, r.epoch, r.target, r.log_det_posterior,
-                r.log_det_prior, r.detected, r.action]
-               for r in trace.records],
+              [np.array([getattr(r, name) for r in records])
+               for name in ("cycle", "epoch", "target", "log_det_posterior",
+                            "log_det_prior", "detected", "action")],
               h, "log_det=nats, action: 1=stop 2=continue")
     write_csv(out / "stop_times.csv", ["cycle", "tau", "priority_target"],
-              [[c, t, a] for c, (t, a) in
-               enumerate(zip(trace.stop_times, trace.priority_targets))],
-              h, "tau=epochs")
+              [range(len(trace.stop_times)), trace.stop_times,
+               trace.priority_targets], h, "tau=epochs")
     write_manifest(out, "persistent", cfg, seed,
                    ["logdet_trace.csv", "stop_times.csv"])
     return 0
@@ -266,26 +298,26 @@ def cmd_validate_linearization(args) -> int:
     h = config_hash(cfg)
     report = validate_linearization(n_seeds=args.seeds, seed=args.seed)
     files = []
-    d_rows = [[label] + [report.d_values[i, j] for j in range(len(report.ks))]
-              for i, label in enumerate(report.state_labels)]
-    write_csv(out / "table_d.csv",
-              ["state"] + [f"k_{k}" for k in report.ks], d_rows, h,
+    k_names = ["state"] + [f"k_{k}" for k in report.ks]
+    write_csv(out / "table_d.csv", k_names,
+              [report.state_labels] + list(report.d_values.T), h,
               "D=dimensionless relative Jacobian drift")
     files.append("table_d.csv")
     for g in report.gammas:
         tag = str(g).replace(".", "")
-        rows = [[label] + [report.e_values[g][i, j]
-                           for j in range(len(report.ks))]
-                for i, label in enumerate(report.state_labels)]
         name = f"table_e_gamma{tag}.csv"
-        write_csv(out / name, ["state"] + [f"k_{k}" for k in report.ks],
-                  rows, h, f"E=second/first order ratio, gamma={g}, "
+        write_csv(out / name, k_names,
+                  [report.state_labels] + list(report.e_values[g].T), h,
+                  f"E=second/first order ratio, gamma={g}, "
                   f"mean over {report.n_seeds} tracks")
         files.append(name)
+    flags = report.flags
     write_csv(out / "linearity_flags.csv",
               ["metric", "state", "k", "gamma", "value"],
-              [[m, s, k, "" if g is None else g, v]
-               for (m, s, k, g, v) in report.flags],
+              [[f[0] for f in flags], [f[1] for f in flags],
+               [f[2] for f in flags],
+               ["" if f[3] is None else f[3] for f in flags],
+               [f[4] for f in flags]],
               h, "entries exceeding bounds D<=0.06 E<=0.02")
     files.append("linearity_flags.csv")
     write_manifest(out, "validate-linearization", cfg, args.seed, files)
@@ -309,17 +341,15 @@ def cmd_dp_threshold(args) -> int:
     violations = check_monotone_policy(qtable)
     threshold = extract_threshold(qtable)
     grid_a, grid_o = qtable.grids
-    rows = []
-    for i in range(len(grid_a)):
-        for j in range(len(grid_o)):
-            rows.append([grid_a[i], grid_o[j], qtable.value[i, j],
-                         qtable.q_continue[i, j], int(qtable.action[i, j])])
+    n = len(grid_o)
     write_csv(out / "qtable.csv",
-              ["P_a", "P_other", "V", "Q_continue", "action"], rows, h,
+              ["P_a", "P_other", "V", "Q_continue", "action"],
+              [np.repeat(grid_a, n), np.tile(grid_o, len(grid_a)),
+               qtable.value.ravel(), qtable.q_continue.ravel(),
+               qtable.action.ravel()], h,
               "P=squared state units, V/Q=nats, action: 1=stop 2=continue")
-    write_csv(out / "threshold.csv", ["P_other", "g"],
-              [[grid_o[j], threshold[j]] for j in range(len(grid_o))], h,
-              "stop below g, continue at or above")
+    write_csv(out / "threshold.csv", ["P_other", "g"], [grid_o, threshold],
+              h, "stop below g, continue at or above")
     write_manifest(out, "dp-threshold", cfg, args.seed,
                    ["qtable.csv", "threshold.csv"])
     print(f"value iteration: {qtable.n_iterations} iterations, residual "

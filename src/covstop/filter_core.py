@@ -9,7 +9,10 @@ structure.
 All operations are pure functions of ndarray inputs; covariances are
 plain symmetric ``(m, m)`` float arrays. Updates re-symmetrize their
 output as ``(A + A.T) / 2`` to control round-off drift. Linear solves
-go through Cholesky factorizations, never explicit inverses.
+go through a numpy Cholesky factorization and ``cho_solve``, never
+explicit inverses. ``cho_solve`` broadcasts over leading axes, so the
+scalar update here and the batched path engine in ``optimizer`` share
+one substitution.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractError, NumericalError
 
@@ -29,6 +31,27 @@ SYMMETRY_RTOL = 1e-12
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
+
+
+def cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L L' X = B for a lower Cholesky factor L, or a stack of them.
+
+    Forward then backward substitution, multiplying by the reciprocal of
+    each pivot as LAPACK's triangular solves do. Works on ``(n, n)``
+    factors and on ``(..., n, n)`` stacks alike, with ``b`` of shape
+    ``(..., n, k)``; each matrix of a stack gets exactly the result it
+    gets on its own.
+    """
+    x = b.copy()
+    n = chol.shape[-1]
+    inv_diag = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)[..., None]
+    for i in range(n):
+        x[..., i, :] *= inv_diag[..., i, :]
+        x[..., i + 1:, :] -= chol[..., i + 1:, i, None] * x[..., i, None, :]
+    for i in reversed(range(n)):
+        x[..., i, :] *= inv_diag[..., i, :]
+        x[..., :i, :] -= chol[..., i, :i, None] * x[..., i, None, :]
+    return x
 
 
 def is_covariance(p: np.ndarray, rtol: float = SYMMETRY_RTOL) -> bool:
@@ -131,11 +154,11 @@ def riccati_update(p: np.ndarray, detected: bool, model: TargetModel,
     pht = p @ model.H.T
     s = symmetrize(model.H @ pht + r)
     try:
-        chol = scipy.linalg.cho_factor(s, lower=True)
+        chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - r_base > 0
         raise NumericalError(f"singular innovation covariance: {exc}") from exc
     fpht = model.F @ pht
-    gain_term = fpht @ scipy.linalg.cho_solve(chol, fpht.T)
+    gain_term = fpht @ cho_solve(chol, fpht.T)
     return symmetrize(predicted - gain_term)
 
 

@@ -40,6 +40,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ContractError, NumericalError
+from .filter_core import cho_solve
 from .observability import (Belief, aggregate_rivals, belief_step,
                             stopping_cost)
 from .policy import (Action, ParamLayout, PolicyFamily, PolicyParams, decide,
@@ -238,25 +239,6 @@ def _cholesky(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.cholesky(s), bad
 
 
-def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L L' X = B for stacks of lower factors L.
-
-    Forward then backward substitution, multiplying by the reciprocal of
-    each pivot as LAPACK's triangular solves do, so that scalar
-    observations reproduce scipy's cho_solve bit for bit.
-    """
-    x = b.copy()
-    n = chol.shape[-1]
-    inv_diag = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)[..., None]
-    for i in range(n):
-        x[..., i, :] *= inv_diag[..., i, :]
-        x[..., i + 1:, :] -= chol[..., i + 1:, i, None] * x[..., i, None, :]
-    for i in reversed(range(n)):
-        x[..., i, :] *= inv_diag[..., i, :]
-        x[..., :i, :] -= chol[..., i, :i, None] * x[..., i, None, :]
-    return x
-
-
 def _logdets(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log-determinants of a stack and a mask of non-positive ones."""
     sign, logdet = np.linalg.slogdet(p)
@@ -329,7 +311,7 @@ def _path_chunks(scenario, seeds: Sequence[int],
                 chol, bad = _cholesky(_symmetrize(h[targets] @ pht
                                                  + r[targets]))
                 fpht = f[targets] @ pht
-                gain = fpht @ _cho_solve(chol, np.swapaxes(fpht, -1, -2))
+                gain = fpht @ cho_solve(chol, np.swapaxes(fpht, -1, -2))
                 predicted[paths, targets] = _symmetrize(
                     predicted[paths, targets] - gain)
                 failed[paths[bad]] = True
@@ -440,7 +422,8 @@ def rollout_objective(scenario, layout: ParamLayout, n_rollouts: int,
 
     Equals ``evaluate_cost`` on ``layout.build(phi)``. The path batch of
     the last seed is kept, so calls that share a seed, such as the two
-    sides of an SPSA gradient estimate, share one simulation.
+    sides of an SPSA gradient estimate or the nominees of one re-rank
+    seed, share one simulation.
     """
     last: dict = {}  # seed -> PathBatch, one slot
 
@@ -543,9 +526,12 @@ def spsa_minimize(objective: Objective, initial_phis: Sequence[np.ndarray],
     if not nominees:
         raise NumericalError("every restart produced non-finite costs")
     rerank_seed = child_seed(seed, "spsa.rerank")
-    for phi, r, n in nominees:
-        score = np.mean([objective(phi, child_seed(rerank_seed, "rep", i))
-                         for i in range(8)])
+    # Seed by seed, so an objective that keeps its last seed's simulation
+    # simulates each re-rank batch once for all nominees.
+    rerank = [[objective(phi, child_seed(rerank_seed, "rep", i))
+               for phi, _, _ in nominees] for i in range(8)]
+    for (phi, r, n), costs in zip(nominees, zip(*rerank)):
+        score = np.mean(costs)
         if score < result.best_cost:
             result.best_cost = float(score)
             result.best_phi = phi

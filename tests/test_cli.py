@@ -1,10 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import covstop
+from covstop import cli
 from covstop.cli import _bundled_path, main
 from covstop.config import params_to_dict
 from covstop.policy import ParamLayout, PolicyFamily
@@ -68,6 +74,8 @@ class TestExitCodes:
         ["flyby", "--pd-grid", "0.6,abc"],
         ["flyby", "--cnu-grid", "0.8,x"],
         ["flyby", "--cnu-grid", "nan"],
+        ["persistent", "--cycles", "0"],
+        ["persistent", "--cycles", "-2"],
     ])
     def test_bad_input_exits_2(self, argv, tmp_path, stop_first_params,
                                capsys):
@@ -91,3 +99,55 @@ class TestExitCodes:
                             "--seed", "1", "--out", str(tmp_path / "out")])
         assert code == 3
         assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(covstop.__file__).resolve().parents[1]
+    code = ("import sys, covstop.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.stdout.strip() == "[]"
+
+
+def per_cell(value) -> str:
+    # The row-by-row cell rule the columnar writer must reproduce.
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    return str(value)
+
+
+class TestWriteCsv:
+    TYPED = [
+        np.array([1e-05, 1e+16, -0.0, 0.1, 1.0 / 3.0]),
+        np.array([3, -7, 0, 127, -128], dtype=np.int8),
+        np.array([10**12, -1, 0, 2, 5]),
+        np.array([True, False, True, True, False]),
+    ]
+    MIXED = [
+        [1e-05, np.float64(1e+16), 7, np.int8(-3), True],
+        [np.bool_(False), "label", "", -0.0, np.float64(-0.0)],
+        ["", 0.5, "", np.float64(1e-05), "a b"],
+    ]
+
+    @pytest.mark.parametrize("block_rows", [2, 65536])
+    def test_columns_match_per_cell_rule(self, block_rows, tmp_path,
+                                         monkeypatch):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        columns = self.TYPED + self.MIXED
+        names = [f"c{i}" for i in range(len(columns))]
+        path = tmp_path / "t.csv"
+        cli.write_csv(path, names, columns, "abc", "x=units")
+        rows = zip(*[list(c) for c in columns])
+        expected = "".join(f"{line}\n" for line in
+                           ["# config_hash=abc units: x=units", ",".join(names)]
+                           + [",".join(map(per_cell, row)) for row in rows])
+        assert path.read_bytes() == expected.encode()
+
+    def test_no_rows_writes_header_only(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli.write_csv(path, ["a", "b"], [[], np.array([])], "h", "u")
+        assert path.read_text() == "# config_hash=h units: u\na,b\n"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from covstop.errors import ContractError
-from covstop.filter_core import (TargetModel, det_ratio_lyapunov,
+from covstop.filter_core import (TargetModel, cho_solve, det_ratio_lyapunov,
                                  det_ratio_riccati, eigenvalues_sorted,
                                  loewner_geq, lyapunov_update, riccati_update,
                                  schur_det_identity_check, symmetrize)
@@ -125,6 +125,31 @@ class TestRiccati:
             for upd in (riccati_update(p, True, model, 0.6),
                         lyapunov_update(p, model)):
                 assert np.linalg.eigvalsh(upd)[0] > 0.0
+
+
+class TestChoSolve:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_linalg_solve(self, n):
+        gen = stream(23, "cho_solve", n)
+        for k in (1, 2, 5):
+            for _ in range(25):
+                # The diagonal floor keeps the condition number below
+                # about 100, so two backward-stable solves agree to 1e-12.
+                s = random_pd(gen, n, gen.uniform(0.1, 10.0), jitter=0.1)
+                b = gen.normal(size=(n, k))
+                x = cho_solve(np.linalg.cholesky(s), b)
+                ref = np.linalg.solve(s, b)
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_stack_equals_each_matrix_bitwise(self, n):
+        gen = stream(29, "cho_solve.stack", n)
+        chol = np.linalg.cholesky(np.array([random_pd(gen, n, 1.0)
+                                            for _ in range(40)]))
+        b = gen.normal(size=(40, n, 3))
+        stacked = cho_solve(chol, b)
+        for i in range(40):
+            np.testing.assert_array_equal(stacked[i], cho_solve(chol[i], b[i]))
 
 
 class TestLoewner:
