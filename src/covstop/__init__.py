@@ -22,18 +22,17 @@ from .optimizer import (RolloutResult, SpsaSchedule, evaluate_cost,
                         periodic_policy_cost, rollout, spsa_gradient,
                         spsa_optimize)
 from .policy import (Action, ParamLayout, PolicyFamily, PolicyParams,
-                     decide_eigen, decide_quadform, reparam_positive,
-                     reparam_spherical, verify_monotone)
+                     reparam_positive, reparam_spherical, verify_monotone)
 
 __all__ = [
     "Action", "Belief", "ContractError", "CostWeights", "CovstopError",
     "MacroMode", "NumericalError", "ParamLayout", "PolicyFamily",
     "PolicyParams", "RolloutResult", "Scenario", "SpsaSchedule",
     "StoppingCase", "TargetModel", "build_flyby_scenario",
-    "build_persistent_scenario", "decide_eigen", "decide_quadform",
-    "det_ratio_lyapunov", "det_ratio_riccati", "eigenvalues_sorted",
-    "evaluate_cost", "loewner_geq", "lyapunov_update", "mutual_information",
-    "periodic_policy_cost", "reparam_positive", "reparam_spherical",
-    "riccati_update", "rollout", "spsa_gradient", "spsa_optimize",
-    "stopping_cost", "transformed_running_cost", "verify_monotone",
+    "build_persistent_scenario", "det_ratio_lyapunov", "det_ratio_riccati",
+    "eigenvalues_sorted", "evaluate_cost", "loewner_geq", "lyapunov_update",
+    "mutual_information", "periodic_policy_cost", "reparam_positive",
+    "reparam_spherical", "riccati_update", "rollout", "spsa_gradient",
+    "spsa_optimize", "stopping_cost", "transformed_running_cost",
+    "verify_monotone",
 ]

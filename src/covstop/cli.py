@@ -199,8 +199,6 @@ def cmd_flyby(args) -> int:
         raise ContractError(f"--rollouts must be at least 1, "
                             f"got {args.rollouts}")
     cfg["pd_grid"], cfg["cnu_grid"] = pd_grid, cnu_grid
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.params:
         params, _ = _load_params(args.params)
     else:
@@ -220,6 +218,8 @@ def cmd_flyby(args) -> int:
             rows.append([p_d, c_nu, float(np.mean(costs)),
                          float(np.std(costs) / np.sqrt(len(costs))),
                          float(np.mean(taus))])
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "figure4_grid.csv",
               ["p_d", "c_nu", "mean_cost", "stderr_cost", "mean_tau"],
               np.array(rows).T, h, "cost=nats+epochs*c_nu, tau=epochs")
@@ -262,8 +262,6 @@ def cmd_persistent(args) -> int:
     if args.cycles < 1:
         raise ContractError(f"--cycles must be at least 1, got {args.cycles}")
     cfg["cycles"] = args.cycles
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.params:
         params, _ = _load_params(args.params)
     else:
@@ -272,16 +270,17 @@ def cmd_persistent(args) -> int:
     h = config_hash(cfg)
     trace = run_macro_cycles(scenario, params, args.cycles,
                              child_seed(seed, "cli.persistent"))
-    records = trace.records
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "logdet_trace.csv",
               ["cycle", "epoch", "target", "log_det_P", "log_det_Pbar",
                "detected", "action"],
-              [np.array([getattr(r, name) for r in records])
-               for name in ("cycle", "epoch", "target", "log_det_posterior",
-                            "log_det_prior", "detected", "action")],
+              [trace.cycle, trace.epoch, trace.target,
+               trace.log_det_posterior, trace.log_det_prior, trace.detected,
+               trace.action],
               h, "log_det=nats, action: 1=stop 2=continue")
     write_csv(out / "stop_times.csv", ["cycle", "tau", "priority_target"],
-              [range(len(trace.stop_times)), trace.stop_times,
+              [np.arange(args.cycles), trace.stop_times,
                trace.priority_targets], h, "tau=epochs")
     write_manifest(out, "persistent", cfg, seed,
                    ["logdet_trace.csv", "stop_times.csv"])
@@ -359,7 +358,6 @@ def cmd_dp_threshold(args) -> int:
 
 def _theorem2_suite(n_samples: int, seed: int) -> dict:
     gen = stream(seed, "verify.theorem2")
-    base_f, base_g, base_q, _ = None, None, None, None
     flyby = build_flyby_scenario()
     gmti_model = flyby.models[0]
     violations = 0

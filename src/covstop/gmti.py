@@ -16,7 +16,7 @@ priority macro-manager.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -25,9 +25,9 @@ import numpy as np
 from .errors import ContractError
 from .filter_core import TargetModel, check_covariance
 from .observability import Belief, CostWeights, StoppingCase
-from .optimizer import PolicyLike, rollout
-from .policy import Action
-from .streams import child_seed, stream
+from .optimizer import PathBatch, StopAt, _simulate, score_paths
+from .policy import Action, PolicyParams
+from .streams import child_seed
 
 
 @dataclass(frozen=True)
@@ -370,61 +370,106 @@ def models_at_location(scenario: Scenario, location: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class MacroRecord:
-    cycle: int
-    epoch: int
-    target: int
-    log_det_posterior: float
-    log_det_prior: float
-    detected: bool
-    action: int
-
-
-@dataclass
 class MacroTrace:
-    records: list = field(default_factory=list)
-    stop_times: list = field(default_factory=list)
-    priority_targets: list = field(default_factory=list)
+    """Columns of a macro/micro run.
+
+    One row per (cycle, epoch, target), in that order: the posterior and
+    prior log-determinants after the epoch's update, the applied-
+    detection flag and the action (stop at the cycle's last epoch,
+    continue before it). ``stop_times`` and ``priority_targets`` hold
+    one entry per cycle.
+    """
+
+    cycle: np.ndarray
+    epoch: np.ndarray
+    target: np.ndarray
+    log_det_posterior: np.ndarray
+    log_det_prior: np.ndarray
+    detected: np.ndarray
+    action: np.ndarray
+    stop_times: np.ndarray
+    priority_targets: np.ndarray
+
+
+# What the path engine can stop a cycle with.
+MacroPolicy = PolicyParams | StopAt
+
+
+def _stop_time(batch: PathBatch, policy: MacroPolicy, tau_max: int) -> int:
+    """A one-path batch's stopping epoch under ``policy``.
+
+    Raises NumericalError if the path failed at or before that epoch.
+    """
+    if isinstance(policy, StopAt):
+        tau = np.array([min(policy.k, tau_max)])
+        batch.raise_failures(until=tau)
+    else:
+        tau, _ = score_paths(batch, policy)
+    return int(tau[0])
+
+
+def _concat(parts: list, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
 
 
 def run_macro_cycles(scenario: Scenario, policies, n_cycles: int,
                      seed: int) -> MacroTrace:
     """Alternate priority selection and micro-manager stopping runs.
 
-    ``policies`` is a single policy or, for orbital scenarios, a mapping
-    from orbit location to policy. Posteriors carry across cycles;
-    priors re-anchor to the posteriors when each micro clock resets, so
-    zero-priority targets track their priors exactly within a cycle.
+    ``policies`` is PolicyParams or ``stop_at(k)``, or, for orbital
+    scenarios, a mapping from orbit location to either; any other
+    policy raises ContractError. Each cycle simulates one path on the
+    batched engine with seed ``child_seed(seed, "macro.cycle", cycle)``
+    and stops it where the policy says, as ``rollout`` would. Posteriors
+    carry across cycles; priors re-anchor to the posteriors when each
+    micro clock resets, so zero-priority targets track their priors
+    exactly within a cycle. The re-linearized models are built once per
+    orbit location.
     """
-    trace = MacroTrace()
+    choices = policies.values() if isinstance(policies, dict) else [policies]
+    if not all(isinstance(p, MacroPolicy) for p in choices):
+        raise ContractError("macro-cycle policies must be PolicyParams or "
+                            "stop_at(k)")
+    n = scenario.n_targets
     posteriors = scenario.initial_posteriors
     location = scenario.orbit.start_location if scenario.orbit else None
+    models_by_location = {}
+    taus, priority_targets = [], []
+    logdet_posts, logdet_priors, detected = [], [], []
     for cycle in range(n_cycles):
         a, nu = macro_select_priority(posteriors, scenario.macro_mode,
                                       scenario.priorities)
-        models = (models_at_location(scenario, location)
-                  if location is not None else scenario.models)
-        cyc_scenario = replace(scenario, priorities=nu, models=models)
-        belief = Belief(posteriors, posteriors, a)
+        if location not in models_by_location:
+            models_by_location[location] = models_at_location(scenario,
+                                                              location)
+        cyc_scenario = replace(scenario, priorities=nu,
+                               models=models_by_location[location])
         policy = policies[location] if isinstance(policies, dict) else policies
-        result = rollout(cyc_scenario, policy,
-                         child_seed(seed, "macro.cycle", cycle),
-                         initial_belief=belief)
-        for epoch in range(1, result.tau + 1):
-            stepped = result.belief_trajectory[epoch]
-            action = Action.STOP if epoch == result.tau else Action.CONTINUE
-            for l in range(scenario.n_targets):
-                trace.records.append(MacroRecord(
-                    cycle=cycle, epoch=epoch, target=l,
-                    log_det_posterior=float(
-                        np.linalg.slogdet(stepped.posteriors[l])[1]),
-                    log_det_prior=float(
-                        np.linalg.slogdet(stepped.priors[l])[1]),
-                    detected=bool(result.detections[epoch - 1, l]),
-                    action=int(action)))
-        trace.stop_times.append(result.tau)
-        trace.priority_targets.append(a)
-        posteriors = result.belief_trajectory[-1].posteriors
+        batch = _simulate(cyc_scenario,
+                          [child_seed(seed, "macro.cycle", cycle)],
+                          Belief(posteriors, posteriors, a))
+        tau = _stop_time(batch, policy, scenario.tau_max)
+        taus.append(tau)
+        priority_targets.append(a)
+        logdet_posts.append(batch.logdet_posteriors[0, :tau].ravel())
+        logdet_priors.append(batch.logdet_priors[:tau].ravel())
+        detected.append(batch.detections[0, :tau].ravel())
+        posteriors = batch.posteriors[0, tau - 1]
         if location is not None:
             location = location % scenario.orbit.n_locations + 1
-    return trace
+    stop_times = np.array(taus, dtype=int)
+    cycle = np.repeat(np.arange(n_cycles), n * stop_times)
+    # Row r is epoch r // n of the whole run, counted from 0; take off
+    # the epochs of the cycles before its own.
+    epochs_before = np.cumsum(stop_times) - stop_times
+    epoch = np.arange(cycle.size) // n - epochs_before[cycle] + 1
+    return MacroTrace(
+        cycle=cycle, epoch=epoch,
+        target=np.tile(np.arange(n), int(stop_times.sum())),
+        log_det_posterior=_concat(logdet_posts, float),
+        log_det_prior=_concat(logdet_priors, float),
+        detected=_concat(detected, bool),
+        action=np.where(epoch == stop_times[cycle], int(Action.STOP),
+                        int(Action.CONTINUE)),
+        stop_times=stop_times,
+        priority_targets=np.array(priority_targets, dtype=int))

@@ -16,11 +16,12 @@ unconstrained policy parameters with a two-sided simultaneous-
 perturbation gradient estimate; its two perturbed evaluations share one
 simulation.
 
-``rollout`` keeps the scalar epoch-by-epoch loop, with one belief
+``gmti.run_macro_cycles`` is a view on the engine too: it simulates one
+path per cycle and takes tau from ``score_paths`` or from a ``stop_at``
+epoch. ``rollout`` keeps the scalar epoch-by-epoch loop, with one belief
 object per epoch. It serves what the engine cannot or must not:
 callable policies (``stop_at`` and arbitrary deciders, which see the
-belief object), the macro/micro loop in ``gmti.run_macro_cycles``,
-which records the full belief trajectory, and ``periodic_policy_cost``,
+belief object) in ``evaluate_cost``, and ``periodic_policy_cost``,
 which stays an independent reference that the engine is checked
 against.
 
@@ -43,8 +44,8 @@ from .errors import ContractError, NumericalError
 from .filter_core import cho_solve
 from .observability import (Belief, aggregate_rivals, belief_step,
                             stopping_cost)
-from .policy import (Action, ParamLayout, PolicyFamily, PolicyParams, decide,
-                     decision_statistic, stacked_statistic)
+from .policy import (Action, ParamLayout, PolicyParams, decide,
+                     stacked_statistic)
 from .streams import child_seed, stream
 
 # A policy is PolicyParams or any callable (belief, epoch) -> Action.
@@ -540,69 +541,25 @@ def spsa_minimize(objective: Objective, initial_phis: Sequence[np.ndarray],
     return result
 
 
-def calibrated_phi_sampler(scenario, layout: ParamLayout, seed: int,
-                           initial_belief: Belief | None = None):
-    """Candidate sampler whose stop threshold fires at a random epoch.
-
-    The sample-cost landscape is piecewise constant in the parameters
-    and almost all uniform draws either stop immediately or never, so
-    uniform screening wastes nearly every candidate. For the eigen
-    families the decision statistic scales linearly with the weights:
-    a draw can be rescaled so that its statistic first crosses the
-    stop threshold at a chosen epoch of a reference no-stop trajectory,
-    which places every candidate inside the informative band. The
-    quadform family has unit-norm weights and no such scale freedom;
-    its candidates stay uniform.
-    """
-    reference = rollout(scenario, stop_at(scenario.tau_max),
-                        child_seed(seed, "spsa.calibrate"),
-                        initial_belief=initial_belief)
-    beliefs = reference.belief_trajectory[1:]
-
-    def sampler(rng: np.random.Generator) -> np.ndarray:
-        phi = layout.random_init(rng)
-        if layout.family is PolicyFamily.QUADFORM:
-            return phi
-        for _ in range(16):
-            params = layout.build(phi)
-            stats = np.array([decision_statistic(b, params) for b in beliefs])
-            # Rescaling can place the first threshold crossing exactly
-            # at any running-record epoch of the statistic.
-            running_max = np.maximum.accumulate(stats)
-            records = np.nonzero((stats > 0.0) & (stats >= running_max))[0]
-            records = records[records >= 1]
-            if records.size:
-                k = int(rng.choice(records))
-                # theta scales as phi squared
-                return phi * np.sqrt(1.0 / stats[k])
-            phi = layout.random_init(rng)
-        return phi
-
-    return sampler
-
-
 def spsa_optimize(scenario, layout: ParamLayout,
                   initial_phis: Sequence[np.ndarray] | None,
                   schedule: SpsaSchedule, seed: int,
-                  initial_belief: Belief | None = None,
-                  init_sampler=None) -> SpsaResult:
+                  initial_belief: Belief | None = None) -> SpsaResult:
     """Optimize a policy family on a scenario.
 
     When ``initial_phis`` is None, restarts come from a random search:
-    ``n_restarts * (1 + n_screen)`` candidates are drawn (uniform by
-    default, or from ``init_sampler``), evaluated once each, and the
-    best ``n_restarts`` seed the stochastic-approximation runs. The
-    search converges only locally, so screening starts matters as much
-    as refining them.
+    ``n_restarts * (1 + n_screen)`` uniform candidates are drawn,
+    evaluated once each, and the best ``n_restarts`` seed the
+    stochastic-approximation runs. The search converges only locally,
+    so screening starts matters as much as refining them.
     """
     objective = rollout_objective(scenario, layout,
                                   schedule.rollouts_per_eval,
                                   initial_belief=initial_belief)
     if initial_phis is None:
         rng = stream(seed, "spsa.init")
-        draw = init_sampler if init_sampler is not None else layout.random_init
         n_candidates = schedule.n_restarts * (1 + schedule.n_screen)
-        candidates = [draw(rng) for _ in range(n_candidates)]
+        candidates = [layout.random_init(rng) for _ in range(n_candidates)]
         if schedule.n_screen > 0:
             screen_seed = child_seed(seed, "spsa.screen")
             scores = [objective(phi, child_seed(screen_seed, "cand", i))
@@ -616,15 +573,27 @@ def spsa_optimize(scenario, layout: ParamLayout,
     return result
 
 
-def stop_at(k_stop: int) -> Callable[[Belief, int], Action]:
+@dataclass(frozen=True)
+class StopAt:
+    """Deterministic policy that stops at epoch ``k``, or at the horizon.
+
+    A callable (belief, epoch) -> Action for ``rollout``; the path
+    engine reads ``k`` directly.
+    """
+
+    k: int
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ContractError("k_stop must be at least 1")
+
+    def __call__(self, belief: Belief, epoch: int) -> Action:
+        return Action.STOP if epoch >= self.k else Action.CONTINUE
+
+
+def stop_at(k_stop: int) -> StopAt:
     """Deterministic policy that stops at a pre-specified epoch."""
-    if k_stop < 1:
-        raise ContractError("k_stop must be at least 1")
-
-    def decider(belief: Belief, epoch: int) -> Action:
-        return Action.STOP if epoch >= k_stop else Action.CONTINUE
-
-    return decider
+    return StopAt(k_stop)
 
 
 def periodic_policy_cost(scenario, k_stop: int, seed: int,
@@ -647,10 +616,10 @@ def periodic_cost_curve(scenario, seed: int, n_rollouts: int,
     same seed, rollout index and k. A view on the batched path engine
     (``simulate_paths``): each rollout's path is simulated once, chunk
     by chunk, and its stopping costs serve every k. periodic_policy_cost
-    keeps the scalar ``rollout`` loop, as do callable policies and
-    ``gmti.run_macro_cycles``, so the curve and the per-k cost stay
-    independent and each checks the other. Any numerical failure within
-    the horizon raises NumericalError.
+    keeps the scalar ``rollout`` loop, as do other callable policies, so
+    the curve and the per-k cost stay independent and each checks the
+    other. Any numerical failure within the horizon raises
+    NumericalError.
     """
     k_max = scenario.tau_max if k_max is None else k_max
     if not 1 <= k_max <= scenario.tau_max:

@@ -166,22 +166,6 @@ def stacked_statistic(posteriors: np.ndarray, priors: np.ndarray, a: int,
                                                  StoppingCase.AVG_DIFF))
 
 
-def decide_eigen(belief: Belief, params: PolicyParams) -> Action:
-    """Stop test for the three eigenvalue families."""
-    if params.family not in _EIGEN_FAMILIES:
-        raise ContractError("decide_eigen requires an eigen family")
-    return (Action.STOP if _eigen_statistic(belief, params) >= 1.0
-            else Action.CONTINUE)
-
-
-def decide_quadform(belief: Belief, params: PolicyParams) -> Action:
-    """Stop test for the quadratic-form family."""
-    if params.family is not PolicyFamily.QUADFORM:
-        raise ContractError("decide_quadform requires the quadform family")
-    return (Action.STOP if _quadform_statistic(belief, params) >= 1.0
-            else Action.CONTINUE)
-
-
 def decide(belief: Belief, params: PolicyParams) -> Action:
     return Action.STOP if decision_statistic(belief, params) >= 1.0 \
         else Action.CONTINUE

@@ -36,6 +36,18 @@ def stop_first_params(tmp_path):
 
 
 @pytest.fixture
+def persistent_params(tmp_path):
+    # Eigen-sum weights 0.006 on the largest posterior and prior
+    # eigenvalue of every target: stop times spread over the horizon.
+    layout = ParamLayout(PolicyFamily.EIGEN_SUM, 4, 4)
+    phi = np.zeros(layout.n_params)
+    phi[::4] = math.sqrt(0.006)
+    path = tmp_path / "persistent_params.json"
+    path.write_text(json.dumps(params_to_dict(layout.build(phi), layout)))
+    return path
+
+
+@pytest.fixture
 def singular_config(tmp_path):
     # A zero sampling period freezes the covariances, and target 0
     # starts from a zero covariance, so its determinant stays 0.
@@ -65,6 +77,31 @@ class TestPeriodicSweep:
                 assert math.isfinite(float(cell))
 
 
+class TestPersistent:
+    def test_reruns_identical_manifest_complete_values_finite(
+            self, tmp_path, persistent_params):
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["persistent", "--cycles", "5", "--seed", "3",
+                         "--params", str(persistent_params),
+                         "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1]
+        manifest = json.loads(outputs[0]["manifest.json"])
+        assert manifest["outputs"] == sorted(set(outputs[0]) -
+                                             {"manifest.json"})
+        for name in manifest["outputs"]:
+            for cell in csv_values(tmp_path / "a" / name):
+                assert math.isfinite(float(cell))
+        taus = [int(row[1]) for row in csv.reader(
+            (tmp_path / "a" / "stop_times.csv").read_text().splitlines()[2:])]
+        assert len(taus) == 5
+        trace_rows = (tmp_path / "a" / "logdet_trace.csv").read_text() \
+            .splitlines()[2:]
+        assert len(trace_rows) == 4 * sum(taus)
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["periodic-sweep", "--rollouts", "0"],
@@ -90,15 +127,18 @@ class TestExitCodes:
         ["periodic-sweep", "--rollouts", "2"],
         ["flyby", "--rollouts", "2", "--pd-grid", "0.75",
          "--cnu-grid", "0.8"],
+        ["persistent", "--cycles", "2"],
     ])
     def test_singular_covariance_exits_3(self, argv, tmp_path,
                                          stop_first_params, singular_config,
                                          capsys):
+        out = tmp_path / "out"
         code = main(argv + ["--config", str(singular_config),
                             "--params", str(stop_first_params),
-                            "--seed", "1", "--out", str(tmp_path / "out")])
+                            "--seed", "1", "--out", str(out)])
         assert code == 3
         assert "numerical failure:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,15 +6,15 @@ import pytest
 
 from covstop.errors import ContractError
 from covstop.filter_core import lyapunov_update, riccati_update
-from covstop.gmti import (MacroMode, PlatformState, Scenario,
-                          build_flyby_scenario, build_persistent_scenario,
-                          initial_mse, macro_select_priority, measure,
-                          models_at_location, nonlinear_h,
-                          platform_orbit_state, propagate_truth,
+from covstop.gmti import (MacroMode, PlatformState, build_flyby_scenario,
+                          build_persistent_scenario, initial_mse,
+                          macro_select_priority, measure, models_at_location,
+                          nonlinear_h, platform_orbit_state, propagate_truth,
                           run_macro_cycles, system_matrices, STOCK_TARGETS)
-from covstop.optimizer import stop_at
-from covstop.policy import Action, ParamLayout, PolicyFamily
-from covstop.streams import stream
+from covstop.observability import Belief
+from covstop.optimizer import rollout, stop_at
+from covstop.policy import Action, PolicyFamily, PolicyParams
+from covstop.streams import child_seed, stream
 
 
 class TestSystemMatrices:
@@ -212,8 +213,9 @@ class TestRunMacroCycles:
     def test_zero_cycles_empty(self):
         s = build_persistent_scenario(tau_max=10)
         trace = run_macro_cycles(s, stop_at(3), 0, seed=1)
-        assert trace.records == []
-        assert trace.stop_times == []
+        assert trace.cycle.size == 0
+        assert trace.log_det_posterior.size == 0
+        assert trace.stop_times.size == 0
 
     def test_certain_detection_trace_matches_pure_recursion(self):
         # With p_d = 1 and stop-at-1 the logged covariances follow one
@@ -232,12 +234,12 @@ class TestRunMacroCycles:
                                                    nu[l]))
                 else:
                     expected.append(lyapunov_update(posts[l], models[l]))
-            rows = [r for r in trace.records if r.cycle == cycle]
+            rows = np.nonzero(trace.cycle == cycle)[0]
             assert len(rows) == 4  # one epoch per cycle, four targets
             for l, row in enumerate(rows):
                 sign, logdet = np.linalg.slogdet(expected[l])
-                assert row.log_det_posterior == pytest.approx(logdet)
-                assert row.action == int(Action.STOP)
+                assert trace.log_det_posterior[row] == pytest.approx(logdet)
+                assert trace.action[row] == int(Action.STOP)
             posts = expected
             location = location % 72 + 1
 
@@ -247,13 +249,12 @@ class TestRunMacroCycles:
         s = build_persistent_scenario(tau_max=12)
         trace = run_macro_cycles(s, stop_at(12), 1, seed=9)
         a = trace.priority_targets[0]
-        rows = {l: [r for r in trace.records if r.target == l]
+        rows = {l: trace.log_det_posterior[trace.target == l]
                 for l in range(4)}
-        assert rows[a][-1].log_det_posterior < rows[a][0].log_det_posterior
+        assert rows[a][-1] < rows[a][0]
         for l in range(4):
             if l != a:
-                assert rows[l][-1].log_det_posterior > \
-                    rows[l][0].log_det_posterior
+                assert rows[l][-1] > rows[l][0]
 
     def test_per_location_policies_are_selected(self):
         s = build_persistent_scenario(tau_max=6)
@@ -261,13 +262,93 @@ class TestRunMacroCycles:
         policies = {start: stop_at(1), start + 1: stop_at(2),
                     start + 2: stop_at(3)}
         trace = run_macro_cycles(s, policies, 3, seed=2)
-        assert trace.stop_times == [1, 2, 3]
+        assert trace.stop_times.tolist() == [1, 2, 3]
 
     def test_priors_reset_each_cycle(self):
         s = build_persistent_scenario(tau_max=5)
         trace = run_macro_cycles(s, stop_at(2), 2, seed=3)
         # measurement-free targets keep posterior equal to prior
-        for row in trace.records:
-            if row.target != trace.priority_targets[row.cycle]:
-                assert row.log_det_posterior == pytest.approx(
-                    row.log_det_prior)
+        rival = trace.target != trace.priority_targets[trace.cycle]
+        assert rival.any()
+        np.testing.assert_allclose(trace.log_det_posterior[rival],
+                                   trace.log_det_prior[rival])
+
+    @pytest.mark.parametrize("policies", [
+        lambda belief, epoch: Action.STOP,
+        {1: stop_at(2), 2: lambda belief, epoch: Action.STOP},
+    ])
+    def test_other_callables_rejected(self, policies):
+        s = build_persistent_scenario(tau_max=5)
+        with pytest.raises(ContractError):
+            run_macro_cycles(s, policies, 2, seed=3)
+
+
+def scalar_macro_cycles(scenario, policies, n_cycles, seed):
+    """The scalar reference: one rollout per cycle, slogdet per record.
+
+    Returns the seven trace columns stacked as rows, the stop times and
+    the priority targets.
+    """
+    rows, stop_times, priority_targets = [], [], []
+    posteriors = scenario.initial_posteriors
+    location = scenario.orbit.start_location
+    for cycle in range(n_cycles):
+        a, nu = macro_select_priority(posteriors, scenario.macro_mode,
+                                      scenario.priorities)
+        cyc_scenario = dataclasses.replace(
+            scenario, priorities=nu,
+            models=models_at_location(scenario, location))
+        policy = policies[location] if isinstance(policies, dict) else policies
+        result = rollout(cyc_scenario, policy,
+                         child_seed(seed, "macro.cycle", cycle),
+                         initial_belief=Belief(posteriors, posteriors, a))
+        for epoch in range(1, result.tau + 1):
+            stepped = result.belief_trajectory[epoch]
+            action = Action.STOP if epoch == result.tau else Action.CONTINUE
+            for l in range(scenario.n_targets):
+                rows.append((cycle, epoch, l,
+                             np.linalg.slogdet(stepped.posteriors[l])[1],
+                             np.linalg.slogdet(stepped.priors[l])[1],
+                             result.detections[epoch - 1, l], int(action)))
+        stop_times.append(result.tau)
+        priority_targets.append(a)
+        posteriors = result.belief_trajectory[-1].posteriors
+        location = location % scenario.orbit.n_locations + 1
+    return np.array(rows).T, stop_times, priority_targets
+
+
+def eigen_sum_first_axis(weight: float) -> PolicyParams:
+    # theta = theta_bar = weight * e_1 on every target
+    theta = np.zeros((4, 4))
+    theta[:, 0] = weight
+    return PolicyParams(PolicyFamily.EIGEN_SUM, theta, theta)
+
+
+class TestMacroCyclesMatchScalarLoop:
+    def assert_same(self, policies, seed):
+        s = build_persistent_scenario()
+        trace = run_macro_cycles(s, policies, 20, seed)
+        columns, stop_times, priority_targets = scalar_macro_cycles(
+            s, policies, 20, seed)
+        assert trace.stop_times.tolist() == stop_times
+        assert trace.priority_targets.tolist() == priority_targets
+        for name, expected in zip(("cycle", "epoch", "target", "detected",
+                                   "action"), columns[[0, 1, 2, 5, 6]]):
+            np.testing.assert_array_equal(getattr(trace, name), expected)
+        for name, expected in zip(("log_det_posterior", "log_det_prior"),
+                                  columns[[3, 4]]):
+            np.testing.assert_allclose(getattr(trace, name), expected,
+                                       rtol=1e-12, atol=0.0)
+        return trace
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_policy_params(self, seed):
+        trace = self.assert_same(eigen_sum_first_axis(0.006), seed)
+        assert len(set(trace.stop_times.tolist())) > 2
+        assert trace.detected.any() and not trace.detected.all()
+
+    def test_per_location_stop_at(self):
+        # stop epochs 1..75 over locations 1..20, some past the horizon
+        policies = {loc: stop_at(13 * loc % 75 + 1) for loc in range(1, 73)}
+        trace = self.assert_same(policies, 4)
+        assert trace.stop_times.max() == 60

@@ -4,8 +4,8 @@ import pytest
 from covstop.errors import ContractError
 from covstop.observability import Belief
 from covstop.policy import (Action, MonotoneSamplerConfig, ParamLayout,
-                            PolicyFamily, PolicyParams, decide, decide_eigen,
-                            decide_quadform, decision_statistic,
+                            PolicyFamily, PolicyParams, decide,
+                            decision_statistic,
                             reparam_positive, reparam_spherical,
                             verify_monotone)
 from covstop.sampling import random_pd, random_psd
@@ -34,17 +34,17 @@ class TestEigenDecisions:
         belief = random_belief(gen)
         params = eigen_params(PolicyFamily.EIGEN_SUM, np.zeros((2, 4)),
                               np.zeros((2, 4)))
-        assert decide_eigen(belief, params) is Action.CONTINUE
+        assert decide(belief, params) is Action.CONTINUE
 
     def test_scalar_rival_drives_stop(self):
         belief = Belief((np.array([[1.0]]), np.array([[1.5]])),
                         (np.array([[1.0]]), np.array([[1.5]])), 0)
         params = eigen_params(PolicyFamily.EIGEN_SUM,
                               [[0.0], [1.0]], [[0.0], [0.0]])
-        assert decide_eigen(belief, params) is Action.STOP
+        assert decide(belief, params) is Action.STOP
         smaller = Belief((np.array([[1.0]]), np.array([[0.5]])),
                          belief.priors, 0)
-        assert decide_eigen(smaller, params) is Action.CONTINUE
+        assert decide(smaller, params) is Action.CONTINUE
 
     def test_families_agree_with_single_rival(self):
         gen = stream(31, "test.policy.l2")
@@ -52,8 +52,7 @@ class TestEigenDecisions:
             belief = random_belief(gen)
             theta = gen.uniform(0.0, 1.0, (2, 4))
             theta_bar = gen.uniform(0.0, 1.0, (2, 4))
-            actions = {decide_eigen(belief,
-                                    eigen_params(f, theta, theta_bar))
+            actions = {decide(belief, eigen_params(f, theta, theta_bar))
                        for f in EIGEN_FAMILIES}
             assert len(actions) == 1
 
@@ -75,7 +74,7 @@ class TestQuadformDecisions:
         layout = ParamLayout(PolicyFamily.QUADFORM, 2, 4, tie_priors=True,
                              share_other=True)
         params = layout.build(gen.uniform(-1, 1, layout.n_params))
-        assert decide_quadform(belief, params) is Action.CONTINUE
+        assert decide(belief, params) is Action.CONTINUE
 
     def test_scalar_reduction(self):
         # at m = 1 every unit vector is +-1 and the rule is a plain
@@ -87,7 +86,7 @@ class TestQuadformDecisions:
                               np.array([[1.0], [1.0]]))
         expected = -2.0 + 3.0 + (4.0 - 2.5)
         assert decision_statistic(belief, params) == pytest.approx(expected)
-        assert decide_quadform(belief, params) is Action.STOP
+        assert decide(belief, params) is Action.STOP
 
     def test_statistic_matches_direct_formula(self):
         gen = stream(33, "test.policy.quad2")
@@ -108,14 +107,6 @@ class TestQuadformDecisions:
                 expected -= params.theta_bar[l] @ belief.priors[l] \
                     @ params.theta_bar[l]
             assert decision_statistic(belief, params) == pytest.approx(expected)
-
-    def test_family_mismatch_rejected(self):
-        gen = stream(34, "test.policy.m")
-        belief = random_belief(gen)
-        layout = ParamLayout(PolicyFamily.QUADFORM, 2, 4)
-        params = layout.build(gen.uniform(-1, 1, layout.n_params))
-        with pytest.raises(ContractError):
-            decide_eigen(belief, params)
 
 
 class TestReparametrizations:
