@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import (canonical_json, config_hash, load_scenario,
-                     params_from_dict, params_to_dict)
+                     params_from_dict, params_to_dict, read_json)
 from .dp_oracle import (check_monotone_policy, extract_threshold,
                         make_scalar_model, value_iterate)
 from .errors import ContractError, NumericalError
@@ -143,9 +143,19 @@ def _parse_grid(flag: str, text: str) -> list[float]:
     return values
 
 
-def _load_params(path: str):
-    spec = json.loads(Path(path).read_text())
-    return params_from_dict(spec)
+def _load_params(path: str, scenario: Scenario):
+    """Policy params from a JSON file, checked against the scenario."""
+    params, _ = params_from_dict(read_json(path))
+    expected = (scenario.n_targets, scenario.models[0].state_dim)
+    if params.theta.shape != expected:
+        raise ContractError(f"{path}: params cover (targets, state dim) "
+                            f"{params.theta.shape}, the scenario {expected}")
+    return params
+
+
+def _require_count(flag: str, value: int) -> None:
+    if value < 1:
+        raise ContractError(f"{flag} must be at least 1, got {value}")
 
 
 def _train_params(scenario, args, seed):
@@ -167,9 +177,9 @@ def _train_params(scenario, args, seed):
 def cmd_optimize(args) -> int:
     scenario, cfg, seed = _load_run_scenario(args)
     cfg["family"] = args.family
+    result, layout, schedule = _train_params(scenario, args, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result, layout, schedule = _train_params(scenario, args, seed)
     h = config_hash(cfg)
     phi_cols = [f"phi_{i}" for i in range(layout.n_params)]
     trace = result.trace
@@ -195,12 +205,10 @@ def cmd_flyby(args) -> int:
     scenario, cfg, seed = _load_run_scenario(args)
     pd_grid = _parse_grid("--pd-grid", args.pd_grid)
     cnu_grid = _parse_grid("--cnu-grid", args.cnu_grid)
-    if args.rollouts < 1:
-        raise ContractError(f"--rollouts must be at least 1, "
-                            f"got {args.rollouts}")
+    _require_count("--rollouts", args.rollouts)
     cfg["pd_grid"], cfg["cnu_grid"] = pd_grid, cnu_grid
     if args.params:
-        params, _ = _load_params(args.params)
+        params = _load_params(args.params, scenario)
     else:
         result, _, _ = _train_params(scenario, args, seed)
         params = result.best_params
@@ -212,7 +220,7 @@ def cmd_flyby(args) -> int:
         for c_nu in cnu_grid:
             variant = scenario.with_overrides(operating_cost=c_nu, p_d=p_d)
             scored = [score_paths(batch, params)
-                      for batch in _path_chunks(variant, seeds, None)]
+                      for batch in _path_chunks(variant, seeds, None, params)]
             taus = np.concatenate([tau for tau, _ in scored])
             costs = np.concatenate([cost for _, cost in scored])
             rows.append([p_d, c_nu, float(np.mean(costs)),
@@ -231,6 +239,7 @@ def cmd_periodic_sweep(args) -> int:
     scenario, cfg, seed = _load_run_scenario(args)
     k_max = args.kmax if args.kmax is not None else scenario.tau_max
     cfg["kmax"] = k_max
+    params = _load_params(args.params, scenario) if args.params else None
     h = config_hash(cfg)
     eval_seed = child_seed(seed, "cli.periodic.eval")
     curve = periodic_cost_curve(scenario, eval_seed, args.rollouts, k_max)
@@ -243,8 +252,7 @@ def cmd_periodic_sweep(args) -> int:
     write_csv(out / "periodic_costs.csv", ["k_stop", "mean_cost", "stderr"],
               [np.arange(1, k_max + 1), means, stderrs], h,
               "cost=nats+epochs*c_nu")
-    if args.params:
-        params, _ = _load_params(args.params)
+    if params is not None:
         policy_cost = evaluate_cost(scenario, params, eval_seed,
                                     args.rollouts)
         best_k = int(np.argmin(curve.mean(axis=0))) + 1
@@ -259,11 +267,10 @@ def cmd_periodic_sweep(args) -> int:
 
 def cmd_persistent(args) -> int:
     scenario, cfg, seed = _load_run_scenario(args)
-    if args.cycles < 1:
-        raise ContractError(f"--cycles must be at least 1, got {args.cycles}")
+    _require_count("--cycles", args.cycles)
     cfg["cycles"] = args.cycles
     if args.params:
-        params, _ = _load_params(args.params)
+        params = _load_params(args.params, scenario)
     else:
         result, _, _ = _train_params(scenario, args, seed)
         params = result.best_params
@@ -288,10 +295,9 @@ def cmd_persistent(args) -> int:
 
 
 def cmd_validate_linearization(args) -> int:
+    _require_count("--seeds", args.seeds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.seed is None:
-        raise ContractError("a seed is required")
     cfg = {"command": "validate-linearization", "seeds": args.seeds,
            "seed": args.seed}
     h = config_hash(cfg)
@@ -324,10 +330,7 @@ def cmd_validate_linearization(args) -> int:
 
 
 def cmd_dp_threshold(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.seed is None:
-        raise ContractError("a seed is required")
+    _require_count("--grid", args.grid)
     cfg = {"command": "dp-threshold", "f": args.f, "q": args.q, "r": args.r,
            "p_d": args.pd if args.pd is not None else 0.75,
            "c_nu": args.c_nu if args.c_nu is not None else 0.8,
@@ -336,6 +339,8 @@ def cmd_dp_threshold(args) -> int:
     model = make_scalar_model(f=args.f, q=args.q, r=args.r, p_d=cfg["p_d"],
                               c_nu=cfg["c_nu"], n_a=args.grid,
                               n_other=args.grid)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     qtable = value_iterate(model)
     violations = check_monotone_policy(qtable)
     threshold = extract_threshold(qtable)
@@ -414,10 +419,9 @@ def _policy_suite(n_samples: int, seed: int) -> dict:
 
 
 def cmd_verify_properties(args) -> int:
+    _require_count("--samples", args.samples)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.seed is None:
-        raise ContractError("a seed is required")
     cfg = {"command": "verify-properties", "samples": args.samples,
            "seed": args.seed}
     report = {

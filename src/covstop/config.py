@@ -32,6 +32,15 @@ def _require_keys(d: dict, required: set, optional: set, where: str) -> None:
         raise ContractError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def _enum(cls, value, where: str):
+    try:
+        return cls(value)
+    except ValueError:
+        choices = [m.value for m in cls]
+        raise ContractError(f"{where} must be one of {choices}, "
+                            f"got {value!r}") from None
+
+
 def _covariance_from(obj, where: str) -> np.ndarray:
     arr = np.asarray(obj, dtype=float)
     if arr.ndim == 1:
@@ -53,7 +62,8 @@ def scenario_from_dict(spec: dict) -> Scenario:
         alpha=np.asarray(weights_spec["alpha"], dtype=float),
         beta=np.asarray(weights_spec["beta"], dtype=float),
         operating_cost=float(weights_spec["operating_cost"]),
-        case=StoppingCase(weights_spec.get("case", "avg-diff")))
+        case=_enum(StoppingCase, weights_spec.get("case", "avg-diff"),
+                   "weights.case"))
 
     model_spec = spec["model"]
     _require_keys(model_spec, {"period", "sigma_x", "sigma_y", "sigma_r",
@@ -121,21 +131,30 @@ def scenario_from_dict(spec: dict) -> Scenario:
         initial_priors=tuple(priors),
         seed=int(spec["seed"]),
         sigma_p=float(spec.get("sigma_p", 0.0)),
-        macro_mode=MacroMode(spec.get("macro_mode", "flyby-fixed")),
+        macro_mode=_enum(MacroMode, spec.get("macro_mode", "flyby-fixed"),
+                         "macro_mode"),
         true_states=tuple(true_states),
         estimates=tuple(estimates),
         platform=platform,
         orbit=orbit)
 
 
-def load_scenario(path: str | Path) -> tuple[Scenario, dict]:
-    """Parse and validate a scenario file; returns (scenario, raw dict)."""
+def read_json(path: str | Path):
+    """Parsed JSON file; an unreadable or malformed file is a ContractError."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ContractError(f"cannot parse {path}: line {exc.lineno}: "
-                            f"{exc.msg}") from exc
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise ContractError(f"cannot read {path}: {exc.strerror}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ContractError(f"cannot parse {path}: {exc}") from exc
+
+
+def load_scenario(path: str | Path) -> tuple[Scenario, dict]:
+    """Parse and validate a scenario file; returns (scenario, raw dict)."""
+    raw = read_json(path)
+    if not isinstance(raw, dict):
+        raise ContractError(f"{path}: a scenario file holds a JSON object")
     if "seed" not in raw:
         raise ContractError(f"{path}: scenario files must carry a seed")
     return scenario_from_dict(raw), raw
@@ -168,14 +187,22 @@ def params_to_dict(params: PolicyParams, layout: ParamLayout) -> dict:
 
 
 def params_from_dict(spec: dict) -> tuple[PolicyParams, ParamLayout]:
+    if not isinstance(spec, dict) or not isinstance(spec.get("layout"), dict):
+        raise ContractError("params must be a JSON object with a layout "
+                            "object")
     _require_keys(spec, {"family", "phi", "layout"}, set(), "params")
     lay = spec["layout"]
     _require_keys(lay, {"n_targets", "state_dim"},
                   {"share_other", "tie_priors", "a"}, "params.layout")
-    layout = ParamLayout(family=PolicyFamily(spec["family"]),
-                         n_targets=int(lay["n_targets"]),
-                         state_dim=int(lay["state_dim"]),
-                         share_other=bool(lay.get("share_other", False)),
-                         tie_priors=bool(lay.get("tie_priors", False)),
-                         a=int(lay.get("a", 0)))
-    return layout.build(np.asarray(spec["phi"], dtype=float)), layout
+    try:
+        layout = ParamLayout(family=_enum(PolicyFamily, spec["family"],
+                                          "params.family"),
+                             n_targets=int(lay["n_targets"]),
+                             state_dim=int(lay["state_dim"]),
+                             share_other=bool(lay.get("share_other", False)),
+                             tie_priors=bool(lay.get("tie_priors", False)),
+                             a=int(lay.get("a", 0)))
+        phi = np.asarray(spec["phi"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"params: {exc}") from None
+    return layout.build(phi), layout

@@ -41,6 +41,8 @@ class ScalarTarget:
     p_d: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.f, self.h, self.q, self.r])):
+            raise ContractError("f, h, q and r must be finite")
         if self.q <= 0.0 or self.r <= 0.0:
             raise ContractError("q and r must be positive")
         if not 0.0 <= self.p_d <= 1.0:

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ContractError
 from .filter_core import TargetModel, check_covariance
 from .observability import Belief, CostWeights, StoppingCase
-from .optimizer import PathBatch, StopAt, _simulate, score_paths
+from .optimizer import PathBatch, StopAt, _path_chunks, score_paths
 from .policy import Action, PolicyParams
 from .streams import child_seed
 
@@ -395,16 +395,16 @@ class MacroTrace:
 MacroPolicy = PolicyParams | StopAt
 
 
-def _stop_time(batch: PathBatch, policy: MacroPolicy, tau_max: int) -> int:
-    """A one-path batch's stopping epoch under ``policy``.
+def _stop_time(batch: PathBatch, policy: MacroPolicy) -> int:
+    """The stopping epoch of a one-path batch simulated for ``policy``.
 
     Raises NumericalError if the path failed at or before that epoch.
     """
     if isinstance(policy, StopAt):
-        tau = np.array([min(policy.k, tau_max)])
-        batch.raise_failures(until=tau)
-    else:
-        tau, _ = score_paths(batch, policy)
+        # The batch ends at min(k, tau_max).
+        batch.raise_failures()
+        return batch.posteriors.shape[1]
+    tau, _ = score_paths(batch, policy)
     return int(tau[0])
 
 
@@ -419,12 +419,14 @@ def run_macro_cycles(scenario: Scenario, policies, n_cycles: int,
     ``policies`` is PolicyParams or ``stop_at(k)``, or, for orbital
     scenarios, a mapping from orbit location to either; any other
     policy raises ContractError. Each cycle simulates one path on the
-    batched engine with seed ``child_seed(seed, "macro.cycle", cycle)``
-    and stops it where the policy says, as ``rollout`` would. Posteriors
-    carry across cycles; priors re-anchor to the posteriors when each
-    micro clock resets, so zero-priority targets track their priors
-    exactly within a cycle. The re-linearized models are built once per
-    orbit location.
+    batched engine with seed ``child_seed(seed, "macro.cycle", cycle)``,
+    and the engine stops simulating it at the cycle's stopping epoch
+    (within one stop-check block), where ``rollout`` would stop.
+    Posteriors carry across cycles; priors re-anchor to the posteriors
+    when each micro clock resets, so zero-priority targets track their
+    priors exactly within a cycle. The re-linearized models are built,
+    and validated, once per orbit location; each cycle hands them and
+    its one-hot priorities to the engine without building a scenario.
     """
     choices = policies.values() if isinstance(policies, dict) else [policies]
     if not all(isinstance(p, MacroPolicy) for p in choices):
@@ -442,13 +444,13 @@ def run_macro_cycles(scenario: Scenario, policies, n_cycles: int,
         if location not in models_by_location:
             models_by_location[location] = models_at_location(scenario,
                                                               location)
-        cyc_scenario = replace(scenario, priorities=nu,
-                               models=models_by_location[location])
         policy = policies[location] if isinstance(policies, dict) else policies
-        batch = _simulate(cyc_scenario,
-                          [child_seed(seed, "macro.cycle", cycle)],
-                          Belief(posteriors, posteriors, a))
-        tau = _stop_time(batch, policy, scenario.tau_max)
+        (batch,) = _path_chunks(scenario,
+                                [child_seed(seed, "macro.cycle", cycle)],
+                                Belief(posteriors, posteriors, a), policy,
+                                models=models_by_location[location],
+                                priorities=nu)
+        tau = _stop_time(batch, policy)
         taus.append(tau)
         priority_targets.append(a)
         logdet_posts.append(batch.logdet_posteriors[0, :tau].ravel())

@@ -54,8 +54,8 @@ class CostWeights:
             raise ContractError("alpha and beta must be 1-D and congruent")
         if np.any(self.alpha < 0.0) or np.any(self.beta < 0.0):
             raise ContractError("alpha and beta must be non-negative")
-        if self.operating_cost <= 0.0:
-            raise ContractError("operating cost must be positive")
+        if not 0.0 < self.operating_cost < np.inf:
+            raise ContractError("operating cost must be finite and positive")
 
     @property
     def n_targets(self) -> int:

@@ -2,28 +2,34 @@
 
 Given its seed, a rollout's belief path does not depend on the policy:
 detections are drawn for every target at every epoch and the priors are
-deterministic. The batched path engine uses that. ``simulate_paths``
-runs the Riccati/Lyapunov recursion for many seeds at once on stacked
+deterministic. The batched path engine uses that. ``_path_chunks`` runs
+the Riccati/Lyapunov recursion for many seeds at once on stacked
 (paths, targets, m, m) arrays, with the priors computed once for all
 paths, and records each path's log-determinants and stopping cost at
-every epoch. ``score_paths`` then scores a parametrized policy on those
-paths: its decision statistic is evaluated for the whole batch, tau is
-the first epoch where it reaches 1, and the sample cost is (tau - 1)
-times the operating cost plus the stopping cost at tau. Two views are
-built on the engine: ``periodic_cost_curve`` and ``evaluate_cost`` for
-PolicyParams. The SPSA search minimizes that mean sample cost over the
-unconstrained policy parameters with a two-sided simultaneous-
-perturbation gradient estimate; its two perturbed evaluations share one
-simulation.
+every epoch. Given the one policy a batch is for, it checks the
+stopping rule every few epochs and ends the batch once every path has
+stopped, so a ``PathBatch``'s epoch axis may end before the horizon;
+without a policy it runs the whole horizon, and ``simulate_paths`` is
+that case. ``score_paths`` then scores a parametrized policy on the
+paths: its decision statistic is weighed from per-covariance features
+(eigenvalues, or the matrices for quadform) that the batch computes
+once and keeps, tau is the first epoch where the statistic reaches 1,
+and the sample cost is (tau - 1) times the operating cost plus the
+stopping cost at tau. Views built on the engine: ``policy_costs`` and
+``evaluate_cost`` for PolicyParams, which stop each chunk at tau, and
+``periodic_cost_curve`` and the SPSA objective, which score many
+policies on full-horizon batches. The SPSA search minimizes the mean
+sample cost over the unconstrained policy parameters with a two-sided
+simultaneous-perturbation gradient estimate; its two perturbed
+evaluations share one simulation and its features.
 
 ``gmti.run_macro_cycles`` is a view on the engine too: it simulates one
-path per cycle and takes tau from ``score_paths`` or from a ``stop_at``
-epoch. ``rollout`` keeps the scalar epoch-by-epoch loop, with one belief
-object per epoch. It serves what the engine cannot or must not:
-callable policies (``stop_at`` and arbitrary deciders, which see the
-belief object) in ``evaluate_cost``, and ``periodic_policy_cost``,
-which stays an independent reference that the engine is checked
-against.
+path per cycle, stopped at tau. ``rollout`` keeps the scalar
+epoch-by-epoch loop, with one belief object per epoch. It serves what
+the engine cannot or must not: callable policies (``stop_at`` and
+arbitrary deciders, which see the belief object) in ``evaluate_cost``,
+and ``periodic_policy_cost``, which stays an independent reference that
+the engine is checked against.
 
 Determinism: everything is driven by named Philox streams, so identical
 (scenario, params, seed) inputs reproduce rollouts bit for bit, and the
@@ -44,8 +50,8 @@ from .errors import ContractError, NumericalError
 from .filter_core import cho_solve
 from .observability import (Belief, aggregate_rivals, belief_step,
                             stopping_cost)
-from .policy import (Action, ParamLayout, PolicyParams, decide,
-                     stacked_statistic)
+from .policy import (Action, ParamLayout, PolicyFamily, PolicyParams,
+                     covariance_features, decide, weigh_features)
 from .streams import child_seed, stream
 
 # A policy is PolicyParams or any callable (belief, epoch) -> Action.
@@ -75,8 +81,10 @@ class SpsaSchedule:
     n_screen: int = 0  # random-search candidates screened per restart seat
 
     def __post_init__(self):
-        if self.omega <= 0.0 or self.epsilon <= 0.0 or self.s_offset <= 0.0:
-            raise ContractError("omega, epsilon and s_offset must be positive")
+        if not all(0.0 < v < np.inf
+                   for v in (self.omega, self.epsilon, self.s_offset)):
+            raise ContractError("omega, epsilon and s_offset must be finite "
+                                "and positive")
         if not 0.5 <= self.gamma <= 1.0:
             raise ContractError("gamma must lie in [0.5, 1]")
         if not 0.5 < self.zeta <= 1.0:
@@ -175,19 +183,32 @@ def rollout(scenario, policy: PolicyLike, seed: int,
 # flyby paths (60 epochs, four 4x4 targets) to a chunk, or 17,476 paths
 # of a 30-epoch scalar two-target scenario.
 _CHUNK_ENTRIES = 2**20
+# Epochs simulated between two checks of a policy's stopping rule; a
+# chunk runs on for fewer than this many epochs after its last path has
+# stopped. Smaller blocks waste fewer epochs but pay for more checks.
+_STOP_BLOCK = 8
 
 
-@dataclass(frozen=True)
+@dataclass
 class PathBatch:
-    """Belief paths of a batch of seeds over the whole horizon.
+    """Belief paths of a batch of seeds.
 
     Axis 0 indexes seeds, axis 1 epochs: index k - 1 holds the belief
-    after the k-th update. ``failed_at`` holds each path's first epoch
+    after the k-th update. Axis 1 covers the whole ``horizon`` unless
+    the batch was simulated for one policy (see ``_path_chunks``); then
+    it ends once every path has reached its stopping epoch, and it may
+    end before the horizon. ``failed_at`` holds each path's first epoch
     whose covariance update failed or left a non-positive determinant,
     0 if there is none; a failed path's later entries are placeholders.
+
+    ``features`` keeps the ``covariance_features`` of the posteriors and
+    priors once something has computed them: the engine's stop check, or
+    the first call for a family of the same kind (the eigen families
+    share theirs). ``dataclasses.replace`` does not copy them.
     """
 
     a: int
+    horizon: int
     operating_cost: float
     detections: np.ndarray  # (B, T, L) applied-detection flags
     posteriors: np.ndarray  # (B, T, L, m, m)
@@ -196,11 +217,22 @@ class PathBatch:
     logdet_priors: np.ndarray  # (T, L)
     stopping_costs: np.ndarray  # (B, T)
     failed_at: np.ndarray  # (B,)
+    # feature kind -> (K, B, T, L) and (K, T, L) features
+    _features: dict = field(default_factory=dict, init=False, repr=False)
+
+    def features(self, family: PolicyFamily) -> tuple[np.ndarray, np.ndarray]:
+        """``covariance_features`` of the posteriors and the priors."""
+        kind = _feature_kind(family)
+        if kind not in self._features:
+            self._features[kind] = (
+                covariance_features(self.posteriors, family),
+                covariance_features(self.priors, family))
+        return self._features[kind]
 
     def raise_failures(self, until: np.ndarray | None = None) -> None:
         """NumericalError for paths that failed at or before ``until``.
 
-        ``until`` is a per-path epoch; None means the whole horizon.
+        ``until`` is a per-path epoch; None means every simulated epoch.
         """
         failed = self.failed_at > 0
         if until is not None:
@@ -210,6 +242,11 @@ class PathBatch:
                 f"covariance update failed at epoch "
                 f"{int(self.failed_at[failed].min())} on {int(failed.sum())} "
                 f"of {failed.size} paths")
+
+
+def _feature_kind(family: PolicyFamily) -> str:
+    """Families with equal ``covariance_features`` share a kind."""
+    return "entries" if family is PolicyFamily.QUADFORM else "eigenvalues"
 
 
 _PER_PATH_FIELDS = ("detections", "posteriors", "logdet_posteriors",
@@ -247,26 +284,42 @@ def _logdets(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _path_chunks(scenario, seeds: Sequence[int],
-                 initial_belief: Belief | None) -> Iterator[PathBatch]:
+                 initial_belief: Belief | None,
+                 policy: PolicyParams | StopAt | None = None, *,
+                 models: Sequence | None = None,
+                 priorities: np.ndarray | None = None
+                 ) -> Iterator[PathBatch]:
     """Simulate the seeds' paths in chunks of about _CHUNK_ENTRIES.
 
-    Failures are recorded in each batch's ``failed_at``, not raised.
-    The arithmetic mirrors lyapunov_update and riccati_update operation
-    by operation on stacked arrays.
+    ``policy`` is the one policy the batches will be scored with; None
+    simulates the whole horizon. Under ``StopAt(k)`` every chunk ends at
+    epoch min(k, tau_max). Under PolicyParams the decision statistic is
+    evaluated every _STOP_BLOCK epochs, and a chunk ends at the first
+    check by which every one of its paths has reached 1 (or at the
+    horizon); the features the check computed stay in the batch. The
+    priors are computed only as far as some chunk needs them.
+
+    ``models`` and ``priorities`` replace the scenario's without being
+    validated again: the macro cycles pass each cycle's, which were
+    validated when they were built. Failures are recorded in each
+    batch's ``failed_at``, not raised. The arithmetic mirrors
+    lyapunov_update and riccati_update operation by operation on stacked
+    arrays.
     """
     seeds = list(seeds)
     if not seeds:
         raise ContractError("need at least one seed")
     belief = (initial_belief if initial_belief is not None
               else scenario.initial_belief())
-    models = scenario.models
+    models = scenario.models if models is None else models
     n_targets, horizon = len(models), scenario.tau_max
     if belief.n_targets != n_targets:
         raise ContractError("belief and scenario disagree on target count")
     if len({(m.state_dim, m.obs_dim) for m in models}) != 1:
         raise ContractError("batched paths need one state and one "
                             "observation dimension for every target")
-    priorities = np.asarray(scenario.priorities, dtype=float)
+    priorities = np.asarray(scenario.priorities if priorities is None
+                            else priorities, dtype=float)
     measurable = priorities > 0.0
     p_d = np.array([m.p_d for m in models])
     f = np.array([m.F for m in models])
@@ -279,14 +332,18 @@ def _path_chunks(scenario, seeds: Sequence[int],
                   for m, nu in zip(models, priorities)])
     weights = scenario.weights
 
+    # Epochs a chunk may need, and how many it runs between stop checks.
+    checked = isinstance(policy, PolicyParams)
+    last = min(policy.k, horizon) if isinstance(policy, StopAt) else horizon
+    block = _STOP_BLOCK if checked else last
+
     # Priors are deterministic: one recursion serves every path.
-    priors = np.empty((horizon,) + np.shape(belief.priors))
     prior = np.array(belief.priors)
-    for k in range(horizon):
-        prior = _symmetrize(f @ prior @ ft + q)
-        priors[k] = prior
-    logdet_priors, bad_priors = _logdets(priors)
-    bad_priors = bad_priors.any(axis=1)  # a bad prior fails every path
+    priors = np.empty((last,) + prior.shape)
+    logdet_priors = np.empty((last, n_targets))
+    bad_priors = np.empty(last, dtype=bool)  # a bad prior fails every path
+    prior_features = []  # one array per block
+    n_priors = 0
 
     start_post = np.array(belief.posteriors)
     eye = np.eye(start_post.shape[-1])
@@ -294,50 +351,81 @@ def _path_chunks(scenario, seeds: Sequence[int],
     for start in range(0, len(seeds), chunk_size):
         chunk = seeds[start:start + chunk_size]
         draws = np.array([stream(s, "rollout.detect").random(
-            (horizon, n_targets)) for s in chunk])
+            (last, n_targets)) for s in chunk])
         detections = (draws < p_d) & measurable
         n_paths = len(chunk)
         post = np.broadcast_to(start_post,
                                (n_paths,) + start_post.shape).copy()
-        posteriors = np.empty((n_paths, horizon) + start_post.shape)
-        logdet_posteriors = np.empty((n_paths, horizon, n_targets))
+        posteriors = np.empty((n_paths, last) + start_post.shape)
+        logdet_posteriors = np.empty((n_paths, last, n_targets))
+        post_features = []  # one array per block
         failed_at = np.zeros(n_paths, dtype=int)
-        for k in range(horizon):
-            predicted = _symmetrize(f @ post @ ft + q)
-            paths, targets = np.nonzero(detections[:, k])
-            failed = np.zeros(n_paths, dtype=bool)
-            if paths.size:
-                p = post[paths, targets]
-                pht = p @ ht[targets]
-                chol, bad = _cholesky(_symmetrize(h[targets] @ pht
-                                                 + r[targets]))
-                fpht = f[targets] @ pht
-                gain = fpht @ cho_solve(chol, np.swapaxes(fpht, -1, -2))
-                predicted[paths, targets] = _symmetrize(
-                    predicted[paths, targets] - gain)
-                failed[paths[bad]] = True
-            post = predicted
-            logdet, bad_dets = _logdets(post)
-            failed |= bad_dets.any(axis=1) | bad_priors[k]
-            newly = failed & (failed_at == 0)
-            failed_at[newly] = k + 1
-            if failed.any():
-                post[failed] = eye  # keep failed paths finite
-            posteriors[:, k] = post
-            logdet_posteriors[:, k] = logdet
+        stopped = np.zeros(n_paths, dtype=bool)
+        end = 0
+        while end < last and not stopped.all():
+            begin, end = end, min(end + block, last)
+            if n_priors < end:
+                for k in range(n_priors, end):
+                    prior = _symmetrize(f @ prior @ ft + q)
+                    priors[k] = prior
+                new = slice(n_priors, end)
+                logdet_priors[new], bad_new = _logdets(priors[new])
+                bad_priors[new] = bad_new.any(axis=1)
+                if checked:
+                    prior_features.append(covariance_features(
+                        priors[new], policy.family))
+                n_priors = end
+            for k in range(begin, end):
+                predicted = _symmetrize(f @ post @ ft + q)
+                paths, targets = np.nonzero(detections[:, k])
+                bad = None
+                if paths.size:
+                    p = post[paths, targets]
+                    pht = p @ ht[targets]
+                    chol, bad = _cholesky(_symmetrize(h[targets] @ pht
+                                                     + r[targets]))
+                    fpht = f[targets] @ pht
+                    gain = fpht @ cho_solve(chol, np.swapaxes(fpht, -1, -2))
+                    predicted[paths, targets] = _symmetrize(
+                        predicted[paths, targets] - gain)
+                post = predicted
+                logdet, bad_dets = _logdets(post)
+                failed = bad_dets.any(axis=1) | bad_priors[k]
+                if bad is not None:
+                    failed[paths[bad]] = True
+                if failed.any():
+                    failed_at[failed & (failed_at == 0)] = k + 1
+                    post[failed] = eye  # keep failed paths finite
+                posteriors[:, k] = post
+                logdet_posteriors[:, k] = logdet
+            if checked:
+                post_features.append(covariance_features(
+                    posteriors[:, begin:end], policy.family))
+                stat = weigh_features(post_features[-1],
+                                      prior_features[len(post_features) - 1],
+                                      belief.a, policy)
+                stopped |= (stat >= 1.0).any(axis=1)
         with np.errstate(invalid="ignore"):  # inf - inf on failed paths
-            infos = weights.alpha * logdet_priors \
-                - weights.beta * logdet_posteriors
-        yield PathBatch(
-            a=belief.a, operating_cost=weights.operating_cost,
-            detections=detections, posteriors=posteriors, priors=priors,
-            logdet_posteriors=logdet_posteriors, logdet_priors=logdet_priors,
+            infos = weights.alpha * logdet_priors[:end] \
+                - weights.beta * logdet_posteriors[:, :end]
+        batch = PathBatch(
+            a=belief.a, horizon=horizon, operating_cost=weights.operating_cost,
+            detections=detections[:, :end], posteriors=posteriors[:, :end],
+            priors=priors[:end], logdet_posteriors=logdet_posteriors[:, :end],
+            logdet_priors=logdet_priors[:end],
             stopping_costs=aggregate_rivals(infos, belief.a, weights.case),
             failed_at=failed_at)
+        if checked:
+            n_blocks = len(post_features)
+            batch._features[_feature_kind(policy.family)] = (
+                np.concatenate(post_features, axis=-2),
+                np.concatenate(prior_features[:n_blocks], axis=-2))
+        yield batch
 
 
 def _simulate(scenario, seeds: Sequence[int],
               initial_belief: Belief | None) -> PathBatch:
+    """The seeds' full-horizon paths, chunks joined into one batch."""
     batches = list(_path_chunks(scenario, seeds, initial_belief))
     return replace(batches[0], **{
         name: np.concatenate([getattr(b, name) for b in batches])
@@ -366,12 +454,19 @@ def score_paths(paths: PathBatch,
 
     tau is the first epoch whose decision statistic reaches 1, or the
     horizon if none does. As in ``rollout``, a path's numerical failure
-    raises NumericalError only when it happens at or before its tau.
+    raises NumericalError only when it happens at or before its tau. The
+    statistic is weighed from the batch's cached features, so scoring
+    many policies on one batch decomposes each covariance once. A batch
+    simulated for another policy may end before some path's tau; that
+    raises ContractError.
     """
-    stops = stacked_statistic(paths.posteriors, paths.priors, paths.a,
-                              params) >= 1.0
+    post, prior = paths.features(params.family)
+    stops = weigh_features(post, prior, paths.a, params) >= 1.0
     tau = np.where(stops.any(axis=1), stops.argmax(axis=1) + 1,
-                   stops.shape[1])
+                   paths.horizon)
+    if tau.max() > stops.shape[1]:
+        raise ContractError("the paths end before this policy stops; "
+                            "simulate them for it or for the whole horizon")
     paths.raise_failures(until=tau)
     costs = (tau - 1) * paths.operating_cost \
         + paths.stopping_costs[np.arange(tau.size), tau - 1]
@@ -383,12 +478,13 @@ def policy_costs(scenario, params: PolicyParams, seeds: Sequence[int],
     """Sample costs of a parametrized policy, one per seed.
 
     Equals ``rollout(scenario, params, s).sample_cost`` for each seed
-    ``s`` up to round-off; the paths are simulated and scored chunk by
-    chunk, so memory stays bounded however many seeds there are.
+    ``s`` up to round-off; the paths are simulated for this policy and
+    scored chunk by chunk, so memory stays bounded however many seeds
+    there are, and no chunk runs far past its last stop.
     """
     return np.concatenate([
         score_paths(batch, params)[1]
-        for batch in _path_chunks(scenario, seeds, initial_belief)])
+        for batch in _path_chunks(scenario, seeds, initial_belief, params)])
 
 
 def _eval_seeds(seed: int, n_rollouts: int) -> list[int]:
@@ -421,10 +517,11 @@ def rollout_objective(scenario, layout: ParamLayout, n_rollouts: int,
                       initial_belief: Belief | None = None) -> Objective:
     """Objective closure mapping (phi, seed) to the evaluated cost.
 
-    Equals ``evaluate_cost`` on ``layout.build(phi)``. The path batch of
-    the last seed is kept, so calls that share a seed, such as the two
-    sides of an SPSA gradient estimate or the nominees of one re-rank
-    seed, share one simulation.
+    Equals ``evaluate_cost`` on ``layout.build(phi)``. The full-horizon
+    path batch of the last seed is kept with its features, so calls that
+    share a seed, such as the two sides of an SPSA gradient estimate or
+    the nominees of one re-rank seed, share one simulation and one
+    eigendecomposition of each covariance.
     """
     last: dict = {}  # seed -> PathBatch, one slot
 

@@ -42,7 +42,7 @@ class PolicyFamily(Enum):
 
 _EIGEN_FAMILIES = (PolicyFamily.EIGEN_MAX, PolicyFamily.EIGEN_MIN,
                    PolicyFamily.EIGEN_SUM)
-# How stacked_statistic aggregates the rival targets; the rest sum.
+# How weigh_features aggregates the rival targets; the rest sum.
 _RIVAL_AGGREGATE = {PolicyFamily.EIGEN_MAX: StoppingCase.MAX_DIFF,
                     PolicyFamily.EIGEN_MIN: StoppingCase.MIN_DIFF}
 
@@ -139,30 +139,64 @@ def decision_statistic(belief: Belief, params: PolicyParams) -> float:
     return _eigen_statistic(belief, params)
 
 
-def stacked_statistic(posteriors: np.ndarray, priors: np.ndarray, a: int,
-                      params: PolicyParams) -> np.ndarray:
-    """decision_statistic over stacks of beliefs.
+def covariance_features(covariances: np.ndarray,
+                        family: PolicyFamily) -> np.ndarray:
+    """What ``weigh_features`` needs of each covariance of a stack.
 
-    ``posteriors`` and ``priors`` are (..., L, m, m) stacks that
-    broadcast against each other; the result has their broadcast leading
-    shape. The covariances must be exactly symmetric, as every
-    covariance update leaves them, so none is re-symmetrized here.
+    For (..., L, m, m) covariances, a (K, ..., L) array with one
+    contiguous slice per feature: for the eigen families the K = m
+    eigenvalues, largest first; for quadform the K = m(m+1)/2 entries on
+    and above the diagonal. The covariances must be exactly symmetric,
+    as every covariance update leaves them, so none is re-symmetrized
+    here.
     """
-    if params.family is PolicyFamily.QUADFORM:
-        post = np.einsum("...lij,li,lj->...l", posteriors, params.theta,
-                         params.theta)
-        prior = np.einsum("...lij,li,lj->...l", priors, params.theta_bar,
-                          params.theta_bar)
+    if family is PolicyFamily.QUADFORM:
+        rows, cols = np.triu_indices(covariances.shape[-1])
+        features = covariances[..., rows, cols]
     else:
         # eigvalsh sorts ascending; the weights pair with descending order
-        post = np.einsum("...lm,lm->...l",
-                         np.linalg.eigvalsh(posteriors)[..., ::-1],
-                         params.theta)
-        prior = np.einsum("...lm,lm->...l",
-                          np.linalg.eigvalsh(priors)[..., ::-1],
-                          params.theta_bar)
-    return aggregate_rivals(post - prior, a,
-                            _RIVAL_AGGREGATE.get(params.family,
+        features = np.linalg.eigvalsh(covariances)[..., ::-1]
+    return np.ascontiguousarray(np.moveaxis(features, -1, 0))
+
+
+def _feature_weights(family: PolicyFamily, theta: np.ndarray) -> np.ndarray:
+    """(K, L) weights pairing with ``covariance_features``."""
+    if family is PolicyFamily.QUADFORM:
+        rows, cols = np.triu_indices(theta.shape[1])
+        # theta' P theta counts each entry off the diagonal twice
+        return (np.where(rows == cols, 1.0, 2.0) * theta[:, rows]
+                * theta[:, cols]).T
+    return theta.T
+
+
+def _weighted_sum(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    total = features[0] * weights[0]
+    for feature, weight in zip(features[1:], weights[1:]):
+        total += feature * weight
+    return total
+
+
+def weigh_features(post_features: np.ndarray, prior_features: np.ndarray,
+                   a: int, params: PolicyParams) -> np.ndarray:
+    """decision_statistic over stacks of beliefs, from their features.
+
+    ``post_features`` and ``prior_features`` are ``covariance_features``
+    of (..., L, m, m) posterior and prior stacks that broadcast against
+    each other; the result has their broadcast leading shape. Callers
+    that score many policies on one stack keep the features and pay only
+    for this step. It adds the weighted features one by one, left to
+    right, with elementwise operations. Those give the same bits
+    whatever the leading shape and memory layout of the features, so a
+    statistic computed block by block equals the one computed on the
+    whole stack (einsum does not promise that).
+    """
+    family = params.family
+    values = (_weighted_sum(post_features,
+                            _feature_weights(family, params.theta))
+              - _weighted_sum(prior_features,
+                              _feature_weights(family, params.theta_bar)))
+    return aggregate_rivals(values, a,
+                            _RIVAL_AGGREGATE.get(family,
                                                  StoppingCase.AVG_DIFF))
 
 

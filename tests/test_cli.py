@@ -16,6 +16,10 @@ from covstop.config import params_to_dict
 from covstop.policy import ParamLayout, PolicyFamily
 
 
+# Subcommands that take --params and --config.
+PARAMS_COMMANDS = ("periodic-sweep", "flyby", "persistent")
+
+
 def csv_values(path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# config_hash=")
@@ -113,14 +117,80 @@ class TestExitCodes:
         ["flyby", "--cnu-grid", "nan"],
         ["persistent", "--cycles", "0"],
         ["persistent", "--cycles", "-2"],
+        ["periodic-sweep", "--c-nu", "nan"],
+        ["periodic-sweep", "--c-nu", "inf"],
+        ["flyby", "--c-nu", "nan"],
+        ["dp-threshold", "--f", "nan"],
+        ["dp-threshold", "--q", "inf"],
+        ["dp-threshold", "--c-nu", "nan"],
+        ["dp-threshold", "--grid", "0"],
+        ["verify-properties", "--samples", "0"],
+        ["verify-properties", "--samples", "-1"],
+        ["validate-linearization", "--seeds", "0"],
+        ["optimize", "--restarts", "0"],
+        ["optimize", "--epsilon", "nan"],
     ])
     def test_bad_input_exits_2(self, argv, tmp_path, stop_first_params,
                                capsys):
         out = tmp_path / "out"
-        code = main(argv + ["--params", str(stop_first_params), "--seed", "1",
-                            "--out", str(out)])
+        if argv[0] in PARAMS_COMMANDS:
+            argv = argv + ["--params", str(stop_first_params)]
+        code = main(argv + ["--seed", "1", "--out", str(out)])
         assert code == 2
         assert "validation error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", PARAMS_COMMANDS)
+    @pytest.mark.parametrize("flag,content", [
+        ("--params", None),
+        ("--config", None),
+        ("--config", "{not json"),
+        ("--config", "[1, 2]"),
+        ("--params", json.dumps({"family": "eigen-sum", "phi": [0.1],
+                                 "layout": {"n_targets": 4,
+                                            "state_dim": 4}})),
+        ("--params", json.dumps({"family": "eigen-max2", "phi": [],
+                                 "layout": {"n_targets": 4,
+                                            "state_dim": 4}})),
+        ("--params", "[1, 2]"),
+        ("--params", json.dumps({"family": "eigen-sum", "phi": ["a"],
+                                 "layout": {"n_targets": 4,
+                                            "state_dim": 4}})),
+        ("--params", json.dumps({"family": "eigen-sum", "phi": [0.1] * 4,
+                                 "layout": {"n_targets": 2,
+                                            "state_dim": 1}})),
+    ])
+    def test_unreadable_or_invalid_file_exits_2(
+            self, command, flag, content, tmp_path, stop_first_params,
+            capsys):
+        # None stands for a file that does not exist.
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(content)
+        files = {"--params": str(stop_first_params), flag: str(path)}
+        size = (["--cycles", "1"] if command == "persistent"
+                else ["--rollouts", "2"])
+        out = tmp_path / "out"
+        code = main([command] + size
+                    + [item for pair in files.items() for item in pair]
+                    + ["--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert "validation error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section,key", [("weights", "case"),
+                                             (None, "macro_mode")])
+    def test_unknown_config_choice_exits_2(self, section, key, tmp_path,
+                                           capsys):
+        spec = json.loads(_bundled_path("flyby").read_text())
+        (spec[section] if section else spec)[key] = "no-such-choice"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        code = main(["periodic-sweep", "--rollouts", "2", "--config",
+                     str(path), "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert "no-such-choice" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
