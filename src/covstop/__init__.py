@@ -13,8 +13,7 @@ from .errors import ContractError, CovstopError, NumericalError
 from .filter_core import (TargetModel, det_ratio_lyapunov, det_ratio_riccati,
                           eigenvalues_sorted, loewner_geq, lyapunov_update,
                           riccati_update)
-from .gmti import (MacroMode, Scenario, build_flyby_scenario,
-                   build_persistent_scenario)
+from .gmti import MacroMode, Scenario
 from .observability import (Belief, CostWeights, StoppingCase,
                             mutual_information, stopping_cost,
                             transformed_running_cost)
@@ -28,8 +27,7 @@ __all__ = [
     "Action", "Belief", "ContractError", "CostWeights", "CovstopError",
     "MacroMode", "NumericalError", "ParamLayout", "PolicyFamily",
     "PolicyParams", "RolloutResult", "Scenario", "SpsaSchedule",
-    "StoppingCase", "TargetModel", "build_flyby_scenario",
-    "build_persistent_scenario", "det_ratio_lyapunov", "det_ratio_riccati",
+    "StoppingCase", "TargetModel", "det_ratio_lyapunov", "det_ratio_riccati",
     "eigenvalues_sorted", "evaluate_cost", "loewner_geq", "lyapunov_update",
     "mutual_information", "periodic_policy_cost", "reparam_positive",
     "reparam_spherical", "riccati_update", "rollout", "spsa_gradient",

@@ -16,45 +16,28 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import (canonical_json, config_hash, load_scenario,
-                     params_from_dict, params_to_dict, read_json)
+from .config import (BUNDLED, _bundled_path, config_hash, load_scenario,
+                     params_from_dict, params_to_dict, read_json,
+                     stock_scenario)
 from .dp_oracle import (check_monotone_policy, extract_threshold,
                         make_scalar_model, value_iterate)
 from .errors import ContractError, NumericalError
 from .filter_core import (det_ratio_lyapunov, det_ratio_riccati, loewner_geq,
                           lyapunov_update, riccati_update, TargetModel)
-from .gmti import Scenario, build_flyby_scenario, run_macro_cycles
+from .gmti import Scenario, run_macro_cycles
 from .linearization import validate_linearization
 from .observability import StoppingCase
-from .optimizer import (SpsaSchedule, _path_chunks, evaluate_cost,
-                        periodic_cost_curve, score_paths, spsa_optimize)
+from .optimizer import (SpsaSchedule, evaluate_cost, periodic_cost_curve,
+                        policy_costs, spsa_optimize)
 from .policy import (MonotoneSamplerConfig, ParamLayout, PolicyFamily,
                      verify_monotone)
 from .sampling import ordered_pair, random_pd, random_transition
 from .streams import child_seed, stream
-
-BUNDLED = {"flyby": "configs/flyby.json", "persistent": "configs/persistent.json"}
-
-
-def _bundled_path(name: str) -> Path:
-    return Path(resources.files("covstop") / BUNDLED[name])
-
-
-@dataclass
-class RunConfig:
-    command: str
-    scenario_path: Path | None
-    seed: int
-    out_dir: Path
-    overrides: dict
-
 
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
@@ -219,10 +202,7 @@ def cmd_flyby(args) -> int:
     for p_d in pd_grid:
         for c_nu in cnu_grid:
             variant = scenario.with_overrides(operating_cost=c_nu, p_d=p_d)
-            scored = [score_paths(batch, params)
-                      for batch in _path_chunks(variant, seeds, None, params)]
-            taus = np.concatenate([tau for tau, _ in scored])
-            costs = np.concatenate([cost for _, cost in scored])
+            taus, costs = policy_costs(variant, params, seeds)
             rows.append([p_d, c_nu, float(np.mean(costs)),
                          float(np.std(costs) / np.sqrt(len(costs))),
                          float(np.mean(taus))])
@@ -363,8 +343,7 @@ def cmd_dp_threshold(args) -> int:
 
 def _theorem2_suite(n_samples: int, seed: int) -> dict:
     gen = stream(seed, "verify.theorem2")
-    flyby = build_flyby_scenario()
-    gmti_model = flyby.models[0]
+    gmti_model = stock_scenario("flyby").models[0]
     violations = 0
     worst = 0.0
     for i in range(n_samples):
@@ -391,8 +370,7 @@ def _theorem2_suite(n_samples: int, seed: int) -> dict:
 
 def _operator_monotonicity_suite(n_samples: int, seed: int) -> dict:
     gen = stream(seed, "verify.operators")
-    flyby = build_flyby_scenario()
-    model = flyby.models[0]
+    model = stock_scenario("flyby").models[0]
     violations = 0
     for _ in range(n_samples):
         p1, p2 = ordered_pair(gen, 4, gen.uniform(0.5, 2.0))

@@ -4,7 +4,8 @@ One JSON document per scenario. Loading is strict: unknown keys are
 rejected wherever they appear, covariances accept either a full matrix
 (nested lists) or a flat list interpreted as a diagonal, and every
 scenario must carry its own seed so no run ever defaults to wall-clock
-randomness.
+randomness. The paper's two stock scenarios are such documents, bundled
+with the package; ``stock_scenario`` loads them.
 """
 
 from __future__ import annotations
@@ -12,18 +13,30 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError
+from .filter_core import TargetModel
 from .gmti import (MacroMode, OrbitSpec, PlatformState, Scenario,
-                   _linearized_models, platform_orbit_state)
+                   platform_orbit_state, system_matrices)
+from .linearization import jacobian_h
 from .observability import CostWeights, StoppingCase
 from .policy import ParamLayout, PolicyFamily, PolicyParams
 
+# The stock scenarios, by name, as files inside the package.
+BUNDLED = {"flyby": "configs/flyby.json", "persistent": "configs/persistent.json"}
+
+
+def _bundled_path(name: str) -> Path:
+    return Path(resources.files("covstop") / BUNDLED[name])
+
 
 def _require_keys(d: dict, required: set, optional: set, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ContractError(f"{where} must be a JSON object")
     unknown = set(d) - required - optional
     if unknown:
         raise ContractError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -50,11 +63,35 @@ def _covariance_from(obj, where: str) -> np.ndarray:
     raise ContractError(f"{where} must be a square matrix or a diagonal list")
 
 
+def _state_vector(obj, where: str) -> np.ndarray:
+    arr = np.asarray(obj, dtype=float)
+    if arr.shape != (4,) or not np.all(np.isfinite(arr)):
+        raise ContractError(f"{where} must be a finite 4-vector")
+    return arr
+
+
 def scenario_from_dict(spec: dict) -> Scenario:
-    """Build a validated scenario from its JSON representation."""
+    """Build a validated scenario from its JSON representation.
+
+    A value of the wrong type or shape is a ContractError. ``seed`` is
+    read by the caller from the raw dict, and ``sigma_p`` and each
+    target's ``true_state`` describe the truth model; the scenario keeps
+    none of them, but they are validated all the same.
+    """
+    try:
+        return _scenario_from_dict(spec)
+    except ContractError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"scenario: {exc}") from None
+
+
+def _scenario_from_dict(spec: dict) -> Scenario:
     _require_keys(spec, {"name", "seed", "tau_max", "priorities", "weights",
                          "model", "platform", "targets"},
                   {"sigma_p", "macro_mode"}, "scenario")
+    int(spec["seed"])  # checked only; see the docstring
+    float(spec.get("sigma_p", 0.0))
     weights_spec = spec["weights"]
     _require_keys(weights_spec, {"alpha", "beta", "operating_cost"},
                   {"case"}, "weights")
@@ -71,6 +108,8 @@ def scenario_from_dict(spec: dict) -> Scenario:
                   {"delta"}, "model")
 
     platform_spec = spec["platform"]
+    if not isinstance(platform_spec, dict):
+        raise ContractError("platform must be a JSON object")
     orbit = None
     if platform_spec.get("kind") == "orbit":
         _require_keys(platform_spec, {"kind", "radius", "speed", "altitude"},
@@ -93,16 +132,15 @@ def scenario_from_dict(spec: dict) -> Scenario:
         raise ContractError("platform kind must be 'linear' or 'orbit'")
 
     estimates = []
-    true_states = []
     posteriors = []
     priors = []
     for i, target in enumerate(spec["targets"]):
         _require_keys(target, {"estimate", "posterior_cov"},
                       {"true_state", "prior_cov"}, f"targets[{i}]")
-        estimates.append(np.asarray(target["estimate"], dtype=float))
-        true_states.append(np.asarray(target.get("true_state",
-                                                 target["estimate"]),
-                                      dtype=float))
+        estimates.append(_state_vector(target["estimate"],
+                                       f"targets[{i}].estimate"))
+        if "true_state" in target:
+            _state_vector(target["true_state"], f"targets[{i}].true_state")
         post = _covariance_from(target["posterior_cov"],
                                 f"targets[{i}].posterior_cov")
         posteriors.append(post)
@@ -110,16 +148,16 @@ def scenario_from_dict(spec: dict) -> Scenario:
                                        f"targets[{i}].prior_cov")
                       if "prior_cov" in target else post.copy())
 
-    models = _linearized_models(
-        tuple(estimates), platform,
-        period=float(model_spec["period"]),
-        sigma_x=float(model_spec["sigma_x"]),
-        sigma_y=float(model_spec["sigma_y"]),
-        sigma_r=float(model_spec["sigma_r"]),
-        sigma_a=math.radians(float(model_spec["sigma_a_deg"])),
-        sigma_rdot=float(model_spec["sigma_rdot"]),
-        p_d=float(model_spec["p_d"]),
-        delta=float(model_spec.get("delta", 100.0)))
+    f, g, q, r_base = system_matrices(
+        float(model_spec["period"]), float(model_spec["sigma_x"]),
+        float(model_spec["sigma_y"]), float(model_spec["sigma_r"]),
+        math.radians(float(model_spec["sigma_a_deg"])),
+        float(model_spec["sigma_rdot"]))
+    p_d = float(model_spec["p_d"])
+    delta = float(model_spec.get("delta", 100.0))
+    models = tuple(TargetModel(F=f, G=g, H=jacobian_h(e, platform), Q=q,
+                               r_base=r_base, p_d=p_d, delta=delta)
+                   for e in estimates)
 
     return Scenario(
         name=str(spec["name"]),
@@ -129,13 +167,9 @@ def scenario_from_dict(spec: dict) -> Scenario:
         tau_max=int(spec["tau_max"]),
         initial_posteriors=tuple(posteriors),
         initial_priors=tuple(priors),
-        seed=int(spec["seed"]),
-        sigma_p=float(spec.get("sigma_p", 0.0)),
         macro_mode=_enum(MacroMode, spec.get("macro_mode", "flyby-fixed"),
                          "macro_mode"),
-        true_states=tuple(true_states),
         estimates=tuple(estimates),
-        platform=platform,
         orbit=orbit)
 
 
@@ -158,6 +192,27 @@ def load_scenario(path: str | Path) -> tuple[Scenario, dict]:
     if "seed" not in raw:
         raise ContractError(f"{path}: scenario files must carry a seed")
     return scenario_from_dict(raw), raw
+
+
+def stock_scenario(name: str) -> Scenario:
+    """The bundled "flyby" or "persistent" scenario.
+
+    Both share four targets (their estimates and 10 m / 5 m/s initial
+    sigmas), the constant-velocity model sampled at 0.1 s and the cost's
+    operating cost of 0.8. Fly-by: a platform on a straight track whose
+    altitude, 8473.3 m, gives a 15 degree depression angle at the
+    initial ground range; a fixed priority split with most weight on
+    target 0, p_d = 0.75, and a heavy posterior weight on the priority
+    target. Persistent: a 30 km orbit at 5 km altitude and 250 m/s,
+    one-hot priorities chosen each cycle by the macro-manager,
+    p_d = 0.9, and zero prior weight on the measurement-free targets.
+    Both run 60-epoch (6 s) horizons, which cover the stopping times.
+    """
+    if name not in BUNDLED:
+        raise ContractError(f"no bundled scenario {name!r}; choose from "
+                            f"{sorted(BUNDLED)}")
+    scenario, _ = load_scenario(_bundled_path(name))
+    return scenario
 
 
 def canonical_json(obj) -> str:

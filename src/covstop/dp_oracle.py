@@ -129,38 +129,49 @@ def make_scalar_model(f=1.0, h=1.0, q=1.0, r=1.0, p_d=0.75, c_nu=0.8,
 
 @dataclass(frozen=True)
 class _Axis:
-    """One state coordinate: grid, cost coefficient and branch maps."""
+    """One state coordinate: grid, cost coefficient and its target."""
 
     name: str
     grid: np.ndarray
     cbar_coef: float          # coefficient of log(p) in Cbar
-    next_detected: np.ndarray
-    next_missed: np.ndarray   # equals next_detected on prior axes
+    target: ScalarTarget
     branches: bool            # whether detection changes this axis
+
+    def step(self, p, detected: bool):
+        """Next covariance: the Riccati map on a detection, else Lyapunov."""
+        return (self.target.riccati_detected(p) if detected
+                else self.target.lyapunov(p))
 
 
 def _axes_for(model: ScalarStopModel) -> list[_Axis]:
     w = model.weights
-    axes = [
-        _Axis("post_a", model.grid_a, float(w.beta[0]),
-              model.target_a.riccati_detected(model.grid_a),
-              model.target_a.lyapunov(model.grid_a), True),
-    ]
+    a, other = model.target_a, model.target_other
+    axes = [_Axis("post_a", model.grid_a, float(w.beta[0]), a, True)]
     if model.needs_priors:
         axes.append(_Axis("prior_a", model.grid_prior_a, -float(w.alpha[0]),
-                          model.target_a.lyapunov(model.grid_prior_a),
-                          model.target_a.lyapunov(model.grid_prior_a), False))
-    axes.append(
-        _Axis("post_other", model.grid_other, -float(w.beta[1]),
-              model.target_other.riccati_detected(model.grid_other),
-              model.target_other.lyapunov(model.grid_other), True))
+                          a, False))
+    axes.append(_Axis("post_other", model.grid_other, -float(w.beta[1]),
+                      other, True))
     if model.needs_priors:
         axes.append(_Axis("prior_other", model.grid_prior_other,
-                          float(w.alpha[1]),
-                          model.target_other.lyapunov(model.grid_prior_other),
-                          model.target_other.lyapunov(model.grid_prior_other),
-                          False))
+                          float(w.alpha[1]), other, False))
     return axes
+
+
+def _outcomes(model: ScalarStopModel, axes: list[_Axis]):
+    """Detect/miss outcomes of one transition with nonzero probability.
+
+    Yields (probability, detected), where detected[i] says whether axis
+    i takes the detection branch; prior axes never do.
+    """
+    p_d = (model.target_a.p_d, model.target_other.p_d)
+    for det_a, det_o in product((True, False), repeat=2):
+        prob = (p_d[0] if det_a else 1.0 - p_d[0]) \
+            * (p_d[1] if det_o else 1.0 - p_d[1])
+        if prob == 0.0:
+            continue
+        detected = {"post_a": det_a, "post_other": det_o}
+        yield prob, [ax.branches and detected[ax.name] for ax in axes]
 
 
 def _interp_table(grid: np.ndarray, values: np.ndarray):
@@ -212,53 +223,39 @@ class QTable:
     residual: float
 
 
+def _expected_next(value: np.ndarray, outcomes: list) -> np.ndarray:
+    """E[V(next)] over the (probability, interpolation tables) outcomes."""
+    expected = 0.0
+    for prob, tables in outcomes:
+        nxt = value
+        for axis, (idx, w) in enumerate(tables):
+            nxt = _apply_axis(nxt, idx, w, axis)
+        expected = expected + prob * nxt
+    return expected
+
+
 def value_iterate(model: ScalarStopModel, tol: float = 1e-8,
                   max_iters: int = 100_000) -> QTable:
     """Fixed-point iteration of the shifted Bellman equation."""
     axes = _axes_for(model)
     grids = [ax.grid for ax in axes]
-    p_d = (model.target_a.p_d, model.target_other.p_d)
-    post_axis = {"post_a": 0, "post_other": 1}
-
     cbar = _broadcast_sum([ax.cbar_coef * np.log(ax.grid) for ax in axes])
 
-    # Outcomes enumerate detect/miss for the two posterior axes; prior
-    # axes move deterministically.
-    outcomes = []
-    for det_a, det_o in product((True, False), repeat=2):
-        prob = (p_d[0] if det_a else 1.0 - p_d[0]) \
-            * (p_d[1] if det_o else 1.0 - p_d[1])
-        if prob == 0.0:
-            continue
-        detected = {"post_a": det_a, "post_other": det_o}
-        next_vals = []
-        for ax in axes:
-            hit = detected.get(ax.name, False)
-            next_vals.append(ax.next_detected if hit and ax.branches
-                             else ax.next_missed)
-        outcomes.append((prob, next_vals))
-
+    # Each outcome's running-cost share uses the exact next values; its
+    # interpolation tables serve the expected next value.
     running = model.weights.operating_cost - cbar
-    for prob, next_vals in outcomes:
+    outcomes = []
+    for prob, detected in _outcomes(model, axes):
+        next_vals = [ax.step(ax.grid, hit) for ax, hit in zip(axes, detected)]
         running = running + prob * _broadcast_sum(
             [ax.cbar_coef * np.log(v) for ax, v in zip(axes, next_vals)])
-
-    interp = [
-        [(_interp_table(axes[i].grid, next_vals[i])) for i in range(len(axes))]
-        for _, next_vals in outcomes
-    ]
+        outcomes.append((prob, [_interp_table(ax.grid, v)
+                                for ax, v in zip(axes, next_vals)]))
 
     value = -cbar
     residual = math.inf
     for iteration in range(1, max_iters + 1):
-        expected = 0.0
-        for (prob, _), tables in zip(outcomes, interp):
-            nxt = value
-            for axis, (idx, w) in enumerate(tables):
-                nxt = _apply_axis(nxt, idx, w, axis)
-            expected = expected + prob * nxt
-        q_continue = running + expected
-        new_value = np.minimum(0.0, q_continue)
+        new_value = np.minimum(0.0, running + _expected_next(value, outcomes))
         residual = float(np.max(np.abs(new_value - value)))
         value = new_value
         if residual < tol:
@@ -267,13 +264,7 @@ def value_iterate(model: ScalarStopModel, tol: float = 1e-8,
         raise NumericalError(f"value iteration did not converge in "
                              f"{max_iters} iterations (residual {residual:.3e})")
 
-    expected = 0.0
-    for (prob, _), tables in zip(outcomes, interp):
-        nxt = value
-        for axis, (idx, w) in enumerate(tables):
-            nxt = _apply_axis(nxt, idx, w, axis)
-        expected = expected + prob * nxt
-    q_continue = running + expected
+    q_continue = running + _expected_next(value, outcomes)
     action = np.where(q_continue >= 0.0, int(Action.STOP),
                       int(Action.CONTINUE)).astype(np.int8)
     return QTable(model=model, axis_names=[ax.name for ax in axes],
@@ -326,12 +317,9 @@ def _interp_point(qtable: QTable, values: np.ndarray,
     return float(out)
 
 
-def _cbar_at(model: ScalarStopModel, point: tuple, names: list) -> float:
-    coefs = {"post_a": model.weights.beta[0],
-             "prior_a": -model.weights.alpha[0],
-             "post_other": -model.weights.beta[1],
-             "prior_other": model.weights.alpha[1]}
-    return float(sum(coefs[n] * math.log(p) for n, p in zip(names, point)))
+def _cbar_at(model: ScalarStopModel, point: tuple) -> float:
+    return float(sum(ax.cbar_coef * math.log(p)
+                     for ax, p in zip(_axes_for(model), point)))
 
 
 def optimal_cost(qtable: QTable, point: tuple) -> float:
@@ -348,7 +336,7 @@ def optimal_cost(qtable: QTable, point: tuple) -> float:
             raise ContractError(f"covariance {p} outside the grid "
                                 f"[{grid[0]}, {grid[-1]}]")
     return _interp_point(qtable, qtable.value, point) \
-        + _cbar_at(qtable.model, point, qtable.axis_names)
+        + _cbar_at(qtable.model, point)
 
 
 def expected_optimal_cost(qtable: QTable, point: tuple) -> float:
@@ -358,28 +346,13 @@ def expected_optimal_cost(qtable: QTable, point: tuple) -> float:
     update, so the comparable oracle quantity is the expectation of the
     cost-to-go over the first detect/miss outcome from ``point``.
     """
-    model = qtable.model
     point = tuple(float(p) for p in np.atleast_1d(point))
-    axes = _axes_for(model)
-    p_d = {"post_a": model.target_a.p_d, "post_other": model.target_other.p_d}
+    axes = _axes_for(qtable.model)
     total = 0.0
-    for det_a, det_o in product((True, False), repeat=2):
-        prob = (p_d["post_a"] if det_a else 1.0 - p_d["post_a"]) \
-            * (p_d["post_other"] if det_o else 1.0 - p_d["post_other"])
-        if prob == 0.0:
-            continue
-        detected = {"post_a": det_a, "post_other": det_o}
-        nxt = []
-        for ax, p in zip(axes, point):
-            if ax.branches and detected[ax.name]:
-                target = (model.target_a if ax.name == "post_a"
-                          else model.target_other)
-                nxt.append(target.riccati_detected(p))
-            else:
-                target = (model.target_a if ax.name.endswith("_a")
-                          else model.target_other)
-                nxt.append(target.lyapunov(p))
-        total += prob * optimal_cost(qtable, tuple(nxt))
+    for prob, detected in _outcomes(qtable.model, axes):
+        nxt = tuple(ax.step(p, hit)
+                    for ax, p, hit in zip(axes, point, detected))
+        total += prob * optimal_cost(qtable, nxt)
     return total
 
 
@@ -408,7 +381,7 @@ def greedy_policy(qtable: QTable):
 def scalar_scenario(model: ScalarStopModel, p0_a: float, p0_other: float,
                     pbar0_a: float | None = None,
                     pbar0_other: float | None = None,
-                    tau_max: int = 100, seed: int = 0) -> Scenario:
+                    tau_max: int = 100) -> Scenario:
     """Embed the scalar instance as a two-target simulation scenario.
 
     Both targets are measured; uniform priorities with an integration
@@ -430,5 +403,4 @@ def scalar_scenario(model: ScalarStopModel, p0_a: float, p0_other: float,
         initial_posteriors=(np.array([[float(p0_a)]]),
                             np.array([[float(p0_other)]])),
         initial_priors=(np.array([[float(pbar0_a)]]),
-                        np.array([[float(pbar0_other)]])),
-        seed=seed)
+                        np.array([[float(pbar0_other)]])))

@@ -206,23 +206,3 @@ def det_ratio_riccati(p: np.ndarray, model: TargetModel,
     if sign <= 0.0:
         return 0.0
     return float(np.exp(logdet_next - logdet_p))
-
-
-def schur_det_identity_check(x: np.ndarray, y: np.ndarray, w: np.ndarray,
-                             z: np.ndarray) -> float:
-    """Residual |det(Z)det(X + Y Z^-1 W) - det(X)det(Z + W X^-1 Y)|.
-
-    Test helper for the determinant identity behind the det-ratio
-    algebra; callers assert the residual is small relative to
-    |det(X)det(Z)|.
-    """
-    det_x = np.linalg.det(x)
-    det_z = np.linalg.det(z)
-    if det_x == 0.0 or det_z == 0.0 or not np.isfinite(det_x * det_z):
-        raise ContractError("X and Z must be invertible")
-    try:
-        lhs = det_z * np.linalg.det(x + y @ np.linalg.solve(z, w))
-        rhs = det_x * np.linalg.det(z + w @ np.linalg.solve(x, y))
-    except np.linalg.LinAlgError as exc:
-        raise ContractError("X and Z must be invertible") from exc
-    return float(abs(lhs - rhs))

@@ -1,4 +1,4 @@
-"""GMTI kinematics, scenario builders and the macro/micro loop.
+"""GMTI kinematics, the scenario type and the macro/micro loop.
 
 The radar platform observes ground targets in range, azimuth and range
 rate. On the decision-epoch time scale the targets follow a
@@ -8,9 +8,10 @@ geometries validated by the linearization module. The decision problem
 itself consumes only covariances: simulated truth and measurement
 values influence outcomes solely through the miss/detect pattern.
 
-Two stock scenarios are provided, a constant-velocity fly-by and a
-72-segment orbital persistent-surveillance run driven by a one-hot
-priority macro-manager.
+The two stock scenarios, a constant-velocity fly-by and a 72-segment
+orbital persistent-surveillance run driven by a one-hot priority
+macro-manager, are bundled JSON files; ``config.stock_scenario`` loads
+them.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from .errors import ContractError
 from .filter_core import TargetModel, check_covariance
-from .observability import Belief, CostWeights, StoppingCase
-from .optimizer import PathBatch, StopAt, _path_chunks, score_paths
+from .observability import Belief, CostWeights
+from .optimizer import StopAt, _path_chunks, score_paths
 from .policy import Action, PolicyParams
 from .streams import child_seed
 
@@ -131,22 +132,6 @@ def propagate_truth(s: np.ndarray, model: TargetModel, sigma_p: float,
     return model.F @ s + model.G @ w
 
 
-def measure(s: np.ndarray, platform: PlatformState, model: TargetModel,
-            priority: float, rng: np.random.Generator) -> np.ndarray | None:
-    """Noisy observation of one target, or None on a missed detection.
-
-    The detection draw is consumed before any noise draw so miss
-    patterns replay independently of the noise stream.
-    """
-    if priority <= 0.0:
-        raise ContractError("a measuring target needs positive priority")
-    if rng.random() >= model.p_d:
-        return None
-    chol = np.linalg.cholesky(model.r_base)
-    noise = chol @ rng.standard_normal(model.obs_dim)
-    return nonlinear_h(s, platform) + noise / math.sqrt(priority * model.delta)
-
-
 class MacroMode(Enum):
     FLYBY_FIXED = "flyby-fixed"
     PERSISTENT = "persistent"
@@ -175,12 +160,6 @@ def macro_select_priority(posteriors: Sequence[np.ndarray], mode: MacroMode,
     return int(np.argmax(nu)), nu
 
 
-def initial_mse(estimate: np.ndarray, truth: np.ndarray) -> float:
-    """Mean squared component error of an initial state estimate."""
-    d = np.asarray(estimate, dtype=float) - np.asarray(truth, dtype=float)
-    return float(np.mean(d * d))
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Everything a stopping-problem run needs, immutable once built."""
@@ -192,12 +171,8 @@ class Scenario:
     tau_max: int
     initial_posteriors: tuple
     initial_priors: tuple
-    seed: int = 0
-    sigma_p: float = 0.0
     macro_mode: MacroMode = MacroMode.FLYBY_FIXED
-    true_states: tuple | None = None
     estimates: tuple | None = None
-    platform: PlatformState | None = None
     orbit: OrbitSpec | None = None
 
     def __post_init__(self):
@@ -253,107 +228,6 @@ class Scenario:
             scenario = replace(scenario, tau_max=tau_max)
         return scenario
 
-    def with_initial_posteriors(self, posteriors: Sequence[np.ndarray],
-                                priors: Sequence[np.ndarray] | None = None
-                                ) -> "Scenario":
-        priors = tuple(priors) if priors is not None else tuple(posteriors)
-        return replace(self, initial_posteriors=tuple(posteriors),
-                       initial_priors=priors)
-
-
-# Table of initial true states and tracker estimates for the four stock
-# targets (positions m, velocities m/s).
-STOCK_TARGETS = (
-    {"estimate": [130.0, 5.5, 84.0, 8.1], "true_state": [100.0, 3.0, 40.0, 7.0]},
-    {"estimate": [-47.88, -2.38, 210.41, 0.418],
-     "true_state": [-20.0, -4.0, 200.0, 1.0]},
-    {"estimate": [55.84, 2.37, 121.74, 9.56],
-     "true_state": [50.0, 2.0, 95.0, 10.0]},
-    {"estimate": [-55.13, 5.75, -68.41, -6.10],
-     "true_state": [-70.0, 5.0, -50.0, -6.0]},
-)
-
-# Default initial covariance: 10 m position and 5 m/s velocity sigmas.
-DEFAULT_P0_DIAG = (100.0, 25.0, 100.0, 25.0)
-
-_FLYBY_DEPRESSION_DEG = 15.0
-
-
-def flyby_platform() -> PlatformState:
-    """Fly-by platform: constant velocity, altitude from a 15 degree
-    depression angle at the initial ground range."""
-    x, vx, y, vy = 10_000.0, 53.0, -30_000.0, 85.0
-    altitude = math.hypot(x, y) * math.tan(math.radians(_FLYBY_DEPRESSION_DEG))
-    return PlatformState(np.array([x, vx, y, vy]), altitude)
-
-
-def _linearized_models(estimates, platform, period, sigma_x, sigma_y,
-                       sigma_r, sigma_a, sigma_rdot, p_d, delta):
-    from .linearization import jacobian_h  # local import breaks the cycle
-
-    f, g, q, r_base = system_matrices(period, sigma_x, sigma_y, sigma_r,
-                                      sigma_a, sigma_rdot)
-    return tuple(TargetModel(F=f, G=g, H=jacobian_h(np.asarray(e), platform),
-                             Q=q, r_base=r_base, p_d=p_d, delta=delta)
-                 for e in estimates)
-
-
-def build_flyby_scenario(seed: int = 1, tau_max: int = 60) -> Scenario:
-    """Four-target fly-by with a fixed priority split.
-
-    Detection probability 0.75, operating cost 0.8 and the sum
-    aggregator with a heavy posterior weight on the priority target.
-    The horizon default of 60 epochs (6 s) comfortably covers stopping
-    times, which land in the 10 to 50 range here.
-    """
-    platform = flyby_platform()
-    estimates = tuple(np.array(t["estimate"]) for t in STOCK_TARGETS)
-    true_states = tuple(np.array(t["true_state"]) for t in STOCK_TARGETS)
-    models = _linearized_models(
-        estimates, platform, period=0.1, sigma_x=0.5, sigma_y=0.5,
-        sigma_r=20.0, sigma_a=math.radians(0.5), sigma_rdot=5.0,
-        p_d=0.75, delta=100.0)
-    weights = CostWeights(alpha=np.full(4, 0.05),
-                          beta=np.array([5.0, 0.05, 0.05, 0.05]),
-                          operating_cost=0.8, case=StoppingCase.AVG_DIFF)
-    p0 = tuple(np.diag(DEFAULT_P0_DIAG) for _ in range(4))
-    return Scenario(
-        name="flyby", models=models,
-        priorities=np.array([0.6, 0.39, 0.008, 0.002]), weights=weights,
-        tau_max=tau_max, initial_posteriors=p0, initial_priors=p0,
-        seed=seed, sigma_p=1.5, macro_mode=MacroMode.FLYBY_FIXED,
-        true_states=true_states, estimates=estimates, platform=platform)
-
-
-def build_persistent_scenario(seed: int = 1, tau_max: int = 60,
-                              location: int = 1) -> Scenario:
-    """Four-target persistent surveillance from an orbiting platform.
-
-    One-hot priorities (all resources on the most uncertain target),
-    detection probability 0.9, and a conditional-entropy style cost with
-    zero prior weight on the measurement-free targets.
-    """
-    orbit = OrbitSpec(radius=30_000.0, speed=250.0, altitude=5_000.0,
-                      start_location=location)
-    platform = platform_orbit_state(location, orbit.radius, orbit.speed,
-                                    orbit.altitude)
-    estimates = tuple(np.array(t["estimate"]) for t in STOCK_TARGETS)
-    true_states = tuple(np.array(t["true_state"]) for t in STOCK_TARGETS)
-    models = _linearized_models(
-        estimates, platform, period=0.1, sigma_x=0.5, sigma_y=0.5,
-        sigma_r=20.0, sigma_a=math.radians(0.5), sigma_rdot=5.0,
-        p_d=0.9, delta=100.0)
-    weights = CostWeights(alpha=np.array([0.25, 0.0, 0.0, 0.0]),
-                          beta=np.array([0.25, 1.0, 1.0, 1.0]),
-                          operating_cost=0.8, case=StoppingCase.AVG_DIFF)
-    p0 = tuple(np.diag(DEFAULT_P0_DIAG) for _ in range(4))
-    return Scenario(
-        name="persistent", models=models,
-        priorities=np.array([1.0, 0.0, 0.0, 0.0]), weights=weights,
-        tau_max=tau_max, initial_posteriors=p0, initial_priors=p0,
-        seed=seed, sigma_p=1.5, macro_mode=MacroMode.PERSISTENT,
-        true_states=true_states, estimates=estimates, platform=platform,
-        orbit=orbit)
 
 
 def models_at_location(scenario: Scenario, location: int) -> tuple:
@@ -393,19 +267,6 @@ class MacroTrace:
 
 # What the path engine can stop a cycle with.
 MacroPolicy = PolicyParams | StopAt
-
-
-def _stop_time(batch: PathBatch, policy: MacroPolicy) -> int:
-    """The stopping epoch of a one-path batch simulated for ``policy``.
-
-    Raises NumericalError if the path failed at or before that epoch.
-    """
-    if isinstance(policy, StopAt):
-        # The batch ends at min(k, tau_max).
-        batch.raise_failures()
-        return batch.posteriors.shape[1]
-    tau, _ = score_paths(batch, policy)
-    return int(tau[0])
 
 
 def _concat(parts: list, dtype) -> np.ndarray:
@@ -450,7 +311,8 @@ def run_macro_cycles(scenario: Scenario, policies, n_cycles: int,
                                 Belief(posteriors, posteriors, a), policy,
                                 models=models_by_location[location],
                                 priorities=nu)
-        tau = _stop_time(batch, policy)
+        path_tau, _ = score_paths(batch, policy)
+        tau = int(path_tau[0])
         taus.append(tau)
         priority_targets.append(a)
         logdet_posts.append(batch.logdet_posteriors[0, :tau].ravel())

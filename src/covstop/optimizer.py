@@ -10,12 +10,13 @@ every epoch. Given the one policy a batch is for, it checks the
 stopping rule every few epochs and ends the batch once every path has
 stopped, so a ``PathBatch``'s epoch axis may end before the horizon;
 without a policy it runs the whole horizon, and ``simulate_paths`` is
-that case. ``score_paths`` then scores a parametrized policy on the
-paths: its decision statistic is weighed from per-covariance features
-(eigenvalues, or the matrices for quadform) that the batch computes
-once and keeps, tau is the first epoch where the statistic reaches 1,
-and the sample cost is (tau - 1) times the operating cost plus the
-stopping cost at tau. Views built on the engine: ``policy_costs`` and
+that case. ``score_paths`` then scores a policy on the paths. For a
+parametrized policy the decision statistic is weighed from
+per-covariance features (eigenvalues, or the matrices for quadform)
+that the batch computes once and keeps, and tau is the first epoch
+where the statistic reaches 1; ``StopAt(k)`` stops every path at k.
+The sample cost is (tau - 1) times the operating cost plus the stopping
+cost at tau. Views built on the engine: ``policy_costs``, and
 ``evaluate_cost`` for PolicyParams, which stop each chunk at tau, and
 ``periodic_cost_curve`` and the SPSA objective, which score many
 policies on full-horizon batches. The SPSA search minimizes the mean
@@ -25,11 +26,13 @@ evaluations share one simulation and its features.
 
 ``gmti.run_macro_cycles`` is a view on the engine too: it simulates one
 path per cycle, stopped at tau. ``rollout`` keeps the scalar
-epoch-by-epoch loop, with one belief object per epoch. It serves what
-the engine cannot or must not: callable policies (``stop_at`` and
-arbitrary deciders, which see the belief object) in ``evaluate_cost``,
-and ``periodic_policy_cost``, which stays an independent reference that
-the engine is checked against.
+epoch-by-epoch loop, with one belief object per epoch, as the scalar
+reference the engine is checked against. The library no longer hands
+it callable policies in general: its one caller is
+``periodic_policy_cost`` (``stop_at(k)`` through ``evaluate_cost``'s
+callable branch), which stays independent of ``periodic_cost_curve``.
+The benchmark pins both by name: its traced run wraps ``rollout`` and
+its sweep check recomputes costs with ``periodic_policy_cost``.
 
 Determinism: everything is driven by named Philox streams, so identical
 (scenario, params, seed) inputs reproduce rollouts bit for bit, and the
@@ -448,23 +451,27 @@ def simulate_paths(scenario, seeds: Sequence[int],
     return batch
 
 
-def score_paths(paths: PathBatch,
-                params: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
+def score_paths(paths: PathBatch, policy: PolicyParams | StopAt
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Stopping epochs and sample costs of a policy on simulated paths.
 
-    tau is the first epoch whose decision statistic reaches 1, or the
-    horizon if none does. As in ``rollout``, a path's numerical failure
-    raises NumericalError only when it happens at or before its tau. The
-    statistic is weighed from the batch's cached features, so scoring
-    many policies on one batch decomposes each covariance once. A batch
-    simulated for another policy may end before some path's tau; that
-    raises ContractError.
+    Under ``StopAt(k)`` tau is min(k, horizon) on every path. Under
+    PolicyParams tau is the first epoch whose decision statistic reaches
+    1, or the horizon if none does; the statistic is weighed from the
+    batch's cached features, so scoring many policies on one batch
+    decomposes each covariance once. As in ``rollout``, a path's
+    numerical failure raises NumericalError only when it happens at or
+    before its tau. A batch simulated for another policy may end before
+    some path's tau; that raises ContractError.
     """
-    post, prior = paths.features(params.family)
-    stops = weigh_features(post, prior, paths.a, params) >= 1.0
-    tau = np.where(stops.any(axis=1), stops.argmax(axis=1) + 1,
-                   paths.horizon)
-    if tau.max() > stops.shape[1]:
+    if isinstance(policy, StopAt):
+        tau = np.full(paths.failed_at.size, min(policy.k, paths.horizon))
+    else:
+        post, prior = paths.features(policy.family)
+        stops = weigh_features(post, prior, paths.a, policy) >= 1.0
+        tau = np.where(stops.any(axis=1), stops.argmax(axis=1) + 1,
+                       paths.horizon)
+    if tau.max() > paths.stopping_costs.shape[1]:
         raise ContractError("the paths end before this policy stops; "
                             "simulate them for it or for the whole horizon")
     paths.raise_failures(until=tau)
@@ -473,18 +480,21 @@ def score_paths(paths: PathBatch,
     return tau, costs
 
 
-def policy_costs(scenario, params: PolicyParams, seeds: Sequence[int],
-                 initial_belief: Belief | None = None) -> np.ndarray:
-    """Sample costs of a parametrized policy, one per seed.
+def policy_costs(scenario, policy: PolicyParams | StopAt,
+                 seeds: Sequence[int], initial_belief: Belief | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Stopping epochs and sample costs of a policy, one per seed.
 
-    Equals ``rollout(scenario, params, s).sample_cost`` for each seed
-    ``s`` up to round-off; the paths are simulated for this policy and
-    scored chunk by chunk, so memory stays bounded however many seeds
-    there are, and no chunk runs far past its last stop.
+    Equals ``rollout(scenario, policy, s)``'s tau and sample cost for
+    each seed ``s``, costs up to round-off; the paths are simulated for
+    this policy and scored chunk by chunk, so memory stays bounded
+    however many seeds there are, and no chunk runs far past its last
+    stop.
     """
-    return np.concatenate([
-        score_paths(batch, params)[1]
-        for batch in _path_chunks(scenario, seeds, initial_belief, params)])
+    scored = [score_paths(batch, policy) for batch in
+              _path_chunks(scenario, seeds, initial_belief, policy)]
+    return (np.concatenate([tau for tau, _ in scored]),
+            np.concatenate([costs for _, costs in scored]))
 
 
 def _eval_seeds(seed: int, n_rollouts: int) -> list[int]:
@@ -505,7 +515,7 @@ def evaluate_cost(scenario, policy: PolicyLike, seed: int, n_rollouts: int,
     """
     seeds = _eval_seeds(seed, n_rollouts)
     if isinstance(policy, PolicyParams):
-        costs = policy_costs(scenario, policy, seeds, initial_belief)
+        _, costs = policy_costs(scenario, policy, seeds, initial_belief)
     else:
         costs = [rollout(scenario, policy, s,
                          initial_belief=initial_belief).sample_cost
@@ -675,7 +685,7 @@ class StopAt:
     """Deterministic policy that stops at epoch ``k``, or at the horizon.
 
     A callable (belief, epoch) -> Action for ``rollout``; the path
-    engine reads ``k`` directly.
+    engine and ``score_paths`` read ``k`` directly.
     """
 
     k: int

@@ -11,8 +11,8 @@ import pytest
 
 import covstop
 from covstop import cli
-from covstop.cli import _bundled_path, main
-from covstop.config import params_to_dict
+from covstop.cli import main
+from covstop.config import _bundled_path, params_to_dict
 from covstop.policy import ParamLayout, PolicyFamily
 
 
@@ -62,6 +62,23 @@ def singular_config(tmp_path):
     path = tmp_path / "singular.json"
     path.write_text(json.dumps(spec))
     return path
+
+
+# Config values of the wrong type or shape, by their path in the file.
+MALFORMED_CONFIG = [
+    (("sigma_p",), "abc"),
+    (("tau_max",), "x"),
+    (("seed",), "x"),
+    (("model", "period"), "x"),
+    (("model", "p_d"), None),
+    (("priorities",), "a"),
+    (("weights", "alpha"), ["a", 0.05, 0.05, 0.05]),
+    (("platform",), [1.0, 2.0]),
+    (("targets",), 5),
+    (("targets", 0, "posterior_cov"), [[100.0, 0.0], [0.0]]),
+    (("targets", 0, "estimate"), [130.0, 5.5]),
+    (("targets", 0, "true_state"), [100.0, 3.0, 40.0]),
+]
 
 
 class TestPeriodicSweep:
@@ -191,6 +208,25 @@ class TestExitCodes:
                      str(path), "--seed", "1", "--out", str(out)])
         assert code == 2
         assert "no-such-choice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("keys,value", MALFORMED_CONFIG,
+                             ids=[".".join(map(str, keys))
+                                  for keys, _ in MALFORMED_CONFIG])
+    def test_malformed_config_value_exits_2(self, keys, value, tmp_path,
+                                            capsys):
+        spec = json.loads(_bundled_path("flyby").read_text())
+        node = spec
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        code = main(["periodic-sweep", "--rollouts", "2", "--config",
+                     str(path), "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert "validation error:" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

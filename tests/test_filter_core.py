@@ -5,7 +5,7 @@ from covstop.errors import ContractError
 from covstop.filter_core import (TargetModel, cho_solve, det_ratio_lyapunov,
                                  det_ratio_riccati, eigenvalues_sorted,
                                  loewner_geq, lyapunov_update, riccati_update,
-                                 schur_det_identity_check, symmetrize)
+                                 symmetrize)
 from covstop.gmti import system_matrices
 from covstop.sampling import ordered_pair, random_pd, random_psd, random_transition
 from covstop.streams import stream
@@ -280,32 +280,6 @@ class TestOperatorMonotonicity:
                                lyapunov_update(p2, model), tol)
             assert loewner_geq(riccati_update(p1, True, model, 0.6),
                                riccati_update(p2, True, model, 0.6), tol)
-
-
-class TestSchurIdentity:
-    def test_identity_blocks(self):
-        assert schur_det_identity_check(np.eye(2), np.zeros((2, 2)),
-                                        np.zeros((2, 2)), np.eye(2)) == 0.0
-
-    def test_scalar_case(self):
-        x, z = np.array([[2.0]]), np.array([[3.0]])
-        y = w = np.array([[1.0]])
-        assert schur_det_identity_check(x, y, w, z) == pytest.approx(0.0)
-
-    def test_random_quadruples(self):
-        gen = stream(14, "test.schur")
-        for _ in range(50):
-            x = gen.normal(size=(4, 4)) + 2.0 * np.eye(4)
-            z = gen.normal(size=(4, 4)) + 2.0 * np.eye(4)
-            y = gen.normal(size=(4, 4))
-            w = gen.normal(size=(4, 4))
-            scale = abs(np.linalg.det(x) * np.linalg.det(z))
-            assert schur_det_identity_check(x, y, w, z) < 1e-8 * scale
-
-    def test_singular_block_rejected(self):
-        with pytest.raises(ContractError):
-            schur_det_identity_check(np.zeros((2, 2)), np.eye(2), np.eye(2),
-                                     np.eye(2))
 
 
 class TestModelValidation:

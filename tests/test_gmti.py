@@ -1,16 +1,17 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from covstop.config import _bundled_path, stock_scenario
 from covstop.errors import ContractError
 from covstop.filter_core import lyapunov_update, riccati_update
-from covstop.gmti import (MacroMode, PlatformState, build_flyby_scenario,
-                          build_persistent_scenario, initial_mse,
-                          macro_select_priority, measure, models_at_location,
-                          nonlinear_h, platform_orbit_state, propagate_truth,
-                          run_macro_cycles, system_matrices, STOCK_TARGETS)
+from covstop.gmti import (MacroMode, PlatformState, macro_select_priority,
+                          models_at_location, nonlinear_h,
+                          platform_orbit_state, propagate_truth,
+                          run_macro_cycles, system_matrices)
 from covstop.observability import Belief
 from covstop.optimizer import rollout, stop_at
 from covstop.policy import Action, PolicyFamily, PolicyParams
@@ -69,20 +70,20 @@ class TestNonlinearH:
 
 class TestTruthAndMeasurement:
     def test_zero_noise_is_deterministic(self):
-        scenario = build_flyby_scenario()
+        scenario = stock_scenario("flyby")
         model = scenario.models[0]
         s = np.array([10.0, 1.0, -5.0, 2.0])
         out = propagate_truth(s, model, 0.0, stream(0, "t"))
         np.testing.assert_allclose(out, model.F @ s)
 
     def test_zero_state_zero_noise(self):
-        scenario = build_flyby_scenario()
+        scenario = stock_scenario("flyby")
         out = propagate_truth(np.zeros(4), scenario.models[0], 0.0,
                               stream(0, "t"))
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_seeded_replay(self):
-        scenario = build_flyby_scenario()
+        scenario = stock_scenario("flyby")
         model = scenario.models[0]
         s = np.array([10.0, 1.0, -5.0, 2.0])
         a = propagate_truth(s, model, 1.5, stream(42, "truth"))
@@ -91,43 +92,6 @@ class TestTruthAndMeasurement:
         # replay the draw directly through the same stream
         w = stream(42, "truth").normal(0.0, 1.5, size=2)
         np.testing.assert_allclose(a, model.F @ s + model.G @ w)
-
-    def test_measure_never_detects_at_zero_pd(self):
-        scenario = build_flyby_scenario().with_overrides(p_d=0.0)
-        model = scenario.models[0]
-        gen = stream(1, "m")
-        for _ in range(30):
-            assert measure(np.array([100.0, 3.0, 40.0, 7.0]),
-                           scenario.platform, model, 0.6, gen) is None
-
-    def test_measure_noise_free_limit(self):
-        scenario = build_flyby_scenario().with_overrides(p_d=1.0)
-        model = scenario.models[0]
-        import dataclasses
-        tiny = dataclasses.replace(model, r_base=1e-30 * np.eye(3))
-        s = np.array([100.0, 3.0, 40.0, 7.0])
-        z = measure(s, scenario.platform, tiny, 0.6, stream(2, "m"))
-        np.testing.assert_allclose(z, nonlinear_h(s, scenario.platform),
-                                   rtol=1e-9)
-
-    def test_measure_miss_pattern_reproducible(self):
-        scenario = build_flyby_scenario()
-        model = scenario.models[0]
-        s = np.array([100.0, 3.0, 40.0, 7.0])
-
-        def pattern(seed):
-            gen = stream(seed, "mm")
-            return [measure(s, scenario.platform, model, 0.6, gen) is None
-                    for _ in range(20)]
-
-        assert pattern(7) == pattern(7)
-        assert pattern(7) != pattern(8)
-
-    def test_measure_requires_positive_priority(self):
-        scenario = build_flyby_scenario()
-        with pytest.raises(ContractError):
-            measure(np.zeros(4), scenario.platform, scenario.models[0],
-                    0.0, stream(0, "m"))
 
 
 class TestPlatformOrbit:
@@ -164,8 +128,11 @@ class TestMacroSelect:
         np.testing.assert_array_equal(nu, nu_cfg)
 
     def test_stock_target_mse_ordering(self):
-        mses = [initial_mse(t["estimate"], t["true_state"])
-                for t in STOCK_TARGETS]
+        targets = json.loads(_bundled_path("flyby").read_text())["targets"]
+        mses = []
+        for t in targets:
+            d = np.array(t["estimate"]) - np.array(t["true_state"])
+            mses.append(np.mean(d * d))
         assert mses[0] == pytest.approx(710.87, abs=0.005)
         assert mses[1] == pytest.approx(222.16, abs=0.005)
         assert mses[2] == pytest.approx(187.37, abs=0.005)
@@ -175,7 +142,7 @@ class TestMacroSelect:
 
 class TestScenarioBuilders:
     def test_flyby_constants(self):
-        s = build_flyby_scenario()
+        s = stock_scenario("flyby")
         assert s.models[0].p_d == 0.75
         assert s.weights.operating_cost == 0.8
         np.testing.assert_array_equal(s.priorities,
@@ -186,7 +153,7 @@ class TestScenarioBuilders:
         assert abs(np.sum(s.priorities) - 1.0) < 1e-12
 
     def test_persistent_constants(self):
-        s = build_persistent_scenario()
+        s = stock_scenario("persistent")
         assert s.models[0].p_d == 0.9
         np.testing.assert_array_equal(s.priorities, [1.0, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(s.weights.alpha, [0.25, 0.0, 0.0, 0.0])
@@ -196,13 +163,13 @@ class TestScenarioBuilders:
         assert s.orbit.altitude == 5000.0
 
     def test_models_have_distinct_observation_maps(self):
-        s = build_flyby_scenario()
+        s = stock_scenario("flyby")
         assert not np.array_equal(s.models[0].H, s.models[1].H)
         for model in s.models:
             assert model.H.shape == (3, 4)
 
     def test_priorities_must_be_simplex(self):
-        s = build_flyby_scenario()
+        s = stock_scenario("flyby")
         import dataclasses
         with pytest.raises(ContractError):
             dataclasses.replace(s, priorities=np.array([0.6, 0.39, 0.008,
@@ -211,7 +178,7 @@ class TestScenarioBuilders:
 
 class TestRunMacroCycles:
     def test_zero_cycles_empty(self):
-        s = build_persistent_scenario(tau_max=10)
+        s = stock_scenario("persistent").with_overrides(tau_max=10)
         trace = run_macro_cycles(s, stop_at(3), 0, seed=1)
         assert trace.cycle.size == 0
         assert trace.log_det_posterior.size == 0
@@ -220,7 +187,7 @@ class TestRunMacroCycles:
     def test_certain_detection_trace_matches_pure_recursion(self):
         # With p_d = 1 and stop-at-1 the logged covariances follow one
         # Riccati/Lyapunov step per cycle exactly.
-        s = build_persistent_scenario(tau_max=8).with_overrides(p_d=1.0)
+        s = stock_scenario("persistent").with_overrides(tau_max=8).with_overrides(p_d=1.0)
         trace = run_macro_cycles(s, stop_at(1), 3, seed=5)
         posts = list(s.initial_posteriors)
         location = s.orbit.start_location
@@ -246,7 +213,7 @@ class TestRunMacroCycles:
     def test_persistent_logdet_directions(self):
         # within a cycle the filtered target's posterior log det falls
         # while the predictor-only targets' grow
-        s = build_persistent_scenario(tau_max=12)
+        s = stock_scenario("persistent").with_overrides(tau_max=12)
         trace = run_macro_cycles(s, stop_at(12), 1, seed=9)
         a = trace.priority_targets[0]
         rows = {l: trace.log_det_posterior[trace.target == l]
@@ -257,7 +224,7 @@ class TestRunMacroCycles:
                 assert rows[l][-1] > rows[l][0]
 
     def test_per_location_policies_are_selected(self):
-        s = build_persistent_scenario(tau_max=6)
+        s = stock_scenario("persistent").with_overrides(tau_max=6)
         start = s.orbit.start_location
         policies = {start: stop_at(1), start + 1: stop_at(2),
                     start + 2: stop_at(3)}
@@ -265,7 +232,7 @@ class TestRunMacroCycles:
         assert trace.stop_times.tolist() == [1, 2, 3]
 
     def test_priors_reset_each_cycle(self):
-        s = build_persistent_scenario(tau_max=5)
+        s = stock_scenario("persistent").with_overrides(tau_max=5)
         trace = run_macro_cycles(s, stop_at(2), 2, seed=3)
         # measurement-free targets keep posterior equal to prior
         rival = trace.target != trace.priority_targets[trace.cycle]
@@ -278,7 +245,7 @@ class TestRunMacroCycles:
         {1: stop_at(2), 2: lambda belief, epoch: Action.STOP},
     ])
     def test_other_callables_rejected(self, policies):
-        s = build_persistent_scenario(tau_max=5)
+        s = stock_scenario("persistent").with_overrides(tau_max=5)
         with pytest.raises(ContractError):
             run_macro_cycles(s, policies, 2, seed=3)
 
@@ -326,7 +293,7 @@ def eigen_sum_first_axis(weight: float) -> PolicyParams:
 
 class TestMacroCyclesMatchScalarLoop:
     def assert_same(self, policies, seed):
-        s = build_persistent_scenario()
+        s = stock_scenario("persistent")
         trace = run_macro_cycles(s, policies, 20, seed)
         columns, stop_times, priority_targets = scalar_macro_cycles(
             s, policies, 20, seed)

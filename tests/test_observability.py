@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from covstop.config import stock_scenario
 from covstop.errors import ContractError
 from covstop.filter_core import TargetModel, lyapunov_update, riccati_update
-from covstop.gmti import build_flyby_scenario
 from covstop.observability import (Belief, CostWeights, StoppingCase,
                                    belief_step, mutual_information,
                                    stopping_cost, transformed_running_cost)
@@ -37,7 +37,7 @@ class TestMutualInformation:
     def test_flyby_value_matches_replayed_recursion(self):
         # Oracle: replay the covariance recursions with plain formula
         # code driven by the recorded detection pattern.
-        scenario = build_flyby_scenario()
+        scenario = stock_scenario("flyby")
         result = rollout(scenario, stop_at(10), seed=31)
         model = scenario.models[0]
         nu = scenario.priorities[0]

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from covstop.config import stock_scenario
 from covstop.dp_oracle import make_scalar_model, scalar_scenario
 from covstop.errors import ContractError, NumericalError
-from covstop.gmti import build_flyby_scenario, build_persistent_scenario
 from covstop.observability import Belief, stopping_cost
 from covstop.optimizer import (SpsaSchedule, evaluate_cost,
                                periodic_cost_curve, periodic_policy_cost,
@@ -72,7 +72,7 @@ class TestRollout:
             assert belief.priors[0][0, 0] == pytest.approx(pbar_a, rel=1e-12)
 
     def test_bitwise_reproducible(self):
-        scenario = build_flyby_scenario()
+        scenario = stock_scenario("flyby")
         layout = ParamLayout(PolicyFamily.QUADFORM, 4, 4)
         params = layout.build(stream(1, "t").uniform(-1, 1, layout.n_params))
         r1 = rollout(scenario, params, seed=99)
@@ -111,10 +111,10 @@ class TestEvaluateCost:
         scenario = scalar_test_scenario(tau_max=30)
         layout = ParamLayout(PolicyFamily.EIGEN_SUM, 2, 1)
         params = layout.build(np.array([0.3, 0.0, 0.25, 0.0]))
-        small = policy_costs(scenario, params,
-                             [child_seed(5, "mc", b) for b in range(10_000)])
-        big = policy_costs(scenario, params,
-                           [child_seed(6, "mc", b) for b in range(100_000)])
+        _, small = policy_costs(scenario, params,
+                                [child_seed(5, "mc", b) for b in range(10_000)])
+        _, big = policy_costs(scenario, params,
+                              [child_seed(6, "mc", b) for b in range(100_000)])
         se = np.std(big) / np.sqrt(len(small))
         assert abs(np.mean(small) - np.mean(big)) < 3 * se
 
@@ -304,7 +304,7 @@ class TestPeriodicPolicies:
                 pytest.approx(curve[:, k - 1].mean(), abs=0)
 
     def test_flyby_sweep_has_interior_minimum(self):
-        scenario = build_flyby_scenario()
+        scenario = stock_scenario("flyby")
         curve = periodic_cost_curve(scenario, 13, 60)
         means = curve.mean(axis=0)
         k_best = int(np.argmin(means))
@@ -321,8 +321,8 @@ class TestPeriodicPolicies:
 
 
 ENGINE_SCENARIOS = {
-    "flyby": build_flyby_scenario,
-    "persistent-location-1": lambda: build_persistent_scenario(location=1),
+    "flyby": lambda: stock_scenario("flyby"),
+    "persistent-location-1": lambda: stock_scenario("persistent"),
     "scalar-zero-priority": zero_priority_scenario,
 }
 
@@ -364,8 +364,19 @@ class TestPathEngine:
                         taus.add(ref.tau)
         assert len(taus) > 2
 
+    def test_stop_at_matches_scalar_rollout(self):
+        scenario = scalar_test_scenario(tau_max=12)
+        seeds = [child_seed(8, "engine", b) for b in range(4)]
+        for k in (1, 5, 12, 20):
+            tau, costs = policy_costs(scenario, stop_at(k), seeds)
+            for b, seed in enumerate(seeds):
+                ref = rollout(scenario, stop_at(k), seed)
+                assert tau[b] == ref.tau
+                assert costs[b] == pytest.approx(ref.sample_cost,
+                                                 rel=1e-12, abs=0)
+
     def test_curve_means_match_periodic_policy_cost(self):
-        scenario = build_flyby_scenario()
+        scenario = stock_scenario("flyby")
         curve = periodic_cost_curve(scenario, 23, 20)
         for k in (1, 15, 60):
             expected = periodic_policy_cost(scenario, k, 23, 20)
@@ -373,7 +384,7 @@ class TestPathEngine:
                                                            rel=1e-12, abs=0)
 
     def test_evaluate_cost_matches_scalar_mean(self):
-        scenario = build_flyby_scenario()
+        scenario = stock_scenario("flyby")
         layout = ParamLayout(PolicyFamily.EIGEN_MIN, 4, 4)
         params = layout.build(0.1 * stream(0, "engine.params").uniform(
             -1.0, 1.0, layout.n_params))

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covstop import optimizer
+from covstop.config import stock_scenario
 from covstop.errors import ContractError
-from covstop.gmti import build_flyby_scenario, build_persistent_scenario
 from covstop.observability import Belief
 from covstop.optimizer import (_STOP_BLOCK, StopAt, _path_chunks,
                                policy_costs, score_paths, simulate_paths)
@@ -23,8 +23,8 @@ from covstop.policy import (ParamLayout, PolicyFamily, PolicyParams,
 from covstop.sampling import random_pd
 from covstop.streams import child_seed, stream
 
-SCENARIOS = {"flyby": build_flyby_scenario(),
-             "persistent": build_persistent_scenario()}
+SCENARIOS = {"flyby": stock_scenario("flyby"),
+             "persistent": stock_scenario("persistent")}
 # Entries of one 60-epoch path of four 4x4 targets.
 PATH_ENTRIES = 60 * 4 * 4 * 4
 
@@ -59,13 +59,14 @@ def test_early_stop_matches_full_horizon(name, family, log_scale, damp, seed,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimizer, "_CHUNK_ENTRIES", chunk_paths * PATH_ENTRIES)
         batches = list(_path_chunks(scenario, path_seeds, None, params))
-        costs = policy_costs(scenario, params, path_seeds)
+        taus, costs = policy_costs(scenario, params, path_seeds)
     assert len(batches) == -(-len(path_seeds) // chunk_paths)
     scored = [score_paths(batch, params) for batch in batches]
     np.testing.assert_array_equal(np.concatenate([t for t, _ in scored]),
                                   full_tau)
     np.testing.assert_array_equal(np.concatenate([c for _, c in scored]),
                                   full_costs)
+    np.testing.assert_array_equal(taus, full_tau)
     np.testing.assert_array_equal(costs, full_costs)
     for batch, (tau, _) in zip(batches, scored):
         # Each chunk ends at the first check after its last stop.
@@ -133,6 +134,11 @@ def test_stop_at_simulates_to_its_epoch(k):
     np.testing.assert_array_equal(batch.stopping_costs,
                                   full.stopping_costs[:, :n])
     np.testing.assert_array_equal(batch.posteriors, full.posteriors[:, :n])
+    tau, costs = score_paths(batch, StopAt(k))
+    np.testing.assert_array_equal(tau, n)
+    np.testing.assert_array_equal(
+        costs, (n - 1) * scenario.weights.operating_cost
+        + full.stopping_costs[:, n - 1])
 
 
 def test_batch_ending_before_tau_is_a_contract_error():
@@ -146,3 +152,5 @@ def test_batch_ending_before_tau_is_a_contract_error():
     (batch,) = _path_chunks(scenario, [1, 2], None, stop_first)
     with pytest.raises(ContractError):
         score_paths(batch, never)
+    with pytest.raises(ContractError):
+        score_paths(batch, StopAt(_STOP_BLOCK + 1))
