@@ -60,7 +60,16 @@ def _format_column(column: np.ndarray):
         return map(str, column.tolist())
     if kind == "b":
         return map(("0", "1").__getitem__, column.tolist())
-    return map(_fmt, column)
+    cells = column.tolist()
+    if set(map(type, cells)) == {str}:
+        return cells
+    return map(_fmt, cells)
+
+
+def _texts(column: np.ndarray) -> np.ndarray:
+    """Cell texts of a column as an object array, to repeat or tile
+    without formatting each copy again."""
+    return np.array(list(_format_column(column)), dtype=object)
 
 
 def write_csv(path: Path, names: list, columns: list, cfg_hash: str,
@@ -319,16 +328,16 @@ def cmd_dp_threshold(args) -> int:
     model = make_scalar_model(f=args.f, q=args.q, r=args.r, p_d=cfg["p_d"],
                               c_nu=cfg["c_nu"], n_a=args.grid,
                               n_other=args.grid)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     qtable = value_iterate(model)
     violations = check_monotone_policy(qtable)
     threshold = extract_threshold(qtable)
     grid_a, grid_o = qtable.grids
-    n = len(grid_o)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "qtable.csv",
               ["P_a", "P_other", "V", "Q_continue", "action"],
-              [np.repeat(grid_a, n), np.tile(grid_o, len(grid_a)),
+              [np.repeat(_texts(grid_a), len(grid_o)),
+               np.tile(_texts(grid_o), len(grid_a)),
                qtable.value.ravel(), qtable.q_continue.ravel(),
                qtable.action.ravel()], h,
               "P=squared state units, V/Q=nats, action: 1=stop 2=continue")

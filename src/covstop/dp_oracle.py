@@ -13,6 +13,15 @@ edges); the running cost itself uses exact next values. When the prior
 weights are all zero the priors drop out of the cost and the state is
 just the posterior pair; otherwise the table extends over deterministic
 prior axes as well, at whatever resolution the grids specify.
+
+E[V(next)] interpolates one axis after another, and the branch an axis
+takes depends only on its own target's detection. Outcomes that agree on
+the leading axes therefore share those passes: each (axis, branch)
+interpolation table is built once, and each shared prefix of axes is
+interpolated once per sweep (6 full-table passes instead of 8 on the
+posterior pair), into buffers reused from sweep to sweep. The outcome
+sum keeps its order and starts from +0.0, so the table is bit for bit
+that of interpolating every outcome afresh.
 """
 
 from __future__ import annotations
@@ -41,8 +50,10 @@ class ScalarTarget:
     p_d: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.f, self.h, self.q, self.r])):
-            raise ContractError("f, h, q and r must be finite")
+        # The maps square f and h, so their squares must be finite too.
+        if not np.all(np.isfinite([self.f * self.f, self.h * self.h,
+                                   self.q, self.r])):
+            raise ContractError("f**2, h**2, q and r must be finite")
         if self.q <= 0.0 or self.r <= 0.0:
             raise ContractError("q and r must be positive")
         if not 0.0 <= self.p_d <= 1.0:
@@ -187,14 +198,31 @@ def _interp_table(grid: np.ndarray, values: np.ndarray):
     return idx, w
 
 
-def _apply_axis(v: np.ndarray, idx: np.ndarray, w: np.ndarray,
-                axis: int) -> np.ndarray:
-    lo = np.take(v, idx, axis=axis)
-    hi = np.take(v, np.minimum(idx + 1, v.shape[axis] - 1), axis=axis)
-    shape = [1] * v.ndim
+def _lerp_table(grid: np.ndarray, values: np.ndarray, axis: int,
+                ndim: int):
+    """Gather indices and broadcast weights interpolating along one axis."""
+    idx, w = _interp_table(grid, values)
+    shape = [1] * ndim
     shape[axis] = -1
-    w = w.reshape(shape)
-    return lo * (1.0 - w) + hi * w
+    return (idx, np.minimum(idx + 1, len(grid) - 1),
+            (1.0 - w).reshape(shape), w.reshape(shape))
+
+
+def _apply_axis(v: np.ndarray, table, axis: int, out=None,
+                scratch=None) -> np.ndarray:
+    """Interpolate ``v`` along one axis, into ``out`` if given.
+
+    ``scratch`` is an optional buffer of the result's shape. Indices are
+    always in range, so mode="clip" changes nothing; it lets ``take``
+    write into ``out`` without an intermediate copy.
+    """
+    idx, idx_hi, w_lo, w_hi = table
+    lo = np.take(v, idx, axis=axis, out=out, mode="clip")
+    hi = np.take(v, idx_hi, axis=axis, out=scratch, mode="clip")
+    lo *= w_lo
+    hi *= w_hi
+    lo += hi
+    return lo
 
 
 def _broadcast_sum(vectors: list[np.ndarray]) -> np.ndarray:
@@ -223,15 +251,45 @@ class QTable:
     residual: float
 
 
-def _expected_next(value: np.ndarray, outcomes: list) -> np.ndarray:
-    """E[V(next)] over the (probability, interpolation tables) outcomes."""
-    expected = 0.0
-    for prob, tables in outcomes:
-        nxt = value
-        for axis, (idx, w) in enumerate(tables):
-            nxt = _apply_axis(nxt, idx, w, axis)
-        expected = expected + prob * nxt
-    return expected
+class _ExpectedNext:
+    """E[V(next)] over the detect/miss outcomes, with reused buffers.
+
+    V(next) interpolates one axis after another. Outcomes whose leading
+    axes take the same branches share those passes, so each call
+    interpolates every branch prefix once. Each pass writes into a
+    buffer kept across calls, so a sweep allocates no full-size table.
+    """
+
+    def __init__(self, outcomes: list, tables: dict, shape: tuple):
+        self.outcomes = outcomes      # (probability, branch of each axis)
+        self.tables = tables          # (axis, branch) -> _lerp_table
+        self.buffers = {}             # branch prefix -> interpolated table
+        self.scratch = np.empty(shape)
+
+    def _buffer(self, key) -> np.ndarray:
+        if key not in self.buffers:
+            self.buffers[key] = np.empty_like(self.scratch)
+        return self.buffers[key]
+
+    def __call__(self, value: np.ndarray, out: np.ndarray) -> np.ndarray:
+        last = value.ndim - 1
+        done = set()
+        out.fill(0.0)
+        for prob, branches in self.outcomes:
+            nxt = value
+            for axis in range(value.ndim):
+                # Every outcome's full interpolation shares one buffer.
+                key = branches[:axis + 1] if axis < last else None
+                if key in done:
+                    nxt = self.buffers[key]
+                    continue
+                nxt = _apply_axis(nxt, self.tables[axis, branches[axis]],
+                                  axis, self._buffer(key), self.scratch)
+                if key is not None:
+                    done.add(key)
+            nxt *= prob
+            out += nxt
+        return out
 
 
 def value_iterate(model: ScalarStopModel, tol: float = 1e-8,
@@ -241,30 +299,45 @@ def value_iterate(model: ScalarStopModel, tol: float = 1e-8,
     grids = [ax.grid for ax in axes]
     cbar = _broadcast_sum([ax.cbar_coef * np.log(ax.grid) for ax in axes])
 
-    # Each outcome's running-cost share uses the exact next values; its
-    # interpolation tables serve the expected next value.
+    # Each outcome's running-cost share uses the exact next values; the
+    # interpolation table of each (axis, branch) serves the expected
+    # next value.
     running = model.weights.operating_cost - cbar
     outcomes = []
+    tables = {}
     for prob, detected in _outcomes(model, axes):
         next_vals = [ax.step(ax.grid, hit) for ax, hit in zip(axes, detected)]
         running = running + prob * _broadcast_sum(
             [ax.cbar_coef * np.log(v) for ax, v in zip(axes, next_vals)])
-        outcomes.append((prob, [_interp_table(ax.grid, v)
-                                for ax, v in zip(axes, next_vals)]))
+        outcomes.append((prob, tuple(detected)))
+        for axis, (ax, hit, v) in enumerate(zip(axes, detected, next_vals)):
+            if (axis, hit) not in tables:
+                tables[axis, hit] = _lerp_table(ax.grid, v, axis, len(axes))
 
+    expected_next = _ExpectedNext(outcomes, tables, cbar.shape)
     value = -cbar
+    new_value = np.empty(cbar.shape)
     residual = math.inf
     for iteration in range(1, max_iters + 1):
-        new_value = np.minimum(0.0, running + _expected_next(value, outcomes))
-        residual = float(np.max(np.abs(new_value - value)))
-        value = new_value
+        expected_next(value, out=new_value)
+        new_value += running
+        np.minimum(0.0, new_value, out=new_value)
+        # The old table is not needed past the residual, so its buffer
+        # takes the difference and then the next sweep.
+        np.subtract(new_value, value, out=value)
+        residual = float(np.max(np.abs(value, out=value)))
+        value, new_value = new_value, value
+        if not math.isfinite(residual):
+            raise NumericalError(f"value iteration diverged at iteration "
+                                 f"{iteration} (residual {residual})")
         if residual < tol:
             break
     else:
         raise NumericalError(f"value iteration did not converge in "
                              f"{max_iters} iterations (residual {residual:.3e})")
 
-    q_continue = running + _expected_next(value, outcomes)
+    q_continue = expected_next(value, out=new_value)
+    q_continue += running
     action = np.where(q_continue >= 0.0, int(Action.STOP),
                       int(Action.CONTINUE)).astype(np.int8)
     return QTable(model=model, axis_names=[ax.name for ax in axes],
@@ -311,8 +384,8 @@ def _interp_point(qtable: QTable, values: np.ndarray,
     out = values
     for axis in reversed(range(len(point))):
         grid = qtable.grids[axis]
-        idx, w = _interp_table(grid, np.atleast_1d(float(point[axis])))
-        out = _apply_axis(out, idx, w, axis)
+        table = _lerp_table(grid, float(point[axis]), axis, out.ndim)
+        out = _apply_axis(out, table, axis)
         out = np.squeeze(out, axis=axis)
     return float(out)
 

@@ -72,12 +72,13 @@ class OrbitSpec:
             raise ContractError("start location out of range")
 
 
-def platform_orbit_state(n: int, r_tilde: float, v_tilde: float,
-                         altitude: float) -> PlatformState:
-    """Platform state at orbit location n of 72 (5 degrees apart)."""
-    if not 1 <= n <= 72:
-        raise ContractError("orbit location must lie in 1..72")
-    ang = math.radians(5.0 * n)
+def platform_orbit_state(n: int, n_locations: int, r_tilde: float,
+                         v_tilde: float, altitude: float) -> PlatformState:
+    """Platform state at location n (1..n_locations) of an orbit sampled
+    every 360 / n_locations degrees."""
+    if not 1 <= n <= n_locations:
+        raise ContractError(f"orbit location must lie in 1..{n_locations}")
+    ang = math.radians(360.0 / n_locations * n)
     xi = np.array([r_tilde * math.cos(ang), -v_tilde * math.sin(ang),
                    r_tilde * math.sin(ang), v_tilde * math.cos(ang)])
     return PlatformState(xi, altitude)
@@ -236,7 +237,8 @@ def models_at_location(scenario: Scenario, location: int) -> tuple:
         return scenario.models
     from .linearization import jacobian_h
 
-    platform = platform_orbit_state(location, scenario.orbit.radius,
+    platform = platform_orbit_state(location, scenario.orbit.n_locations,
+                                    scenario.orbit.radius,
                                     scenario.orbit.speed,
                                     scenario.orbit.altitude)
     return tuple(replace(m, H=jacobian_h(np.asarray(e), platform))

@@ -13,6 +13,7 @@ import covstop
 from covstop import cli
 from covstop.cli import main
 from covstop.config import _bundled_path, params_to_dict
+from covstop.dp_oracle import make_scalar_model, value_iterate
 from covstop.policy import ParamLayout, PolicyFamily
 
 
@@ -141,6 +142,7 @@ class TestExitCodes:
         ["dp-threshold", "--q", "inf"],
         ["dp-threshold", "--c-nu", "nan"],
         ["dp-threshold", "--grid", "0"],
+        ["dp-threshold", "--grid", "16", "--f", "1e200"],
         ["verify-properties", "--samples", "0"],
         ["verify-properties", "--samples", "-1"],
         ["validate-linearization", "--seeds", "0"],
@@ -246,6 +248,18 @@ class TestExitCodes:
         assert "numerical failure:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dp_threshold_divergence_exits_3(self, tmp_path, capsys):
+        # f**2 is finite, f**2 * p is not: the first sweep's residual is
+        # NaN, and the run must stop there instead of sweeping 100,000
+        # times.
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = main(["dp-threshold", "--grid", "16", "--f", "1e154",
+                         "--seed", "1", "--out", str(out)])
+        assert code == 3
+        assert "iteration 1 " in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_cli_import_loads_no_scipy():
     src = Path(covstop.__file__).resolve().parents[1]
@@ -293,7 +307,43 @@ class TestWriteCsv:
                            + [",".join(map(per_cell, row)) for row in rows])
         assert path.read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("block_rows", [3, 65536])
+    def test_preformatted_text_columns_match_float_columns(
+            self, block_rows, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        grid = np.array([1e-05, 1e+16, -0.0, 0.1, 1.0 / 3.0, 2.0])
+        repeated = np.repeat(grid, 3)
+        tiled = np.tile(grid[::-1], 3)
+        texts = [np.repeat(cli._texts(grid), 3),
+                 np.tile(cli._texts(grid[::-1]), 3)]
+        assert all(c.dtype == object for c in texts)
+        floats_path, texts_path = tmp_path / "f.csv", tmp_path / "t.csv"
+        cli.write_csv(floats_path, ["a", "b"], [repeated, tiled], "h", "u")
+        cli.write_csv(texts_path, ["a", "b"], texts, "h", "u")
+        assert texts_path.read_bytes() == floats_path.read_bytes()
+
     def test_no_rows_writes_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
         cli.write_csv(path, ["a", "b"], [[], np.array([])], "h", "u")
         assert path.read_text() == "# config_hash=h units: u\na,b\n"
+
+
+def test_dp_threshold_qtable_matches_float_column_write(tmp_path):
+    # qtable.csv repeats and tiles preformatted grid texts; the bytes
+    # must equal writing the expanded float grids directly.
+    out = tmp_path / "out"
+    assert main(["dp-threshold", "--grid", "16", "--seed", "1",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    model = make_scalar_model(n_a=16, n_other=16)
+    qtable = value_iterate(model)
+    grid_a, grid_o = qtable.grids
+    expected = tmp_path / "expected.csv"
+    cli.write_csv(expected, ["P_a", "P_other", "V", "Q_continue", "action"],
+                  [np.repeat(grid_a, len(grid_o)),
+                   np.tile(grid_o, len(grid_a)), qtable.value.ravel(),
+                   qtable.q_continue.ravel(), qtable.action.ravel()],
+                  manifest["config_hash"],
+                  "P=squared state units, V/Q=nats, action: 1=stop "
+                  "2=continue")
+    assert (out / "qtable.csv").read_bytes() == expected.read_bytes()

@@ -6,6 +6,8 @@ from covstop.dp_oracle import (QTable, ScalarStopModel, ScalarTarget,
                                extract_threshold, greedy_policy, log_grid,
                                make_scalar_model, optimal_cost,
                                scalar_scenario, value_iterate)
+from covstop.dp_oracle import (_ExpectedNext, _axes_for, _broadcast_sum,
+                               _interp_table, _lerp_table, _outcomes)
 from covstop.errors import ContractError, NumericalError
 from covstop.observability import (Belief, CostWeights, StoppingCase,
                                    transformed_running_cost)
@@ -19,6 +21,67 @@ def case4_model(**kwargs):
                     c_nu=0.8, beta=(5.0, 1.0), n_a=96, n_other=96)
     defaults.update(kwargs)
     return make_scalar_model(**defaults)
+
+
+def reference_apply_axis(v, idx, w, axis):
+    lo = np.take(v, idx, axis=axis)
+    hi = np.take(v, np.minimum(idx + 1, v.shape[axis] - 1), axis=axis)
+    shape = [1] * v.ndim
+    shape[axis] = -1
+    w = w.reshape(shape)
+    return lo * (1.0 - w) + hi * w
+
+
+def reference_expected_next(value, outcomes):
+    expected = 0.0
+    for prob, tables in outcomes:
+        nxt = value
+        for axis, (idx, w) in enumerate(tables):
+            nxt = reference_apply_axis(nxt, idx, w, axis)
+        expected = expected + prob * nxt
+    return expected
+
+
+def reference_value_iterate(model, tol=1e-8, max_iters=100_000):
+    """The loop reference: every outcome interpolates every axis afresh.
+
+    Returns (value, q_continue, running_cost, iterations).
+    """
+    axes = _axes_for(model)
+    cbar = _broadcast_sum([ax.cbar_coef * np.log(ax.grid) for ax in axes])
+    running = model.weights.operating_cost - cbar
+    outcomes = []
+    for prob, detected in _outcomes(model, axes):
+        next_vals = [ax.step(ax.grid, hit) for ax, hit in zip(axes, detected)]
+        running = running + prob * _broadcast_sum(
+            [ax.cbar_coef * np.log(v) for ax, v in zip(axes, next_vals)])
+        outcomes.append((prob, [_interp_table(ax.grid, v)
+                                for ax, v in zip(axes, next_vals)]))
+    value = -cbar
+    for iteration in range(1, max_iters + 1):
+        new_value = np.minimum(0.0, running
+                               + reference_expected_next(value, outcomes))
+        residual = float(np.max(np.abs(new_value - value)))
+        value = new_value
+        if residual < tol:
+            break
+    q_continue = running + reference_expected_next(value, outcomes)
+    return value, q_continue, running, iteration
+
+
+def assert_matches_reference(model, tol=1e-8):
+    qtable = value_iterate(model, tol=tol)
+    value, q_continue, running, iterations = reference_value_iterate(model,
+                                                                     tol)
+    assert qtable.n_iterations == iterations
+    assert np.array_equal(qtable.value, value)
+    assert np.array_equal(qtable.q_continue, q_continue)
+    assert np.array_equal(qtable.running_cost, running)
+    # bit for bit includes the sign of every zero
+    assert np.array_equal(np.signbit(qtable.value), np.signbit(value))
+    assert np.array_equal(np.signbit(qtable.q_continue),
+                          np.signbit(q_continue))
+    return qtable
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +138,53 @@ class TestValueIterate:
         assert qtable.residual < 1e-8
         recomputed = np.minimum(0.0, qtable.q_continue)
         np.testing.assert_allclose(recomputed, qtable.value, atol=1e-7)
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"p_d_other": 0.75},
+        {"p_d": 1.0, "p_d_other": 1.0},
+        {"p_d": 0.0, "p_d_other": 0.3},
+        {"n_a": 1, "n_other": 7},
+        {"c_nu": 1e6},
+    ], ids=["case4", "four-outcomes", "certain", "miss-a", "one-point",
+            "all-stop"])
+    def test_matches_reference_loop_bit_for_bit(self, kwargs):
+        defaults = {"n_a": 40, "n_other": 33}
+        defaults.update(kwargs)
+        assert_matches_reference(case4_model(**defaults))
+
+    def test_expected_sum_starts_from_positive_zero(self):
+        # Every outcome adds -0.0 here; only a sum that starts from +0.0
+        # ends at +0.0, as the reference's does.
+        model = case4_model(p_d_other=0.75, n_a=5, n_other=4)
+        axes = _axes_for(model)
+        outcomes = [(prob, tuple(hits))
+                    for prob, hits in _outcomes(model, axes)]
+        tables = {(axis, hit): _lerp_table(ax.grid, ax.step(ax.grid, hit),
+                                           axis, 2)
+                  for axis, ax in enumerate(axes) for hit in (True, False)}
+        value = np.full((5, 4), -0.0)
+        got = _ExpectedNext(outcomes, tables, value.shape)(
+            value, out=np.empty(value.shape))
+        expected = reference_expected_next(value, [
+            (prob, [_interp_table(ax.grid, ax.step(ax.grid, hit))
+                    for ax, hit in zip(axes, hits)])
+            for prob, hits in outcomes])
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert not np.signbit(got).any()
+
+    def test_nan_residual_raises_at_once(self):
+        # f**2 is finite but f**2 * p overflows, so the first sweep is NaN;
+        # the default budget of 100,000 sweeps must not be spent on it.
+        model = make_scalar_model(f=1e154, n_a=16, n_other=16)
+        with np.errstate(all="ignore"), \
+                pytest.raises(NumericalError, match="at iteration 1 "):
+            value_iterate(model)
+
+    def test_overflowing_squares_rejected(self):
+        for f, h in [(1e200, 1.0), (1.0, 1e200), (-1e160, 1.0)]:
+            with pytest.raises(ContractError, match="finite"):
+                ScalarTarget(f, h, 1.0, 1.0, 0.75)
 
     def test_nonconvergence_raises_with_residual(self):
         model = case4_model(n_a=32, n_other=32)
@@ -222,6 +332,16 @@ class TestPriorAxes:
         assert qt4.value.shape == (24, 4, 24, 4)
         np.testing.assert_allclose(qt4.value[:, 0, :, 0], qt2.value,
                                    atol=1e-6)
+
+    @pytest.mark.parametrize("p_d_other", [0.0, 0.5])
+    def test_four_axis_matches_reference_loop_bit_for_bit(self, p_d_other):
+        model = make_scalar_model(f=1.0, h=1.0, q=1.0, r=25.0, p_d=0.75,
+                                  p_d_other=p_d_other, c_nu=0.8,
+                                  beta=(5.0, 1.0), alpha=(0.4, 0.3),
+                                  n_a=9, n_other=8, n_prior=6,
+                                  p_min=1e-1, p_max=1e2)
+        qtable = assert_matches_reference(model, tol=1e-7)
+        assert qtable.value.shape == (9, 6, 8, 6)
 
     def test_four_axis_monotone_structure(self):
         model = make_scalar_model(f=1.0, h=1.0, q=1.0, r=25.0, p_d=0.75,

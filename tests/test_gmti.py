@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from covstop.config import _bundled_path, stock_scenario
+from covstop.config import _bundled_path, scenario_from_dict, stock_scenario
 from covstop.errors import ContractError
 from covstop.filter_core import lyapunov_update, riccati_update
 from covstop.gmti import (MacroMode, PlatformState, macro_select_priority,
@@ -95,22 +95,64 @@ class TestTruthAndMeasurement:
 
 
 class TestPlatformOrbit:
-    def test_quarter_circle(self):
-        state = platform_orbit_state(18, 30_000.0, 250.0, 5000.0)
+    @pytest.mark.parametrize("n_locations", [36, 72, 100])
+    def test_quarter_circle(self, n_locations):
+        state = platform_orbit_state(n_locations // 4, n_locations,
+                                     30_000.0, 250.0, 5000.0)
         np.testing.assert_allclose(state.xi, [0.0, -250.0, 30_000.0, 0.0],
-                                   atol=1e-9)
+                                   atol=1e-8)
 
-    def test_full_circle(self):
-        state = platform_orbit_state(72, 30_000.0, 250.0, 5000.0)
+    @pytest.mark.parametrize("n_locations", [36, 72, 100])
+    def test_full_circle(self, n_locations):
+        state = platform_orbit_state(n_locations, n_locations, 30_000.0,
+                                     250.0, 5000.0)
         np.testing.assert_allclose(state.xi, [30_000.0, 0.0, 0.0, 250.0],
                                    atol=1e-8)
         assert state.altitude == 5000.0
 
-    def test_location_bounds(self):
+    @pytest.mark.parametrize("n_locations,degrees", [(36, 10.0), (72, 5.0),
+                                                     (100, 3.6)])
+    def test_spacing_is_full_circle_over_locations(self, n_locations,
+                                                   degrees):
+        state = platform_orbit_state(1, n_locations, 30_000.0, 250.0, 5000.0)
+        ang = math.radians(degrees)
+        np.testing.assert_allclose(
+            state.xi, [30_000.0 * math.cos(ang), -250.0 * math.sin(ang),
+                       30_000.0 * math.sin(ang), 250.0 * math.cos(ang)],
+            rtol=1e-12)
+
+    def test_72_locations_are_5_degrees_apart_exactly(self):
+        # The stock orbit's states must not move by a bit.
+        for n in (1, 17, 72):
+            ang = math.radians(5.0 * n)
+            state = platform_orbit_state(n, 72, 30_000.0, 250.0, 5000.0)
+            assert state.xi.tolist() == [
+                30_000.0 * math.cos(ang), -250.0 * math.sin(ang),
+                30_000.0 * math.sin(ang), 250.0 * math.cos(ang)]
+
+    @pytest.mark.parametrize("n_locations", [36, 72, 100])
+    def test_location_bounds(self, n_locations):
         with pytest.raises(ContractError):
-            platform_orbit_state(0, 30_000.0, 250.0, 5000.0)
+            platform_orbit_state(0, n_locations, 30_000.0, 250.0, 5000.0)
         with pytest.raises(ContractError):
-            platform_orbit_state(73, 30_000.0, 250.0, 5000.0)
+            platform_orbit_state(n_locations + 1, n_locations, 30_000.0,
+                                 250.0, 5000.0)
+
+    def test_same_angle_same_models(self):
+        # location 9 of 36 and 18 of 72 both sit at 90 degrees
+        s = stock_scenario("persistent")
+        s36 = dataclasses.replace(
+            s, orbit=dataclasses.replace(s.orbit, n_locations=36))
+        for m36, m72 in zip(models_at_location(s36, 9),
+                            models_at_location(s, 18)):
+            np.testing.assert_array_equal(m36.H, m72.H)
+
+    def test_config_orbit_past_72_locations_runs(self):
+        spec = json.loads(_bundled_path("persistent").read_text())
+        spec["platform"].update(n_locations=100, start_location=90)
+        s = scenario_from_dict(spec).with_overrides(tau_max=3)
+        trace = run_macro_cycles(s, stop_at(1), 15, seed=1)
+        assert trace.stop_times.size == 15
 
 
 class TestMacroSelect:
