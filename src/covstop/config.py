@@ -120,9 +120,7 @@ def _scenario_from_dict(spec: dict) -> Scenario:
                           n_locations=int(platform_spec.get("n_locations", 72)),
                           start_location=int(
                               platform_spec.get("start_location", 1)))
-        platform = platform_orbit_state(orbit.start_location,
-                                        orbit.n_locations, orbit.radius,
-                                        orbit.speed, orbit.altitude)
+        platform = platform_orbit_state(orbit, orbit.start_location)
     elif platform_spec.get("kind") == "linear":
         _require_keys(platform_spec, {"kind", "state", "altitude"}, set(),
                       "platform")

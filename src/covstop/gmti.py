@@ -72,16 +72,17 @@ class OrbitSpec:
             raise ContractError("start location out of range")
 
 
-def platform_orbit_state(n: int, n_locations: int, r_tilde: float,
-                         v_tilde: float, altitude: float) -> PlatformState:
-    """Platform state at location n (1..n_locations) of an orbit sampled
-    every 360 / n_locations degrees."""
-    if not 1 <= n <= n_locations:
-        raise ContractError(f"orbit location must lie in 1..{n_locations}")
-    ang = math.radians(360.0 / n_locations * n)
-    xi = np.array([r_tilde * math.cos(ang), -v_tilde * math.sin(ang),
-                   r_tilde * math.sin(ang), v_tilde * math.cos(ang)])
-    return PlatformState(xi, altitude)
+def platform_orbit_state(orbit: OrbitSpec, n: int) -> PlatformState:
+    """Platform state at location n (1..orbit.n_locations) of an orbit
+    sampled every 360 / orbit.n_locations degrees."""
+    if not 1 <= n <= orbit.n_locations:
+        raise ContractError(
+            f"orbit location must lie in 1..{orbit.n_locations}")
+    ang = math.radians(360.0 / orbit.n_locations * n)
+    r, v = orbit.radius, orbit.speed
+    xi = np.array([r * math.cos(ang), -v * math.sin(ang),
+                   r * math.sin(ang), v * math.cos(ang)])
+    return PlatformState(xi, orbit.altitude)
 
 
 def system_matrices(period: float, sigma_x: float, sigma_y: float,
@@ -237,10 +238,7 @@ def models_at_location(scenario: Scenario, location: int) -> tuple:
         return scenario.models
     from .linearization import jacobian_h
 
-    platform = platform_orbit_state(location, scenario.orbit.n_locations,
-                                    scenario.orbit.radius,
-                                    scenario.orbit.speed,
-                                    scenario.orbit.altitude)
+    platform = platform_orbit_state(scenario.orbit, location)
     return tuple(replace(m, H=jacobian_h(np.asarray(e), platform))
                  for m, e in zip(scenario.models, scenario.estimates))
 

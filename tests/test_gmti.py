@@ -8,9 +8,9 @@ import pytest
 from covstop.config import _bundled_path, scenario_from_dict, stock_scenario
 from covstop.errors import ContractError
 from covstop.filter_core import lyapunov_update, riccati_update
-from covstop.gmti import (MacroMode, PlatformState, macro_select_priority,
-                          models_at_location, nonlinear_h,
-                          platform_orbit_state, propagate_truth,
+from covstop.gmti import (MacroMode, OrbitSpec, PlatformState,
+                          macro_select_priority, models_at_location,
+                          nonlinear_h, platform_orbit_state, propagate_truth,
                           run_macro_cycles, system_matrices)
 from covstop.observability import Belief
 from covstop.optimizer import rollout, stop_at
@@ -94,18 +94,21 @@ class TestTruthAndMeasurement:
         np.testing.assert_allclose(a, model.F @ s + model.G @ w)
 
 
+def _orbit(n_locations: int) -> OrbitSpec:
+    return OrbitSpec(radius=30_000.0, speed=250.0, altitude=5000.0,
+                     n_locations=n_locations)
+
+
 class TestPlatformOrbit:
     @pytest.mark.parametrize("n_locations", [36, 72, 100])
     def test_quarter_circle(self, n_locations):
-        state = platform_orbit_state(n_locations // 4, n_locations,
-                                     30_000.0, 250.0, 5000.0)
+        state = platform_orbit_state(_orbit(n_locations), n_locations // 4)
         np.testing.assert_allclose(state.xi, [0.0, -250.0, 30_000.0, 0.0],
-                                   atol=1e-8)
+                                   atol=1e-9)
 
     @pytest.mark.parametrize("n_locations", [36, 72, 100])
     def test_full_circle(self, n_locations):
-        state = platform_orbit_state(n_locations, n_locations, 30_000.0,
-                                     250.0, 5000.0)
+        state = platform_orbit_state(_orbit(n_locations), n_locations)
         np.testing.assert_allclose(state.xi, [30_000.0, 0.0, 0.0, 250.0],
                                    atol=1e-8)
         assert state.altitude == 5000.0
@@ -114,7 +117,7 @@ class TestPlatformOrbit:
                                                      (100, 3.6)])
     def test_spacing_is_full_circle_over_locations(self, n_locations,
                                                    degrees):
-        state = platform_orbit_state(1, n_locations, 30_000.0, 250.0, 5000.0)
+        state = platform_orbit_state(_orbit(n_locations), 1)
         ang = math.radians(degrees)
         np.testing.assert_allclose(
             state.xi, [30_000.0 * math.cos(ang), -250.0 * math.sin(ang),
@@ -125,7 +128,7 @@ class TestPlatformOrbit:
         # The stock orbit's states must not move by a bit.
         for n in (1, 17, 72):
             ang = math.radians(5.0 * n)
-            state = platform_orbit_state(n, 72, 30_000.0, 250.0, 5000.0)
+            state = platform_orbit_state(_orbit(72), n)
             assert state.xi.tolist() == [
                 30_000.0 * math.cos(ang), -250.0 * math.sin(ang),
                 30_000.0 * math.sin(ang), 250.0 * math.cos(ang)]
@@ -133,10 +136,9 @@ class TestPlatformOrbit:
     @pytest.mark.parametrize("n_locations", [36, 72, 100])
     def test_location_bounds(self, n_locations):
         with pytest.raises(ContractError):
-            platform_orbit_state(0, n_locations, 30_000.0, 250.0, 5000.0)
+            platform_orbit_state(_orbit(n_locations), 0)
         with pytest.raises(ContractError):
-            platform_orbit_state(n_locations + 1, n_locations, 30_000.0,
-                                 250.0, 5000.0)
+            platform_orbit_state(_orbit(n_locations), n_locations + 1)
 
     def test_same_angle_same_models(self):
         # location 9 of 36 and 18 of 72 both sit at 90 degrees
