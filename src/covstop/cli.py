@@ -387,8 +387,8 @@ def _operator_monotonicity_suite(n_samples: int, seed: int) -> dict:
         if not loewner_geq(lyapunov_update(p1, model),
                            lyapunov_update(p2, model), tol):
             violations += 1
-        if not loewner_geq(riccati_update(p1, True, model, 0.6),
-                           riccati_update(p2, True, model, 0.6), tol):
+        if not loewner_geq(riccati_update(p1, model, 0.6),
+                           riccati_update(p2, model, 0.6), tol):
             violations += 1
     return {"samples": n_samples, "violations": violations}
 

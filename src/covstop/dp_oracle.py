@@ -306,7 +306,15 @@ def value_iterate(model: ScalarStopModel, tol: float = 1e-8,
     outcomes = []
     tables = {}
     for prob, detected in _outcomes(model, axes):
-        next_vals = [ax.step(ax.grid, hit) for ax, hit in zip(axes, detected)]
+        # Checked below: a map that overflows on the grid is reported as
+        # a numerical failure, not as floating-point warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            next_vals = [ax.step(ax.grid, hit)
+                         for ax, hit in zip(axes, detected)]
+        if not all(np.all(np.isfinite(v)) for v in next_vals):
+            raise NumericalError("value iteration diverged before iteration "
+                                 "1: a covariance map is not finite on the "
+                                 "grid")
         running = running + prob * _broadcast_sum(
             [ax.cbar_coef * np.log(v) for ax, v in zip(axes, next_vals)])
         outcomes.append((prob, tuple(detected)))

@@ -8,11 +8,18 @@ structure.
 
 All operations are pure functions of ndarray inputs; covariances are
 plain symmetric ``(m, m)`` float arrays. Updates re-symmetrize their
-output as ``(A + A.T) / 2`` to control round-off drift. Linear solves
+output as ``(A + A') / 2`` to control round-off drift. Linear solves
 go through a numpy Cholesky factorization and ``cho_solve``, never
-explicit inverses. ``cho_solve`` broadcasts over leading axes, so the
-scalar update here and the batched path engine in ``optimizer`` share
-one substitution.
+explicit inverses.
+
+This module is the one place that writes the recursion out. Its steps
+(``symmetrize``, ``predict``, ``correct``, ``cholesky``, ``cho_solve``
+and ``logdets``) work on one ``(m, m)`` matrix and on ``(..., m, m)``
+stacks alike, and give each matrix of a stack exactly the result it
+gets on its own. ``lyapunov_update`` and ``riccati_update`` are their
+per-matrix views, which the scalar rollout uses; the batched path
+engine in ``optimizer`` calls the same steps on stacked
+(paths, targets, m, m) arrays.
 """
 
 from __future__ import annotations
@@ -29,8 +36,34 @@ PSD_EIG_FLOOR = 1e-10
 SYMMETRY_RTOL = 1e-12
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of one matrix or of each matrix of a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    """(A + A') / 2 for one matrix or each matrix of a stack."""
+    return 0.5 * (a + _t(a))
+
+
+def cholesky(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of one matrix or a stack, and a mask of the
+    entries that are not positive definite.
+
+    A non-PD entry gets the identity factor as a placeholder.
+    """
+    try:
+        return np.linalg.cholesky(s), np.zeros(s.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        bad = np.zeros(s.shape[:-2], dtype=bool)
+        for index in np.ndindex(bad.shape):
+            try:
+                np.linalg.cholesky(s[index])
+            except np.linalg.LinAlgError:
+                bad[index] = True
+        s = s.copy()
+        s[bad] = np.eye(s.shape[-1])
+        return np.linalg.cholesky(s), bad
 
 
 def cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -52,6 +85,35 @@ def cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
         x[..., i, :] *= inv_diag[..., i, :]
         x[..., :i, :] -= chol[..., i, :i, None] * x[..., i, None, :]
     return x
+
+
+def logdets(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-determinants of one matrix or a stack, and a mask of the
+    non-positive determinants."""
+    sign, logdet = np.linalg.slogdet(p)
+    return logdet, ~(sign > 0.0)
+
+
+def predict(p: np.ndarray, f: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Lyapunov prediction F P F' + Q, on one matrix or a stack."""
+    return symmetrize(f @ p @ _t(f) + q)
+
+
+def correct(predicted: np.ndarray, p: np.ndarray, f: np.ndarray,
+            h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Detection correction of a prediction, and a mask of failed entries.
+
+    Subtracts the information gain F P H' S^-1 H P F' from
+    ``predicted = predict(p, f, q)``, where S = H P H' + R is the
+    innovation covariance. Works on one matrix or a stack; an entry
+    whose S is not positive definite is flagged in the mask and its
+    result is a placeholder.
+    """
+    pht = p @ _t(h)
+    chol, bad = cholesky(symmetrize(h @ pht + r))
+    fpht = f @ pht
+    gain = fpht @ cho_solve(chol, _t(fpht))
+    return symmetrize(predicted - gain), bad
 
 
 def is_covariance(p: np.ndarray, rtol: float = SYMMETRY_RTOL) -> bool:
@@ -136,30 +198,23 @@ def lyapunov_update(p: np.ndarray, model: TargetModel) -> np.ndarray:
     """Predictor update F P F' + Q (no measurement)."""
     if p.shape != (model.state_dim, model.state_dim):
         raise ContractError("covariance dimension does not match model")
-    return symmetrize(model.F @ p @ model.F.T + model.Q)
+    return predict(p, model.F, model.Q)
 
 
-def riccati_update(p: np.ndarray, detected: bool, model: TargetModel,
+def riccati_update(p: np.ndarray, model: TargetModel,
                    priority: float = 1.0) -> np.ndarray:
-    """Measurement-dependent covariance update.
+    """Covariance update after a detection.
 
-    On a miss the result is exactly ``lyapunov_update(p, model)``. On a
-    detection the usual information gain is subtracted, with the
-    measurement noise scaled by the target priority.
+    The usual information gain is subtracted from the Lyapunov
+    prediction, with the measurement noise scaled by the target
+    priority.
     """
     predicted = lyapunov_update(p, model)
-    if not detected:
-        return predicted
-    r = model.effective_noise(priority)
-    pht = p @ model.H.T
-    s = symmetrize(model.H @ pht + r)
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - r_base > 0
-        raise NumericalError(f"singular innovation covariance: {exc}") from exc
-    fpht = model.F @ pht
-    gain_term = fpht @ cho_solve(chol, fpht.T)
-    return symmetrize(predicted - gain_term)
+    updated, bad = correct(predicted, p, model.F, model.H,
+                           model.effective_noise(priority))
+    if bad:  # pragma: no cover - r_base > 0
+        raise NumericalError("singular innovation covariance")
+    return updated
 
 
 def loewner_geq(p: np.ndarray, q: np.ndarray, tol: float | None = None) -> bool:
@@ -181,28 +236,21 @@ def eigenvalues_sorted(p: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(symmetrize(p))[::-1]
 
 
-def _logdet_pd(p: np.ndarray, name: str) -> float:
-    sign, logdet = np.linalg.slogdet(p)
-    if sign <= 0.0:
-        raise ContractError(f"{name} must have positive determinant")
-    return float(logdet)
+def _det_ratio(p: np.ndarray, update) -> float:
+    """det(update(P)) / det(P); 0 if det(update(P)) is not positive."""
+    logdet_p, bad = logdets(p)
+    if bad:
+        raise ContractError("P must have positive determinant")
+    logdet_next, bad = logdets(update(p))
+    return 0.0 if bad else float(np.exp(logdet_next - logdet_p))
 
 
 def det_ratio_lyapunov(p: np.ndarray, model: TargetModel) -> float:
     """det(L(P)) / det(P), decreasing in P on the PSD cone."""
-    logdet_p = _logdet_pd(p, "P")
-    sign, logdet_next = np.linalg.slogdet(lyapunov_update(p, model))
-    if sign <= 0.0:
-        return 0.0
-    return float(np.exp(logdet_next - logdet_p))
+    return _det_ratio(p, lambda x: lyapunov_update(x, model))
 
 
 def det_ratio_riccati(p: np.ndarray, model: TargetModel,
                       priority: float = 1.0) -> float:
-    """det(R(P, detected)) / det(P) for the detection branch."""
-    logdet_p = _logdet_pd(p, "P")
-    updated = riccati_update(p, True, model, priority)
-    sign, logdet_next = np.linalg.slogdet(updated)
-    if sign <= 0.0:
-        return 0.0
-    return float(np.exp(logdet_next - logdet_p))
+    """det(R(P)) / det(P) for the detection branch."""
+    return _det_ratio(p, lambda x: riccati_update(x, model, priority))

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError
-from .filter_core import TargetModel, check_covariance
+from .filter_core import TargetModel, check_covariance, logdets
 from .observability import Belief, CostWeights
 from .optimizer import StopAt, _path_chunks, score_paths
 from .policy import Action, PolicyParams
@@ -151,8 +151,7 @@ def macro_select_priority(posteriors: Sequence[np.ndarray], mode: MacroMode,
     if len(posteriors) < 2:
         raise ContractError("need at least two targets")
     if mode is MacroMode.PERSISTENT:
-        logdets = [np.linalg.slogdet(p)[1] for p in posteriors]
-        a = int(np.argmax(logdets))
+        a = int(np.argmax([logdets(p)[0] for p in posteriors]))
         nu = np.zeros(len(posteriors))
         nu[a] = 1.0
         return a, nu
@@ -277,7 +276,7 @@ def run_macro_cycles(scenario: Scenario, policies, n_cycles: int,
                      seed: int) -> MacroTrace:
     """Alternate priority selection and micro-manager stopping runs.
 
-    ``policies`` is PolicyParams or ``stop_at(k)``, or, for orbital
+    ``policies`` is PolicyParams or ``StopAt(k)``, or, for orbital
     scenarios, a mapping from orbit location to either; any other
     policy raises ContractError. Each cycle simulates one path on the
     batched engine with seed ``child_seed(seed, "macro.cycle", cycle)``,
@@ -292,7 +291,7 @@ def run_macro_cycles(scenario: Scenario, policies, n_cycles: int,
     choices = policies.values() if isinstance(policies, dict) else [policies]
     if not all(isinstance(p, MacroPolicy) for p in choices):
         raise ContractError("macro-cycle policies must be PolicyParams or "
-                            "stop_at(k)")
+                            "StopAt(k)")
     n = scenario.n_targets
     posteriors = scenario.initial_posteriors
     location = scenario.orbit.start_location if scenario.orbit else None

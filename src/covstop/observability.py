@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError
-from .filter_core import TargetModel, lyapunov_update, riccati_update
+from .filter_core import (TargetModel, logdets, lyapunov_update,
+                          riccati_update)
 
 
 class StoppingCase(Enum):
@@ -102,17 +103,14 @@ class Belief:
         raise ContractError(f"unknown belief slot {slot!r}")
 
 
-def _logdet(p: np.ndarray, name: str) -> float:
-    sign, logdet = np.linalg.slogdet(p)
-    if sign <= 0.0:
-        raise ContractError(f"{name} must have positive determinant")
-    return float(logdet)
-
-
 def mutual_information(prior: np.ndarray, posterior: np.ndarray,
                        alpha: float, beta: float) -> float:
     """alpha * log det(prior) - beta * log det(posterior), natural log."""
-    return alpha * _logdet(prior, "prior") - beta * _logdet(posterior, "posterior")
+    (logdet_prior, logdet_post), bad = logdets(np.array([prior, posterior]))
+    if bad.any():
+        name = "prior" if bad[0] else "posterior"
+        raise ContractError(f"{name} must have positive determinant")
+    return alpha * float(logdet_prior) - beta * float(logdet_post)
 
 
 def _target_infos(belief: Belief, weights: CostWeights) -> np.ndarray:
@@ -163,8 +161,8 @@ def belief_step(belief: Belief, detected: Sequence[bool],
     priors = []
     for l in range(belief.n_targets):
         if priorities[l] > 0.0 and detected[l]:
-            posts.append(riccati_update(belief.posteriors[l], True,
-                                        models[l], priorities[l]))
+            posts.append(riccati_update(belief.posteriors[l], models[l],
+                                        priorities[l]))
         else:
             posts.append(lyapunov_update(belief.posteriors[l], models[l]))
         priors.append(lyapunov_update(belief.priors[l], models[l]))

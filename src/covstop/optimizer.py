@@ -3,18 +3,19 @@
 Given its seed, a rollout's belief path does not depend on the policy:
 detections are drawn for every target at every epoch and the priors are
 deterministic. The batched path engine uses that. ``_path_chunks`` runs
-the Riccati/Lyapunov recursion for many seeds at once on stacked
-(paths, targets, m, m) arrays, with the priors computed once for all
-paths, and records each path's log-determinants and stopping cost at
-every epoch. Given the one policy a batch is for, it checks the
-stopping rule every few epochs and ends the batch once every path has
-stopped, so a ``PathBatch``'s epoch axis may end before the horizon;
-without a policy it runs the whole horizon, and ``simulate_paths`` is
-that case. ``score_paths`` then scores a policy on the paths. For a
-parametrized policy the decision statistic is weighed from
-per-covariance features (eigenvalues, or the matrices for quadform)
-that the batch computes once and keeps, and tau is the first epoch
-where the statistic reaches 1; ``StopAt(k)`` stops every path at k.
+the Riccati/Lyapunov recursion for many seeds at once, calling
+``filter_core``'s steps on stacked (paths, targets, m, m) arrays, with
+the priors computed once for all paths, and records each path's
+log-determinants and stopping cost at every epoch. Given the one
+policy a batch is for, it checks the stopping rule every few epochs and
+ends the batch once every path has stopped, so a ``PathBatch``'s epoch
+axis may end before the horizon; without a policy it runs the whole
+horizon, and ``simulate_paths`` is that case. ``score_paths`` then
+scores a policy on the paths. For a parametrized policy the decision
+statistic is weighed from per-covariance features (eigenvalues, or the
+matrices for quadform) that the batch computes once and keeps, and tau
+is the first epoch where the statistic reaches 1; ``StopAt(k)`` stops
+every path at k.
 The sample cost is (tau - 1) times the operating cost plus the stopping
 cost at tau. Views built on the engine: ``policy_costs``, and
 ``evaluate_cost`` for PolicyParams, which stop each chunk at tau, and
@@ -29,7 +30,7 @@ path per cycle, stopped at tau. ``rollout`` keeps the scalar
 epoch-by-epoch loop, with one belief object per epoch, as the scalar
 reference the engine is checked against. The library no longer hands
 it callable policies in general: its one caller is
-``periodic_policy_cost`` (``stop_at(k)`` through ``evaluate_cost``'s
+``periodic_policy_cost`` (``StopAt(k)`` through ``evaluate_cost``'s
 callable branch), which stays independent of ``periodic_cost_curve``.
 The benchmark pins both by name: its traced run wraps ``rollout`` and
 its sweep check recomputes costs with ``periodic_policy_cost``.
@@ -50,7 +51,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ContractError, NumericalError
-from .filter_core import cho_solve
+from .filter_core import correct, logdets, predict
 from .observability import (Belief, aggregate_rivals, belief_step,
                             stopping_cost)
 from .policy import (Action, ParamLayout, PolicyFamily, PolicyParams,
@@ -256,36 +257,6 @@ _PER_PATH_FIELDS = ("detections", "posteriors", "logdet_posteriors",
                     "stopping_costs", "failed_at")
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    """filter_core.symmetrize for each matrix of a stack."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
-
-
-def _cholesky(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factors of a stack and a mask of its non-PD entries.
-
-    A non-PD entry gets the identity factor as a placeholder.
-    """
-    try:
-        return np.linalg.cholesky(s), np.zeros(len(s), dtype=bool)
-    except np.linalg.LinAlgError:
-        bad = np.zeros(len(s), dtype=bool)
-        for i, matrix in enumerate(s):
-            try:
-                np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:
-                bad[i] = True
-        s = s.copy()
-        s[bad] = np.eye(s.shape[-1])
-        return np.linalg.cholesky(s), bad
-
-
-def _logdets(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log-determinants of a stack and a mask of non-positive ones."""
-    sign, logdet = np.linalg.slogdet(p)
-    return logdet, ~(sign > 0.0)
-
-
 def _path_chunks(scenario, seeds: Sequence[int],
                  initial_belief: Belief | None,
                  policy: PolicyParams | StopAt | None = None, *,
@@ -305,9 +276,9 @@ def _path_chunks(scenario, seeds: Sequence[int],
     ``models`` and ``priorities`` replace the scenario's without being
     validated again: the macro cycles pass each cycle's, which were
     validated when they were built. Failures are recorded in each
-    batch's ``failed_at``, not raised. The arithmetic mirrors
-    lyapunov_update and riccati_update operation by operation on stacked
-    arrays.
+    batch's ``failed_at``, not raised. Priors and posteriors go through
+    ``filter_core``'s stacked ``predict`` and ``correct``, the steps
+    behind lyapunov_update and riccati_update.
     """
     seeds = list(seeds)
     if not seeds:
@@ -326,10 +297,8 @@ def _path_chunks(scenario, seeds: Sequence[int],
     measurable = priorities > 0.0
     p_d = np.array([m.p_d for m in models])
     f = np.array([m.F for m in models])
-    ft = np.swapaxes(f, -1, -2)
     q = np.array([m.Q for m in models])
     h = np.array([m.H for m in models])
-    ht = np.swapaxes(h, -1, -2)
     # Zero-priority targets are never measured; their entry is unused.
     r = np.array([m.effective_noise(nu) if nu > 0.0 else m.r_base
                   for m, nu in zip(models, priorities)])
@@ -369,30 +338,25 @@ def _path_chunks(scenario, seeds: Sequence[int],
             begin, end = end, min(end + block, last)
             if n_priors < end:
                 for k in range(n_priors, end):
-                    prior = _symmetrize(f @ prior @ ft + q)
+                    prior = predict(prior, f, q)
                     priors[k] = prior
                 new = slice(n_priors, end)
-                logdet_priors[new], bad_new = _logdets(priors[new])
+                logdet_priors[new], bad_new = logdets(priors[new])
                 bad_priors[new] = bad_new.any(axis=1)
                 if checked:
                     prior_features.append(covariance_features(
                         priors[new], policy.family))
                 n_priors = end
             for k in range(begin, end):
-                predicted = _symmetrize(f @ post @ ft + q)
+                predicted = predict(post, f, q)
                 paths, targets = np.nonzero(detections[:, k])
                 bad = None
                 if paths.size:
-                    p = post[paths, targets]
-                    pht = p @ ht[targets]
-                    chol, bad = _cholesky(_symmetrize(h[targets] @ pht
-                                                     + r[targets]))
-                    fpht = f[targets] @ pht
-                    gain = fpht @ cho_solve(chol, np.swapaxes(fpht, -1, -2))
-                    predicted[paths, targets] = _symmetrize(
-                        predicted[paths, targets] - gain)
+                    predicted[paths, targets], bad = correct(
+                        predicted[paths, targets], post[paths, targets],
+                        f[targets], h[targets], r[targets])
                 post = predicted
-                logdet, bad_dets = _logdets(post)
+                logdet, bad_dets = logdets(post)
                 failed = bad_dets.any(axis=1) | bad_priors[k]
                 if bad is not None:
                     failed[paths[bad]] = True
@@ -698,18 +662,13 @@ class StopAt:
         return Action.STOP if epoch >= self.k else Action.CONTINUE
 
 
-def stop_at(k_stop: int) -> StopAt:
-    """Deterministic policy that stops at a pre-specified epoch."""
-    return StopAt(k_stop)
-
-
 def periodic_policy_cost(scenario, k_stop: int, seed: int,
                          n_rollouts: int,
                          initial_belief: Belief | None = None) -> float:
     """Mean sample cost of the stop-at-k_stop policy."""
     if not 1 <= k_stop <= scenario.tau_max:
         raise ContractError("k_stop must lie in [1, tau_max]")
-    return evaluate_cost(scenario, stop_at(k_stop), seed, n_rollouts,
+    return evaluate_cost(scenario, StopAt(k_stop), seed, n_rollouts,
                          initial_belief=initial_belief)
 
 

@@ -249,15 +249,17 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_dp_threshold_divergence_exits_3(self, tmp_path, capsys):
-        # f**2 is finite, f**2 * p is not: the first sweep's residual is
-        # NaN, and the run must stop there instead of sweeping 100,000
-        # times.
+        # f**2 is finite, f**2 * p is not: the next covariances overflow,
+        # and the run must stop before its first sweep, with one line on
+        # stderr, instead of sweeping 100,000 times.
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            code = main(["dp-threshold", "--grid", "16", "--f", "1e154",
-                         "--seed", "1", "--out", str(out)])
+        code = main(["dp-threshold", "--grid", "16", "--f", "1e154",
+                     "--seed", "1", "--out", str(out)])
         assert code == 3
-        assert "iteration 1 " in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure:")
+        assert "before iteration 1:" in err[0]
         assert not out.exists()
 
 

@@ -61,19 +61,11 @@ class TestLyapunov:
 
 
 class TestRiccati:
-    def test_missed_detection_is_exactly_lyapunov(self):
-        model = gmti_model()
-        gen = stream(3, "test.riccati")
-        p = random_pd(gen, 4, 5.0)
-        missed = riccati_update(p, False, model, priority=0.6)
-        predicted = lyapunov_update(p, model)
-        assert np.array_equal(missed, predicted)
-
     def test_noise_free_full_observation_returns_q(self):
         q = np.diag([0.5, 2.0])
         model = make_model(np.eye(2), np.eye(2), q, 1e-30 * np.eye(2))
         p = np.array([[3.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(riccati_update(p, True, model), q,
+        np.testing.assert_allclose(riccati_update(p, model), q,
                                    rtol=0, atol=1e-12)
 
     def test_matches_information_filter_form(self):
@@ -87,7 +79,7 @@ class TestRiccati:
             info = np.linalg.inv(np.linalg.inv(p)
                                  + model.H.T @ np.linalg.inv(r) @ model.H)
             expected = model.F @ info @ model.F.T + model.Q
-            got = riccati_update(p, True, model, priority)
+            got = riccati_update(p, model, priority)
             np.testing.assert_allclose(
                 got, expected, rtol=1e-8,
                 atol=1e-8 * np.linalg.norm(expected))
@@ -95,7 +87,7 @@ class TestRiccati:
     def test_zero_priority_rejected(self):
         model = gmti_model()
         with pytest.raises(ContractError):
-            riccati_update(np.eye(4), True, model, priority=0.0)
+            riccati_update(np.eye(4), model, priority=0.0)
 
     def test_priority_limit_approaches_lyapunov(self):
         # Gain vanishes linearly in priority as the scaled noise blows up.
@@ -103,7 +95,7 @@ class TestRiccati:
         gen = stream(5, "test.riccati.limit")
         p = random_pd(gen, 4, 3.0)
         predicted = lyapunov_update(p, model)
-        gap = [np.linalg.norm(riccati_update(p, True, model, nu) - predicted)
+        gap = [np.linalg.norm(riccati_update(p, model, nu) - predicted)
                for nu in (1e-4, 1e-7, 1e-10, 1e-13)]
         assert gap[0] > gap[1] > gap[2] > gap[3]
         assert gap[3] < 1e-5 * np.linalg.norm(predicted)
@@ -113,7 +105,7 @@ class TestRiccati:
         gen = stream(6, "test.riccati.order")
         for _ in range(50):
             p = random_psd(gen, 4, gen.uniform(0.2, 10.0))
-            lo = riccati_update(p, True, model, 0.6)
+            lo = riccati_update(p, model, 0.6)
             hi = lyapunov_update(p, model)
             assert loewner_geq(hi, lo)
 
@@ -122,7 +114,7 @@ class TestRiccati:
         gen = stream(7, "test.riccati.pd")
         for _ in range(50):
             p = random_psd(gen, 4, 1.0)  # may be singular
-            for upd in (riccati_update(p, True, model, 0.6),
+            for upd in (riccati_update(p, model, 0.6),
                         lyapunov_update(p, model)):
                 assert np.linalg.eigvalsh(upd)[0] > 0.0
 
@@ -278,8 +270,8 @@ class TestOperatorMonotonicity:
             tol = 1e-9 * float(np.trace(p1))
             assert loewner_geq(lyapunov_update(p1, model),
                                lyapunov_update(p2, model), tol)
-            assert loewner_geq(riccati_update(p1, True, model, 0.6),
-                               riccati_update(p2, True, model, 0.6), tol)
+            assert loewner_geq(riccati_update(p1, model, 0.6),
+                               riccati_update(p2, model, 0.6), tol)
 
 
 class TestModelValidation:
@@ -295,5 +287,5 @@ class TestModelValidation:
         model = gmti_model()
         gen = stream(15, "test.symmetry")
         p = random_pd(gen, 4, 10.0)
-        upd = riccati_update(p, True, model, 0.6)
+        upd = riccati_update(p, model, 0.6)
         assert np.array_equal(upd, symmetrize(upd))

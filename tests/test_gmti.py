@@ -13,7 +13,7 @@ from covstop.gmti import (MacroMode, OrbitSpec, PlatformState,
                           nonlinear_h, platform_orbit_state, propagate_truth,
                           run_macro_cycles, system_matrices)
 from covstop.observability import Belief
-from covstop.optimizer import rollout, stop_at
+from covstop.optimizer import StopAt, rollout
 from covstop.policy import Action, PolicyFamily, PolicyParams
 from covstop.streams import child_seed, stream
 
@@ -153,7 +153,7 @@ class TestPlatformOrbit:
         spec = json.loads(_bundled_path("persistent").read_text())
         spec["platform"].update(n_locations=100, start_location=90)
         s = scenario_from_dict(spec).with_overrides(tau_max=3)
-        trace = run_macro_cycles(s, stop_at(1), 15, seed=1)
+        trace = run_macro_cycles(s, StopAt(1), 15, seed=1)
         assert trace.stop_times.size == 15
 
 
@@ -223,7 +223,7 @@ class TestScenarioBuilders:
 class TestRunMacroCycles:
     def test_zero_cycles_empty(self):
         s = stock_scenario("persistent").with_overrides(tau_max=10)
-        trace = run_macro_cycles(s, stop_at(3), 0, seed=1)
+        trace = run_macro_cycles(s, StopAt(3), 0, seed=1)
         assert trace.cycle.size == 0
         assert trace.log_det_posterior.size == 0
         assert trace.stop_times.size == 0
@@ -232,7 +232,7 @@ class TestRunMacroCycles:
         # With p_d = 1 and stop-at-1 the logged covariances follow one
         # Riccati/Lyapunov step per cycle exactly.
         s = stock_scenario("persistent").with_overrides(tau_max=8).with_overrides(p_d=1.0)
-        trace = run_macro_cycles(s, stop_at(1), 3, seed=5)
+        trace = run_macro_cycles(s, StopAt(1), 3, seed=5)
         posts = list(s.initial_posteriors)
         location = s.orbit.start_location
         for cycle in range(3):
@@ -241,7 +241,7 @@ class TestRunMacroCycles:
             expected = []
             for l in range(4):
                 if nu[l] > 0:
-                    expected.append(riccati_update(posts[l], True, models[l],
+                    expected.append(riccati_update(posts[l], models[l],
                                                    nu[l]))
                 else:
                     expected.append(lyapunov_update(posts[l], models[l]))
@@ -258,7 +258,7 @@ class TestRunMacroCycles:
         # within a cycle the filtered target's posterior log det falls
         # while the predictor-only targets' grow
         s = stock_scenario("persistent").with_overrides(tau_max=12)
-        trace = run_macro_cycles(s, stop_at(12), 1, seed=9)
+        trace = run_macro_cycles(s, StopAt(12), 1, seed=9)
         a = trace.priority_targets[0]
         rows = {l: trace.log_det_posterior[trace.target == l]
                 for l in range(4)}
@@ -270,14 +270,14 @@ class TestRunMacroCycles:
     def test_per_location_policies_are_selected(self):
         s = stock_scenario("persistent").with_overrides(tau_max=6)
         start = s.orbit.start_location
-        policies = {start: stop_at(1), start + 1: stop_at(2),
-                    start + 2: stop_at(3)}
+        policies = {start: StopAt(1), start + 1: StopAt(2),
+                    start + 2: StopAt(3)}
         trace = run_macro_cycles(s, policies, 3, seed=2)
         assert trace.stop_times.tolist() == [1, 2, 3]
 
     def test_priors_reset_each_cycle(self):
         s = stock_scenario("persistent").with_overrides(tau_max=5)
-        trace = run_macro_cycles(s, stop_at(2), 2, seed=3)
+        trace = run_macro_cycles(s, StopAt(2), 2, seed=3)
         # measurement-free targets keep posterior equal to prior
         rival = trace.target != trace.priority_targets[trace.cycle]
         assert rival.any()
@@ -286,7 +286,7 @@ class TestRunMacroCycles:
 
     @pytest.mark.parametrize("policies", [
         lambda belief, epoch: Action.STOP,
-        {1: stop_at(2), 2: lambda belief, epoch: Action.STOP},
+        {1: StopAt(2), 2: lambda belief, epoch: Action.STOP},
     ])
     def test_other_callables_rejected(self, policies):
         s = stock_scenario("persistent").with_overrides(tau_max=5)
@@ -360,6 +360,6 @@ class TestMacroCyclesMatchScalarLoop:
 
     def test_per_location_stop_at(self):
         # stop epochs 1..75 over locations 1..20, some past the horizon
-        policies = {loc: stop_at(13 * loc % 75 + 1) for loc in range(1, 73)}
+        policies = {loc: StopAt(13 * loc % 75 + 1) for loc in range(1, 73)}
         trace = self.assert_same(policies, 4)
         assert trace.stop_times.max() == 60

@@ -7,7 +7,7 @@ from covstop.filter_core import TargetModel, lyapunov_update, riccati_update
 from covstop.observability import (Belief, CostWeights, StoppingCase,
                                    belief_step, mutual_information,
                                    stopping_cost, transformed_running_cost)
-from covstop.optimizer import rollout, stop_at
+from covstop.optimizer import StopAt, rollout
 from covstop.sampling import ordered_pair, random_pd, random_psd
 from covstop.streams import stream
 
@@ -38,7 +38,7 @@ class TestMutualInformation:
         # Oracle: replay the covariance recursions with plain formula
         # code driven by the recorded detection pattern.
         scenario = stock_scenario("flyby")
-        result = rollout(scenario, stop_at(10), seed=31)
+        result = rollout(scenario, StopAt(10), seed=31)
         model = scenario.models[0]
         nu = scenario.priorities[0]
         p = scenario.initial_posteriors[0].copy()

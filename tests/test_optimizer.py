@@ -7,12 +7,11 @@ from covstop.config import stock_scenario
 from covstop.dp_oracle import make_scalar_model, scalar_scenario
 from covstop.errors import ContractError, NumericalError
 from covstop.observability import Belief, stopping_cost
-from covstop.optimizer import (SpsaSchedule, evaluate_cost,
+from covstop.optimizer import (SpsaSchedule, StopAt, evaluate_cost,
                                periodic_cost_curve, periodic_policy_cost,
                                policy_costs, rademacher, rollout,
                                rollout_objective, score_paths, simulate_paths,
-                               spsa_gradient, spsa_minimize, spsa_optimize,
-                               stop_at)
+                               spsa_gradient, spsa_minimize, spsa_optimize)
 from covstop.policy import Action, ParamLayout, PolicyFamily, PolicyParams
 from covstop.streams import child_seed, stream
 
@@ -96,13 +95,13 @@ class TestRollout:
 class TestEvaluateCost:
     def test_single_rollout_equals_rollout(self):
         scenario = scalar_test_scenario()
-        policy = stop_at(4)
+        policy = StopAt(4)
         assert evaluate_cost(scenario, policy, 17, 1) == \
             rollout(scenario, policy, 17).sample_cost
 
     def test_certain_detection_is_seed_invariant(self):
         scenario = scalar_test_scenario(p_d=1.0, p_d_other=1.0)
-        policy = stop_at(6)
+        policy = StopAt(6)
         costs = {evaluate_cost(scenario, policy, seed, 4)
                  for seed in (1, 2, 3)}
         assert len(costs) == 1
@@ -279,7 +278,7 @@ class TestPeriodicPolicies:
     def test_k1_charges_no_operating_cost(self):
         scenario = scalar_test_scenario()
         cost = periodic_policy_cost(scenario, 1, 12, 1)
-        result = rollout(scenario, stop_at(1), 12)
+        result = rollout(scenario, StopAt(1), 12)
         assert result.tau == 1
         assert cost == result.sample_cost
 
@@ -368,9 +367,9 @@ class TestPathEngine:
         scenario = scalar_test_scenario(tau_max=12)
         seeds = [child_seed(8, "engine", b) for b in range(4)]
         for k in (1, 5, 12, 20):
-            tau, costs = policy_costs(scenario, stop_at(k), seeds)
+            tau, costs = policy_costs(scenario, StopAt(k), seeds)
             for b, seed in enumerate(seeds):
-                ref = rollout(scenario, stop_at(k), seed)
+                ref = rollout(scenario, StopAt(k), seed)
                 assert tau[b] == ref.tau
                 assert costs[b] == pytest.approx(ref.sample_cost,
                                                  rel=1e-12, abs=0)
@@ -414,7 +413,7 @@ class TestPathEngine:
             with pytest.raises(NumericalError):
                 simulate_paths(scenario, [0, 1], initial_belief=belief)
         monkeypatch.setattr("covstop.observability.riccati_update",
-                            lambda p, detected, model, priority: -np.eye(1))
+                            lambda p, model, priority: -np.eye(1))
         with pytest.raises(NumericalError):
             rollout(scenario, always(Action.STOP), 0)
 

@@ -1,10 +1,14 @@
-"""Property tests of the path engine's early stop and feature cache.
+"""Property tests of the covariance steps and the path engine.
 
-The early-stopped engine must reproduce full-horizon scoring bit for
-bit, whatever the family, weights, seeds and chunking; the statistic
-weighed from cached features must agree with the scalar
-``decision_statistic``. The examples are derandomized, so every run
-of the suite checks the same ones.
+The stacked covariance steps of ``filter_core``, which the path engine
+calls, must give each matrix of a stack exactly what the per-matrix
+``lyapunov_update``/``riccati_update`` give it, preserve the Loewner
+order and keep covariances PSD; their Cholesky must flag exactly the
+non-PD entries of a stack. The early-stopped engine must reproduce
+full-horizon scoring bit for bit, whatever the family, weights, seeds
+and chunking; the statistic weighed from cached features must agree
+with the scalar ``decision_statistic``. The examples are derandomized,
+so every run of the suite checks the same ones.
 """
 
 import numpy as np
@@ -14,13 +18,15 @@ from hypothesis import given, settings, strategies as st
 from covstop import optimizer
 from covstop.config import stock_scenario
 from covstop.errors import ContractError
+from covstop.filter_core import (TargetModel, cholesky, correct, loewner_geq,
+                                 lyapunov_update, predict, riccati_update)
 from covstop.observability import Belief
 from covstop.optimizer import (_STOP_BLOCK, StopAt, _path_chunks,
                                policy_costs, score_paths, simulate_paths)
 from covstop.policy import (ParamLayout, PolicyFamily, PolicyParams,
                             covariance_features, decision_statistic,
                             weigh_features)
-from covstop.sampling import random_pd
+from covstop.sampling import ordered_pair, random_pd, random_transition
 from covstop.streams import child_seed, stream
 
 SCENARIOS = {"flyby": stock_scenario("flyby"),
@@ -31,6 +37,93 @@ PATH_ENTRIES = 60 * 4 * 4 * 4
 scenario_names = st.sampled_from(sorted(SCENARIOS))
 families = st.sampled_from(list(PolicyFamily))
 seeds = st.integers(0, 2**32 - 1)
+
+
+def random_models(gen, n, m, mz):
+    # Stable or unstable dynamics, PD noise of widely varying size.
+    return [TargetModel(F=random_transition(gen, m, gen.uniform(0.5, 1.5)),
+                        G=np.eye(m), H=gen.normal(size=(mz, m)),
+                        Q=random_pd(gen, m, gen.uniform(0.1, 2.0)),
+                        r_base=random_pd(gen, mz, gen.uniform(0.1, 2.0)),
+                        p_d=0.5, delta=gen.uniform(1.0, 100.0))
+            for _ in range(n)]
+
+
+def stacked(models, priorities):
+    # The per-target matrices the engine stacks: F, Q, H and R.
+    return (np.array([m.F for m in models]), np.array([m.Q for m in models]),
+            np.array([m.H for m in models]),
+            np.array([m.effective_noise(nu)
+                      for m, nu in zip(models, priorities)]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=seeds, n_paths=st.integers(1, 5), n_targets=st.integers(1, 4),
+       m=st.integers(1, 4), mz=st.integers(1, 3))
+def test_stacked_steps_match_per_matrix_updates(seed, n_paths, n_targets, m,
+                                                mz):
+    gen = stream(seed, "prop.stacked")
+    models = random_models(gen, n_targets, m, mz)
+    priorities = gen.uniform(0.05, 1.0, n_targets)
+    f, q, h, r = stacked(models, priorities)
+    p = np.array([[random_pd(gen, m, gen.uniform(0.1, 10.0))
+                   for _ in models] for _ in range(n_paths)])
+    predicted = predict(p, f, q)
+    corrected, bad = correct(predicted, p, f, h, r)
+    assert not bad.any()
+    for b in range(n_paths):
+        for l, model in enumerate(models):
+            assert np.array_equal(predicted[b, l],
+                                  lyapunov_update(p[b, l], model))
+            assert np.array_equal(corrected[b, l],
+                                  riccati_update(p[b, l], model,
+                                                 priorities[l]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=seeds, n=st.integers(1, 6), m=st.integers(1, 4),
+       mz=st.integers(1, 3), gap=st.floats(0.01, 10.0))
+def test_stacked_steps_preserve_loewner_order_and_psd(seed, n, m, mz, gap):
+    gen = stream(seed, "prop.loewner")
+    models = random_models(gen, n, m, mz)
+    f, q, h, r = stacked(models, gen.uniform(0.05, 1.0, n))
+    pairs = [ordered_pair(gen, m, gen.uniform(0.1, 10.0), gap)
+             for _ in range(n)]
+    p1, p2 = (np.array(side) for side in zip(*pairs))
+    lyap1, lyap2 = predict(p1, f, q), predict(p2, f, q)
+    ricc1, bad1 = correct(lyap1, p1, f, h, r)
+    ricc2, bad2 = correct(lyap2, p2, f, h, r)
+    assert not (bad1.any() or bad2.any())
+    for i in range(n):
+        tol = 1e-9 * float(np.trace(p1[i]) + np.trace(lyap1[i]))
+        assert loewner_geq(lyap1[i], lyap2[i], tol)
+        assert loewner_geq(ricc1[i], ricc2[i], tol)
+        for out in (lyap1[i], lyap2[i], ricc1[i], ricc2[i]):
+            assert loewner_geq(out, np.zeros((m, m)), tol)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=seeds, m=st.integers(1, 4),
+       flags=st.lists(st.booleans(), min_size=1, max_size=12))
+def test_cholesky_mask_flags_exactly_the_non_pd_entries(seed, m, flags):
+    gen = stream(seed, "prop.cholesky")
+    stack = []
+    for non_pd in flags:
+        s = random_pd(gen, m, gen.uniform(0.1, 10.0))
+        if non_pd:  # push the smallest eigenvalue clearly below zero
+            s = s - (np.linalg.eigvalsh(s)[0] + gen.uniform(0.1, 1.0)) \
+                * np.eye(m)
+        stack.append(s)
+    stack = np.array(stack)
+    chol, bad = cholesky(stack)
+    np.testing.assert_array_equal(bad, flags)
+    for s, factor, non_pd in zip(stack, chol, flags):
+        expected = np.eye(m) if non_pd else np.linalg.cholesky(s)
+        assert np.array_equal(factor, expected)
+        single, single_bad = cholesky(s)
+        assert single_bad.shape == () and bool(single_bad) == non_pd
+        if not non_pd:
+            assert np.array_equal(single, expected)
 
 
 def random_params(family, log_scale, damp, seed, a):
