@@ -18,12 +18,14 @@ and ``logdets``) work on one ``(m, m)`` matrix and on ``(..., m, m)``
 stacks alike, and give each matrix of a stack exactly the result it
 gets on its own. ``lyapunov_update`` and ``riccati_update`` are their
 per-matrix views, which the scalar rollout uses; the batched path
-engine in ``optimizer`` calls the same steps on stacked
-(paths, targets, m, m) arrays.
+engine in ``optimizer`` calls the same steps on a stacked
+(1 + paths, targets, m, m) state whose row 0 is the prior shared by
+every path.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +40,7 @@ SYMMETRY_RTOL = 1e-12
 
 def _t(a: np.ndarray) -> np.ndarray:
     """Transpose of one matrix or of each matrix of a stack."""
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -73,18 +75,26 @@ def cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     each pivot as LAPACK's triangular solves do. Works on ``(n, n)``
     factors and on ``(..., n, n)`` stacks alike, with ``b`` of shape
     ``(..., n, k)``; each matrix of a stack gets exactly the result it
-    gets on its own.
+    gets on its own. X is worked on row by row: its rows lie first in
+    memory, each a contiguous ``(..., k)`` block.
     """
-    x = b.copy()
-    n = chol.shape[-1]
-    inv_diag = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)[..., None]
+    n, lead = chol.shape[-1], tuple(range(b.ndim - 2))
+    rows_first = (b.ndim - 2,) + lead
+    x = b.transpose(rows_first + (b.ndim - 1,)).copy()  # (n, ..., k)
+    # low[i, j] is L[i, j] and pivots[i] is 1 / L[i, i], shaped to scale
+    # the rows of x.
+    low = chol.transpose((b.ndim - 2, b.ndim - 1) + lead)[..., None]
+    pivots = (1.0 / np.diagonal(chol, axis1=-2, axis2=-1)).transpose(
+        rows_first)[..., None]
     for i in range(n):
-        x[..., i, :] *= inv_diag[..., i, :]
-        x[..., i + 1:, :] -= chol[..., i + 1:, i, None] * x[..., i, None, :]
+        x[i] *= pivots[i]
+        if i < n - 1:
+            x[i + 1:] -= low[i + 1:, i] * x[i]
     for i in reversed(range(n)):
-        x[..., i, :] *= inv_diag[..., i, :]
-        x[..., :i, :] -= chol[..., i, :i, None] * x[..., i, None, :]
-    return x
+        x[i] *= pivots[i]
+        if i:
+            x[:i] -= low[i, :i] * x[i]
+    return x.transpose(tuple(range(1, b.ndim - 1)) + (0, b.ndim - 1))
 
 
 def logdets(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,6 +195,21 @@ class TargetModel:
     @property
     def obs_dim(self) -> int:
         return self.H.shape[0]
+
+    def with_observation(self, h: np.ndarray) -> "TargetModel":
+        """Copy with observation matrix ``h``, such as a re-linearized H.
+
+        Only ``h`` is checked, for the model's observation shape and for
+        finite entries; the other fields were validated when this model
+        was built.
+        """
+        h = np.asarray(h, dtype=float)
+        if h.shape != self.H.shape or not np.all(np.isfinite(h)):
+            raise ContractError("H must be a finite matrix of the "
+                                "model's observation shape")
+        model = copy.copy(self)
+        object.__setattr__(model, "H", h)
+        return model
 
     def effective_noise(self, priority: float) -> np.ndarray:
         """Measurement-noise covariance scaled by 1 / (priority * delta)."""

@@ -151,7 +151,7 @@ def macro_select_priority(posteriors: Sequence[np.ndarray], mode: MacroMode,
     if len(posteriors) < 2:
         raise ContractError("need at least two targets")
     if mode is MacroMode.PERSISTENT:
-        a = int(np.argmax([logdets(p)[0] for p in posteriors]))
+        a = int(np.argmax(logdets(np.asarray(posteriors))[0]))
         nu = np.zeros(len(posteriors))
         nu[a] = 1.0
         return a, nu
@@ -232,13 +232,17 @@ class Scenario:
 
 
 def models_at_location(scenario: Scenario, location: int) -> tuple:
-    """Re-linearize every target's observation map at an orbit location."""
+    """Re-linearize every target's observation map at an orbit location.
+
+    Only the new H matrices are checked (``TargetModel.with_observation``);
+    the rest of each model was validated with the scenario.
+    """
     if scenario.orbit is None or scenario.estimates is None:
         return scenario.models
     from .linearization import jacobian_h
 
     platform = platform_orbit_state(scenario.orbit, location)
-    return tuple(replace(m, H=jacobian_h(np.asarray(e), platform))
+    return tuple(m.with_observation(jacobian_h(np.asarray(e), platform))
                  for m, e in zip(scenario.models, scenario.estimates))
 
 
@@ -284,9 +288,12 @@ def run_macro_cycles(scenario: Scenario, policies, n_cycles: int,
     (within one stop-check block), where ``rollout`` would stop.
     Posteriors carry across cycles; priors re-anchor to the posteriors
     when each micro clock resets, so zero-priority targets track their
-    priors exactly within a cycle. The re-linearized models are built,
-    and validated, once per orbit location; each cycle hands them and
-    its one-hot priorities to the engine without building a scenario.
+    priors exactly within a cycle. The re-linearized models are built
+    once per orbit location, with only their new H checked; each cycle
+    hands them and its one-hot priorities to the engine without
+    building a scenario. The engine carries the cycle's prior in its
+    state with the path's posterior, so each simulated epoch is one
+    stacked predict, correct and log-determinant step.
     """
     choices = policies.values() if isinstance(policies, dict) else [policies]
     if not all(isinstance(p, MacroPolicy) for p in choices):

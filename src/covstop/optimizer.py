@@ -4,9 +4,10 @@ Given its seed, a rollout's belief path does not depend on the policy:
 detections are drawn for every target at every epoch and the priors are
 deterministic. The batched path engine uses that. ``_path_chunks`` runs
 the Riccati/Lyapunov recursion for many seeds at once, calling
-``filter_core``'s steps on stacked (paths, targets, m, m) arrays, with
-the priors computed once for all paths, and records each path's
-log-determinants and stopping cost at every epoch. Given the one
+``filter_core``'s steps once per epoch on a stacked
+(1 + paths, targets, m, m) state whose row 0 is the prior shared by
+every path, and records each path's log-determinants and stopping cost
+at every epoch. Given the one
 policy a batch is for, it checks the stopping rule every few epochs and
 ends the batch once every path has stopped, so a ``PathBatch``'s epoch
 axis may end before the horizon; without a policy it runs the whole
@@ -205,10 +206,13 @@ class PathBatch:
     whose covariance update failed or left a non-positive determinant,
     0 if there is none; a failed path's later entries are placeholders.
 
-    ``features`` keeps the ``covariance_features`` of the posteriors and
-    priors once something has computed them: the engine's stop check, or
-    the first call for a family of the same kind (the eigen families
-    share theirs). ``dataclasses.replace`` does not copy them.
+    ``posteriors`` and ``priors`` (and their log-determinants) are
+    views of a chunk's state buffer, in which the priors are row 0;
+    joining chunks copies the per-path ones. ``features`` keeps the
+    ``covariance_features`` of the posteriors and priors once something
+    has computed them: the engine's stop check, or the first call for a
+    family of the same kind (the eigen families share theirs).
+    ``dataclasses.replace`` does not copy them.
     """
 
     a: int
@@ -270,15 +274,26 @@ def _path_chunks(scenario, seeds: Sequence[int],
     epoch min(k, tau_max). Under PolicyParams the decision statistic is
     evaluated every _STOP_BLOCK epochs, and a chunk ends at the first
     check by which every one of its paths has reached 1 (or at the
-    horizon); the features the check computed stay in the batch. The
-    priors are computed only as far as some chunk needs them.
+    horizon); the features the check computed stay in the batch.
+
+    A chunk simulates one (1 + paths, targets, m, m) state: row 0 is the
+    deterministic prior, shared by every path, and rows 1.. are the
+    paths' posteriors. Each epoch makes one stacked ``predict`` and one
+    ``logdets`` call for priors and posteriors together, and one
+    ``correct`` of every posterior, whose result is kept where the
+    epoch's detection mask is set; each stop check makes one
+    ``covariance_features`` call. These are ``filter_core``'s steps
+    behind lyapunov_update and riccati_update, which give each matrix of
+    a stack the bits it gets on its own, so every chunk recomputes the
+    same priors. The batch's priors and posteriors are views of the
+    chunk's state buffer.
 
     ``models`` and ``priorities`` replace the scenario's without being
     validated again: the macro cycles pass each cycle's, which were
     validated when they were built. Failures are recorded in each
-    batch's ``failed_at``, not raised. Priors and posteriors go through
-    ``filter_core``'s stacked ``predict`` and ``correct``, the steps
-    behind lyapunov_update and riccati_update.
+    batch's ``failed_at``, not raised: a non-positive determinant, or an
+    innovation covariance that is not positive definite where a
+    detection was applied; a bad prior fails every path.
     """
     seeds = list(seeds)
     if not seeds:
@@ -309,14 +324,7 @@ def _path_chunks(scenario, seeds: Sequence[int],
     last = min(policy.k, horizon) if isinstance(policy, StopAt) else horizon
     block = _STOP_BLOCK if checked else last
 
-    # Priors are deterministic: one recursion serves every path.
-    prior = np.array(belief.priors)
-    priors = np.empty((last,) + prior.shape)
-    logdet_priors = np.empty((last, n_targets))
-    bad_priors = np.empty(last, dtype=bool)  # a bad prior fails every path
-    prior_features = []  # one array per block
-    n_priors = 0
-
+    start_prior = np.array(belief.priors)
     start_post = np.array(belief.posteriors)
     eye = np.eye(start_post.shape[-1])
     chunk_size = max(1, _CHUNK_ENTRIES // (horizon * start_post.size))
@@ -326,67 +334,53 @@ def _path_chunks(scenario, seeds: Sequence[int],
             (last, n_targets)) for s in chunk])
         detections = (draws < p_d) & measurable
         n_paths = len(chunk)
-        post = np.broadcast_to(start_post,
-                               (n_paths,) + start_post.shape).copy()
-        posteriors = np.empty((n_paths, last) + start_post.shape)
-        logdet_posteriors = np.empty((n_paths, last, n_targets))
-        post_features = []  # one array per block
+        state = np.concatenate([start_prior[None], np.broadcast_to(
+            start_post, (n_paths,) + start_post.shape)])
+        states = np.empty((1 + n_paths, last) + start_post.shape)
+        logdet_states = np.empty((1 + n_paths, last, n_targets))
+        block_features = []
         failed_at = np.zeros(n_paths, dtype=int)
         stopped = np.zeros(n_paths, dtype=bool)
         end = 0
         while end < last and not stopped.all():
             begin, end = end, min(end + block, last)
-            if n_priors < end:
-                for k in range(n_priors, end):
-                    prior = predict(prior, f, q)
-                    priors[k] = prior
-                new = slice(n_priors, end)
-                logdet_priors[new], bad_new = logdets(priors[new])
-                bad_priors[new] = bad_new.any(axis=1)
-                if checked:
-                    prior_features.append(covariance_features(
-                        priors[new], policy.family))
-                n_priors = end
             for k in range(begin, end):
-                predicted = predict(post, f, q)
-                paths, targets = np.nonzero(detections[:, k])
-                bad = None
-                if paths.size:
-                    predicted[paths, targets], bad = correct(
-                        predicted[paths, targets], post[paths, targets],
-                        f[targets], h[targets], r[targets])
-                post = predicted
-                logdet, bad_dets = logdets(post)
-                failed = bad_dets.any(axis=1) | bad_priors[k]
-                if bad is not None:
-                    failed[paths[bad]] = True
-                if failed.any():
+                detected = detections[:, k]
+                predicted = predict(state, f, q)
+                post = predicted[1:]
+                corrected, bad = correct(post, state[1:], f, h, r)
+                np.copyto(post, corrected, where=detected[..., None, None])
+                state = predicted
+                logdet, bad_dets = logdets(state)
+                if bad_dets.any() or bad.any():
+                    failed = (bad_dets[1:] | (bad & detected)).any(axis=1) \
+                        | bad_dets[0].any()
                     failed_at[failed & (failed_at == 0)] = k + 1
                     post[failed] = eye  # keep failed paths finite
-                posteriors[:, k] = post
-                logdet_posteriors[:, k] = logdet
+                states[:, k] = state
+                logdet_states[:, k] = logdet
             if checked:
-                post_features.append(covariance_features(
-                    posteriors[:, begin:end], policy.family))
-                stat = weigh_features(post_features[-1],
-                                      prior_features[len(post_features) - 1],
+                features = covariance_features(states[:, begin:end],
+                                               policy.family)
+                block_features.append(features)
+                stat = weigh_features(features[:, 1:], features[:, 0],
                                       belief.a, policy)
                 stopped |= (stat >= 1.0).any(axis=1)
+        states, logdet_states = states[:, :end], logdet_states[:, :end]
         with np.errstate(invalid="ignore"):  # inf - inf on failed paths
-            infos = weights.alpha * logdet_priors[:end] \
-                - weights.beta * logdet_posteriors[:, :end]
+            infos = weights.alpha * logdet_states[0] \
+                - weights.beta * logdet_states[1:]
         batch = PathBatch(
             a=belief.a, horizon=horizon, operating_cost=weights.operating_cost,
-            detections=detections[:, :end], posteriors=posteriors[:, :end],
-            priors=priors[:end], logdet_posteriors=logdet_posteriors[:, :end],
-            logdet_priors=logdet_priors[:end],
+            detections=detections[:, :end], posteriors=states[1:],
+            priors=states[0], logdet_posteriors=logdet_states[1:],
+            logdet_priors=logdet_states[0],
             stopping_costs=aggregate_rivals(infos, belief.a, weights.case),
             failed_at=failed_at)
         if checked:
-            n_blocks = len(post_features)
+            features = np.concatenate(block_features, axis=-2)
             batch._features[_feature_kind(policy.family)] = (
-                np.concatenate(post_features, axis=-2),
-                np.concatenate(prior_features[:n_blocks], axis=-2))
+                features[:, 1:], features[:, 0])
         yield batch
 
 

@@ -119,7 +119,35 @@ class TestRiccati:
                 assert np.linalg.eigvalsh(upd)[0] > 0.0
 
 
+def reference_cho_solve(chol, b):
+    # The substitution loop on (..., n, k) slices that cho_solve replaced;
+    # it takes the same elementwise steps in the same order.
+    x = b.copy()
+    n = chol.shape[-1]
+    inv_diag = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)[..., None]
+    for i in range(n):
+        x[..., i, :] *= inv_diag[..., i, :]
+        x[..., i + 1:, :] -= chol[..., i + 1:, i, None] * x[..., i, None, :]
+    for i in reversed(range(n)):
+        x[..., i, :] *= inv_diag[..., i, :]
+        x[..., :i, :] -= chol[..., i, :i, None] * x[..., i, None, :]
+    return x
+
+
 class TestChoSolve:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_equals_reference_loop_bitwise(self, n, k):
+        gen = stream(31 + k, "cho_solve.reference", n)
+        for lead in ((), (7,), (2, 5)):
+            s = np.array([random_pd(gen, n, gen.uniform(0.1, 10.0))
+                          for _ in range(int(np.prod(lead)))])
+            chol = np.linalg.cholesky(s.reshape(lead + (n, n)))
+            b = gen.normal(size=lead + (n, k))
+            x = cho_solve(chol, b)
+            assert x.shape == b.shape
+            assert np.array_equal(x, reference_cho_solve(chol, b))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_linalg_solve(self, n):
         gen = stream(23, "cho_solve", n)
@@ -289,3 +317,21 @@ class TestModelValidation:
         p = random_pd(gen, 4, 10.0)
         upd = riccati_update(p, model, 0.6)
         assert np.array_equal(upd, symmetrize(upd))
+
+    @pytest.mark.parametrize("h", [np.ones((4, 4)), np.ones((3, 3)),
+                                   np.ones(12),
+                                   np.full((3, 4), np.nan),
+                                   np.full((3, 4), np.inf)])
+    def test_with_observation_rejects_bad_h(self, h):
+        with pytest.raises(ContractError):
+            gmti_model().with_observation(h)
+
+    def test_with_observation_swaps_only_h(self):
+        model = gmti_model()
+        h = stream(17, "test.swap").normal(size=(3, 4))
+        swapped = model.with_observation(h)
+        assert np.array_equal(swapped.H, h)
+        assert np.array_equal(model.H, gmti_model().H)
+        for name in ("F", "G", "Q", "r_base"):
+            assert getattr(swapped, name) is getattr(model, name)
+        assert (swapped.p_d, swapped.delta) == (model.p_d, model.delta)

@@ -12,6 +12,7 @@ from covstop.gmti import (MacroMode, OrbitSpec, PlatformState,
                           macro_select_priority, models_at_location,
                           nonlinear_h, platform_orbit_state, propagate_truth,
                           run_macro_cycles, system_matrices)
+from covstop.linearization import jacobian_h
 from covstop.observability import Belief
 from covstop.optimizer import StopAt, rollout
 from covstop.policy import Action, PolicyFamily, PolicyParams
@@ -148,6 +149,19 @@ class TestPlatformOrbit:
         for m36, m72 in zip(models_at_location(s36, 9),
                             models_at_location(s, 18)):
             np.testing.assert_array_equal(m36.H, m72.H)
+
+    @pytest.mark.parametrize("location", [1, 19, 72])
+    def test_models_equal_fully_validated_ones(self, location):
+        # Swapping H alone gives the models a full re-validation would.
+        s = stock_scenario("persistent")
+        platform = platform_orbit_state(s.orbit, location)
+        for model, estimate, fast in zip(s.models, s.estimates,
+                                         models_at_location(s, location)):
+            full = dataclasses.replace(
+                model, H=jacobian_h(np.asarray(estimate), platform))
+            for field in dataclasses.fields(full):
+                np.testing.assert_array_equal(getattr(fast, field.name),
+                                              getattr(full, field.name))
 
     def test_config_orbit_past_72_locations_runs(self):
         spec = json.loads(_bundled_path("persistent").read_text())

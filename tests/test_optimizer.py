@@ -1,13 +1,18 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from covstop import optimizer
 from covstop.config import stock_scenario
 from covstop.dp_oracle import make_scalar_model, scalar_scenario
 from covstop.errors import ContractError, NumericalError
-from covstop.observability import Belief, stopping_cost
-from covstop.optimizer import (SpsaSchedule, StopAt, evaluate_cost,
+from covstop.filter_core import TargetModel
+from covstop.gmti import Scenario
+from covstop.observability import Belief, CostWeights, stopping_cost
+from covstop.optimizer import (_STOP_BLOCK, SpsaSchedule, StopAt,
+                               _path_chunks, evaluate_cost,
                                periodic_cost_curve, periodic_policy_cost,
                                policy_costs, rademacher, rollout,
                                rollout_objective, score_paths, simulate_paths,
@@ -326,6 +331,26 @@ ENGINE_SCENARIOS = {
 }
 
 
+def identity_scenario(tau_max=6):
+    # Two 2-D targets with F = H = Q = R = I, so a covariance moves by
+    # exactly +I at each undetected step.
+    model = TargetModel(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2),
+                        r_base=np.eye(2), p_d=0.8)
+    return Scenario(name="identity", models=(model, model),
+                    priorities=np.array([0.5, 0.5]),
+                    weights=CostWeights(np.zeros(2), np.ones(2), 0.1),
+                    tau_max=tau_max,
+                    initial_posteriors=(np.eye(2), np.eye(2)),
+                    initial_priors=(np.eye(2), np.eye(2)))
+
+
+def counting(fn, name, counts):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def negative_posterior_belief(p_a):
     # The rival's posterior is fine, the priority target's negative. At
     # -10 the innovation variance -10 + 25 stays positive and the
@@ -416,6 +441,44 @@ class TestPathEngine:
                             lambda p, model, priority: -np.eye(1))
         with pytest.raises(NumericalError):
             rollout(scenario, always(Action.STOP), 0)
+
+    def test_nonpd_prior_fails_every_path(self):
+        # Target 1's prior diag(-3, -1.5) steps to diag(-2, -0.5), whose
+        # determinant is positive, then to diag(-1, 0.5), whose is not.
+        # The posteriors stay positive definite on every path.
+        scenario = identity_scenario()
+        belief = Belief((np.eye(2), np.eye(2)),
+                        (np.eye(2), np.diag([-3.0, -1.5])), 0)
+        seeds = [child_seed(5, "engine", b) for b in range(6)]
+        with pytest.raises(NumericalError, match="epoch 2 on 6 of 6 paths"):
+            simulate_paths(scenario, seeds, initial_belief=belief)
+        (batch,) = _path_chunks(scenario, seeds, belief)
+        np.testing.assert_array_equal(batch.failed_at, 2)
+
+    def test_one_stacked_step_per_epoch(self, monkeypatch):
+        # The priors ride in the simulated state with the posteriors: a
+        # chunk makes one predict and one logdets call per epoch, and one
+        # covariance_features call per stop check, however many chunks.
+        scenario = stock_scenario("flyby")
+        layout = ParamLayout(PolicyFamily.EIGEN_SUM, 4, 4)
+        # Interior stops: tau is 1, 12 or 14 on these seeds.
+        params = layout.build(0.1 * stream(1, "engine.params").uniform(
+            -1.0, 1.0, layout.n_params))
+        seeds = [child_seed(9, "engine", b) for b in range(5)]
+        # Two flyby paths (60 epochs of four 4x4 targets) to a chunk.
+        monkeypatch.setattr(optimizer, "_CHUNK_ENTRIES", 2 * 60 * 4 * 4 * 4)
+        epochs = [batch.posteriors.shape[1] for batch in
+                  _path_chunks(scenario, seeds, None, params)]
+        assert len(epochs) == 3 and min(epochs) < scenario.tau_max
+        counts = Counter()
+        for name in ("predict", "logdets", "covariance_features"):
+            monkeypatch.setattr(optimizer, name,
+                                counting(getattr(optimizer, name), name,
+                                         counts))
+        policy_costs(scenario, params, seeds)
+        assert counts == {
+            "predict": sum(epochs), "logdets": sum(epochs),
+            "covariance_features": sum(-(-e // _STOP_BLOCK) for e in epochs)}
 
     def test_failure_raises_only_at_or_before_tau(self):
         scenario = scalar_test_scenario()

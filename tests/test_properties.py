@@ -6,7 +6,9 @@ calls, must give each matrix of a stack exactly what the per-matrix
 order and keep covariances PSD; their Cholesky must flag exactly the
 non-PD entries of a stack. The early-stopped engine must reproduce
 full-horizon scoring bit for bit, whatever the family, weights, seeds
-and chunking; the statistic weighed from cached features must agree
+and chunking; every chunk must carry the exact Lyapunov chain of the
+priors, and every missed entry the exact Lyapunov step of its previous
+posterior; the statistic weighed from cached features must agree
 with the scalar ``decision_statistic``. The examples are derandomized,
 so every run of the suite checks the same ones.
 """
@@ -167,6 +169,43 @@ def test_early_stop_matches_full_horizon(name, family, log_scale, damp, seed,
         assert batch.posteriors.shape[1] == min(scenario.tau_max,
                                                 blocks * _STOP_BLOCK)
         assert batch.priors.shape[0] == batch.posteriors.shape[1]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(name=scenario_names, p_d=st.sampled_from([0.0, 0.5, 0.9]),
+       stop=st.booleans(), family=families, log_scale=st.floats(-2.5, 0.0),
+       seed=seeds, chunk_paths=st.integers(1, 2))
+def test_chunks_carry_exact_priors_and_miss_updates(name, p_d, stop, family,
+                                                    log_scale, seed,
+                                                    chunk_paths):
+    # The persistent scenario's one-hot priorities leave three targets
+    # unmeasured; p_d = 0 makes every epoch a miss for every target.
+    scenario = SCENARIOS[name].with_overrides(p_d=p_d)
+    models = scenario.models
+    policy = random_params(family, log_scale, 0.5, seed, scenario.a) \
+        if stop else None
+    path_seeds = [child_seed(seed, "prop.chunk", b)
+                  for b in range(3 * chunk_paths)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "_CHUNK_ENTRIES", chunk_paths * PATH_ENTRIES)
+        batches = list(_path_chunks(scenario, path_seeds, None, policy))
+    assert len(batches) == 3
+    start = scenario.initial_belief()
+    for batch in batches:
+        assert not batch.detections[..., scenario.priorities == 0.0].any()
+        prior = start.priors
+        for k in range(batch.priors.shape[0]):
+            prior = [lyapunov_update(p, m) for p, m in zip(prior, models)]
+            for l, p in enumerate(prior):
+                assert np.array_equal(batch.priors[k, l], p)
+                assert batch.logdet_priors[k, l] == np.linalg.slogdet(p)[1]
+        for path, detected in zip(batch.posteriors, batch.detections):
+            previous = start.posteriors
+            for posteriors, hits in zip(path, detected):
+                for l in np.flatnonzero(~hits):
+                    assert np.array_equal(
+                        posteriors[l], lyapunov_update(previous[l], models[l]))
+                previous = posteriors
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
