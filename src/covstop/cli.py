@@ -3,9 +3,10 @@
 Subcommands cover the stock experiments (fly-by sensitivity grid,
 persistent-surveillance traces, linearity tables, DP threshold curve),
 policy training and the property-verification suites. Every command
-requires an explicit seed (flag or scenario file), writes plot-ready
-CSV files whose first line records the generating config hash and the
-column units, and finishes with a JSON run manifest. Outputs are byte
+requires an explicit seed, a non-negative integer, from the flag or the
+scenario file. Each writes plot-ready CSV files whose first line records
+the generating config hash and the column units, and finishes with a
+JSON run manifest. Outputs are byte
 identical across reruns of the same (config, seed).
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
@@ -21,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (BUNDLED, _bundled_path, config_hash, load_scenario,
-                     params_from_dict, params_to_dict, read_json,
-                     stock_scenario)
+from .config import (BUNDLED, _bundled_path, check_seed, config_hash,
+                     load_scenario, params_from_dict, params_to_dict,
+                     read_json, stock_scenario)
 from .dp_oracle import (check_monotone_policy, extract_threshold,
                         make_scalar_model, value_iterate)
 from .errors import ContractError, NumericalError
@@ -34,8 +35,7 @@ from .linearization import validate_linearization
 from .observability import StoppingCase
 from .optimizer import (SpsaSchedule, evaluate_cost, periodic_cost_curve,
                         policy_costs, spsa_optimize)
-from .policy import (MonotoneSamplerConfig, ParamLayout, PolicyFamily,
-                     verify_monotone)
+from .policy import ParamLayout, PolicyFamily, verify_monotone
 from .sampling import ordered_pair, random_pd, random_transition
 from .streams import child_seed, stream
 
@@ -108,9 +108,7 @@ def write_manifest(out_dir: Path, command: str, cfg: dict, seed: int,
 def _load_run_scenario(args) -> tuple[Scenario, dict, int]:
     path = Path(args.config) if args.config else _bundled_path(args.scenario)
     scenario, raw = load_scenario(path)
-    seed = args.seed if args.seed is not None else raw.get("seed")
-    if seed is None:
-        raise ContractError("a seed is required (flag --seed or config file)")
+    seed = args.seed if args.seed is not None else raw["seed"]
     overrides = {}
     if args.c_nu is not None:
         overrides["operating_cost"] = args.c_nu
@@ -119,8 +117,8 @@ def _load_run_scenario(args) -> tuple[Scenario, dict, int]:
     if args.tau_max is not None:
         overrides["tau_max"] = args.tau_max
     scenario = scenario.with_overrides(**overrides)
-    cfg = {"scenario": raw, "overrides": overrides, "seed": int(seed)}
-    return scenario, cfg, int(seed)
+    cfg = {"scenario": raw, "overrides": overrides, "seed": seed}
+    return scenario, cfg, seed
 
 
 def _parse_grid(flag: str, text: str) -> list[float]:
@@ -161,7 +159,7 @@ def _train_params(scenario, args, seed):
                             n_restarts=args.restarts,
                             rollouts_per_eval=args.rollouts_per_eval,
                             epsilon=args.epsilon)
-    result = spsa_optimize(scenario, layout, None, schedule,
+    result = spsa_optimize(scenario, layout, schedule,
                            child_seed(seed, "cli.train"))
     return result, layout, schedule
 
@@ -399,8 +397,8 @@ def _policy_suite(n_samples: int, seed: int) -> dict:
     for family in PolicyFamily:
         layout = ParamLayout(family, n_targets=2, state_dim=4)
         params = layout.build(gen.uniform(-1.0, 1.0, layout.n_params))
-        report = verify_monotone(params, MonotoneSamplerConfig(),
-                                 n_samples, seed=child_seed(seed, family.value))
+        report = verify_monotone(params, n_samples,
+                                 child_seed(seed, family.value))
         out[family.value] = len(report.violations)
     return out
 
@@ -434,7 +432,9 @@ def _add_scenario_args(p: argparse.ArgumentParser, scenario_default: str):
     p.add_argument("--scenario", default=scenario_default,
                    choices=sorted(BUNDLED),
                    help="bundled scenario when --config is not given")
-    p.add_argument("--seed", type=int, help="run seed (overrides config)")
+    p.add_argument("--seed", type=int,
+                   help="run seed, a non-negative integer; overrides the "
+                        "scenario file's")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--c-nu", dest="c_nu", type=float,
                    help="override operating cost")
@@ -494,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-linearization",
                        help="Jacobian drift and Taylor-ratio tables")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True,
+                   help="run seed, a non-negative integer")
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", type=int, default=100,
                    help="true-track realizations per table cell")
@@ -502,7 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dp-threshold",
                        help="value-iteration oracle and threshold curve")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True,
+                   help="run seed, a non-negative integer")
     p.add_argument("--out", required=True)
     p.add_argument("--grid", type=int, default=128)
     p.add_argument("--f", type=float, default=1.0)
@@ -514,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-properties",
                        help="sampled monotonicity property suites")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True,
+                   help="run seed, a non-negative integer")
     p.add_argument("--out", required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.set_defaults(func=cmd_verify_properties)
@@ -526,6 +529,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None:  # every subcommand has --seed
+            check_seed(args.seed, "--seed")
         return args.func(args)
     except ContractError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

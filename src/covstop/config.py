@@ -3,9 +3,12 @@
 One JSON document per scenario. Loading is strict: unknown keys are
 rejected wherever they appear, covariances accept either a full matrix
 (nested lists) or a flat list interpreted as a diagonal, and every
-scenario must carry its own seed so no run ever defaults to wall-clock
-randomness. The paper's two stock scenarios are such documents, bundled
-with the package; ``stock_scenario`` loads them.
+scenario must carry its own seed, a non-negative JSON integer, so no run
+ever defaults to wall-clock randomness. The paper's two stock scenarios
+are such documents, bundled with the package; ``stock_scenario`` loads
+them. A params document's layout takes JSON integers (not booleans) for
+``n_targets``, ``state_dim`` and ``a``, with 0 <= a < n_targets, and
+JSON booleans for ``share_other`` and ``tie_priors``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from .policy import ParamLayout, PolicyFamily, PolicyParams
 
 # The stock scenarios, by name, as files inside the package.
 BUNDLED = {"flyby": "configs/flyby.json", "persistent": "configs/persistent.json"}
+# The JSON type of each params layout entry.
+_LAYOUT_TYPES = {"n_targets": int, "state_dim": int, "share_other": bool,
+                 "tie_priors": bool, "a": int}
 
 
 def _bundled_path(name: str) -> Path:
@@ -54,6 +60,21 @@ def _enum(cls, value, where: str):
                             f"got {value!r}") from None
 
 
+def _typed(value, kind: type, where: str):
+    """``value`` if its type is exactly ``kind``: a JSON boolean is no int."""
+    if type(value) is not kind:
+        raise ContractError(f"{where} must be of type {kind.__name__}, "
+                            f"got {value!r}")
+    return value
+
+
+def check_seed(value, where: str) -> int:
+    """``value`` if it is a non-negative integer, else ContractError."""
+    if _typed(value, int, where) < 0:
+        raise ContractError(f"{where} must be non-negative, got {value}")
+    return value
+
+
 def _covariance_from(obj, where: str) -> np.ndarray:
     arr = np.asarray(obj, dtype=float)
     if arr.ndim == 1:
@@ -73,10 +94,11 @@ def _state_vector(obj, where: str) -> np.ndarray:
 def scenario_from_dict(spec: dict) -> Scenario:
     """Build a validated scenario from its JSON representation.
 
-    A value of the wrong type or shape is a ContractError. ``seed`` is
-    read by the caller from the raw dict, and ``sigma_p`` and each
-    target's ``true_state`` describe the truth model; the scenario keeps
-    none of them, but they are validated all the same.
+    A value of the wrong type or shape is a ContractError. ``name``
+    labels the file, ``seed`` is read by the caller from the raw dict,
+    and ``sigma_p`` and each target's ``true_state`` describe the truth
+    model; the scenario keeps none of them, but they are validated all
+    the same.
     """
     try:
         return _scenario_from_dict(spec)
@@ -90,7 +112,7 @@ def _scenario_from_dict(spec: dict) -> Scenario:
     _require_keys(spec, {"name", "seed", "tau_max", "priorities", "weights",
                          "model", "platform", "targets"},
                   {"sigma_p", "macro_mode"}, "scenario")
-    int(spec["seed"])  # checked only; see the docstring
+    check_seed(spec["seed"], "seed")  # checked only; see the docstring
     float(spec.get("sigma_p", 0.0))
     weights_spec = spec["weights"]
     _require_keys(weights_spec, {"alpha", "beta", "operating_cost"},
@@ -159,7 +181,6 @@ def _scenario_from_dict(spec: dict) -> Scenario:
                    for e in estimates)
 
     return Scenario(
-        name=str(spec["name"]),
         models=models,
         priorities=np.asarray(spec["priorities"], dtype=float),
         weights=weights,
@@ -241,6 +262,7 @@ def params_to_dict(params: PolicyParams, layout: ParamLayout) -> dict:
 
 
 def params_from_dict(spec: dict) -> tuple[PolicyParams, ParamLayout]:
+    """Policy params and their layout from a params document."""
     if not isinstance(spec, dict) or not isinstance(spec.get("layout"), dict):
         raise ContractError("params must be a JSON object with a layout "
                             "object")
@@ -248,14 +270,11 @@ def params_from_dict(spec: dict) -> tuple[PolicyParams, ParamLayout]:
     lay = spec["layout"]
     _require_keys(lay, {"n_targets", "state_dim"},
                   {"share_other", "tie_priors", "a"}, "params.layout")
+    layout = ParamLayout(
+        _enum(PolicyFamily, spec["family"], "params.family"),
+        **{key: _typed(value, _LAYOUT_TYPES[key], f"params.layout.{key}")
+           for key, value in lay.items()})
     try:
-        layout = ParamLayout(family=_enum(PolicyFamily, spec["family"],
-                                          "params.family"),
-                             n_targets=int(lay["n_targets"]),
-                             state_dim=int(lay["state_dim"]),
-                             share_other=bool(lay.get("share_other", False)),
-                             tie_priors=bool(lay.get("tie_priors", False)),
-                             a=int(lay.get("a", 0)))
         phi = np.asarray(spec["phi"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ContractError(f"params: {exc}") from None

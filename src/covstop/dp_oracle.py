@@ -476,7 +476,6 @@ def scalar_scenario(model: ScalarStopModel, p0_a: float, p0_other: float,
     pbar0_a = p0_a if pbar0_a is None else pbar0_a
     pbar0_other = p0_other if pbar0_other is None else pbar0_other
     return Scenario(
-        name="scalar-oracle",
         models=(as_model(model.target_a), as_model(model.target_other)),
         priorities=np.array([0.5, 0.5]),
         weights=model.weights,

@@ -126,23 +126,18 @@ def correct(predicted: np.ndarray, p: np.ndarray, f: np.ndarray,
     return symmetrize(predicted - gain), bad
 
 
-def is_covariance(p: np.ndarray, rtol: float = SYMMETRY_RTOL) -> bool:
-    """True iff ``p`` is square, symmetric and numerically PSD."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        return False
-    if not np.all(np.isfinite(p)):
-        return False
-    scale = np.max(np.abs(p))
-    if not np.allclose(p, p.T, rtol=0.0, atol=max(rtol * scale, 1e-300)):
-        return False
-    eig = np.linalg.eigvalsh(symmetrize(p))
-    return bool(eig[0] >= -PSD_EIG_FLOOR * max(eig[-1], 0.0))
-
-
 def check_covariance(p: np.ndarray, name: str = "P") -> np.ndarray:
+    """``p`` as a float array; ContractError unless it is square,
+    finite, symmetric to SYMMETRY_RTOL and numerically PSD."""
     p = np.asarray(p, dtype=float)
-    if not is_covariance(p):
+    ok = (p.ndim == 2 and p.shape[0] == p.shape[1]
+          and np.all(np.isfinite(p))
+          and np.allclose(p, p.T, rtol=0.0, atol=max(
+              SYMMETRY_RTOL * np.max(np.abs(p)), 1e-300)))
+    if ok:
+        eig = np.linalg.eigvalsh(symmetrize(p))
+        ok = eig[0] >= -PSD_EIG_FLOOR * max(eig[-1], 0.0)
+    if not ok:
         raise ContractError(f"{name} is not a symmetric PSD matrix")
     return p
 

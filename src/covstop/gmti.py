@@ -165,7 +165,6 @@ def macro_select_priority(posteriors: Sequence[np.ndarray], mode: MacroMode,
 class Scenario:
     """Everything a stopping-problem run needs, immutable once built."""
 
-    name: str
     models: tuple
     priorities: np.ndarray
     weights: CostWeights

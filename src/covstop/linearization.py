@@ -46,17 +46,20 @@ def jacobian_h(s: np.ndarray, platform: PlatformState) -> np.ndarray:
     ])
 
 
-def hessian_h(s: np.ndarray, platform: PlatformState,
-              rel_step: float = 1e-3) -> np.ndarray:
+# Central-difference step of hessian_h, relative to each component.
+HESSIAN_REL_STEP = 1e-3
+
+
+def hessian_h(s: np.ndarray, platform: PlatformState) -> np.ndarray:
     """3x4x4 Hessian tensor by central differences of the Jacobian.
 
-    Steps scale with each component's magnitude (floor 1.0); the result
-    is symmetrized over the two derivative indices.
+    Steps are HESSIAN_REL_STEP times each component's magnitude (floor
+    1.0); the result is symmetrized over the two derivative indices.
     """
     s = np.asarray(s, dtype=float)
     tensor = np.empty((3, 4, 4))
     for j in range(4):
-        step = rel_step * max(abs(s[j]), 1.0)
+        step = HESSIAN_REL_STEP * max(abs(s[j]), 1.0)
         bump = np.zeros(4)
         bump[j] = step
         jac_plus = jacobian_h(s + bump, platform)
@@ -123,7 +126,10 @@ def metric_E(s: np.ndarray, s_bar: np.ndarray, platform: PlatformState,
 
 
 # Stock geometry for the linearity study: platform altitude from a
-# 15 degree depression angle, five representative ground targets.
+# 15 degree depression angle, five representative ground targets, the
+# stock scenarios' 0.1 s epoch and their 1.5 m/s^2 acceleration noise.
+STUDY_PERIOD = 0.1
+STUDY_SIGMA_P = 1.5
 STUDY_PLATFORM_XI = (-35_000.0, 100.0, -15_000.0, 20.0)
 STUDY_INITIAL_STATES = {
     "a": (100.0, 3.0, 40.0, 7.0),
@@ -144,8 +150,8 @@ def study_platform() -> PlatformState:
     return PlatformState(np.array([x, vx, y, vy]), altitude)
 
 
-def study_model(period: float = 0.1) -> TargetModel:
-    f, g, q, r_base = system_matrices(period, sigma_x=0.5, sigma_y=0.5,
+def study_model() -> TargetModel:
+    f, g, q, r_base = system_matrices(STUDY_PERIOD, sigma_x=0.5, sigma_y=0.5,
                                       sigma_r=20.0,
                                       sigma_a=np.radians(0.5),
                                       sigma_rdot=5.0)
@@ -164,8 +170,6 @@ class LinearityReport:
     d_values: np.ndarray              # (n_states, n_ks)
     e_values: dict                    # gamma -> (n_states, n_ks) means
     n_seeds: int
-    d_bound: float = D_BOUND
-    e_bound: float = E_BOUND
     flags: list = field(default_factory=list)
 
     @property
@@ -177,23 +181,21 @@ def validate_linearization(initial_states: dict | None = None,
                            platform0: PlatformState | None = None,
                            ks: tuple = STUDY_KS,
                            gammas: tuple = STUDY_GAMMAS,
-                           period: float = 0.1,
-                           sigma_p: float = 1.5,
                            n_seeds: int = 100,
                            seed: int = 0) -> LinearityReport:
     """Evaluate D and E over the study grid and flag bound violations.
 
-    D is deterministic. E depends on the realized true track, so each
-    cell reports the mean over ``n_seeds`` seeded realizations.
+    D is deterministic. E depends on the realized true track (STUDY_SIGMA_P
+    noise), so each cell reports the mean over ``n_seeds`` realizations.
     """
     if initial_states is None:
         initial_states = {k: np.array(v)
                           for k, v in STUDY_INITIAL_STATES.items()}
     if platform0 is None:
         platform0 = study_platform()
-    model = study_model(period)
+    model = study_model()
     max_k = max(ks)
-    platforms = platform_track(platform0, max_k, period)
+    platforms = platform_track(platform0, max_k, STUDY_PERIOD)
     labels = list(initial_states)
     d_values = np.zeros((len(labels), len(ks)))
     e_values = {g: np.zeros((len(labels), len(ks))) for g in gammas}
@@ -209,7 +211,7 @@ def validate_linearization(initial_states: dict | None = None,
         e_samples = {g: np.zeros((n_seeds, len(ks))) for g in gammas}
         for r in range(n_seeds):
             rng = stream(seed, f"linearization.truth.{label}", r)
-            truth = true_trajectory(s0, model, sigma_p, max_k, rng)
+            truth = true_trajectory(s0, model, STUDY_SIGMA_P, max_k, rng)
             for j, k in enumerate(ks):
                 for g in gammas:
                     e_samples[g][r, j] = metric_E(truth[k], nominal[k],

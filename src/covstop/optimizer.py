@@ -27,10 +27,11 @@ simultaneous-perturbation gradient estimate; its two perturbed
 evaluations share one simulation and its features.
 
 ``gmti.run_macro_cycles`` is a view on the engine too: it simulates one
-path per cycle, stopped at tau. ``rollout`` keeps the scalar
-epoch-by-epoch loop, with one belief object per epoch, as the scalar
-reference the engine is checked against. The library no longer hands
-it callable policies in general: its one caller is
+path per cycle, stopped at tau, from the cycle's carried posteriors;
+every other view starts from the scenario's own belief. ``rollout``
+keeps the scalar epoch-by-epoch loop, with one belief object per epoch,
+as the scalar reference the engine is checked against. The library no
+longer hands it callable policies in general: its one caller is
 ``periodic_policy_cost`` (``StopAt(k)`` through ``evaluate_cost``'s
 callable branch), which stays independent of ``periodic_cost_curve``.
 The benchmark pins both by name: its traced run wraps ``rollout`` and
@@ -384,17 +385,15 @@ def _path_chunks(scenario, seeds: Sequence[int],
         yield batch
 
 
-def _simulate(scenario, seeds: Sequence[int],
-              initial_belief: Belief | None) -> PathBatch:
+def _simulate(scenario, seeds: Sequence[int]) -> PathBatch:
     """The seeds' full-horizon paths, chunks joined into one batch."""
-    batches = list(_path_chunks(scenario, seeds, initial_belief))
+    batches = list(_path_chunks(scenario, seeds, None))
     return replace(batches[0], **{
         name: np.concatenate([getattr(b, name) for b in batches])
         for name in _PER_PATH_FIELDS})
 
 
-def simulate_paths(scenario, seeds: Sequence[int],
-                   initial_belief: Belief | None = None) -> PathBatch:
+def simulate_paths(scenario, seeds: Sequence[int]) -> PathBatch:
     """Simulate one belief path per seed over the whole horizon.
 
     Seed ``s`` draws its detections from the same stream as
@@ -404,7 +403,7 @@ def simulate_paths(scenario, seeds: Sequence[int],
     covariance is not positive definite or any covariance loses its
     positive determinant.
     """
-    batch = _simulate(scenario, seeds, initial_belief)
+    batch = _simulate(scenario, seeds)
     batch.raise_failures()
     return batch
 
@@ -439,8 +438,7 @@ def score_paths(paths: PathBatch, policy: PolicyParams | StopAt
 
 
 def policy_costs(scenario, policy: PolicyParams | StopAt,
-                 seeds: Sequence[int], initial_belief: Belief | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Stopping epochs and sample costs of a policy, one per seed.
 
     Equals ``rollout(scenario, policy, s)``'s tau and sample cost for
@@ -450,7 +448,7 @@ def policy_costs(scenario, policy: PolicyParams | StopAt,
     stop.
     """
     scored = [score_paths(batch, policy) for batch in
-              _path_chunks(scenario, seeds, initial_belief, policy)]
+              _path_chunks(scenario, seeds, None, policy)]
     return (np.concatenate([tau for tau, _ in scored]),
             np.concatenate([costs for _, costs in scored]))
 
@@ -464,8 +462,8 @@ def _eval_seeds(seed: int, n_rollouts: int) -> list[int]:
                      for b in range(1, n_rollouts)]
 
 
-def evaluate_cost(scenario, policy: PolicyLike, seed: int, n_rollouts: int,
-                  initial_belief: Belief | None = None) -> float:
+def evaluate_cost(scenario, policy: PolicyLike, seed: int,
+                  n_rollouts: int) -> float:
     """Monte-Carlo mean sample cost over decorrelated rollout streams.
 
     PolicyParams are scored on the batched path engine, callables on the
@@ -473,16 +471,14 @@ def evaluate_cost(scenario, policy: PolicyLike, seed: int, n_rollouts: int,
     """
     seeds = _eval_seeds(seed, n_rollouts)
     if isinstance(policy, PolicyParams):
-        _, costs = policy_costs(scenario, policy, seeds, initial_belief)
+        _, costs = policy_costs(scenario, policy, seeds)
     else:
-        costs = [rollout(scenario, policy, s,
-                         initial_belief=initial_belief).sample_cost
-                 for s in seeds]
+        costs = [rollout(scenario, policy, s).sample_cost for s in seeds]
     return float(np.mean(costs))
 
 
-def rollout_objective(scenario, layout: ParamLayout, n_rollouts: int,
-                      initial_belief: Belief | None = None) -> Objective:
+def rollout_objective(scenario, layout: ParamLayout,
+                      n_rollouts: int) -> Objective:
     """Objective closure mapping (phi, seed) to the evaluated cost.
 
     Equals ``evaluate_cost`` on ``layout.build(phi)``. The full-horizon
@@ -496,8 +492,7 @@ def rollout_objective(scenario, layout: ParamLayout, n_rollouts: int,
     def objective(phi: np.ndarray, seed: int) -> float:
         if seed not in last:
             last.clear()
-            last[seed] = _simulate(scenario, _eval_seeds(seed, n_rollouts),
-                                   initial_belief)
+            last[seed] = _simulate(scenario, _eval_seeds(seed, n_rollouts))
         _, costs = score_paths(last[seed], layout.build(phi))
         return float(np.mean(costs))
 
@@ -606,33 +601,28 @@ def spsa_minimize(objective: Objective, initial_phis: Sequence[np.ndarray],
     return result
 
 
-def spsa_optimize(scenario, layout: ParamLayout,
-                  initial_phis: Sequence[np.ndarray] | None,
-                  schedule: SpsaSchedule, seed: int,
-                  initial_belief: Belief | None = None) -> SpsaResult:
+def spsa_optimize(scenario, layout: ParamLayout, schedule: SpsaSchedule,
+                  seed: int) -> SpsaResult:
     """Optimize a policy family on a scenario.
 
-    When ``initial_phis`` is None, restarts come from a random search:
-    ``n_restarts * (1 + n_screen)`` uniform candidates are drawn,
-    evaluated once each, and the best ``n_restarts`` seed the
-    stochastic-approximation runs. The search converges only locally,
-    so screening starts matters as much as refining them.
+    Restarts come from a random search: ``n_restarts * (1 + n_screen)``
+    uniform candidates are drawn, evaluated once each, and the best
+    ``n_restarts`` seed the stochastic-approximation runs. The search
+    converges only locally, so screening starts matters as much as
+    refining them.
     """
-    objective = rollout_objective(scenario, layout,
-                                  schedule.rollouts_per_eval,
-                                  initial_belief=initial_belief)
-    if initial_phis is None:
-        rng = stream(seed, "spsa.init")
-        n_candidates = schedule.n_restarts * (1 + schedule.n_screen)
-        candidates = [layout.random_init(rng) for _ in range(n_candidates)]
-        if schedule.n_screen > 0:
-            screen_seed = child_seed(seed, "spsa.screen")
-            scores = [objective(phi, child_seed(screen_seed, "cand", i))
-                      for i, phi in enumerate(candidates)]
-            order = np.argsort(scores)[:schedule.n_restarts]
-            initial_phis = [candidates[i] for i in order]
-        else:
-            initial_phis = candidates[:schedule.n_restarts]
+    objective = rollout_objective(scenario, layout, schedule.rollouts_per_eval)
+    rng = stream(seed, "spsa.init")
+    n_candidates = schedule.n_restarts * (1 + schedule.n_screen)
+    candidates = [layout.random_init(rng) for _ in range(n_candidates)]
+    if schedule.n_screen > 0:
+        screen_seed = child_seed(seed, "spsa.screen")
+        scores = [objective(phi, child_seed(screen_seed, "cand", i))
+                  for i, phi in enumerate(candidates)]
+        order = np.argsort(scores)[:schedule.n_restarts]
+        initial_phis = [candidates[i] for i in order]
+    else:
+        initial_phis = candidates[:schedule.n_restarts]
     result = spsa_minimize(objective, initial_phis, schedule, seed)
     result.best_params = layout.build(result.best_phi)
     return result
@@ -657,18 +647,15 @@ class StopAt:
 
 
 def periodic_policy_cost(scenario, k_stop: int, seed: int,
-                         n_rollouts: int,
-                         initial_belief: Belief | None = None) -> float:
+                         n_rollouts: int) -> float:
     """Mean sample cost of the stop-at-k_stop policy."""
     if not 1 <= k_stop <= scenario.tau_max:
         raise ContractError("k_stop must lie in [1, tau_max]")
-    return evaluate_cost(scenario, StopAt(k_stop), seed, n_rollouts,
-                         initial_belief=initial_belief)
+    return evaluate_cost(scenario, StopAt(k_stop), seed, n_rollouts)
 
 
 def periodic_cost_curve(scenario, seed: int, n_rollouts: int,
-                        k_max: int | None = None,
-                        initial_belief: Belief | None = None) -> np.ndarray:
+                        k_max: int | None = None) -> np.ndarray:
     """Sample costs of every deterministic stopping time in one sweep.
 
     Returns an (n_rollouts, k_max) array whose [b, k-1] entry equals,
@@ -685,8 +672,7 @@ def periodic_cost_curve(scenario, seed: int, n_rollouts: int,
     if not 1 <= k_max <= scenario.tau_max:
         raise ContractError("k_max must lie in [1, tau_max]")
     stopping_costs = []
-    for batch in _path_chunks(scenario, _eval_seeds(seed, n_rollouts),
-                              initial_belief):
+    for batch in _path_chunks(scenario, _eval_seeds(seed, n_rollouts), None):
         batch.raise_failures()
         stopping_costs.append(batch.stopping_costs[:, :k_max])
     return np.arange(k_max) * scenario.weights.operating_cost \

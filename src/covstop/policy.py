@@ -101,10 +101,6 @@ class PolicyParams:
             if np.any(np.abs(norms - 1.0) > 1e-12):
                 raise ContractError("quadform weights must have unit norm")
 
-    @property
-    def n_targets(self) -> int:
-        return self.theta.shape[0]
-
 
 def _eigen_statistic(belief: Belief, params: PolicyParams) -> float:
     lam_post = [eigenvalues_sorted(p) for p in belief.posteriors]
@@ -222,6 +218,11 @@ class ParamLayout:
     tie_priors: bool = False
     a: int = 0
 
+    def __post_init__(self):
+        if not 0 <= self.a < self.n_targets:
+            raise ContractError(f"priority target {self.a} is not one of "
+                                f"the {self.n_targets} targets")
+
     @property
     def block_size(self) -> int:
         if self.family is PolicyFamily.QUADFORM:
@@ -286,16 +287,6 @@ def _slot_direction(slot: str, target: int, a: int) -> str:
 
 
 @dataclass(frozen=True)
-class MonotoneSamplerConfig:
-    """Belief sampler settings for the monotonicity checker."""
-
-    n_targets: int = 2
-    state_dim: int = 4
-    scale: float = 1.0
-    a: int = 0
-
-
-@dataclass(frozen=True)
 class MonotoneViolation:
     sample_index: int
     slot: str
@@ -314,29 +305,28 @@ class MonotoneReport:
         return not self.violations
 
 
-def verify_monotone(params: PolicyParams, config: MonotoneSamplerConfig,
-                    n_samples: int, seed: int = 0) -> MonotoneReport:
+def verify_monotone(params: PolicyParams, n_samples: int,
+                    seed: int) -> MonotoneReport:
     """Sampled check of the monotone decision structure.
 
-    Each sample draws a random belief, perturbs one covariance slot
-    upward in the Loewner order (adding A A') and flags decision flips
-    that the monotone structure forbids. Valid parameter vectors produce
-    an empty report.
+    Each sample draws a random belief of the params' (targets, m) shape,
+    with priority target 0, perturbs one covariance slot upward in the
+    Loewner order (adding A A') and flags decision flips that the
+    monotone structure forbids. Valid parameter vectors produce an empty
+    report.
     """
-    if config.n_targets != params.n_targets:
-        raise ContractError("sampler and params disagree on target count")
     rng = stream(seed, "policy.verify_monotone")
-    m = config.state_dim
+    n_targets, m = params.theta.shape
     report = MonotoneReport(n_pairs=n_samples)
-    slots = [("posterior", l) for l in range(config.n_targets)]
-    slots += [("prior", l) for l in range(config.n_targets)]
+    slots = [("posterior", l) for l in range(n_targets)]
+    slots += [("prior", l) for l in range(n_targets)]
     for i in range(n_samples):
-        base_scale = config.scale * rng.uniform(0.3, 3.0)
+        base_scale = rng.uniform(0.3, 3.0)
         posts = tuple(random_pd(rng, m, base_scale * rng.uniform(0.5, 2.0))
-                      for _ in range(config.n_targets))
+                      for _ in range(n_targets))
         priors = tuple(random_pd(rng, m, base_scale * rng.uniform(0.5, 2.0))
-                       for _ in range(config.n_targets))
-        belief = Belief(posts, priors, config.a)
+                       for _ in range(n_targets))
+        belief = Belief(posts, priors, 0)
         slot, target = slots[rng.integers(len(slots))]
         bump = random_psd(rng, m, base_scale * rng.uniform(0.2, 4.0))
         current = (belief.posteriors if slot == "posterior"

@@ -70,6 +70,9 @@ MALFORMED_CONFIG = [
     (("sigma_p",), "abc"),
     (("tau_max",), "x"),
     (("seed",), "x"),
+    (("seed",), -1),
+    (("seed",), 2.5),
+    (("seed",), True),
     (("model", "period"), "x"),
     (("model", "p_d"), None),
     (("priorities",), "a"),
@@ -82,21 +85,47 @@ MALFORMED_CONFIG = [
 ]
 
 
+# Tiny-budget runs of the subcommands, by name; persistent has its own
+# rerun test below.
+RERUN_ARGV = {
+    "periodic-sweep": ["periodic-sweep", "--rollouts", "5"],
+    "optimize": ["optimize", "--family", "eigen-sum", "--iterations", "2",
+                 "--restarts", "1", "--rollouts-per-eval", "2"],
+    "flyby": ["flyby", "--rollouts", "2", "--pd-grid", "0.75",
+              "--cnu-grid", "0.8,1.6"],
+    "dp-threshold": ["dp-threshold", "--grid", "8"],
+    "verify-properties": ["verify-properties", "--samples", "5"],
+    "validate-linearization": ["validate-linearization", "--seeds", "1"],
+}
+
+
 class TestPeriodicSweep:
-    def test_reruns_identical_manifest_complete_values_finite(self, tmp_path):
+    @pytest.mark.parametrize("command", list(RERUN_ARGV))
+    def test_reruns_identical_manifest_complete_values_finite(
+            self, command, tmp_path, stop_first_params):
+        argv = RERUN_ARGV[command]
+        if command == "flyby":
+            argv = argv + ["--params", str(stop_first_params)]
         outputs = []
         for run in ("a", "b"):
             out = tmp_path / run
-            assert main(["periodic-sweep", "--rollouts", "5", "--seed", "3",
-                         "--out", str(out)]) == 0
+            assert main(argv + ["--seed", "3", "--out", str(out)]) == 0
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert outputs[0] == outputs[1]
         manifest = json.loads(outputs[0]["manifest.json"])
         assert manifest["outputs"] == sorted(set(outputs[0]) -
                                              {"manifest.json"})
         for name in manifest["outputs"]:
+            if not name.endswith(".csv"):
+                continue
             for cell in csv_values(tmp_path / "a" / name):
-                assert math.isfinite(float(cell))
+                try:
+                    value = float(cell)
+                except ValueError:
+                    # state labels, metric names and empty gamma cells
+                    assert command == "validate-linearization"
+                    continue
+                assert math.isfinite(value)
 
 
 class TestPersistent:
@@ -159,6 +188,16 @@ class TestExitCodes:
         assert "validation error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        "periodic-sweep", "flyby", "persistent", "optimize", "dp-threshold",
+        "verify-properties", "validate-linearization"])
+    def test_negative_seed_exits_2(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([command, "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert "validation error:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", PARAMS_COMMANDS)
     @pytest.mark.parametrize("flag,content", [
         ("--params", None),
@@ -178,6 +217,30 @@ class TestExitCodes:
         ("--params", json.dumps({"family": "eigen-sum", "phi": [0.1] * 4,
                                  "layout": {"n_targets": 2,
                                             "state_dim": 1}})),
+        # Layout entries of the wrong JSON type, or a priority target
+        # out of range; each is otherwise a valid 4-target layout.
+        ("--params", json.dumps({"family": "eigen-sum", "phi": [0.1] * 32,
+                                 "layout": {"n_targets": 4.7,
+                                            "state_dim": 4}})),
+        ("--params", json.dumps({"family": "eigen-sum", "phi": [0.1] * 32,
+                                 "layout": {"n_targets": 4,
+                                            "state_dim": True}})),
+        ("--params", json.dumps({"family": "eigen-sum", "phi": [0.1] * 32,
+                                 "layout": {"n_targets": 4, "state_dim": 4,
+                                            "a": True}})),
+        ("--params", json.dumps({"family": "eigen-sum", "phi": [0.1] * 16,
+                                 "layout": {"n_targets": 4, "state_dim": 4,
+                                            "share_other": "false"}})),
+        ("--params", json.dumps({"family": "eigen-sum", "phi": [0.1] * 16,
+                                 "layout": {"n_targets": 4, "state_dim": 4,
+                                            "tie_priors": 1}})),
+        ("--params", json.dumps({"family": "eigen-sum", "phi": [0.1] * 16,
+                                 "layout": {"n_targets": 4, "state_dim": 4,
+                                            "share_other": True,
+                                            "a": 7}})),
+        ("--params", json.dumps({"family": "eigen-sum", "phi": [0.1] * 32,
+                                 "layout": {"n_targets": 4, "state_dim": 4,
+                                            "a": -1}})),
     ])
     def test_unreadable_or_invalid_file_exits_2(
             self, command, flag, content, tmp_path, stop_first_params,

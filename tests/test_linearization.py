@@ -191,7 +191,7 @@ class TestValidateLinearization:
         report = validate_linearization(initial_states=states,
                                         platform0=platform,
                                         ks=(10, 50), gammas=(0.5,),
-                                        sigma_p=1.5, n_seeds=3, seed=1)
+                                        n_seeds=3, seed=1)
         assert not report.ok
 
     def test_deterministic_given_seed(self):

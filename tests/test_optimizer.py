@@ -263,7 +263,7 @@ class TestSpsaOptimizeOnScenario:
         layout = ParamLayout(PolicyFamily.EIGEN_SUM, 2, 1)
         schedule = SpsaSchedule(n_iterations=120, n_restarts=3,
                                 rollouts_per_eval=8, n_screen=15)
-        result = spsa_optimize(scenario, layout, None, schedule, seed=8)
+        result = spsa_optimize(scenario, layout, schedule, seed=8)
         cost = evaluate_cost(scenario, result.best_params, 99, 2000)
         never = evaluate_cost(scenario, always(Action.CONTINUE), 99, 200)
         immediate = evaluate_cost(scenario, always(Action.STOP), 99, 200)
@@ -273,7 +273,7 @@ class TestSpsaOptimizeOnScenario:
         scenario = scalar_test_scenario()
         layout = ParamLayout(PolicyFamily.EIGEN_SUM, 2, 1)
         schedule = SpsaSchedule(n_iterations=0, n_restarts=2)
-        result = spsa_optimize(scenario, layout, None, schedule, seed=4)
+        result = spsa_optimize(scenario, layout, schedule, seed=4)
         rebuilt = layout.build(result.best_phi)
         np.testing.assert_array_equal(rebuilt.theta,
                                       result.best_params.theta)
@@ -336,7 +336,7 @@ def identity_scenario(tau_max=6):
     # exactly +I at each undetected step.
     model = TargetModel(F=np.eye(2), G=np.eye(2), H=np.eye(2), Q=np.eye(2),
                         r_base=np.eye(2), p_d=0.8)
-    return Scenario(name="identity", models=(model, model),
+    return Scenario(models=(model, model),
                     priorities=np.array([0.5, 0.5]),
                     weights=CostWeights(np.zeros(2), np.ones(2), 0.1),
                     tau_max=tau_max,
@@ -436,7 +436,7 @@ class TestPathEngine:
                 rollout(scenario, always(Action.STOP), 0,
                         initial_belief=belief)
             with pytest.raises(NumericalError):
-                simulate_paths(scenario, [0, 1], initial_belief=belief)
+                next(_path_chunks(scenario, [0, 1], belief)).raise_failures()
         monkeypatch.setattr("covstop.observability.riccati_update",
                             lambda p, model, priority: -np.eye(1))
         with pytest.raises(NumericalError):
@@ -451,7 +451,7 @@ class TestPathEngine:
                         (np.eye(2), np.diag([-3.0, -1.5])), 0)
         seeds = [child_seed(5, "engine", b) for b in range(6)]
         with pytest.raises(NumericalError, match="epoch 2 on 6 of 6 paths"):
-            simulate_paths(scenario, seeds, initial_belief=belief)
+            next(_path_chunks(scenario, seeds, belief)).raise_failures()
         (batch,) = _path_chunks(scenario, seeds, belief)
         np.testing.assert_array_equal(batch.failed_at, 2)
 

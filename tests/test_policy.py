@@ -3,8 +3,8 @@ import pytest
 
 from covstop.errors import ContractError
 from covstop.observability import Belief
-from covstop.policy import (Action, MonotoneSamplerConfig, ParamLayout,
-                            PolicyFamily, PolicyParams, decide,
+from covstop.policy import (Action, ParamLayout, PolicyFamily,
+                            PolicyParams, decide,
                             decision_statistic,
                             reparam_positive, reparam_spherical,
                             verify_monotone)
@@ -172,29 +172,35 @@ class TestParamLayout:
         np.testing.assert_array_equal(np.abs(params.theta), np.ones((2, 1)))
 
 
+# The sampler draws beliefs of the params' (targets, state dim) shape.
+SAMPLED_SHAPES = {"2x4": (2, 4), "3x2": (3, 2)}
+
+
 class TestVerifyMonotone:
+    @pytest.mark.parametrize("shape", sorted(SAMPLED_SHAPES))
     @pytest.mark.parametrize("family", list(PolicyFamily))
-    def test_valid_params_have_no_violations(self, family):
+    def test_valid_params_have_no_violations(self, family, shape):
         gen = stream(36, f"test.monotone.{family.value}")
-        layout = ParamLayout(family, 2, 4)
+        layout = ParamLayout(family, *SAMPLED_SHAPES[shape])
         params = layout.build(gen.uniform(-1.0, 1.0, layout.n_params))
-        report = verify_monotone(params, MonotoneSamplerConfig(), 1000,
-                                 seed=17)
+        report = verify_monotone(params, 1000, seed=17)
         assert report.ok
         assert report.n_pairs == 1000
 
-    def test_negated_weight_is_caught(self):
+    @pytest.mark.parametrize("theta", [
+        [[-0.6, 0.2, 0.2, 0.2], [0.3, 0.3, 0.3, 0.3]],
+        [[-0.6, 0.2], [0.3, 0.3], [0.3, 0.3]]], ids=["2x4", "3x2"])
+    def test_negated_weight_is_caught(self, theta):
         # invariant-violating fixture: one negative priority-target
         # weight flips the monotone direction along that eigenvector
-        theta = np.array([[-0.6, 0.2, 0.2, 0.2], [0.3, 0.3, 0.3, 0.3]])
-        theta_bar = np.full((2, 4), 0.25)
+        theta = np.array(theta)
+        theta_bar = np.full(theta.shape, 0.25)
         params = PolicyParams.__new__(PolicyParams)
         object.__setattr__(params, "family", PolicyFamily.EIGEN_SUM)
         object.__setattr__(params, "theta", theta)
         object.__setattr__(params, "theta_bar", theta_bar)
         object.__setattr__(params, "phi", None)
-        report = verify_monotone(params, MonotoneSamplerConfig(), 800,
-                                 seed=23)
+        report = verify_monotone(params, 800, seed=23)
         assert not report.ok
 
     def test_explicit_violating_pair_for_negated_weight(self):
