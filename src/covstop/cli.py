@@ -242,11 +242,11 @@ def cmd_periodic_sweep(args) -> int:
     if params is not None:
         policy_cost = evaluate_cost(scenario, params, eval_seed,
                                     args.rollouts)
-        best_k = int(np.argmin(curve.mean(axis=0))) + 1
+        best = int(np.argmin(means))
         write_csv(out / "envelope.csv",
                   ["policy_cost", "best_periodic_cost", "best_k_stop"],
-                  [[policy_cost], [float(curve.mean(axis=0).min())],
-                   [best_k]], h, "cost=nats+epochs*c_nu")
+                  [[policy_cost], [means[best]], [best + 1]], h,
+                  "cost=nats+epochs*c_nu")
         files.append("envelope.csv")
     write_manifest(out, "periodic-sweep", cfg, seed, files)
     return 0
@@ -397,9 +397,8 @@ def _policy_suite(n_samples: int, seed: int) -> dict:
     for family in PolicyFamily:
         layout = ParamLayout(family, n_targets=2, state_dim=4)
         params = layout.build(gen.uniform(-1.0, 1.0, layout.n_params))
-        report = verify_monotone(params, n_samples,
-                                 child_seed(seed, family.value))
-        out[family.value] = len(report.violations)
+        out[family.value] = verify_monotone(params, n_samples,
+                                            child_seed(seed, family.value))
     return out
 
 

@@ -4,7 +4,10 @@ One JSON document per scenario. Loading is strict: unknown keys are
 rejected wherever they appear, covariances accept either a full matrix
 (nested lists) or a flat list interpreted as a diagonal, and every
 scenario must carry its own seed, a non-negative JSON integer, so no run
-ever defaults to wall-clock randomness. The paper's two stock scenarios
+ever defaults to wall-clock randomness. Every other number in a scenario
+or params document, alone or in a list, must be a JSON number (a boolean
+or a numeric string is not), and ``tau_max``, ``n_locations`` and
+``start_location`` must be JSON integers. The paper's two stock scenarios
 are such documents, bundled with the package; ``stock_scenario`` loads
 them. A params document's layout takes JSON integers (not booleans) for
 ``n_targets``, ``state_dim`` and ``a``, with 0 <= a < n_targets, and
@@ -75,8 +78,27 @@ def check_seed(value, where: str) -> int:
     return value
 
 
+def _number(value, where: str) -> float:
+    """``value`` as a float if it is a JSON number (not a boolean)."""
+    if type(value) not in (int, float):
+        raise ContractError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(obj, where: str) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array."""
+    pending = [obj]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        else:
+            _number(item, f"{where} entry")
+    return np.asarray(obj, dtype=float)
+
+
 def _covariance_from(obj, where: str) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
+    arr = _numbers(obj, where)
     if arr.ndim == 1:
         return np.diag(arr)
     if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
@@ -85,7 +107,7 @@ def _covariance_from(obj, where: str) -> np.ndarray:
 
 
 def _state_vector(obj, where: str) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
+    arr = _numbers(obj, where)
     if arr.shape != (4,) or not np.all(np.isfinite(arr)):
         raise ContractError(f"{where} must be a finite 4-vector")
     return arr
@@ -113,14 +135,15 @@ def _scenario_from_dict(spec: dict) -> Scenario:
                          "model", "platform", "targets"},
                   {"sigma_p", "macro_mode"}, "scenario")
     check_seed(spec["seed"], "seed")  # checked only; see the docstring
-    float(spec.get("sigma_p", 0.0))
+    _number(spec.get("sigma_p", 0.0), "sigma_p")
     weights_spec = spec["weights"]
     _require_keys(weights_spec, {"alpha", "beta", "operating_cost"},
                   {"case"}, "weights")
     weights = CostWeights(
-        alpha=np.asarray(weights_spec["alpha"], dtype=float),
-        beta=np.asarray(weights_spec["beta"], dtype=float),
-        operating_cost=float(weights_spec["operating_cost"]),
+        alpha=_numbers(weights_spec["alpha"], "weights.alpha"),
+        beta=_numbers(weights_spec["beta"], "weights.beta"),
+        operating_cost=_number(weights_spec["operating_cost"],
+                               "weights.operating_cost"),
         case=_enum(StoppingCase, weights_spec.get("case", "avg-diff"),
                    "weights.case"))
 
@@ -128,6 +151,8 @@ def _scenario_from_dict(spec: dict) -> Scenario:
     _require_keys(model_spec, {"period", "sigma_x", "sigma_y", "sigma_r",
                                "sigma_a_deg", "sigma_rdot", "p_d"},
                   {"delta"}, "model")
+    model = {key: _number(value, f"model.{key}")
+             for key, value in model_spec.items()}
 
     platform_spec = spec["platform"]
     if not isinstance(platform_spec, dict):
@@ -136,19 +161,21 @@ def _scenario_from_dict(spec: dict) -> Scenario:
     if platform_spec.get("kind") == "orbit":
         _require_keys(platform_spec, {"kind", "radius", "speed", "altitude"},
                       {"n_locations", "start_location"}, "platform")
-        orbit = OrbitSpec(radius=float(platform_spec["radius"]),
-                          speed=float(platform_spec["speed"]),
-                          altitude=float(platform_spec["altitude"]),
-                          n_locations=int(platform_spec.get("n_locations", 72)),
-                          start_location=int(
-                              platform_spec.get("start_location", 1)))
+        orbit = OrbitSpec(
+            radius=_number(platform_spec["radius"], "platform.radius"),
+            speed=_number(platform_spec["speed"], "platform.speed"),
+            altitude=_number(platform_spec["altitude"], "platform.altitude"),
+            n_locations=_typed(platform_spec.get("n_locations", 72), int,
+                               "platform.n_locations"),
+            start_location=_typed(platform_spec.get("start_location", 1),
+                                  int, "platform.start_location"))
         platform = platform_orbit_state(orbit, orbit.start_location)
     elif platform_spec.get("kind") == "linear":
         _require_keys(platform_spec, {"kind", "state", "altitude"}, set(),
                       "platform")
-        platform = PlatformState(np.asarray(platform_spec["state"],
-                                            dtype=float),
-                                 float(platform_spec["altitude"]))
+        platform = PlatformState(
+            _numbers(platform_spec["state"], "platform.state"),
+            _number(platform_spec["altitude"], "platform.altitude"))
     else:
         raise ContractError("platform kind must be 'linear' or 'orbit'")
 
@@ -170,21 +197,20 @@ def _scenario_from_dict(spec: dict) -> Scenario:
                       if "prior_cov" in target else post.copy())
 
     f, g, q, r_base = system_matrices(
-        float(model_spec["period"]), float(model_spec["sigma_x"]),
-        float(model_spec["sigma_y"]), float(model_spec["sigma_r"]),
-        math.radians(float(model_spec["sigma_a_deg"])),
-        float(model_spec["sigma_rdot"]))
-    p_d = float(model_spec["p_d"])
-    delta = float(model_spec.get("delta", 100.0))
+        model["period"], model["sigma_x"], model["sigma_y"],
+        model["sigma_r"], math.radians(model["sigma_a_deg"]),
+        model["sigma_rdot"])
+    p_d = model["p_d"]
+    delta = model.get("delta", 100.0)
     models = tuple(TargetModel(F=f, G=g, H=jacobian_h(e, platform), Q=q,
                                r_base=r_base, p_d=p_d, delta=delta)
                    for e in estimates)
 
     return Scenario(
         models=models,
-        priorities=np.asarray(spec["priorities"], dtype=float),
+        priorities=_numbers(spec["priorities"], "priorities"),
         weights=weights,
-        tau_max=int(spec["tau_max"]),
+        tau_max=_typed(spec["tau_max"], int, "tau_max"),
         initial_posteriors=tuple(posteriors),
         initial_priors=tuple(priors),
         macro_mode=_enum(MacroMode, spec.get("macro_mode", "flyby-fixed"),
@@ -275,7 +301,7 @@ def params_from_dict(spec: dict) -> tuple[PolicyParams, ParamLayout]:
         **{key: _typed(value, _LAYOUT_TYPES[key], f"params.layout.{key}")
            for key, value in lay.items()})
     try:
-        phi = np.asarray(spec["phi"], dtype=float)
+        phi = _numbers(spec["phi"], "params.phi")
     except (TypeError, ValueError) as exc:
         raise ContractError(f"params: {exc}") from None
     return layout.build(phi), layout

@@ -18,8 +18,8 @@ matrices for quadform) that the batch computes once and keeps, and tau
 is the first epoch where the statistic reaches 1; ``StopAt(k)`` stops
 every path at k.
 The sample cost is (tau - 1) times the operating cost plus the stopping
-cost at tau. Views built on the engine: ``policy_costs``, and
-``evaluate_cost`` for PolicyParams, which stop each chunk at tau, and
+cost at tau. Views built on the engine: ``policy_costs`` and
+``evaluate_cost``, which stop each chunk at tau, and
 ``periodic_cost_curve`` and the SPSA objective, which score many
 policies on full-horizon batches. The SPSA search minimizes the mean
 sample cost over the unconstrained policy parameters with a two-sided
@@ -28,14 +28,13 @@ evaluations share one simulation and its features.
 
 ``gmti.run_macro_cycles`` is a view on the engine too: it simulates one
 path per cycle, stopped at tau, from the cycle's carried posteriors;
-every other view starts from the scenario's own belief. ``rollout``
-keeps the scalar epoch-by-epoch loop, with one belief object per epoch,
-as the scalar reference the engine is checked against. The library no
-longer hands it callable policies in general: its one caller is
-``periodic_policy_cost`` (``StopAt(k)`` through ``evaluate_cost``'s
-callable branch), which stays independent of ``periodic_cost_curve``.
-The benchmark pins both by name: its traced run wraps ``rollout`` and
-its sweep check recomputes costs with ``periodic_policy_cost``.
+every other view starts from the scenario's own belief. ``rollout``,
+an epoch-by-epoch loop with one belief object per epoch, is the scalar
+reference the engine is checked against. Its one library caller is
+``periodic_policy_cost``, kept independent of ``periodic_cost_curve``;
+nothing the CLI runs reaches either. The benchmark pins both by name:
+its traced run wraps ``rollout`` and its sweep check recomputes costs
+with ``periodic_policy_cost``.
 
 Determinism: everything is driven by named Philox streams, so identical
 (scenario, params, seed) inputs reproduce rollouts bit for bit, and the
@@ -60,8 +59,6 @@ from .policy import (Action, ParamLayout, PolicyFamily, PolicyParams,
                      covariance_features, decide, weigh_features)
 from .streams import child_seed, stream
 
-# A policy is PolicyParams or any callable (belief, epoch) -> Action.
-PolicyLike = PolicyParams | Callable[[Belief, int], Action]
 # An objective maps (phi, seed) to a scalar cost.
 Objective = Callable[[np.ndarray, int], float]
 
@@ -127,15 +124,9 @@ class RolloutResult:
             raise ContractError("truncated rollouts must run to the horizon")
 
 
-def _as_decider(policy: PolicyLike) -> Callable[[Belief, int], Action]:
-    if isinstance(policy, PolicyParams):
-        return lambda belief, epoch: decide(belief, policy)
-    return policy
-
-
-def rollout(scenario, policy: PolicyLike, seed: int,
-            initial_belief: Belief | None = None) -> RolloutResult:
-    """Simulate one episode of the stopping problem.
+def rollout(scenario, policy: PolicyParams | Callable[[Belief, int], Action],
+            seed: int, initial_belief: Belief | None = None) -> RolloutResult:
+    """Simulate one episode of the stopping problem, the scalar reference.
 
     The first belief update (epoch 1) is free of operating cost; the
     sample cost is (tau - 1) times the operating cost plus the stopping
@@ -145,7 +136,8 @@ def rollout(scenario, policy: PolicyLike, seed: int,
     """
     if scenario.tau_max < 1:
         raise ContractError("tau_max must be at least 1")
-    decider = _as_decider(policy)
+    decider = (policy if not isinstance(policy, PolicyParams)
+               else lambda belief, epoch: decide(belief, policy))
     belief = initial_belief if initial_belief is not None else scenario.initial_belief()
     models = scenario.models
     priorities = np.asarray(scenario.priorities, dtype=float)
@@ -462,18 +454,14 @@ def _eval_seeds(seed: int, n_rollouts: int) -> list[int]:
                      for b in range(1, n_rollouts)]
 
 
-def evaluate_cost(scenario, policy: PolicyLike, seed: int,
+def evaluate_cost(scenario, policy: PolicyParams | StopAt, seed: int,
                   n_rollouts: int) -> float:
     """Monte-Carlo mean sample cost over decorrelated rollout streams.
 
-    PolicyParams are scored on the batched path engine, callables on the
-    scalar rollout loop.
+    The mean of ``policy_costs``; with one rollout it equals
+    ``rollout(scenario, policy, seed).sample_cost`` up to round-off.
     """
-    seeds = _eval_seeds(seed, n_rollouts)
-    if isinstance(policy, PolicyParams):
-        _, costs = policy_costs(scenario, policy, seeds)
-    else:
-        costs = [rollout(scenario, policy, s).sample_cost for s in seeds]
+    _, costs = policy_costs(scenario, policy, _eval_seeds(seed, n_rollouts))
     return float(np.mean(costs))
 
 
@@ -632,8 +620,8 @@ def spsa_optimize(scenario, layout: ParamLayout, schedule: SpsaSchedule,
 class StopAt:
     """Deterministic policy that stops at epoch ``k``, or at the horizon.
 
-    A callable (belief, epoch) -> Action for ``rollout``; the path
-    engine and ``score_paths`` read ``k`` directly.
+    The path engine and ``score_paths`` read ``k`` directly; the scalar
+    reference ``rollout`` calls it as a (belief, epoch) -> Action.
     """
 
     k: int
@@ -648,10 +636,11 @@ class StopAt:
 
 def periodic_policy_cost(scenario, k_stop: int, seed: int,
                          n_rollouts: int) -> float:
-    """Mean sample cost of the stop-at-k_stop policy."""
+    """Mean sample cost of stop-at-k_stop on the scalar ``rollout`` loop."""
     if not 1 <= k_stop <= scenario.tau_max:
         raise ContractError("k_stop must lie in [1, tau_max]")
-    return evaluate_cost(scenario, StopAt(k_stop), seed, n_rollouts)
+    return float(np.mean([rollout(scenario, StopAt(k_stop), s).sample_cost
+                          for s in _eval_seeds(seed, n_rollouts)]))
 
 
 def periodic_cost_curve(scenario, seed: int, n_rollouts: int,
@@ -663,10 +652,9 @@ def periodic_cost_curve(scenario, seed: int, n_rollouts: int,
     same seed, rollout index and k. A view on the batched path engine
     (``simulate_paths``): each rollout's path is simulated once, chunk
     by chunk, and its stopping costs serve every k. periodic_policy_cost
-    keeps the scalar ``rollout`` loop, as do other callable policies, so
-    the curve and the per-k cost stay independent and each checks the
-    other. Any numerical failure within the horizon raises
-    NumericalError.
+    keeps the scalar ``rollout`` loop, so the curve and the per-k cost
+    stay independent and each checks the other. Any numerical failure
+    within the horizon raises NumericalError.
     """
     k_max = scenario.tau_max if k_max is None else k_max
     if not 1 <= k_max <= scenario.tau_max:

@@ -12,11 +12,16 @@ priority target's prior can only move it from continue toward stop.
 The eigen families are optimized through the elementwise square
 reparametrization, the quadratic family through spherical coordinates,
 so the search space is unconstrained in both cases.
+
+Every policy the CLI runs, and ``verify_monotone``, decides through
+``covariance_features`` and ``weigh_features`` on stacks of covariances.
+``decision_statistic`` and ``decide`` compute the same statistic one
+``Belief`` at a time: the scalar reference for tests and ``rollout``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -273,74 +278,33 @@ class ParamLayout:
         return rng.uniform(-1.0, 1.0, size=self.n_params)
 
 
-# Allowed decision movement when one covariance slot increases: raising
-# the priority target's posterior or a rival's prior may only move the
-# decision toward continue; the reverse slots only toward stop.
-_TOWARD_CONTINUE = "toward-continue"
-_TOWARD_STOP = "toward-stop"
-
-
-def _slot_direction(slot: str, target: int, a: int) -> str:
-    if slot == "posterior":
-        return _TOWARD_CONTINUE if target == a else _TOWARD_STOP
-    return _TOWARD_STOP if target == a else _TOWARD_CONTINUE
-
-
-@dataclass(frozen=True)
-class MonotoneViolation:
-    sample_index: int
-    slot: str
-    target: int
-    before: Action
-    after: Action
-
-
-@dataclass
-class MonotoneReport:
-    n_pairs: int
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_monotone(params: PolicyParams, n_samples: int,
-                    seed: int) -> MonotoneReport:
-    """Sampled check of the monotone decision structure.
+def verify_monotone(params: PolicyParams, n_samples: int, seed: int) -> int:
+    """Number of sampled decision flips that monotonicity forbids.
 
     Each sample draws a random belief of the params' (targets, m) shape,
-    with priority target 0, perturbs one covariance slot upward in the
-    Loewner order (adding A A') and flags decision flips that the
-    monotone structure forbids. Valid parameter vectors produce an empty
-    report.
+    with priority target 0, and raises one covariance slot in the Loewner
+    order (adding A A'). Raising the priority posterior or a rival's
+    prior may only move the decision toward continue, any other slot
+    only toward stop; valid parameter vectors give 0. All samples are
+    decided at once, by the stacked statistic the path engine stops on.
     """
     rng = stream(seed, "policy.verify_monotone")
     n_targets, m = params.theta.shape
-    report = MonotoneReport(n_pairs=n_samples)
-    slots = [("posterior", l) for l in range(n_targets)]
-    slots += [("prior", l) for l in range(n_targets)]
+    # (samples, before/after, posteriors then priors, m, m)
+    beliefs = np.empty((n_samples, 2, 2 * n_targets, m, m))
+    slots = np.empty(n_samples, dtype=int)
     for i in range(n_samples):
         base_scale = rng.uniform(0.3, 3.0)
-        posts = tuple(random_pd(rng, m, base_scale * rng.uniform(0.5, 2.0))
-                      for _ in range(n_targets))
-        priors = tuple(random_pd(rng, m, base_scale * rng.uniform(0.5, 2.0))
-                       for _ in range(n_targets))
-        belief = Belief(posts, priors, 0)
-        slot, target = slots[rng.integers(len(slots))]
+        for j in range(2 * n_targets):
+            beliefs[i, :, j] = random_pd(rng, m,
+                                         base_scale * rng.uniform(0.5, 2.0))
+        slots[i] = slot = rng.integers(2 * n_targets)
         bump = random_psd(rng, m, base_scale * rng.uniform(0.2, 4.0))
-        current = (belief.posteriors if slot == "posterior"
-                   else belief.priors)[target]
-        bigger = belief.replace_slot(slot, target, symmetrize(current + bump))
-        before = decide(belief, params)
-        after = decide(bigger, params)
-        if before == after:
-            continue
-        direction = _slot_direction(slot, target, belief.a)
-        if direction == _TOWARD_CONTINUE and after is Action.STOP:
-            report.violations.append(
-                MonotoneViolation(i, slot, target, before, after))
-        elif direction == _TOWARD_STOP and after is Action.CONTINUE:
-            report.violations.append(
-                MonotoneViolation(i, slot, target, before, after))
-    return report
+        beliefs[i, 1, slot] = symmetrize(beliefs[i, 0, slot] + bump)
+    features = covariance_features(beliefs, params.family)
+    stops = weigh_features(features[..., :n_targets],
+                           features[..., n_targets:], 0, params) >= 1.0
+    before, after = stops[:, 0], stops[:, 1]
+    toward_continue = (slots == 0) | (slots > n_targets)
+    forbidden = np.where(toward_continue, after & ~before, before & ~after)
+    return int(forbidden.sum())

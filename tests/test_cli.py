@@ -83,6 +83,28 @@ MALFORMED_CONFIG = [
     (("targets", 0, "estimate"), [130.0, 5.5]),
     (("targets", 0, "true_state"), [100.0, 3.0, 40.0]),
 ]
+# Numbers that are not JSON numbers, or not JSON integers where one is
+# due; each of these ran as if it were one.
+ORBIT = {"kind": "orbit", "radius": 30000.0, "speed": 250.0,
+         "altitude": 5000.0}
+NON_NUMBER_CONFIG = [
+    (("tau_max",), 20.9),
+    (("tau_max",), True),
+    (("tau_max",), "20"),
+    (("sigma_p",), True),
+    (("weights", "operating_cost"), "0.8"),
+    (("weights", "alpha"), [True, True, True, True]),
+    (("model", "p_d"), True),
+    (("model", "period"), "0.1"),
+    (("priorities",), ["0.6", "0.39", "0.008", "0.002"]),
+    (("platform", "state"), [10000.0, True, -30000.0, 85.0]),
+    (("platform", "altitude"), "8473.3"),
+    (("platform",), {**ORBIT, "n_locations": 72.0}),
+    (("platform",), {**ORBIT, "start_location": True}),
+    (("targets", 0, "posterior_cov"), ["100", 25.0, 100.0, 25.0]),
+    (("targets", 0, "estimate"), [130.0, 5.5, 84.0, "8.1"]),
+    (("targets", 1, "true_state"), [True, 3.0, 40.0, 7.0]),
+]
 
 
 # Tiny-budget runs of the subcommands, by name; persistent has its own
@@ -126,6 +148,22 @@ class TestPeriodicSweep:
                     assert command == "validate-linearization"
                     continue
                 assert math.isfinite(value)
+
+    def test_envelope_best_is_min_of_periodic_costs(self, tmp_path,
+                                                    stop_first_params):
+        # the best periodic cost and k are those of the mean_cost
+        # column, to the last digit
+        out = tmp_path / "out"
+        assert main(["periodic-sweep", "--rollouts", "80", "--params",
+                     str(stop_first_params), "--seed", "8",
+                     "--out", str(out)]) == 0
+        rows = list(csv.reader(
+            (out / "periodic_costs.csv").read_text().splitlines()[2:]))
+        (envelope,) = csv.reader(
+            (out / "envelope.csv").read_text().splitlines()[2:])
+        best = int(np.argmin([float(mean) for _, mean, _ in rows]))
+        assert envelope[1] == rows[best][1]
+        assert envelope[2] == str(best + 1)
 
 
 class TestPersistent:
@@ -217,6 +255,14 @@ class TestExitCodes:
         ("--params", json.dumps({"family": "eigen-sum", "phi": [0.1] * 4,
                                  "layout": {"n_targets": 2,
                                             "state_dim": 1}})),
+        # phi entries that are not JSON numbers
+        ("--params", json.dumps({"family": "eigen-sum", "phi": [True] * 32,
+                                 "layout": {"n_targets": 4,
+                                            "state_dim": 4}})),
+        ("--params", json.dumps({"family": "eigen-sum",
+                                 "phi": ["0.1"] * 32,
+                                 "layout": {"n_targets": 4,
+                                            "state_dim": 4}})),
         # Layout entries of the wrong JSON type, or a priority target
         # out of range; each is otherwise a valid 4-target layout.
         ("--params", json.dumps({"family": "eigen-sum", "phi": [0.1] * 32,
@@ -275,9 +321,11 @@ class TestExitCodes:
         assert "no-such-choice" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("keys,value", MALFORMED_CONFIG,
-                             ids=[".".join(map(str, keys))
-                                  for keys, _ in MALFORMED_CONFIG])
+    @pytest.mark.parametrize(
+        "keys,value", MALFORMED_CONFIG + NON_NUMBER_CONFIG,
+        ids=[".".join(map(str, keys)) for keys, _ in MALFORMED_CONFIG]
+        + [".".join(map(str, keys)) + "=" + json.dumps(value)
+           for keys, value in NON_NUMBER_CONFIG])
     def test_malformed_config_value_exits_2(self, keys, value, tmp_path,
                                             capsys):
         spec = json.loads(_bundled_path("flyby").read_text())
@@ -324,6 +372,55 @@ class TestExitCodes:
         assert err[0].startswith("numerical failure:")
         assert "before iteration 1:" in err[0]
         assert not out.exists()
+
+
+# The scalar per-belief stack, by defining module: the reference that
+# tests and the benchmark compare the path engine against.
+SCALAR_REFERENCE = [("optimizer", "rollout"),
+                    ("observability", "belief_step"),
+                    ("observability", "stopping_cost"),
+                    ("observability", "transformed_running_cost"),
+                    ("observability", "mutual_information"),
+                    ("policy", "decision_statistic"), ("policy", "decide")]
+TRAIN_ARGV = ["--family", "eigen-sum", "--iterations", "1", "--restarts",
+              "1", "--rollouts-per-eval", "2"]
+# Tiny-budget runs of every subcommand and every policy source; PARAMS
+# and PERSISTENT_PARAMS stand for the fixtures' files.
+REFERENCE_FREE_ARGV = {
+    **RERUN_ARGV,
+    "flyby": RERUN_ARGV["flyby"] + ["--params", "PARAMS"],
+    "periodic-sweep-params": ["periodic-sweep", "--rollouts", "5",
+                              "--params", "PARAMS"],
+    "flyby-trained": ["flyby", "--rollouts", "2", "--pd-grid", "0.75",
+                      "--cnu-grid", "0.8", *TRAIN_ARGV],
+    "persistent-trained": ["persistent", "--cycles", "2", *TRAIN_ARGV],
+    "persistent-params": ["persistent", "--cycles", "3", "--params",
+                          "PERSISTENT_PARAMS"],
+}
+
+
+@pytest.mark.parametrize("run", list(REFERENCE_FREE_ARGV))
+def test_cli_never_calls_scalar_reference(run, tmp_path, monkeypatch,
+                                          stop_first_params,
+                                          persistent_params):
+    # Every covstop module's reference to a scalar function raises, as
+    # benchmarks/traced_cli.py wraps them.
+    modules = [m for name, m in sys.modules.items()
+               if name.split(".")[0] == "covstop"]
+    for module_name, fn_name in SCALAR_REFERENCE:
+        original = getattr(sys.modules[f"covstop.{module_name}"], fn_name)
+
+        def called(*args, _name=fn_name, **kwargs):
+            raise AssertionError(f"the CLI called {_name}")
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, called)
+    files = {"PARAMS": str(stop_first_params),
+             "PERSISTENT_PARAMS": str(persistent_params)}
+    argv = [files.get(arg, arg) for arg in REFERENCE_FREE_ARGV[run]]
+    assert main(argv + ["--seed", "3", "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cli_import_loads_no_scipy():

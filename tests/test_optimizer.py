@@ -265,8 +265,8 @@ class TestSpsaOptimizeOnScenario:
                                 rollouts_per_eval=8, n_screen=15)
         result = spsa_optimize(scenario, layout, schedule, seed=8)
         cost = evaluate_cost(scenario, result.best_params, 99, 2000)
-        never = evaluate_cost(scenario, always(Action.CONTINUE), 99, 200)
-        immediate = evaluate_cost(scenario, always(Action.STOP), 99, 200)
+        never = evaluate_cost(scenario, StopAt(scenario.tau_max), 99, 200)
+        immediate = evaluate_cost(scenario, StopAt(1), 99, 200)
         assert cost < min(never, immediate) - 1.0
 
     def test_best_params_round_trip(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from covstop.errors import ContractError
+from covstop.filter_core import symmetrize
 from covstop.observability import Belief
 from covstop.policy import (Action, ParamLayout, PolicyFamily,
                             PolicyParams, decide,
@@ -176,6 +177,47 @@ class TestParamLayout:
 SAMPLED_SHAPES = {"2x4": (2, 4), "3x2": (3, 2)}
 
 
+def unchecked_eigen_sum(theta, theta_bar):
+    # PolicyParams without its nonnegativity check
+    params = PolicyParams.__new__(PolicyParams)
+    object.__setattr__(params, "family", PolicyFamily.EIGEN_SUM)
+    object.__setattr__(params, "theta", np.asarray(theta, dtype=float))
+    object.__setattr__(params, "theta_bar",
+                       np.asarray(theta_bar, dtype=float))
+    object.__setattr__(params, "phi", None)
+    return params
+
+
+def per_belief_violations(params, n_samples, seed):
+    """verify_monotone's count, one Belief and one ``decide`` at a time.
+
+    Draws the same samples from the same stream in the same order.
+    """
+    rng = stream(seed, "policy.verify_monotone")
+    n_targets, m = params.theta.shape
+    slots = [("posterior", l) for l in range(n_targets)]
+    slots += [("prior", l) for l in range(n_targets)]
+    count = 0
+    for _ in range(n_samples):
+        base_scale = rng.uniform(0.3, 3.0)
+        posts = tuple(random_pd(rng, m, base_scale * rng.uniform(0.5, 2.0))
+                      for _ in range(n_targets))
+        priors = tuple(random_pd(rng, m, base_scale * rng.uniform(0.5, 2.0))
+                       for _ in range(n_targets))
+        belief = Belief(posts, priors, 0)
+        slot, target = slots[rng.integers(len(slots))]
+        bump = random_psd(rng, m, base_scale * rng.uniform(0.2, 4.0))
+        current = (belief.posteriors if slot == "posterior"
+                   else belief.priors)[target]
+        bigger = belief.replace_slot(slot, target, symmetrize(current + bump))
+        before, after = decide(belief, params), decide(bigger, params)
+        # the priority posterior and the rivals' priors raise continue
+        toward_continue = (target == belief.a) == (slot == "posterior")
+        forbidden = Action.STOP if toward_continue else Action.CONTINUE
+        count += before != after and after is forbidden
+    return count
+
+
 class TestVerifyMonotone:
     @pytest.mark.parametrize("shape", sorted(SAMPLED_SHAPES))
     @pytest.mark.parametrize("family", list(PolicyFamily))
@@ -183,36 +225,27 @@ class TestVerifyMonotone:
         gen = stream(36, f"test.monotone.{family.value}")
         layout = ParamLayout(family, *SAMPLED_SHAPES[shape])
         params = layout.build(gen.uniform(-1.0, 1.0, layout.n_params))
-        report = verify_monotone(params, 1000, seed=17)
-        assert report.ok
-        assert report.n_pairs == 1000
+        count = verify_monotone(params, 1000, seed=17)
+        assert count == 0
+        assert count == per_belief_violations(params, 1000, seed=17)
 
-    @pytest.mark.parametrize("theta", [
-        [[-0.6, 0.2, 0.2, 0.2], [0.3, 0.3, 0.3, 0.3]],
-        [[-0.6, 0.2], [0.3, 0.3], [0.3, 0.3]]], ids=["2x4", "3x2"])
-    def test_negated_weight_is_caught(self, theta):
+    @pytest.mark.parametrize("theta,expected", [
+        ([[-0.6, 0.2, 0.2, 0.2], [0.3, 0.3, 0.3, 0.3]], 22),
+        ([[-0.6, 0.2], [0.3, 0.3], [0.3, 0.3]], 21)], ids=["2x4", "3x2"])
+    def test_negated_weight_is_caught(self, theta, expected):
         # invariant-violating fixture: one negative priority-target
         # weight flips the monotone direction along that eigenvector
         theta = np.array(theta)
-        theta_bar = np.full(theta.shape, 0.25)
-        params = PolicyParams.__new__(PolicyParams)
-        object.__setattr__(params, "family", PolicyFamily.EIGEN_SUM)
-        object.__setattr__(params, "theta", theta)
-        object.__setattr__(params, "theta_bar", theta_bar)
-        object.__setattr__(params, "phi", None)
-        report = verify_monotone(params, 800, seed=23)
-        assert not report.ok
+        params = unchecked_eigen_sum(theta, np.full(theta.shape, 0.25))
+        count = verify_monotone(params, 800, seed=23)
+        assert count == expected
+        assert count == per_belief_violations(params, 800, seed=23)
 
     def test_explicit_violating_pair_for_negated_weight(self):
         # analytic construction: increasing the priority posterior
         # along the negated direction raises the statistic
-        theta = np.array([[-1.0, 0.0], [0.5, 0.5]])
-        theta_bar = np.zeros((2, 2))
-        params = PolicyParams.__new__(PolicyParams)
-        object.__setattr__(params, "family", PolicyFamily.EIGEN_SUM)
-        object.__setattr__(params, "theta", theta)
-        object.__setattr__(params, "theta_bar", theta_bar)
-        object.__setattr__(params, "phi", None)
+        params = unchecked_eigen_sum([[-1.0, 0.0], [0.5, 0.5]],
+                                     np.zeros((2, 2)))
         base = Belief((np.diag([0.5, 0.4]), np.diag([0.2, 0.2])),
                       (np.eye(2), np.eye(2)), 0)
         bigger = base.replace_slot("posterior", 0, np.diag([1.5, 0.4]))
