@@ -9,7 +9,8 @@ the generating config hash and the column units, and finishes with a
 JSON run manifest. Outputs are byte
 identical across reruns of the same (config, seed).
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error (bad input, or a run too large
+for memory), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -53,13 +55,6 @@ CSV_BLOCK_ROWS = 65536
 
 def _format_column(column: np.ndarray):
     """Cell texts of a 1-D column, as ``_fmt`` gives them cell by cell."""
-    kind = column.dtype.kind
-    if kind == "f":
-        return map(float.__repr__, column.tolist())
-    if kind in "iu":
-        return map(str, column.tolist())
-    if kind == "b":
-        return map(("0", "1").__getitem__, column.tolist())
     cells = column.tolist()
     if set(map(type, cells)) == {str}:
         return cells
@@ -72,23 +67,48 @@ def _texts(column: np.ndarray) -> np.ndarray:
     return np.array(list(_format_column(column)), dtype=object)
 
 
+def _cell_spec(column: np.ndarray) -> tuple[str, list]:
+    """The ``%`` conversion and values that give a column's cell texts."""
+    kind = column.dtype.kind
+    if kind == "f":  # tolist() gives Python floats: %r is float.__repr__
+        return "%r", column.tolist()
+    if kind in "iub":
+        return "%d", column.tolist()
+    return "%s", list(_format_column(column))
+
+
 def write_csv(path: Path, names: list, columns: list, cfg_hash: str,
               units: str) -> None:
     """Write equal-length 1-D columns under a config-hash and units line.
 
-    An ndarray column is formatted by its dtype; any other sequence is
-    taken as objects and formatted cell by cell, so mixed cells such as
-    text labels and empty strings keep their own rule.
+    An ndarray column is formatted by its dtype: a float cell is the
+    ``repr`` of the Python float, an integer cell its decimal digits and
+    a bool cell 1 or 0. Any other sequence is taken as objects and
+    formatted cell by cell by the same rule (other objects by ``str``),
+    so mixed cells such as text labels and empty strings keep their own
+    rule. Each block of CSV_BLOCK_ROWS rows is formatted by one ``%``.
+    Raises ContractError unless there is one name per column and every
+    column is 1-D and as long as the first.
     """
     columns = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object)
                for c in columns]
+    if len(names) != len(columns):
+        raise ContractError(f"{path.name}: {len(names)} names for "
+                            f"{len(columns)} columns")
+    n_rows = len(columns[0])
+    for name, column in zip(names, columns):
+        if column.shape != (n_rows,):
+            raise ContractError(f"{path.name}: column {name} has shape "
+                                f"{column.shape}, not ({n_rows},)")
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg_hash} units: {units}\n"
                  + ",".join(names) + "\n")
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            cells = [_format_column(c[start:start + CSV_BLOCK_ROWS])
-                     for c in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            specs, values = zip(*(_cell_spec(c[start:start + CSV_BLOCK_ROWS])
+                                  for c in columns))
+            row = ",".join(specs) + "\n"
+            fh.write(row * len(values[0])
+                     % tuple(chain.from_iterable(zip(*values))))
 
 
 def write_manifest(out_dir: Path, command: str, cfg: dict, seed: int,
@@ -135,11 +155,14 @@ def _parse_grid(flag: str, text: str) -> list[float]:
 
 def _load_params(path: str, scenario: Scenario):
     """Policy params from a JSON file, checked against the scenario."""
-    params, _ = params_from_dict(read_json(path))
+    params, layout = params_from_dict(read_json(path))
     expected = (scenario.n_targets, scenario.models[0].state_dim)
     if params.theta.shape != expected:
         raise ContractError(f"{path}: params cover (targets, state dim) "
                             f"{params.theta.shape}, the scenario {expected}")
+    if layout.a != scenario.a:
+        raise ContractError(f"{path}: params lay out priority target "
+                            f"{layout.a}, the scenario's is {scenario.a}")
     return params
 
 
@@ -533,6 +556,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ContractError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"validation error: run too large for memory: {exc}",
+              file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

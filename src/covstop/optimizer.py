@@ -323,14 +323,16 @@ def _path_chunks(scenario, seeds: Sequence[int],
     chunk_size = max(1, _CHUNK_ENTRIES // (horizon * start_post.size))
     for start in range(0, len(seeds), chunk_size):
         chunk = seeds[start:start + chunk_size]
+        n_paths = len(chunk)
+        # The state buffers come first: a horizon too long for memory
+        # fails here, before any detection is drawn.
+        states = np.empty((1 + n_paths, last) + start_post.shape)
+        logdet_states = np.empty((1 + n_paths, last, n_targets))
         draws = np.array([stream(s, "rollout.detect").random(
             (last, n_targets)) for s in chunk])
         detections = (draws < p_d) & measurable
-        n_paths = len(chunk)
         state = np.concatenate([start_prior[None], np.broadcast_to(
             start_post, (n_paths,) + start_post.shape)])
-        states = np.empty((1 + n_paths, last) + start_post.shape)
-        logdet_states = np.empty((1 + n_paths, last, n_targets))
         block_features = []
         failed_at = np.zeros(n_paths, dtype=int)
         stopped = np.zeros(n_paths, dtype=bool)

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import covstop
-from covstop import cli
+from covstop import cli, optimizer
 from covstop.cli import main
 from covstop.config import _bundled_path, params_to_dict
 from covstop.dp_oracle import make_scalar_model, value_iterate
+from covstop.errors import ContractError
 from covstop.policy import ParamLayout, PolicyFamily
 
 
@@ -287,6 +288,15 @@ class TestExitCodes:
         ("--params", json.dumps({"family": "eigen-sum", "phi": [0.1] * 32,
                                  "layout": {"n_targets": 4, "state_dim": 4,
                                             "a": -1}})),
+        # Valid layouts whose priority target is not the scenario's (0):
+        # the shared layout puts the priority block on target 2's row.
+        ("--params", json.dumps({"family": "eigen-sum", "phi": [0.3] * 8,
+                                 "layout": {"n_targets": 4, "state_dim": 4,
+                                            "share_other": True,
+                                            "tie_priors": True, "a": 2}})),
+        ("--params", json.dumps({"family": "eigen-sum", "phi": [0.3] * 16,
+                                 "layout": {"n_targets": 4, "state_dim": 4,
+                                            "tie_priors": True, "a": 2}})),
     ])
     def test_unreadable_or_invalid_file_exits_2(
             self, command, flag, content, tmp_path, stop_first_params,
@@ -357,6 +367,33 @@ class TestExitCodes:
                             "--seed", "1", "--out", str(out)])
         assert code == 3
         assert "numerical failure:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_too_large_for_memory_exits_2(self, tmp_path, monkeypatch,
+                                              capsys):
+        # A 1e8-epoch horizon needs a 95 GiB engine state buffer. The
+        # fake refuses it as numpy does, without trying, and the engine
+        # must ask for it before drawing 3.2 GB of detections.
+        real_empty = np.empty
+
+        def empty(shape, *args, **kwargs):
+            if np.prod(shape) > 10**8:
+                raise MemoryError(f"Unable to allocate an array with "
+                                  f"shape {shape}")
+            return real_empty(shape, *args, **kwargs)
+
+        def stream(*args):
+            raise AssertionError("detections drawn before the buffer")
+
+        monkeypatch.setattr(np, "empty", empty)
+        monkeypatch.setattr(optimizer, "stream", stream)
+        out = tmp_path / "out"
+        code = main(["periodic-sweep", "--rollouts", "3", "--tau-max",
+                     "100000000", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("validation error:")
         assert not out.exists()
 
     def test_dp_threshold_divergence_exits_3(self, tmp_path, capsys):
@@ -442,6 +479,63 @@ def per_cell(value) -> str:
     return str(value)
 
 
+def reference_write_csv(path, names, columns, cfg_hash, units):
+    # The per-cell writer that block formatting replaced: one Python
+    # call per cell and one join per row.
+    def cells(column):
+        kind = column.dtype.kind
+        if kind == "f":
+            return map(float.__repr__, column.tolist())
+        if kind in "iu":
+            return map(str, column.tolist())
+        if kind == "b":
+            return map(("0", "1").__getitem__, column.tolist())
+        values = column.tolist()
+        if set(map(type, values)) == {str}:
+            return values
+        return map(per_cell, values)
+
+    columns = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object)
+               for c in columns]
+    with open(path, "w") as fh:
+        fh.write(f"# config_hash={cfg_hash} units: {units}\n"
+                 + ",".join(names) + "\n")
+        for start in range(0, len(columns[0]), cli.CSV_BLOCK_ROWS):
+            block = [cells(c[start:start + cli.CSV_BLOCK_ROWS])
+                     for c in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+
+
+# Column sets by name: every dtype kind the writer formats, float cells
+# whose repr is unusual, text cells that look like % conversions, more
+# rows than one block, and none.
+_BIG = cli.CSV_BLOCK_ROWS + 1
+REFERENCE_COLUMNS = {
+    "kinds": [
+        np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16,
+                  0.1 + 0.2]),
+        np.array([0.1, -0.0, math.nan, math.inf, 1e-45, 3.4e38, 1.0 / 3.0],
+                 dtype=np.float32),
+        np.array([np.iinfo(np.int64).min, -1, 0, 1, 7, 42,
+                  np.iinfo(np.int64).max]),
+        np.array([np.iinfo(np.uint64).max, 0, 1, 2**63, 5, 6, 7],
+                 dtype=np.uint64),
+        np.array([True, False, False, True, True, False, True]),
+        ["a", None, np.float64(0.1), np.bool_(True), 7, np.float64(-0.0),
+         ""],
+        [np.bool_(False), 3, None, "b", np.float64(math.nan), 1e16, True],
+        ["%", "%s", "%%", "%r%d", "100%", "", "%(a)s"],
+    ],
+    "two-blocks": [
+        np.random.default_rng(0).standard_normal(_BIG),
+        np.arange(_BIG) - 7,
+        np.arange(_BIG) % 3 == 0,
+        np.array([f"%s{i}" for i in range(_BIG)], dtype=object),
+    ],
+    "no-rows": [np.array([]), np.array([], dtype=int), []],
+}
+
+
 class TestWriteCsv:
     TYPED = [
         np.array([1e-05, 1e+16, -0.0, 0.1, 1.0 / 3.0]),
@@ -488,6 +582,45 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         cli.write_csv(path, ["a", "b"], [[], np.array([])], "h", "u")
         assert path.read_text() == "# config_hash=h units: u\na,b\n"
+
+    @pytest.mark.parametrize("name", list(REFERENCE_COLUMNS))
+    def test_matches_reference_writer(self, name, tmp_path):
+        columns = REFERENCE_COLUMNS[name]
+        names = [f"c{i}" for i in range(len(columns))]
+        path, expected = tmp_path / "t.csv", tmp_path / "ref.csv"
+        cli.write_csv(path, names, columns, "abc", "x=%s units")
+        reference_write_csv(expected, names, columns, "abc", "x=%s units")
+        assert path.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("names,columns,culprit", [
+        (["a", "b"], [np.arange(3.0), np.arange(2)], "column b"),
+        (["a", "b"], [[1, 2], np.ones((2, 2))], "column b"),
+        (["a", "b"], [np.arange(2), [1, 2, 3]], "column b"),
+        (["a"], [np.arange(2), np.arange(2)], "1 names for 2 columns"),
+    ])
+    def test_ragged_columns_raise(self, names, columns, culprit, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ContractError, match=culprit):
+            cli.write_csv(path, names, columns, "h", "u")
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["dp-threshold", "--grid", "64"],
+    ["persistent", "--cycles", "6", "--params", "PERSISTENT_PARAMS"],
+])
+def test_cli_outputs_match_reference_writer(argv, tmp_path, monkeypatch,
+                                            persistent_params):
+    argv = [str(persistent_params) if arg == "PERSISTENT_PARAMS" else arg
+            for arg in argv] + ["--seed", "3", "--out"]
+    outputs = []
+    for run in ("new", "ref"):
+        if run == "ref":
+            monkeypatch.setattr(cli, "write_csv", reference_write_csv)
+        assert main(argv + [str(tmp_path / run)]) == 0
+        outputs.append({p.name: p.read_bytes()
+                        for p in (tmp_path / run).iterdir()})
+    assert outputs[0] == outputs[1]
 
 
 def test_dp_threshold_qtable_matches_float_column_write(tmp_path):
