@@ -8,19 +8,19 @@ structure.
 
 All operations are pure functions of ndarray inputs; covariances are
 plain symmetric ``(m, m)`` float arrays. Updates re-symmetrize their
-output as ``(A + A') / 2`` to control round-off drift. Linear solves
-go through a numpy Cholesky factorization and ``cho_solve``, never
-explicit inverses.
+output as ``(A + A') / 2`` to control round-off drift. The one linear
+solve, in ``correct``, is a forward substitution with a numpy Cholesky
+factor, never an explicit inverse.
 
 This module is the one place that writes the recursion out. Its steps
-(``symmetrize``, ``predict``, ``correct``, ``cholesky``, ``cho_solve``
-and ``logdets``) work on one ``(m, m)`` matrix and on ``(..., m, m)``
-stacks alike, and give each matrix of a stack exactly the result it
-gets on its own. ``lyapunov_update`` and ``riccati_update`` are their
-per-matrix views, which the scalar rollout uses; the batched path
-engine in ``optimizer`` calls the same steps on a stacked
-(1 + paths, targets, m, m) state whose row 0 is the prior shared by
-every path.
+(``symmetrize``, ``predict``, ``correct``, ``cholesky``,
+``forward_solve`` and ``logdets``) work on one ``(m, m)`` matrix and on
+``(..., m, m)`` stacks alike, and give each matrix of a stack exactly
+the result it gets on its own. ``lyapunov_update`` and
+``riccati_update`` are their per-matrix views, which the scalar rollout
+uses; the batched path engine in ``optimizer`` calls the same steps on
+a stacked (1 + paths, targets, m, m) state whose row 0 is the prior
+shared by every path, correcting only the targets it measures.
 """
 
 from __future__ import annotations
@@ -68,15 +68,15 @@ def cholesky(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.cholesky(s), bad
 
 
-def cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L L' X = B for a lower Cholesky factor L, or a stack of them.
+def forward_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L X = B for a lower Cholesky factor L, or a stack of them.
 
-    Forward then backward substitution, multiplying by the reciprocal of
-    each pivot as LAPACK's triangular solves do. Works on ``(n, n)``
-    factors and on ``(..., n, n)`` stacks alike, with ``b`` of shape
-    ``(..., n, k)``; each matrix of a stack gets exactly the result it
-    gets on its own. X is worked on row by row: its rows lie first in
-    memory, each a contiguous ``(..., k)`` block.
+    Forward substitution, multiplying by the reciprocal of each pivot as
+    LAPACK's triangular solves do. Works on ``(n, n)`` factors and on
+    ``(..., n, n)`` stacks alike, with ``b`` of shape ``(..., n, k)``;
+    each matrix of a stack gets exactly the result it gets on its own.
+    X is worked on row by row: its rows lie first in memory, each a
+    contiguous ``(..., k)`` block.
     """
     n, lead = chol.shape[-1], tuple(range(b.ndim - 2))
     rows_first = (b.ndim - 2,) + lead
@@ -90,10 +90,6 @@ def cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
         x[i] *= pivots[i]
         if i < n - 1:
             x[i + 1:] -= low[i + 1:, i] * x[i]
-    for i in reversed(range(n)):
-        x[i] *= pivots[i]
-        if i:
-            x[:i] -= low[i, :i] * x[i]
     return x.transpose(tuple(range(1, b.ndim - 1)) + (0, b.ndim - 1))
 
 
@@ -114,16 +110,18 @@ def correct(predicted: np.ndarray, p: np.ndarray, f: np.ndarray,
     """Detection correction of a prediction, and a mask of failed entries.
 
     Subtracts the information gain F P H' S^-1 H P F' from
-    ``predicted = predict(p, f, q)``, where S = H P H' + R is the
-    innovation covariance. Works on one matrix or a stack; an entry
-    whose S is not positive definite is flagged in the mask and its
-    result is a placeholder.
+    ``predicted = predict(p, f, q)``, where S = H P H' + R = L L' is the
+    innovation covariance. The gain is W' W with W = L^-1 H P F', one
+    forward substitution, so it is PSD by construction. Works on one
+    matrix or a stack; an entry whose S is not positive definite is
+    flagged in the mask and its result is a placeholder.
     """
     pht = p @ _t(h)
     chol, bad = cholesky(symmetrize(h @ pht + r))
-    fpht = f @ pht
-    gain = fpht @ cho_solve(chol, _t(fpht))
-    return symmetrize(predicted - gain), bad
+    w = forward_solve(chol, _t(f @ pht))
+    # Two buffers: numpy hands W' W on one buffer to BLAS syrk, which is
+    # about three times slower than gemm on a stack of small matrices.
+    return symmetrize(predicted - _t(w) @ w.copy()), bad
 
 
 def check_covariance(p: np.ndarray, name: str = "P") -> np.ndarray:

@@ -129,9 +129,9 @@ def aggregate_rivals(values: np.ndarray, a: int,
 
     ``values`` holds one entry per target on its last axis, so any stack
     of them aggregates at once; ``case`` picks max, min or sum over the
-    rivals.
+    rivals, in target order.
     """
-    rivals = np.delete(values, a, axis=-1)
+    rivals = values[..., [l for l in range(values.shape[-1]) if l != a]]
     if case is StoppingCase.MAX_DIFF:
         agg = np.max(rivals, axis=-1)
     elif case is StoppingCase.MIN_DIFF:

@@ -272,9 +272,11 @@ def _path_chunks(scenario, seeds: Sequence[int],
     A chunk simulates one (1 + paths, targets, m, m) state: row 0 is the
     deterministic prior, shared by every path, and rows 1.. are the
     paths' posteriors. Each epoch makes one stacked ``predict`` and one
-    ``logdets`` call for priors and posteriors together, and one
-    ``correct`` of every posterior, whose result is kept where the
-    epoch's detection mask is set; each stop check makes one
+    ``logdets`` call for priors and posteriors together. It corrects
+    only the measured targets, those of positive priority: one
+    ``correct`` of their posteriors, whose result is kept where the
+    epoch's detection mask is set, and none at all on an epoch where no
+    path detects a measured target. Each stop check makes one
     ``covariance_features`` call. These are ``filter_core``'s steps
     behind lyapunov_update and riccati_update, which give each matrix of
     a stack the bits it gets on its own, so every chunk recomputes the
@@ -306,10 +308,14 @@ def _path_chunks(scenario, seeds: Sequence[int],
     p_d = np.array([m.p_d for m in models])
     f = np.array([m.F for m in models])
     q = np.array([m.Q for m in models])
-    h = np.array([m.H for m in models])
-    # Zero-priority targets are never measured; their entry is unused.
-    r = np.array([m.effective_noise(nu) if nu > 0.0 else m.r_base
-                  for m, nu in zip(models, priorities)])
+    # The measured targets: a basic slice, which reads and writes views,
+    # when they are contiguous, else an index array.
+    measured = np.flatnonzero(measurable)
+    h = np.array([models[l].H for l in measured])
+    r = np.array([models[l].effective_noise(priorities[l]) for l in measured])
+    if measured.size and measured[-1] - measured[0] == measured.size - 1:
+        measured = slice(measured[0], measured[-1] + 1)
+    f_measured = f[measured]
     weights = scenario.weights
 
     # Epochs a chunk may need, and how many it runs between stop checks.
@@ -331,8 +337,13 @@ def _path_chunks(scenario, seeds: Sequence[int],
         draws = np.array([stream(s, "rollout.detect").random(
             (last, n_targets)) for s in chunk])
         detections = (draws < p_d) & measurable
-        state = np.concatenate([start_prior[None], np.broadcast_to(
-            start_post, (n_paths,) + start_post.shape)])
+        hits = detections[..., measured]  # (paths, epochs, measured)
+        any_hit = hits.any(axis=(0, 2))
+        no_hits = np.zeros((n_paths, hits.shape[-1]), dtype=bool)
+        # C order: on other strides numpy's stacked matmul may not give
+        # each matrix the bits it gets on its own.
+        state = np.empty(states[:, 0].shape)
+        state[0], state[1:] = start_prior, start_post
         block_features = []
         failed_at = np.zeros(n_paths, dtype=int)
         stopped = np.zeros(n_paths, dtype=bool)
@@ -340,16 +351,21 @@ def _path_chunks(scenario, seeds: Sequence[int],
         while end < last and not stopped.all():
             begin, end = end, min(end + block, last)
             for k in range(begin, end):
-                detected = detections[:, k]
                 predicted = predict(state, f, q)
                 post = predicted[1:]
-                corrected, bad = correct(post, state[1:], f, h, r)
-                np.copyto(post, corrected, where=detected[..., None, None])
+                hit = bad = no_hits
+                if any_hit[k]:
+                    hit = hits[:, k]
+                    corrected, bad = correct(post[:, measured],
+                                             state[1:, measured],
+                                             f_measured, h, r)
+                    post[:, measured] = np.where(hit[..., None, None],
+                                                 corrected, post[:, measured])
                 state = predicted
                 logdet, bad_dets = logdets(state)
                 if bad_dets.any() or bad.any():
-                    failed = (bad_dets[1:] | (bad & detected)).any(axis=1) \
-                        | bad_dets[0].any()
+                    failed = (bad_dets[1:].any(axis=1)
+                              | (bad & hit).any(axis=1) | bad_dets[0].any())
                     failed_at[failed & (failed_at == 0)] = k + 1
                     post[failed] = eye  # keep failed paths finite
                 states[:, k] = state

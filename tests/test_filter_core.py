@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from covstop.errors import ContractError
-from covstop.filter_core import (TargetModel, cho_solve, det_ratio_lyapunov,
+from covstop.filter_core import (TargetModel, det_ratio_lyapunov,
                                  det_ratio_riccati, eigenvalues_sorted,
-                                 loewner_geq, lyapunov_update, riccati_update,
-                                 symmetrize)
+                                 forward_solve, loewner_geq, lyapunov_update,
+                                 riccati_update, symmetrize)
 from covstop.gmti import system_matrices
 from covstop.sampling import ordered_pair, random_pd, random_psd, random_transition
 from covstop.streams import stream
@@ -119,57 +119,56 @@ class TestRiccati:
                 assert np.linalg.eigvalsh(upd)[0] > 0.0
 
 
-def reference_cho_solve(chol, b):
-    # The substitution loop on (..., n, k) slices that cho_solve replaced;
-    # it takes the same elementwise steps in the same order.
+def reference_forward_solve(chol, b):
+    # The substitution loop on (..., n, k) slices; it takes the same
+    # elementwise steps in the same order as forward_solve.
     x = b.copy()
     n = chol.shape[-1]
     inv_diag = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)[..., None]
     for i in range(n):
         x[..., i, :] *= inv_diag[..., i, :]
         x[..., i + 1:, :] -= chol[..., i + 1:, i, None] * x[..., i, None, :]
-    for i in reversed(range(n)):
-        x[..., i, :] *= inv_diag[..., i, :]
-        x[..., :i, :] -= chol[..., i, :i, None] * x[..., i, None, :]
     return x
 
 
-class TestChoSolve:
+class TestForwardSolve:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_equals_reference_loop_bitwise(self, n, k):
-        gen = stream(31 + k, "cho_solve.reference", n)
+        gen = stream(31 + k, "forward_solve.reference", n)
         for lead in ((), (7,), (2, 5)):
             s = np.array([random_pd(gen, n, gen.uniform(0.1, 10.0))
                           for _ in range(int(np.prod(lead)))])
             chol = np.linalg.cholesky(s.reshape(lead + (n, n)))
             b = gen.normal(size=lead + (n, k))
-            x = cho_solve(chol, b)
+            x = forward_solve(chol, b)
             assert x.shape == b.shape
-            assert np.array_equal(x, reference_cho_solve(chol, b))
+            assert np.array_equal(x, reference_forward_solve(chol, b))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_linalg_solve(self, n):
-        gen = stream(23, "cho_solve", n)
+        gen = stream(23, "forward_solve", n)
         for k in (1, 2, 5):
             for _ in range(25):
                 # The diagonal floor keeps the condition number below
                 # about 100, so two backward-stable solves agree to 1e-12.
-                s = random_pd(gen, n, gen.uniform(0.1, 10.0), jitter=0.1)
+                chol = np.linalg.cholesky(random_pd(
+                    gen, n, gen.uniform(0.1, 10.0), jitter=0.1))
                 b = gen.normal(size=(n, k))
-                x = cho_solve(np.linalg.cholesky(s), b)
-                ref = np.linalg.solve(s, b)
+                x = forward_solve(chol, b)
+                ref = np.linalg.solve(chol, b)
                 assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_stack_equals_each_matrix_bitwise(self, n):
-        gen = stream(29, "cho_solve.stack", n)
+        gen = stream(29, "forward_solve.stack", n)
         chol = np.linalg.cholesky(np.array([random_pd(gen, n, 1.0)
                                             for _ in range(40)]))
         b = gen.normal(size=(40, n, 3))
-        stacked = cho_solve(chol, b)
+        stacked = forward_solve(chol, b)
         for i in range(40):
-            np.testing.assert_array_equal(stacked[i], cho_solve(chol[i], b[i]))
+            np.testing.assert_array_equal(stacked[i],
+                                          forward_solve(chol[i], b[i]))
 
 
 class TestLoewner:

@@ -4,25 +4,30 @@ The stacked covariance steps of ``filter_core``, which the path engine
 calls, must give each matrix of a stack exactly what the per-matrix
 ``lyapunov_update``/``riccati_update`` give it, preserve the Loewner
 order and keep covariances PSD; their Cholesky must flag exactly the
-non-PD entries of a stack. The early-stopped engine must reproduce
-full-horizon scoring bit for bit, whatever the family, weights, seeds
-and chunking; every chunk must carry the exact Lyapunov chain of the
-priors, and every missed entry the exact Lyapunov step of its previous
-posterior; the statistic weighed from cached features must agree
-with the scalar ``decision_statistic``. The examples are derandomized,
-so every run of the suite checks the same ones.
+non-PD entries of a stack. The engine, which corrects only targets of
+positive priority and skips epochs with no detection, must give every
+posterior the bits of the per-matrix update. The early-stopped engine
+must reproduce full-horizon scoring bit for bit, whatever the family,
+weights, seeds and chunking; every chunk must carry the exact Lyapunov
+chain of the priors, and every missed entry the exact Lyapunov step of
+its previous posterior; the statistic weighed from cached features must
+agree with the scalar ``decision_statistic``. The examples are
+derandomized, so every run of the suite checks the same ones.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from covstop import optimizer
 from covstop.config import stock_scenario
 from covstop.errors import ContractError
 from covstop.filter_core import (TargetModel, cholesky, correct, loewner_geq,
                                  lyapunov_update, predict, riccati_update)
-from covstop.observability import Belief
+from covstop.gmti import Scenario
+from covstop.observability import Belief, CostWeights
 from covstop.optimizer import (_STOP_BLOCK, StopAt, _path_chunks,
                                policy_costs, score_paths, simulate_paths)
 from covstop.policy import (ParamLayout, PolicyFamily, PolicyParams,
@@ -126,6 +131,76 @@ def test_cholesky_mask_flags_exactly_the_non_pd_entries(seed, m, flags):
         assert single_bad.shape == () and bool(single_bad) == non_pd
         if not non_pd:
             assert np.array_equal(single, expected)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=seeds,
+       measured=st.lists(st.booleans(), min_size=2, max_size=5).filter(any),
+       p_d=st.sampled_from([0.0, 0.2, 0.6, 1.0]), m=st.integers(1, 4),
+       mz=st.integers(1, 3), n_paths=st.integers(1, 4))
+@example(seed=1, measured=[False, True, False, False], p_d=0.2, m=4, mz=3,
+         n_paths=3)  # one-hot: a one-target slice
+@example(seed=2, measured=[True, False, True, False, True], p_d=0.2, m=3,
+         mz=2, n_paths=3)  # non-contiguous: an index array
+@example(seed=3, measured=[True, True, True], p_d=0.6, m=2, mz=1,
+         n_paths=2)  # all positive: the whole stack
+def test_engine_posteriors_match_per_matrix_updates(seed, measured, p_d, m,
+                                                    mz, n_paths):
+    # Zero priorities anywhere in the vector, and epochs on which no path
+    # detects a measured target (every epoch at p_d = 0).
+    gen = stream(seed, "prop.measured")
+    n = len(measured)
+    models = [replace(model, p_d=p_d)
+              for model in random_models(gen, n, m, mz)]
+    priorities = np.where(measured, gen.uniform(0.05, 1.0, n), 0.0)
+    priorities /= priorities.sum()
+    start = [[random_pd(gen, m, gen.uniform(0.1, 10.0)) for _ in range(n)]
+             for _ in range(2)]
+    scenario = Scenario(models=models, priorities=priorities,
+                        weights=CostWeights(np.ones(n), np.ones(n), 1.0),
+                        tau_max=6, initial_posteriors=start[0],
+                        initial_priors=start[1])
+    path_seeds = [child_seed(seed, "prop.measured", b)
+                  for b in range(n_paths)]
+    (batch,) = _path_chunks(scenario, path_seeds, None)
+    assert not batch.detections[..., ~np.array(measured)].any()
+    prior_failed = (np.linalg.slogdet(batch.priors)[0] <= 0.0).any(axis=1)
+    for path, detected, failed_at in zip(batch.posteriors, batch.detections,
+                                         batch.failed_at):
+        previous, expected_failure = start[0], 0
+        for k, (posteriors, hits) in enumerate(zip(path, detected)):
+            expected = np.array([
+                riccati_update(p, model, nu) if hit
+                else lyapunov_update(p, model)
+                for p, model, nu, hit in zip(previous, models, priorities,
+                                             hits)])
+            if not expected_failure and (
+                    (np.linalg.slogdet(expected)[0] <= 0.0).any()
+                    or prior_failed[k]):
+                expected_failure = k + 1
+                expected[:] = np.eye(m)  # the engine's placeholder
+            assert np.array_equal(posteriors, expected)
+            previous = posteriors
+        assert failed_at == expected_failure
+
+
+@pytest.mark.parametrize("name, p_d", [("persistent", 0.9),
+                                       ("persistent", 0.0), ("flyby", 0.1)])
+def test_engine_corrects_only_epochs_with_a_measured_detection(name, p_d):
+    scenario = SCENARIOS[name].with_overrides(p_d=p_d)
+    shapes = []
+
+    def counted(predicted, *args):
+        shapes.append(predicted.shape)
+        return correct(predicted, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "correct", counted)
+        (batch,) = _path_chunks(scenario, [1], None)
+    detected_epochs = int(batch.detections.any(axis=(0, 2)).sum())
+    assert detected_epochs < scenario.tau_max
+    n_measured = int((scenario.priorities > 0.0).sum())
+    assert shapes == [(1, n_measured, 4, 4)] * detected_epochs
 
 
 def random_params(family, log_scale, damp, seed, a):
