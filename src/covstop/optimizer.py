@@ -273,10 +273,10 @@ def _path_chunks(scenario, seeds: Sequence[int],
     deterministic prior, shared by every path, and rows 1.. are the
     paths' posteriors. Each epoch makes one stacked ``predict`` and one
     ``logdets`` call for priors and posteriors together. It corrects
-    only the measured targets, those of positive priority: one
-    ``correct`` of their posteriors, whose result is kept where the
-    epoch's detection mask is set, and none at all on an epoch where no
-    path detects a measured target. Each stop check makes one
+    only the span from the first to the last target of positive
+    priority: one ``correct`` of those posteriors, whose result is kept
+    where the epoch's detection mask is set, and none at all on an epoch
+    where no path detects a measured target. Each stop check makes one
     ``covariance_features`` call. These are ``filter_core``'s steps
     behind lyapunov_update and riccati_update, which give each matrix of
     a stack the bits it gets on its own, so every chunk recomputes the
@@ -308,13 +308,14 @@ def _path_chunks(scenario, seeds: Sequence[int],
     p_d = np.array([m.p_d for m in models])
     f = np.array([m.F for m in models])
     q = np.array([m.Q for m in models])
-    # The measured targets: a basic slice, which reads and writes views,
-    # when they are contiguous, else an index array.
-    measured = np.flatnonzero(measurable)
-    h = np.array([models[l].H for l in measured])
-    r = np.array([models[l].effective_noise(priorities[l]) for l in measured])
-    if measured.size and measured[-1] - measured[0] == measured.size - 1:
-        measured = slice(measured[0], measured[-1] + 1)
+    # The span of measured targets, a basic slice that reads and writes
+    # views. A zero-priority target inside it is corrected with an unused
+    # placeholder noise: its detections are always masked out.
+    span = np.flatnonzero(measurable)
+    measured = slice(span[0], span[-1] + 1) if span.size else slice(0, 0)
+    h = np.array([m.H for m in models[measured]])
+    r = np.array([m.effective_noise(nu) if nu > 0.0 else m.r_base
+                  for m, nu in zip(models[measured], priorities[measured])])
     f_measured = f[measured]
     weights = scenario.weights
 
@@ -340,8 +341,10 @@ def _path_chunks(scenario, seeds: Sequence[int],
         hits = detections[..., measured]  # (paths, epochs, measured)
         any_hit = hits.any(axis=(0, 2))
         no_hits = np.zeros((n_paths, hits.shape[-1]), dtype=bool)
-        # C order: on other strides numpy's stacked matmul may not give
-        # each matrix the bits it gets on its own.
+        # Each (m, m) matrix must be C-contiguous in its last two axes
+        # (the path axis must not be innermost): on other strides numpy's
+        # stacked matmul may not give each matrix the bits it gets on its
+        # own. Slicing the leading axes keeps this.
         state = np.empty(states[:, 0].shape)
         state[0], state[1:] = start_prior, start_post
         block_features = []

@@ -141,7 +141,7 @@ def test_cholesky_mask_flags_exactly_the_non_pd_entries(seed, m, flags):
 @example(seed=1, measured=[False, True, False, False], p_d=0.2, m=4, mz=3,
          n_paths=3)  # one-hot: a one-target slice
 @example(seed=2, measured=[True, False, True, False, True], p_d=0.2, m=3,
-         mz=2, n_paths=3)  # non-contiguous: an index array
+         mz=2, n_paths=3)  # non-contiguous: a span with unmeasured targets
 @example(seed=3, measured=[True, True, True], p_d=0.6, m=2, mz=1,
          n_paths=2)  # all positive: the whole stack
 def test_engine_posteriors_match_per_matrix_updates(seed, measured, p_d, m,
@@ -199,8 +199,9 @@ def test_engine_corrects_only_epochs_with_a_measured_detection(name, p_d):
         (batch,) = _path_chunks(scenario, [1], None)
     detected_epochs = int(batch.detections.any(axis=(0, 2)).sum())
     assert detected_epochs < scenario.tau_max
-    n_measured = int((scenario.priorities > 0.0).sum())
-    assert shapes == [(1, n_measured, 4, 4)] * detected_epochs
+    span = np.flatnonzero(scenario.priorities > 0.0)
+    width = int(span[-1] - span[0] + 1)
+    assert shapes == [(1, width, 4, 4)] * detected_epochs
 
 
 def random_params(family, log_scale, damp, seed, a):
