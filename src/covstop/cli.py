@@ -6,8 +6,9 @@ policy training and the property-verification suites. Every command
 requires an explicit seed, a non-negative integer, from the flag or the
 scenario file. Each writes plot-ready CSV files whose first line records
 the generating config hash and the column units, and finishes with a
-JSON run manifest. Outputs are byte
-identical across reruns of the same (config, seed).
+JSON run manifest. The hashed config covers the policy a run uses: the
+content of its ``--params`` file, or the flags it was trained with.
+Outputs are byte identical across reruns of the same (config, seed).
 
 Exit codes: 0 success, 2 validation error (bad input, or a run too large
 for memory), 3 numerical failure.
@@ -154,7 +155,7 @@ def _parse_grid(flag: str, text: str) -> list[float]:
 
 
 def _load_params(path: str, scenario: Scenario):
-    """Policy params from a JSON file, checked against the scenario."""
+    """Params and layout from a JSON file, checked against the scenario."""
     params, layout = params_from_dict(read_json(path))
     expected = (scenario.n_targets, scenario.models[0].state_dim)
     if params.theta.shape != expected:
@@ -163,7 +164,7 @@ def _load_params(path: str, scenario: Scenario):
     if layout.a != scenario.a:
         raise ContractError(f"{path}: params lay out priority target "
                             f"{layout.a}, the scenario's is {scenario.a}")
-    return params
+    return params, layout
 
 
 def _require_count(flag: str, value: int) -> None:
@@ -171,7 +172,21 @@ def _require_count(flag: str, value: int) -> None:
         raise ContractError(f"{flag} must be at least 1, got {value}")
 
 
-def _train_params(scenario, args, seed):
+def _policy(scenario, args, seed: int, cfg: dict):
+    """The run's policy and layout, and the SPSA result if it was trained.
+
+    ``--params`` loads the policy and checks it against the scenario;
+    without it SPSA trains one. ``cfg`` records the canonical params
+    document (the file's content, not its path) or the training flags,
+    so the config hash covers the policy.
+    """
+    if getattr(args, "params", None):
+        params, layout = _load_params(args.params, scenario)
+        cfg["params"] = params_to_dict(params, layout)
+        return params, layout, None
+    cfg["train"] = {flag: getattr(args, flag) for flag in (
+        "family", "iterations", "restarts", "rollouts_per_eval", "epsilon",
+        "share_other", "tie_priors")}
     layout = ParamLayout(family=PolicyFamily(args.family),
                          n_targets=scenario.n_targets,
                          state_dim=scenario.models[0].state_dim,
@@ -184,13 +199,12 @@ def _train_params(scenario, args, seed):
                             epsilon=args.epsilon)
     result = spsa_optimize(scenario, layout, schedule,
                            child_seed(seed, "cli.train"))
-    return result, layout, schedule
+    return result.best_params, layout, result
 
 
 def cmd_optimize(args) -> int:
     scenario, cfg, seed = _load_run_scenario(args)
-    cfg["family"] = args.family
-    result, layout, schedule = _train_params(scenario, args, seed)
+    _, layout, result = _policy(scenario, args, seed, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     h = config_hash(cfg)
@@ -220,11 +234,7 @@ def cmd_flyby(args) -> int:
     cnu_grid = _parse_grid("--cnu-grid", args.cnu_grid)
     _require_count("--rollouts", args.rollouts)
     cfg["pd_grid"], cfg["cnu_grid"] = pd_grid, cnu_grid
-    if args.params:
-        params = _load_params(args.params, scenario)
-    else:
-        result, _, _ = _train_params(scenario, args, seed)
-        params = result.best_params
+    params, _, _ = _policy(scenario, args, seed, cfg)
     h = config_hash(cfg)
     rows = []
     eval_seed = child_seed(seed, "cli.flyby.eval")
@@ -249,7 +259,7 @@ def cmd_periodic_sweep(args) -> int:
     scenario, cfg, seed = _load_run_scenario(args)
     k_max = args.kmax if args.kmax is not None else scenario.tau_max
     cfg["kmax"] = k_max
-    params = _load_params(args.params, scenario) if args.params else None
+    params = _policy(scenario, args, seed, cfg)[0] if args.params else None
     h = config_hash(cfg)
     eval_seed = child_seed(seed, "cli.periodic.eval")
     curve = periodic_cost_curve(scenario, eval_seed, args.rollouts, k_max)
@@ -279,11 +289,7 @@ def cmd_persistent(args) -> int:
     scenario, cfg, seed = _load_run_scenario(args)
     _require_count("--cycles", args.cycles)
     cfg["cycles"] = args.cycles
-    if args.params:
-        params = _load_params(args.params, scenario)
-    else:
-        result, _, _ = _train_params(scenario, args, seed)
-        params = result.best_params
+    params, _, _ = _policy(scenario, args, seed, cfg)
     h = config_hash(cfg)
     trace = run_macro_cycles(scenario, params, args.cycles,
                              child_seed(seed, "cli.persistent"))

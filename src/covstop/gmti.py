@@ -311,11 +311,10 @@ def run_macro_cycles(scenario: Scenario, policies, n_cycles: int,
             models_by_location[location] = models_at_location(scenario,
                                                               location)
         policy = policies[location] if isinstance(policies, dict) else policies
-        (batch,) = _path_chunks(scenario,
-                                [child_seed(seed, "macro.cycle", cycle)],
-                                Belief(posteriors, posteriors, a), policy,
-                                models=models_by_location[location],
-                                priorities=nu)
+        (batch,) = _path_chunks(
+            scenario, [child_seed(seed, "macro.cycle", cycle)], policy,
+            belief=Belief(posteriors, posteriors, a),
+            models=models_by_location[location], priorities=nu)
         path_tau, _ = score_paths(batch, policy)
         tau = int(path_tau[0])
         taus.append(tau)

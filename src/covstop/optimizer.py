@@ -7,24 +7,23 @@ the Riccati/Lyapunov recursion for many seeds at once, calling
 ``filter_core``'s steps once per epoch on a stacked
 (1 + paths, targets, m, m) state whose row 0 is the prior shared by
 every path, and records each path's log-determinants and stopping cost
-at every epoch. Given the one
-policy a batch is for, it checks the stopping rule every few epochs and
-ends the batch once every path has stopped, so a ``PathBatch``'s epoch
-axis may end before the horizon; without a policy it runs the whole
-horizon, and ``simulate_paths`` is that case. ``score_paths`` then
-scores a policy on the paths. For a parametrized policy the decision
-statistic is weighed from per-covariance features (eigenvalues, or the
-matrices for quadform) that the batch computes once and keeps, and tau
-is the first epoch where the statistic reaches 1; ``StopAt(k)`` stops
-every path at k.
-The sample cost is (tau - 1) times the operating cost plus the stopping
-cost at tau. Views built on the engine: ``policy_costs`` and
-``evaluate_cost``, which stop each chunk at tau, and
-``periodic_cost_curve`` and the SPSA objective, which score many
-policies on full-horizon batches. The SPSA search minimizes the mean
-sample cost over the unconstrained policy parameters with a two-sided
-simultaneous-perturbation gradient estimate; its two perturbed
-evaluations share one simulation and its features.
+at every epoch. Every caller names the policy its chunks are for.
+Under PolicyParams the engine checks the stopping rule every few epochs
+and ends a chunk once every path has stopped, so a ``PathBatch``'s
+epoch axis may end before the horizon; ``StopAt(k)`` runs k epochs, and
+``StopAt(tau_max)`` the whole horizon. ``score_paths`` then scores a
+policy on one chunk. For a parametrized policy the decision statistic
+is weighed from per-covariance features (eigenvalues, or the matrices
+for quadform) that the batch computes once and keeps, and tau is the
+first epoch where the statistic reaches 1; ``StopAt(k)`` stops every
+path at k. The sample cost is (tau - 1) times the operating cost plus
+the stopping cost at tau. Views built on the engine, all chunk by
+chunk: ``policy_costs`` and ``evaluate_cost``, which stop each chunk at
+tau, and ``periodic_cost_curve`` and the SPSA objective, which score
+many policies on full-horizon chunks. The SPSA search minimizes the
+mean sample cost over the unconstrained policy parameters with a
+two-sided simultaneous-perturbation gradient estimate; its two
+perturbed evaluations share one simulation and its features.
 
 ``gmti.run_macro_cycles`` is a view on the engine too: it simulates one
 path per cycle, stopped at tau, from the cycle's carried posteriors;
@@ -46,7 +45,7 @@ for policy-independent objectives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -192,20 +191,18 @@ class PathBatch:
     """Belief paths of a batch of seeds.
 
     Axis 0 indexes seeds, axis 1 epochs: index k - 1 holds the belief
-    after the k-th update. Axis 1 covers the whole ``horizon`` unless
-    the batch was simulated for one policy (see ``_path_chunks``); then
-    it ends once every path has reached its stopping epoch, and it may
-    end before the horizon. ``failed_at`` holds each path's first epoch
+    after the k-th update. Axis 1 ends where the policy the chunk was
+    simulated for needs it to (see ``_path_chunks``), which may be
+    before the ``horizon``. ``failed_at`` holds each path's first epoch
     whose covariance update failed or left a non-positive determinant,
     0 if there is none; a failed path's later entries are placeholders.
 
     ``posteriors`` and ``priors`` (and their log-determinants) are
-    views of a chunk's state buffer, in which the priors are row 0;
-    joining chunks copies the per-path ones. ``features`` keeps the
-    ``covariance_features`` of the posteriors and priors once something
-    has computed them: the engine's stop check, or the first call for a
-    family of the same kind (the eigen families share theirs).
-    ``dataclasses.replace`` does not copy them.
+    views of the chunk's state buffer, in which the priors are row 0.
+    ``features`` keeps the ``covariance_features`` of the posteriors and
+    priors once something has computed them: the engine's stop check,
+    or the first call for a family of the same kind (the eigen families
+    share theirs).
     """
 
     a: int
@@ -250,24 +247,21 @@ def _feature_kind(family: PolicyFamily) -> str:
     return "entries" if family is PolicyFamily.QUADFORM else "eigenvalues"
 
 
-_PER_PATH_FIELDS = ("detections", "posteriors", "logdet_posteriors",
-                    "stopping_costs", "failed_at")
-
-
 def _path_chunks(scenario, seeds: Sequence[int],
-                 initial_belief: Belief | None,
-                 policy: PolicyParams | StopAt | None = None, *,
+                 policy: PolicyParams | StopAt, *,
+                 belief: Belief | None = None,
                  models: Sequence | None = None,
                  priorities: np.ndarray | None = None
                  ) -> Iterator[PathBatch]:
     """Simulate the seeds' paths in chunks of about _CHUNK_ENTRIES.
 
-    ``policy`` is the one policy the batches will be scored with; None
-    simulates the whole horizon. Under ``StopAt(k)`` every chunk ends at
-    epoch min(k, tau_max). Under PolicyParams the decision statistic is
-    evaluated every _STOP_BLOCK epochs, and a chunk ends at the first
-    check by which every one of its paths has reached 1 (or at the
-    horizon); the features the check computed stay in the batch.
+    ``policy`` is the one policy the chunks will be scored with. Under
+    ``StopAt(k)`` every chunk ends at epoch min(k, tau_max), so
+    ``StopAt(tau_max)`` gives chunks any policy can be scored on. Under
+    PolicyParams the decision statistic is evaluated every _STOP_BLOCK
+    epochs, and a chunk ends at the first check by which every one of
+    its paths has reached 1 (or at the horizon); the features the check
+    computed stay in the batch. Chunk sizes do not depend on the policy.
 
     A chunk simulates one (1 + paths, targets, m, m) state: row 0 is the
     deterministic prior, shared by every path, and rows 1.. are the
@@ -283,18 +277,20 @@ def _path_chunks(scenario, seeds: Sequence[int],
     same priors. The batch's priors and posteriors are views of the
     chunk's state buffer.
 
-    ``models`` and ``priorities`` replace the scenario's without being
-    validated again: the macro cycles pass each cycle's, which were
-    validated when they were built. Failures are recorded in each
+    ``belief`` replaces the scenario's initial belief, and ``models``
+    and ``priorities`` replace its own without being validated again:
+    the macro cycles pass each cycle's, which were validated when they
+    were built. Seed ``s`` draws its detections from the same stream as
+    ``rollout(scenario, policy, s)``. Failures are recorded in each
     batch's ``failed_at``, not raised: a non-positive determinant, or an
     innovation covariance that is not positive definite where a
-    detection was applied; a bad prior fails every path.
+    detection was applied; a bad prior fails every path. An empty
+    ``seeds`` raises ContractError on the first ``next``.
     """
     seeds = list(seeds)
     if not seeds:
         raise ContractError("need at least one seed")
-    belief = (initial_belief if initial_belief is not None
-              else scenario.initial_belief())
+    belief = scenario.initial_belief() if belief is None else belief
     models = scenario.models if models is None else models
     n_targets, horizon = len(models), scenario.tau_max
     if belief.n_targets != n_targets:
@@ -321,7 +317,7 @@ def _path_chunks(scenario, seeds: Sequence[int],
 
     # Epochs a chunk may need, and how many it runs between stop checks.
     checked = isinstance(policy, PolicyParams)
-    last = min(policy.k, horizon) if isinstance(policy, StopAt) else horizon
+    last = horizon if checked else min(policy.k, horizon)
     block = _STOP_BLOCK if checked else last
 
     start_prior = np.array(belief.priors)
@@ -398,29 +394,6 @@ def _path_chunks(scenario, seeds: Sequence[int],
         yield batch
 
 
-def _simulate(scenario, seeds: Sequence[int]) -> PathBatch:
-    """The seeds' full-horizon paths, chunks joined into one batch."""
-    batches = list(_path_chunks(scenario, seeds, None))
-    return replace(batches[0], **{
-        name: np.concatenate([getattr(b, name) for b in batches])
-        for name in _PER_PATH_FIELDS})
-
-
-def simulate_paths(scenario, seeds: Sequence[int]) -> PathBatch:
-    """Simulate one belief path per seed over the whole horizon.
-
-    Seed ``s`` draws its detections from the same stream as
-    ``rollout(scenario, policy, s)`` and gets the same covariances, up
-    to round-off in the last bits. Works through the seeds in chunks of
-    fixed size. Raises NumericalError if any path's innovation
-    covariance is not positive definite or any covariance loses its
-    positive determinant.
-    """
-    batch = _simulate(scenario, seeds)
-    batch.raise_failures()
-    return batch
-
-
 def score_paths(paths: PathBatch, policy: PolicyParams | StopAt
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Stopping epochs and sample costs of a policy on simulated paths.
@@ -461,7 +434,7 @@ def policy_costs(scenario, policy: PolicyParams | StopAt,
     stop.
     """
     scored = [score_paths(batch, policy) for batch in
-              _path_chunks(scenario, seeds, None, policy)]
+              _path_chunks(scenario, seeds, policy)]
     return (np.concatenate([tau for tau, _ in scored]),
             np.concatenate([costs for _, costs in scored]))
 
@@ -490,20 +463,24 @@ def rollout_objective(scenario, layout: ParamLayout,
                       n_rollouts: int) -> Objective:
     """Objective closure mapping (phi, seed) to the evaluated cost.
 
-    Equals ``evaluate_cost`` on ``layout.build(phi)``. The full-horizon
-    path batch of the last seed is kept with its features, so calls that
+    Equals ``evaluate_cost`` on ``layout.build(phi)``: the mean of the
+    ``score_paths`` costs over the seed's chunks. The last seed's
+    full-horizon chunks are kept with their features, so calls that
     share a seed, such as the two sides of an SPSA gradient estimate or
     the nominees of one re-rank seed, share one simulation and one
     eigendecomposition of each covariance.
     """
-    last: dict = {}  # seed -> PathBatch, one slot
+    last: dict = {}  # seed -> list of PathBatch chunks, one slot
 
     def objective(phi: np.ndarray, seed: int) -> float:
         if seed not in last:
             last.clear()
-            last[seed] = _simulate(scenario, _eval_seeds(seed, n_rollouts))
-        _, costs = score_paths(last[seed], layout.build(phi))
-        return float(np.mean(costs))
+            last[seed] = list(_path_chunks(scenario,
+                                           _eval_seeds(seed, n_rollouts),
+                                           StopAt(scenario.tau_max)))
+        policy = layout.build(phi)
+        return float(np.mean(np.concatenate(
+            [score_paths(batch, policy)[1] for batch in last[seed]])))
 
     return objective
 
@@ -670,18 +647,20 @@ def periodic_cost_curve(scenario, seed: int, n_rollouts: int,
 
     Returns an (n_rollouts, k_max) array whose [b, k-1] entry equals,
     up to round-off, periodic_policy_cost's underlying sample for the
-    same seed, rollout index and k. A view on the batched path engine
-    (``simulate_paths``): each rollout's path is simulated once, chunk
-    by chunk, and its stopping costs serve every k. periodic_policy_cost
-    keeps the scalar ``rollout`` loop, so the curve and the per-k cost
-    stay independent and each checks the other. Any numerical failure
-    within the horizon raises NumericalError.
+    same seed, rollout index and k. A view on the batched path engine:
+    each rollout's path is simulated once under ``StopAt(tau_max)``,
+    chunk by chunk, and its stopping costs serve every k.
+    periodic_policy_cost keeps the scalar ``rollout`` loop, so the curve
+    and the per-k cost stay independent and each checks the other. Any
+    numerical failure within the horizon, even after k_max, raises
+    NumericalError.
     """
     k_max = scenario.tau_max if k_max is None else k_max
     if not 1 <= k_max <= scenario.tau_max:
         raise ContractError("k_max must lie in [1, tau_max]")
     stopping_costs = []
-    for batch in _path_chunks(scenario, _eval_seeds(seed, n_rollouts), None):
+    for batch in _path_chunks(scenario, _eval_seeds(seed, n_rollouts),
+                              StopAt(scenario.tau_max)):
         batch.raise_failures()
         stopping_costs.append(batch.stopping_costs[:, :k_max])
     return np.arange(k_max) * scenario.weights.operating_cost \

@@ -192,6 +192,60 @@ class TestPersistent:
         assert len(trace_rows) == 4 * sum(taus)
 
 
+# Tiny-budget runs of the subcommands that take --params.
+PARAMS_ARGV = {
+    "periodic-sweep": ["periodic-sweep", "--rollouts", "5"],
+    "flyby": ["flyby", "--rollouts", "2", "--pd-grid", "0.75",
+              "--cnu-grid", "0.8"],
+    "persistent": ["persistent", "--cycles", "2"],
+}
+
+
+def run_outputs(argv, out):
+    assert main(argv + ["--seed", "1", "--out", str(out)]) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def config_hash_of(outputs):
+    return json.loads(outputs["manifest.json"])["config_hash"]
+
+
+class TestConfigHashNamesThePolicy:
+    @pytest.mark.parametrize("command", PARAMS_COMMANDS)
+    def test_params_content_is_hashed_and_its_path_is_not(
+            self, command, tmp_path, stop_first_params):
+        # phi_0 weighs a posterior eigenvalue; the prior weight alone
+        # already stops every path at epoch 1, so only the policy's
+        # record tells the two runs apart.
+        doc = json.loads(stop_first_params.read_text())
+        doc["phi"][0] = 0.5
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(doc))
+        (tmp_path / "elsewhere").mkdir()
+        moved = tmp_path / "elsewhere" / "params.json"
+        moved.write_bytes(stop_first_params.read_bytes())
+        argv = PARAMS_ARGV[command] + ["--params"]
+        base = run_outputs(argv + [str(stop_first_params)], tmp_path / "a")
+        other = run_outputs(argv + [str(changed)], tmp_path / "b")
+        assert run_outputs(argv + [str(moved)], tmp_path / "c") == base
+        assert config_hash_of(other) != config_hash_of(base)
+        assert json.loads(other["manifest.json"])["config"]["params"] \
+            == doc
+        for name, text in base.items():
+            if name != "manifest.json":
+                _, rows = text.split(b"\n", 1)
+                assert other[name] != text
+                assert other[name].endswith(rows)
+
+    def test_training_flags_are_hashed(self, tmp_path):
+        argv = RERUN_ARGV["optimize"]
+        flag = argv.index("--iterations") + 1
+        hashes = {config_hash_of(run_outputs(
+            argv[:flag] + [n] + argv[flag + 1:], tmp_path / n))
+            for n in ("1", "2")}
+        assert len(hashes) == 2
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["periodic-sweep", "--rollouts", "0"],

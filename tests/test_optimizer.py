@@ -12,11 +12,11 @@ from covstop.filter_core import TargetModel
 from covstop.gmti import Scenario
 from covstop.observability import Belief, CostWeights, stopping_cost
 from covstop.optimizer import (_STOP_BLOCK, SpsaSchedule, StopAt,
-                               _path_chunks, evaluate_cost,
+                               _eval_seeds, _path_chunks, evaluate_cost,
                                periodic_cost_curve, periodic_policy_cost,
                                policy_costs, rademacher, rollout,
-                               rollout_objective, score_paths, simulate_paths,
-                               spsa_gradient, spsa_minimize, spsa_optimize)
+                               rollout_objective, score_paths, spsa_gradient,
+                               spsa_minimize, spsa_optimize)
 from covstop.policy import Action, ParamLayout, PolicyFamily, PolicyParams
 from covstop.streams import child_seed, stream
 
@@ -367,7 +367,7 @@ class TestPathEngine:
         # spread of weight scales (early, interior and late stops).
         scenario = ENGINE_SCENARIOS[name]()
         seeds = [child_seed(31, "engine", b) for b in range(5)]
-        paths = simulate_paths(scenario, seeds)
+        (paths,) = _path_chunks(scenario, seeds, StopAt(scenario.tau_max))
         taus = set()
         for family in PolicyFamily:
             layout = ParamLayout(family, scenario.n_targets,
@@ -422,9 +422,47 @@ class TestPathEngine:
         assert objective(params.phi, 4) == \
             evaluate_cost(scenario, params, 4, 6)
 
+    @pytest.mark.parametrize("chunk_paths", [1, 2, 3, 4, 5])
+    def test_objective_equals_evaluate_cost_in_any_chunking(
+            self, monkeypatch, chunk_paths):
+        # Five seeds in five to one chunks. The objective scores every
+        # policy on full-horizon chunks, evaluate_cost on chunks stopped
+        # for that policy; the costs must agree bit for bit.
+        scenario = stock_scenario("flyby")
+        monkeypatch.setattr(optimizer, "_CHUNK_ENTRIES",
+                            chunk_paths * 60 * 4 * 4 * 4)
+        n_chunks = len(list(_path_chunks(scenario, _eval_seeds(4, 5),
+                                         StopAt(scenario.tau_max))))
+        assert n_chunks == -(-5 // chunk_paths)
+        for family in PolicyFamily:
+            layout = ParamLayout(family, 4, 4)
+            objective = rollout_objective(scenario, layout, 5)
+            for scale in (0.03, 0.1, 1.0):
+                phi = scale * stream(1, "engine.params").uniform(
+                    -1.0, 1.0, layout.n_params)
+                assert objective(phi, 4) == \
+                    evaluate_cost(scenario, layout.build(phi), 4, 5)
+
+    def test_objective_simulates_each_seed_once(self, monkeypatch):
+        scenario = stock_scenario("flyby")
+        monkeypatch.setattr(optimizer, "_CHUNK_ENTRIES", 2 * 60 * 4 * 4 * 4)
+        counts = Counter()
+        monkeypatch.setattr(optimizer, "_path_chunks",
+                            counting(optimizer._path_chunks, "simulate",
+                                     counts))
+        layout = ParamLayout(PolicyFamily.EIGEN_SUM, 4, 4)
+        objective = rollout_objective(scenario, layout, 5)
+        phis = [0.1 * stream(i, "engine.params").uniform(
+            -1.0, 1.0, layout.n_params) for i in range(2)]
+        costs = [objective(phi, 4) for phi in phis]
+        assert counts["simulate"] == 1 and costs[0] != costs[1]
+        objective(phis[0], 5)
+        objective(phis[1], 5)
+        assert counts["simulate"] == 2
+
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ContractError):
-            simulate_paths(scalar_test_scenario(), [])
+            next(_path_chunks(scalar_test_scenario(), [], StopAt(1)))
         with pytest.raises(ContractError):
             periodic_cost_curve(scalar_test_scenario(), 1, 0)
 
@@ -436,7 +474,8 @@ class TestPathEngine:
                 rollout(scenario, always(Action.STOP), 0,
                         initial_belief=belief)
             with pytest.raises(NumericalError):
-                next(_path_chunks(scenario, [0, 1], belief)).raise_failures()
+                next(_path_chunks(scenario, [0, 1], StopAt(scenario.tau_max),
+                                  belief=belief)).raise_failures()
         monkeypatch.setattr("covstop.observability.riccati_update",
                             lambda p, model, priority: -np.eye(1))
         with pytest.raises(NumericalError):
@@ -450,9 +489,11 @@ class TestPathEngine:
         belief = Belief((np.eye(2), np.eye(2)),
                         (np.eye(2), np.diag([-3.0, -1.5])), 0)
         seeds = [child_seed(5, "engine", b) for b in range(6)]
+        full = StopAt(scenario.tau_max)
         with pytest.raises(NumericalError, match="epoch 2 on 6 of 6 paths"):
-            next(_path_chunks(scenario, seeds, belief)).raise_failures()
-        (batch,) = _path_chunks(scenario, seeds, belief)
+            next(_path_chunks(scenario, seeds, full,
+                              belief=belief)).raise_failures()
+        (batch,) = _path_chunks(scenario, seeds, full, belief=belief)
         np.testing.assert_array_equal(batch.failed_at, 2)
 
     def test_one_stacked_step_per_epoch(self, monkeypatch):
@@ -468,7 +509,7 @@ class TestPathEngine:
         # Two flyby paths (60 epochs of four 4x4 targets) to a chunk.
         monkeypatch.setattr(optimizer, "_CHUNK_ENTRIES", 2 * 60 * 4 * 4 * 4)
         epochs = [batch.posteriors.shape[1] for batch in
-                  _path_chunks(scenario, seeds, None, params)]
+                  _path_chunks(scenario, seeds, params)]
         assert len(epochs) == 3 and min(epochs) < scenario.tau_max
         counts = Counter()
         for name in ("predict", "logdets", "covariance_features"):
@@ -482,7 +523,7 @@ class TestPathEngine:
 
     def test_failure_raises_only_at_or_before_tau(self):
         scenario = scalar_test_scenario()
-        paths = simulate_paths(scenario, [1, 2, 3])
+        (paths,) = _path_chunks(scenario, [1, 2, 3], StopAt(scenario.tau_max))
         failed = dataclasses.replace(paths, failed_at=np.full(3, 2))
         zeros = np.zeros((2, 1))
         stop_first = PolicyParams(PolicyFamily.EIGEN_SUM, zeros,

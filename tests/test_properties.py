@@ -29,7 +29,7 @@ from covstop.filter_core import (TargetModel, cholesky, correct, loewner_geq,
 from covstop.gmti import Scenario
 from covstop.observability import Belief, CostWeights
 from covstop.optimizer import (_STOP_BLOCK, StopAt, _path_chunks,
-                               policy_costs, score_paths, simulate_paths)
+                               policy_costs, score_paths)
 from covstop.policy import (ParamLayout, PolicyFamily, PolicyParams,
                             covariance_features, decision_statistic,
                             weigh_features)
@@ -162,7 +162,7 @@ def test_engine_posteriors_match_per_matrix_updates(seed, measured, p_d, m,
                         initial_priors=start[1])
     path_seeds = [child_seed(seed, "prop.measured", b)
                   for b in range(n_paths)]
-    (batch,) = _path_chunks(scenario, path_seeds, None)
+    (batch,) = _path_chunks(scenario, path_seeds, StopAt(scenario.tau_max))
     assert not batch.detections[..., ~np.array(measured)].any()
     prior_failed = (np.linalg.slogdet(batch.priors)[0] <= 0.0).any(axis=1)
     for path, detected, failed_at in zip(batch.posteriors, batch.detections,
@@ -196,7 +196,7 @@ def test_engine_corrects_only_epochs_with_a_measured_detection(name, p_d):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimizer, "correct", counted)
-        (batch,) = _path_chunks(scenario, [1], None)
+        (batch,) = _path_chunks(scenario, [1], StopAt(scenario.tau_max))
     detected_epochs = int(batch.detections.any(axis=(0, 2)).sum())
     assert detected_epochs < scenario.tau_max
     span = np.flatnonzero(scenario.priorities > 0.0)
@@ -225,11 +225,11 @@ def test_early_stop_matches_full_horizon(name, family, log_scale, damp, seed,
     scenario = SCENARIOS[name]
     params = random_params(family, log_scale, damp, seed, scenario.a)
     path_seeds = [child_seed(seed, "prop.path", b) for b in range(7)]
-    full_tau, full_costs = score_paths(simulate_paths(scenario, path_seeds),
-                                       params)
+    (full,) = _path_chunks(scenario, path_seeds, StopAt(scenario.tau_max))
+    full_tau, full_costs = score_paths(full, params)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimizer, "_CHUNK_ENTRIES", chunk_paths * PATH_ENTRIES)
-        batches = list(_path_chunks(scenario, path_seeds, None, params))
+        batches = list(_path_chunks(scenario, path_seeds, params))
         taus, costs = policy_costs(scenario, params, path_seeds)
     assert len(batches) == -(-len(path_seeds) // chunk_paths)
     scored = [score_paths(batch, params) for batch in batches]
@@ -259,12 +259,12 @@ def test_chunks_carry_exact_priors_and_miss_updates(name, p_d, stop, family,
     scenario = SCENARIOS[name].with_overrides(p_d=p_d)
     models = scenario.models
     policy = random_params(family, log_scale, 0.5, seed, scenario.a) \
-        if stop else None
+        if stop else StopAt(scenario.tau_max)
     path_seeds = [child_seed(seed, "prop.chunk", b)
                   for b in range(3 * chunk_paths)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimizer, "_CHUNK_ENTRIES", chunk_paths * PATH_ENTRIES)
-        batches = list(_path_chunks(scenario, path_seeds, None, policy))
+        batches = list(_path_chunks(scenario, path_seeds, policy))
     assert len(batches) == 3
     start = scenario.initial_belief()
     for batch in batches:
@@ -323,7 +323,7 @@ def test_stop_at_epoch_one_simulates_one_block(name, family, seed):
     theta_bar[scenario.a] = 10.0
     params = PolicyParams(family, np.zeros((4, 4)), theta_bar)
     path_seeds = [child_seed(seed, "prop.path", b) for b in range(5)]
-    (batch,) = _path_chunks(scenario, path_seeds, None, params)
+    (batch,) = _path_chunks(scenario, path_seeds, params)
     assert batch.posteriors.shape[1] == _STOP_BLOCK
     assert batch.priors.shape[0] == _STOP_BLOCK
     post_features, _ = batch.features(family)
@@ -335,8 +335,8 @@ def test_stop_at_epoch_one_simulates_one_block(name, family, seed):
 @pytest.mark.parametrize("k", [1, 9, 60, 75])
 def test_stop_at_simulates_to_its_epoch(k):
     scenario = SCENARIOS["persistent"]
-    (batch,) = _path_chunks(scenario, [3, 4], None, StopAt(k))
-    full = simulate_paths(scenario, [3, 4])
+    (batch,) = _path_chunks(scenario, [3, 4], StopAt(k))
+    (full,) = _path_chunks(scenario, [3, 4], StopAt(scenario.tau_max))
     n = min(k, scenario.tau_max)
     assert batch.posteriors.shape[1] == n
     np.testing.assert_array_equal(batch.stopping_costs,
@@ -357,7 +357,7 @@ def test_batch_ending_before_tau_is_a_contract_error():
                               theta_bar)
     never = PolicyParams(PolicyFamily.EIGEN_SUM, np.zeros((4, 4)),
                          np.zeros((4, 4)))
-    (batch,) = _path_chunks(scenario, [1, 2], None, stop_first)
+    (batch,) = _path_chunks(scenario, [1, 2], stop_first)
     with pytest.raises(ContractError):
         score_paths(batch, never)
     with pytest.raises(ContractError):
