@@ -8,13 +8,14 @@ structure.
 
 All operations are pure functions of ndarray inputs; covariances are
 plain symmetric ``(m, m)`` float arrays. Updates re-symmetrize their
-output as ``(A + A') / 2`` to control round-off drift. The one linear
-solve, in ``correct``, is a forward substitution with a numpy Cholesky
-factor, never an explicit inverse.
+output as ``(A + A') / 2`` to control round-off drift. The detection
+update, ``correct``, is one numpy Cholesky factorization of a moment
+matrix, whose factor's trailing block is the posterior's square root:
+no solve, no inverse, and no gain subtracted from the prediction.
 
 This module is the one place that writes the recursion out. Its steps
-(``symmetrize``, ``predict``, ``correct``, ``cholesky``,
-``forward_solve`` and ``logdets``) work on one ``(m, m)`` matrix and on
+(``symmetrize``, ``predict``, ``moment_blocks``, ``correct``,
+``cholesky`` and ``logdets``) work on one ``(m, m)`` matrix and on
 ``(..., m, m)`` stacks alike, and give each matrix of a stack exactly
 the result it gets on its own. ``lyapunov_update`` and
 ``riccati_update`` are their per-matrix views, which the scalar rollout
@@ -68,31 +69,6 @@ def cholesky(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.cholesky(s), bad
 
 
-def forward_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L X = B for a lower Cholesky factor L, or a stack of them.
-
-    Forward substitution, multiplying by the reciprocal of each pivot as
-    LAPACK's triangular solves do. Works on ``(n, n)`` factors and on
-    ``(..., n, n)`` stacks alike, with ``b`` of shape ``(..., n, k)``;
-    each matrix of a stack gets exactly the result it gets on its own.
-    X is worked on row by row: its rows lie first in memory, each a
-    contiguous ``(..., k)`` block.
-    """
-    n, lead = chol.shape[-1], tuple(range(b.ndim - 2))
-    rows_first = (b.ndim - 2,) + lead
-    x = b.transpose(rows_first + (b.ndim - 1,)).copy()  # (n, ..., k)
-    # low[i, j] is L[i, j] and pivots[i] is 1 / L[i, i], shaped to scale
-    # the rows of x.
-    low = chol.transpose((b.ndim - 2, b.ndim - 1) + lead)[..., None]
-    pivots = (1.0 / np.diagonal(chol, axis1=-2, axis2=-1)).transpose(
-        rows_first)[..., None]
-    for i in range(n):
-        x[i] *= pivots[i]
-        if i < n - 1:
-            x[i + 1:] -= low[i + 1:, i] * x[i]
-    return x.transpose(tuple(range(1, b.ndim - 1)) + (0, b.ndim - 1))
-
-
 def logdets(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log-determinants of one matrix or a stack, and a mask of the
     non-positive determinants."""
@@ -105,23 +81,38 @@ def predict(p: np.ndarray, f: np.ndarray, q: np.ndarray) -> np.ndarray:
     return symmetrize(f @ p @ _t(f) + q)
 
 
-def correct(predicted: np.ndarray, p: np.ndarray, f: np.ndarray,
-            h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Detection correction of a prediction, and a mask of failed entries.
+def moment_blocks(f: np.ndarray, h: np.ndarray, q: np.ndarray,
+                  r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G = [H; F] and D = blockdiag(R, Q) for ``correct``, for one target
+    or a stack of them."""
+    mz = h.shape[-2]
+    d = np.zeros(h.shape[:-2] + (mz + f.shape[-1],) * 2)
+    d[..., :mz, :mz], d[..., mz:, mz:] = r, q
+    return np.concatenate([h, f], axis=-2), d
 
-    Subtracts the information gain F P H' S^-1 H P F' from
-    ``predicted = predict(p, f, q)``, where S = H P H' + R = L L' is the
-    innovation covariance. The gain is W' W with W = L^-1 H P F', one
-    forward substitution, so it is PSD by construction. Works on one
-    matrix or a stack; an entry whose S is not positive definite is
-    flagged in the mask and its result is a placeholder.
+
+def correct(p: np.ndarray, g: np.ndarray,
+            d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Riccati update of covariances after a detection, and a mask of
+    failed entries.
+
+    The square-root (array) form of the step. With ``g, d =
+    moment_blocks(f, h, q, r)`` the moment matrix M = G P G' + D is
+    [[S, H P F'], [F P H', F P F' + Q]], where S = H P H' + R is the
+    innovation covariance. The trailing (m, m) block L22 of M's lower
+    Cholesky factor has L22 L22' = F P F' + Q - F P H' S^-1 H P F', the
+    Schur complement of S: the posterior, PSD by construction. Works on
+    one matrix or a stack. An entry whose M is not positive definite
+    (S is not, or the posterior would not be) is flagged in the mask,
+    and its result is a placeholder.
     """
-    pht = p @ _t(h)
-    chol, bad = cholesky(symmetrize(h @ pht + r))
-    w = forward_solve(chol, _t(f @ pht))
-    # Two buffers: numpy hands W' W on one buffer to BLAS syrk, which is
-    # about three times slower than gemm on a stack of small matrices.
-    return symmetrize(predicted - _t(w) @ w.copy()), bad
+    m = p.shape[-1]
+    # Every product takes a contiguous right operand: on a transposed
+    # view numpy's stacked matmul is several times slower, and on L22's
+    # own buffer it calls BLAS syrk, slower still on small matrices.
+    chol, bad = cholesky(g @ p @ _t(g).copy() + d)
+    low = chol[..., -m:, -m:]
+    return symmetrize(low @ _t(low).copy()), bad
 
 
 def check_covariance(p: np.ndarray, name: str = "P") -> np.ndarray:
@@ -221,17 +212,18 @@ def lyapunov_update(p: np.ndarray, model: TargetModel) -> np.ndarray:
 
 def riccati_update(p: np.ndarray, model: TargetModel,
                    priority: float = 1.0) -> np.ndarray:
-    """Covariance update after a detection.
+    """Covariance update after a detection, with the measurement noise
+    scaled by the target priority; ``correct`` on the model's blocks.
 
-    The usual information gain is subtracted from the Lyapunov
-    prediction, with the measurement noise scaled by the target
-    priority.
+    NumericalError if the moment matrix is not positive definite: the
+    innovation covariance is not, or the posterior would not be.
     """
-    predicted = lyapunov_update(p, model)
-    updated, bad = correct(predicted, p, model.F, model.H,
-                           model.effective_noise(priority))
-    if bad:  # pragma: no cover - r_base > 0
-        raise NumericalError("singular innovation covariance")
+    if p.shape != (model.state_dim, model.state_dim):
+        raise ContractError("covariance dimension does not match model")
+    updated, bad = correct(p, *moment_blocks(
+        model.F, model.H, model.Q, model.effective_noise(priority)))
+    if bad:
+        raise NumericalError("covariance update is not positive definite")
     return updated
 
 

@@ -51,7 +51,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ContractError, NumericalError
-from .filter_core import correct, logdets, predict
+from .filter_core import correct, logdets, moment_blocks, predict
 from .observability import (Belief, aggregate_rivals, belief_step,
                             stopping_cost)
 from .policy import (Action, ParamLayout, PolicyFamily, PolicyParams,
@@ -268,24 +268,26 @@ def _path_chunks(scenario, seeds: Sequence[int],
     paths' posteriors. Each epoch makes one stacked ``predict`` and one
     ``logdets`` call for priors and posteriors together. It corrects
     only the span from the first to the last target of positive
-    priority: one ``correct`` of those posteriors, whose result is kept
-    where the epoch's detection mask is set, and none at all on an epoch
-    where no path detects a measured target. Each stop check makes one
-    ``covariance_features`` call. These are ``filter_core``'s steps
-    behind lyapunov_update and riccati_update, which give each matrix of
-    a stack the bits it gets on its own, so every chunk recomputes the
-    same priors. The batch's priors and posteriors are views of the
-    chunk's state buffer.
+    priority, whose moment blocks are built once per call: one
+    ``correct`` of the span's previous posteriors, whose result replaces
+    the prediction where the epoch's detection mask is set, and none at
+    all on an epoch where no path detects a measured target. Each stop
+    check makes one ``covariance_features`` call. These are
+    ``filter_core``'s steps behind lyapunov_update and riccati_update,
+    which give each matrix of a stack the bits it gets on its own, so
+    every chunk recomputes the same priors. The batch's priors and
+    posteriors are views of the chunk's state buffer.
 
     ``belief`` replaces the scenario's initial belief, and ``models``
     and ``priorities`` replace its own without being validated again:
     the macro cycles pass each cycle's, which were validated when they
     were built. Seed ``s`` draws its detections from the same stream as
     ``rollout(scenario, policy, s)``. Failures are recorded in each
-    batch's ``failed_at``, not raised: a non-positive determinant, or an
-    innovation covariance that is not positive definite where a
-    detection was applied; a bad prior fails every path. An empty
-    ``seeds`` raises ContractError on the first ``next``.
+    batch's ``failed_at``, not raised: a non-positive determinant, or a
+    moment matrix that is not positive definite (a non-PD innovation
+    covariance or posterior) where a detection was applied; a bad prior
+    fails every path. An empty ``seeds`` raises ContractError on the
+    first ``next``.
     """
     seeds = list(seeds)
     if not seeds:
@@ -309,10 +311,10 @@ def _path_chunks(scenario, seeds: Sequence[int],
     # placeholder noise: its detections are always masked out.
     span = np.flatnonzero(measurable)
     measured = slice(span[0], span[-1] + 1) if span.size else slice(0, 0)
-    h = np.array([m.H for m in models[measured]])
+    h = np.array([m.H for m in models])
     r = np.array([m.effective_noise(nu) if nu > 0.0 else m.r_base
-                  for m, nu in zip(models[measured], priorities[measured])])
-    f_measured = f[measured]
+                  for m, nu in zip(models, priorities)])
+    g, d = moment_blocks(f[measured], h[measured], q[measured], r[measured])
     weights = scenario.weights
 
     # Epochs a chunk may need, and how many it runs between stop checks.
@@ -355,9 +357,7 @@ def _path_chunks(scenario, seeds: Sequence[int],
                 hit = bad = no_hits
                 if any_hit[k]:
                     hit = hits[:, k]
-                    corrected, bad = correct(post[:, measured],
-                                             state[1:, measured],
-                                             f_measured, h, r)
+                    corrected, bad = correct(state[1:, measured], g, d)
                     post[:, measured] = np.where(hit[..., None, None],
                                                  corrected, post[:, measured])
                 state = predicted

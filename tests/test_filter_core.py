@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from covstop.errors import ContractError
-from covstop.filter_core import (TargetModel, det_ratio_lyapunov,
+from covstop.errors import ContractError, NumericalError
+from covstop.filter_core import (TargetModel, correct, det_ratio_lyapunov,
                                  det_ratio_riccati, eigenvalues_sorted,
-                                 forward_solve, loewner_geq, lyapunov_update,
-                                 riccati_update, symmetrize)
+                                 loewner_geq, lyapunov_update, moment_blocks,
+                                 predict, riccati_update, symmetrize)
 from covstop.gmti import system_matrices
 from covstop.sampling import ordered_pair, random_pd, random_psd, random_transition
 from covstop.streams import stream
@@ -118,57 +118,107 @@ class TestRiccati:
                         lyapunov_update(p, model)):
                 assert np.linalg.eigvalsh(upd)[0] > 0.0
 
+    def test_indefinite_posterior_raises(self):
+        # S = 1 + R is positive, but the posterior diag(~0.5, -1, -1) is
+        # not, although its determinant is.
+        model = make_model(np.eye(3), [[1.0, 0.0, 0.0]], np.zeros((3, 3)),
+                           1.0)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            riccati_update(np.diag([1.0, -1.0, -1.0]), model)
 
-def reference_forward_solve(chol, b):
-    # The substitution loop on (..., n, k) slices; it takes the same
-    # elementwise steps in the same order as forward_solve.
-    x = b.copy()
-    n = chol.shape[-1]
+
+def subtractive_correct(p, f, h, q, r):
+    # The detection update in its subtractive form: F P F' + Q minus the
+    # information gain W'W, W = L^-1 H P F' with S = H P H' + R = L L',
+    # by forward substitution.
+    pht = p @ np.swapaxes(h, -1, -2)
+    chol = np.linalg.cholesky(symmetrize(h @ pht + r))
+    w = np.swapaxes(f @ pht, -1, -2).copy()
     inv_diag = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)[..., None]
-    for i in range(n):
-        x[..., i, :] *= inv_diag[..., i, :]
-        x[..., i + 1:, :] -= chol[..., i + 1:, i, None] * x[..., i, None, :]
-    return x
+    for i in range(chol.shape[-1]):
+        w[..., i, :] *= inv_diag[..., i, :]
+        w[..., i + 1:, :] -= chol[..., i + 1:, i, None] * w[..., i, None, :]
+    return symmetrize(predict(p, f, q) - np.swapaxes(w, -1, -2) @ w)
 
 
-class TestForwardSolve:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_equals_reference_loop_bitwise(self, n, k):
-        gen = stream(31 + k, "forward_solve.reference", n)
-        for lead in ((), (7,), (2, 5)):
-            s = np.array([random_pd(gen, n, gen.uniform(0.1, 10.0))
-                          for _ in range(int(np.prod(lead)))])
-            chol = np.linalg.cholesky(s.reshape(lead + (n, n)))
-            b = gen.normal(size=lead + (n, k))
-            x = forward_solve(chol, b)
-            assert x.shape == b.shape
-            assert np.array_equal(x, reference_forward_solve(chol, b))
+def random_blocks(gen, n, m, mz, noise_scale=1.0):
+    # n targets' F, H, Q and R, the noise covariances of about the squared
+    # scales; the diagonal floors keep S well conditioned.
+    f = np.array([random_transition(gen, m, gen.uniform(0.5, 1.5))
+                  for _ in range(n)])
+    h = gen.normal(size=(n, mz, m))
+    q = np.array([random_pd(gen, m, 1.0, jitter=0.1) for _ in range(n)])
+    r = np.array([random_pd(gen, mz, noise_scale, jitter=0.1)
+                  for _ in range(n)])
+    return f, h, q, r
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_matches_linalg_solve(self, n):
-        gen = stream(23, "forward_solve", n)
-        for k in (1, 2, 5):
-            for _ in range(25):
-                # The diagonal floor keeps the condition number below
-                # about 100, so two backward-stable solves agree to 1e-12.
-                chol = np.linalg.cholesky(random_pd(
-                    gen, n, gen.uniform(0.1, 10.0), jitter=0.1))
-                b = gen.normal(size=(n, k))
-                x = forward_solve(chol, b)
-                ref = np.linalg.solve(chol, b)
-                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("n", [1, 3, 4])
-    def test_stack_equals_each_matrix_bitwise(self, n):
-        gen = stream(29, "forward_solve.stack", n)
-        chol = np.linalg.cholesky(np.array([random_pd(gen, n, 1.0)
-                                            for _ in range(40)]))
-        b = gen.normal(size=(40, n, 3))
-        stacked = forward_solve(chol, b)
-        for i in range(40):
-            np.testing.assert_array_equal(stacked[i],
-                                          forward_solve(chol[i], b[i]))
+DIMS = [(m, mz) for m in (1, 2, 3, 4) for mz in (1, 2, 3)]
+
+
+class TestCorrect:
+    @pytest.mark.parametrize("m, mz", DIMS)
+    def test_stack_equals_each_matrix_bitwise(self, m, mz):
+        gen = stream(29, "correct.stack", 10 * m + mz)
+        f, h, q, r = random_blocks(gen, 3, m, mz)
+        g, d = moment_blocks(f, h, q, r)
+        p = np.array([[random_pd(gen, m, gen.uniform(0.1, 10.0))
+                       for _ in range(3)] for _ in range(7)])
+        stacked, bad = correct(p, g, d)
+        assert stacked.shape == p.shape and bad.shape == (7, 3)
+        assert not bad.any()
+        for b in range(7):
+            for l in range(3):
+                single, single_bad = correct(p[b, l], g[l], d[l])
+                assert single_bad.shape == () and not single_bad
+                assert np.array_equal(stacked[b, l], single)
+
+    @pytest.mark.parametrize("m, mz", DIMS)
+    def test_matches_subtractive_form(self, m, mz):
+        gen = stream(23, "correct.subtractive", 10 * m + mz)
+        f, h, q, r = random_blocks(gen, 40, m, mz)
+        p = np.array([random_pd(gen, m, gen.uniform(0.1, 10.0), jitter=0.1)
+                      for _ in range(40)])
+        got, bad = correct(p, *moment_blocks(f, h, q, r))
+        assert not bad.any()
+        ref = subtractive_correct(p, f, h, q, r)
+        for out, expected in zip(got, ref):
+            assert np.linalg.norm(out - expected) \
+                <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("m, mz", DIMS)
+    def test_posterior_is_symmetric_psd(self, m, mz):
+        # Measurement noise from 1e-12 to 1 of the prior's scale, and
+        # Q = 0: posteriors whose eigenvalues span many decades.
+        gen = stream(37, "correct.psd", 10 * m + mz)
+        f, h, _, r = random_blocks(gen, 60, m, mz)
+        r *= 10.0 ** gen.uniform(-12.0, 0.0, 60)[:, None, None]
+        p = np.array([random_pd(gen, m, gen.uniform(0.1, 10.0))
+                      for _ in range(60)])
+        post, bad = correct(p, *moment_blocks(f, h, np.zeros_like(p), r))
+        assert np.array_equal(post, np.swapaxes(post, -1, -2))
+        for out in post[~bad]:
+            eig = np.linalg.eigvalsh(out)
+            assert eig[0] >= -1e-13 * eig[-1]
+
+    def test_psd_or_flagged_where_the_subtractive_form_is_not(self):
+        # Q = 0, mz = m and a measurement-noise covariance about 1e-12 of
+        # the prior's (priority * delta of about 1e12): the posterior is
+        # about 1e-12 of the F P F' it is subtracted from, so the
+        # subtraction keeps only a few digits. The moment matrix's factor
+        # either exists, and its posterior is PSD, or fails and flags the
+        # entry.
+        gen = stream(7, "correct.indefinite")
+        f, h, _, r = random_blocks(gen, 200, 4, 4, noise_scale=1e-6)
+        q = np.zeros((200, 4, 4))
+        p = np.array([random_pd(gen, 4) for _ in range(200)])
+        post, bad = correct(p, *moment_blocks(f, h, q, r))
+        old = np.linalg.eigvalsh(subtractive_correct(p, f, h, q, r))
+        new = np.linalg.eigvalsh(post)
+        indefinite = old[:, 0] < -1e-9 * old[:, -1]
+        assert indefinite.sum() >= 3
+        assert (indefinite & ~bad).any() and (indefinite & bad).any()
+        assert (new[~bad, 0] >= -1e-13 * new[~bad, -1]).all()
 
 
 class TestLoewner:

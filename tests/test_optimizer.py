@@ -481,6 +481,26 @@ class TestPathEngine:
         with pytest.raises(NumericalError):
             rollout(scenario, always(Action.STOP), 0)
 
+    def test_indefinite_posterior_fails_at_its_epoch(self):
+        # Target 0's posterior diag(1, -1, -1) corrects to diag(~0.5, -1,
+        # -1) at epoch 1: its innovation variance and its determinant are
+        # positive, but it is not PSD, so its moment matrix has no
+        # Cholesky factor. Every path detects it (p_d = 1).
+        model = TargetModel(F=np.eye(3), G=np.eye(3), H=np.eye(1, 3),
+                            Q=np.zeros((3, 3)), r_base=np.eye(1), p_d=1.0)
+        scenario = Scenario(models=(model, model),
+                            priorities=np.array([0.5, 0.5]),
+                            weights=CostWeights(np.zeros(2), np.ones(2), 0.1),
+                            tau_max=4, initial_posteriors=(np.eye(3),) * 2,
+                            initial_priors=(np.eye(3),) * 2)
+        belief = Belief((np.diag([1.0, -1.0, -1.0]), np.eye(3)),
+                        (np.eye(3), np.eye(3)), 0)
+        seeds = [child_seed(6, "engine", b) for b in range(3)]
+        (batch,) = _path_chunks(scenario, seeds, StopAt(4), belief=belief)
+        np.testing.assert_array_equal(batch.failed_at, 1)
+        with pytest.raises(NumericalError, match="epoch 1 on 3 of 3 paths"):
+            batch.raise_failures()
+
     def test_nonpd_prior_fails_every_path(self):
         # Target 1's prior diag(-3, -1.5) steps to diag(-2, -0.5), whose
         # determinant is positive, then to diag(-1, 0.5), whose is not.

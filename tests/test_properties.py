@@ -25,7 +25,8 @@ from covstop import optimizer
 from covstop.config import stock_scenario
 from covstop.errors import ContractError
 from covstop.filter_core import (TargetModel, cholesky, correct, loewner_geq,
-                                 lyapunov_update, predict, riccati_update)
+                                 lyapunov_update, moment_blocks, predict,
+                                 riccati_update)
 from covstop.gmti import Scenario
 from covstop.observability import Belief, CostWeights
 from covstop.optimizer import (_STOP_BLOCK, StopAt, _path_chunks,
@@ -76,7 +77,7 @@ def test_stacked_steps_match_per_matrix_updates(seed, n_paths, n_targets, m,
     p = np.array([[random_pd(gen, m, gen.uniform(0.1, 10.0))
                    for _ in models] for _ in range(n_paths)])
     predicted = predict(p, f, q)
-    corrected, bad = correct(predicted, p, f, h, r)
+    corrected, bad = correct(p, *moment_blocks(f, h, q, r))
     assert not bad.any()
     for b in range(n_paths):
         for l, model in enumerate(models):
@@ -94,12 +95,13 @@ def test_stacked_steps_preserve_loewner_order_and_psd(seed, n, m, mz, gap):
     gen = stream(seed, "prop.loewner")
     models = random_models(gen, n, m, mz)
     f, q, h, r = stacked(models, gen.uniform(0.05, 1.0, n))
+    g, d = moment_blocks(f, h, q, r)
     pairs = [ordered_pair(gen, m, gen.uniform(0.1, 10.0), gap)
              for _ in range(n)]
     p1, p2 = (np.array(side) for side in zip(*pairs))
     lyap1, lyap2 = predict(p1, f, q), predict(p2, f, q)
-    ricc1, bad1 = correct(lyap1, p1, f, h, r)
-    ricc2, bad2 = correct(lyap2, p2, f, h, r)
+    ricc1, bad1 = correct(p1, g, d)
+    ricc2, bad2 = correct(p2, g, d)
     assert not (bad1.any() or bad2.any())
     for i in range(n):
         tol = 1e-9 * float(np.trace(p1[i]) + np.trace(lyap1[i]))
@@ -190,9 +192,9 @@ def test_engine_corrects_only_epochs_with_a_measured_detection(name, p_d):
     scenario = SCENARIOS[name].with_overrides(p_d=p_d)
     shapes = []
 
-    def counted(predicted, *args):
-        shapes.append(predicted.shape)
-        return correct(predicted, *args)
+    def counted(p, *args):
+        shapes.append(p.shape)
+        return correct(p, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimizer, "correct", counted)
