@@ -21,7 +21,12 @@ the result it gets on its own. ``lyapunov_update`` and
 ``riccati_update`` are their per-matrix views, which the scalar rollout
 uses; the batched path engine in ``optimizer`` calls the same steps on
 a stacked (1 + paths, targets, m, m) state whose row 0 is the prior
-shared by every path, correcting only the targets it measures.
+shared by every path, correcting only the targets it measures. The
+products take a contiguous transpose (F' for ``predict``, G' for
+``correct``), which the engine builds once per run and the per-matrix
+views once per call. The engine runs only ``predict`` and ``correct``
+epoch by epoch, and calls ``logdets`` once on each block of stored
+epochs.
 """
 
 from __future__ import annotations
@@ -76,9 +81,16 @@ def logdets(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logdet, ~(sign > 0.0)
 
 
-def predict(p: np.ndarray, f: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Lyapunov prediction F P F' + Q, on one matrix or a stack."""
-    return symmetrize(f @ p @ _t(f) + q)
+def predict(p: np.ndarray, f: np.ndarray, q: np.ndarray,
+            f_t: np.ndarray | None = None) -> np.ndarray:
+    """Lyapunov prediction F P F' + Q, on one matrix or a stack.
+
+    ``f_t`` is F' as a contiguous array (see ``correct`` for why); a
+    caller that predicts many times with one F builds it once, and
+    without it each call builds its own.
+    """
+    f_t = _t(f).copy() if f_t is None else f_t
+    return symmetrize(f @ p @ f_t + q)
 
 
 def moment_blocks(f: np.ndarray, h: np.ndarray, q: np.ndarray,
@@ -91,8 +103,8 @@ def moment_blocks(f: np.ndarray, h: np.ndarray, q: np.ndarray,
     return np.concatenate([h, f], axis=-2), d
 
 
-def correct(p: np.ndarray, g: np.ndarray,
-            d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def correct(p: np.ndarray, g: np.ndarray, d: np.ndarray,
+            g_t: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Riccati update of covariances after a detection, and a mask of
     failed entries.
 
@@ -104,13 +116,15 @@ def correct(p: np.ndarray, g: np.ndarray,
     Schur complement of S: the posterior, PSD by construction. Works on
     one matrix or a stack. An entry whose M is not positive definite
     (S is not, or the posterior would not be) is flagged in the mask,
-    and its result is a placeholder.
+    and its result is a placeholder. ``g_t`` is G' as a contiguous
+    array, built here when it is not given, as for ``predict``'s F'.
     """
     m = p.shape[-1]
     # Every product takes a contiguous right operand: on a transposed
     # view numpy's stacked matmul is several times slower, and on L22's
     # own buffer it calls BLAS syrk, slower still on small matrices.
-    chol, bad = cholesky(g @ p @ _t(g).copy() + d)
+    g_t = _t(g).copy() if g_t is None else g_t
+    chol, bad = cholesky(g @ p @ g_t + d)
     low = chol[..., -m:, -m:]
     return symmetrize(low @ _t(low).copy()), bad
 

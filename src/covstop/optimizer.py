@@ -4,10 +4,12 @@ Given its seed, a rollout's belief path does not depend on the policy:
 detections are drawn for every target at every epoch and the priors are
 deterministic. The batched path engine uses that. ``_path_chunks`` runs
 the Riccati/Lyapunov recursion for many seeds at once, calling
-``filter_core``'s steps once per epoch on a stacked
+``filter_core``'s predict and correct once per epoch on a stacked
 (1 + paths, targets, m, m) state whose row 0 is the prior shared by
-every path, and records each path's log-determinants and stopping cost
-at every epoch. Every caller names the policy its chunks are for.
+every path. Everything else it records is read off the stored states
+once per block of epochs: each path's log-determinants, stopping costs
+and first failed epoch, and under a policy its stop check. Every caller
+names the policy its chunks are for.
 Under PolicyParams the engine checks the stopping rule every few epochs
 and ends a chunk once every path has stopped, so a ``PathBatch``'s
 epoch axis may end before the horizon; ``StopAt(k)`` runs k epochs, and
@@ -195,7 +197,11 @@ class PathBatch:
     simulated for needs it to (see ``_path_chunks``), which may be
     before the ``horizon``. ``failed_at`` holds each path's first epoch
     whose covariance update failed or left a non-positive determinant,
-    0 if there is none; a failed path's later entries are placeholders.
+    0 if there is none. A failed path's entries from ``failed_at`` on
+    (that epoch included, and its stopping costs and features) are
+    placeholders: the engine finds a determinant failure only at the
+    end of the stop block it happened in, and runs the path on from
+    its bad state until then.
 
     ``posteriors`` and ``priors`` (and their log-determinants) are
     views of the chunk's state buffer, in which the priors are row 0.
@@ -265,14 +271,16 @@ def _path_chunks(scenario, seeds: Sequence[int],
 
     A chunk simulates one (1 + paths, targets, m, m) state: row 0 is the
     deterministic prior, shared by every path, and rows 1.. are the
-    paths' posteriors. Each epoch makes one stacked ``predict`` and one
-    ``logdets`` call for priors and posteriors together. It corrects
-    only the span from the first to the last target of positive
-    priority, whose moment blocks are built once per call: one
-    ``correct`` of the span's previous posteriors, whose result replaces
-    the prediction where the epoch's detection mask is set, and none at
-    all on an epoch where no path detects a measured target. Each stop
-    check makes one ``covariance_features`` call. These are
+    paths' posteriors. Each epoch runs only the recursion: one stacked
+    ``predict`` of priors and posteriors together, and one ``correct``
+    of the previous posteriors on the span from the first to the last
+    target of positive priority, whose result replaces the prediction
+    where the epoch's detection mask is set; an epoch on which no path
+    detects a measured target makes no correction. F' and the span's
+    moment blocks G, G' and D are built once per call. The epochs
+    between two stop checks (all of them under ``StopAt``) form a block,
+    and each block makes one ``logdets`` call on its stored states and,
+    under PolicyParams, one ``covariance_features`` call. These are
     ``filter_core``'s steps behind lyapunov_update and riccati_update,
     which give each matrix of a stack the bits it gets on its own, so
     every chunk recomputes the same priors. The batch's priors and
@@ -283,11 +291,13 @@ def _path_chunks(scenario, seeds: Sequence[int],
     the macro cycles pass each cycle's, which were validated when they
     were built. Seed ``s`` draws its detections from the same stream as
     ``rollout(scenario, policy, s)``. Failures are recorded in each
-    batch's ``failed_at``, not raised: a non-positive determinant, or a
-    moment matrix that is not positive definite (a non-PD innovation
-    covariance or posterior) where a detection was applied; a bad prior
-    fails every path. An empty ``seeds`` raises ContractError on the
-    first ``next``.
+    batch's ``failed_at``, not raised: a moment matrix that is not
+    positive definite (a non-PD innovation covariance or posterior)
+    where a detection was applied, at its epoch, or a non-positive
+    determinant, found by the block's scan of its log-determinants; a
+    bad prior fails every path. A failed path's carried state is reset
+    to the identity at the end of its block, so it stays finite. An
+    empty ``seeds`` raises ContractError on the first ``next``.
     """
     seeds = list(seeds)
     if not seeds:
@@ -315,6 +325,7 @@ def _path_chunks(scenario, seeds: Sequence[int],
     r = np.array([m.effective_noise(nu) if nu > 0.0 else m.r_base
                   for m, nu in zip(models, priorities)])
     g, d = moment_blocks(f[measured], h[measured], q[measured], r[measured])
+    f_t, g_t = f.swapaxes(-1, -2).copy(), g.swapaxes(-1, -2).copy()
     weights = scenario.weights
 
     # Epochs a chunk may need, and how many it runs between stop checks.
@@ -338,7 +349,6 @@ def _path_chunks(scenario, seeds: Sequence[int],
         detections = (draws < p_d) & measurable
         hits = detections[..., measured]  # (paths, epochs, measured)
         any_hit = hits.any(axis=(0, 2))
-        no_hits = np.zeros((n_paths, hits.shape[-1]), dtype=bool)
         # Each (m, m) matrix must be C-contiguous in its last two axes
         # (the path axis must not be innermost): on other strides numpy's
         # stacked matmul may not give each matrix the bits it gets on its
@@ -352,23 +362,30 @@ def _path_chunks(scenario, seeds: Sequence[int],
         while end < last and not stopped.all():
             begin, end = end, min(end + block, last)
             for k in range(begin, end):
-                predicted = predict(state, f, q)
-                post = predicted[1:]
-                hit = bad = no_hits
+                predicted = predict(state, f, q, f_t)
                 if any_hit[k]:
                     hit = hits[:, k]
-                    corrected, bad = correct(state[1:, measured], g, d)
-                    post[:, measured] = np.where(hit[..., None, None],
-                                                 corrected, post[:, measured])
+                    corrected, bad = correct(state[1:, measured], g, d, g_t)
+                    np.copyto(predicted[1:, measured], corrected,
+                              where=hit[..., None, None])
+                    if bad.any():
+                        failed = (bad & hit).any(axis=1)
+                        failed_at[failed & (failed_at == 0)] = k + 1
                 state = predicted
-                logdet, bad_dets = logdets(state)
-                if bad_dets.any() or bad.any():
-                    failed = (bad_dets[1:].any(axis=1)
-                              | (bad & hit).any(axis=1) | bad_dets[0].any())
-                    failed_at[failed & (failed_at == 0)] = k + 1
-                    post[failed] = eye  # keep failed paths finite
                 states[:, k] = state
-                logdet_states[:, k] = logdet
+            logdet, bad_dets = logdets(states[:, begin:end])
+            logdet_states[:, begin:end] = logdet
+            if bad_dets.any():
+                # A path fails at its first epoch with a non-positive
+                # determinant, unless a correction failed before it.
+                bad_epochs = (bad_dets[1:].any(axis=-1)
+                              | bad_dets[0].any(axis=-1))
+                first = begin + bad_epochs.argmax(axis=1) + 1
+                new = bad_epochs.any(axis=1) & ((failed_at == 0)
+                                                | (first < failed_at))
+                failed_at[new] = first[new]
+            if failed_at.any():
+                state[1:][failed_at > 0] = eye  # keep failed paths finite
             if checked:
                 features = covariance_features(states[:, begin:end],
                                                policy.family)

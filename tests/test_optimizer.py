@@ -516,10 +516,30 @@ class TestPathEngine:
         (batch,) = _path_chunks(scenario, seeds, full, belief=belief)
         np.testing.assert_array_equal(batch.failed_at, 2)
 
-    def test_one_stacked_step_per_epoch(self, monkeypatch):
+    def test_nonpd_prior_fails_after_the_first_block(self):
+        # Target 1's prior diag(-20, -9.5) steps by +I: its determinant is
+        # positive up to epoch 9, at (-11, -0.5), and negative at epoch
+        # 10, which lies in the second stop block under a policy and in
+        # the one block under StopAt(12).
+        scenario = identity_scenario(tau_max=12)
+        belief = Belief((np.eye(2), np.eye(2)),
+                        (np.eye(2), np.diag([-20.0, -9.5])), 0)
+        seeds = [child_seed(5, "engine", b) for b in range(6)]
+        never = PolicyParams(PolicyFamily.EIGEN_SUM, np.zeros((2, 2)),
+                             np.zeros((2, 2)))
+        for policy in (StopAt(12), never):
+            (batch,) = _path_chunks(scenario, seeds, policy, belief=belief)
+            assert batch.posteriors.shape[1] == 12
+            np.testing.assert_array_equal(batch.failed_at, 10)
+            with pytest.raises(NumericalError,
+                               match="epoch 10 on 6 of 6 paths"):
+                batch.raise_failures()
+
+    def test_one_predict_per_epoch_one_logdets_per_block(self, monkeypatch):
         # The priors ride in the simulated state with the posteriors: a
-        # chunk makes one predict and one logdets call per epoch, and one
-        # covariance_features call per stop check, however many chunks.
+        # chunk makes one predict call per epoch, and one logdets and one
+        # covariance_features call per stop block, however many chunks.
+        # Under StopAt the whole chunk is one block.
         scenario = stock_scenario("flyby")
         layout = ParamLayout(PolicyFamily.EIGEN_SUM, 4, 4)
         # Interior stops: tau is 1, 12 or 14 on these seeds.
@@ -537,9 +557,12 @@ class TestPathEngine:
                                 counting(getattr(optimizer, name), name,
                                          counts))
         policy_costs(scenario, params, seeds)
-        assert counts == {
-            "predict": sum(epochs), "logdets": sum(epochs),
-            "covariance_features": sum(-(-e // _STOP_BLOCK) for e in epochs)}
+        blocks = sum(-(-e // _STOP_BLOCK) for e in epochs)
+        assert counts == {"predict": sum(epochs), "logdets": blocks,
+                          "covariance_features": blocks}
+        counts.clear()
+        next(_path_chunks(scenario, seeds, StopAt(scenario.tau_max)))
+        assert counts == {"predict": scenario.tau_max, "logdets": 1}
 
     def test_failure_raises_only_at_or_before_tau(self):
         scenario = scalar_test_scenario()

@@ -277,12 +277,15 @@ def test_chunks_carry_exact_priors_and_miss_updates(name, p_d, stop, family,
             for l, p in enumerate(prior):
                 assert np.array_equal(batch.priors[k, l], p)
                 assert batch.logdet_priors[k, l] == np.linalg.slogdet(p)[1]
-        for path, detected in zip(batch.posteriors, batch.detections):
+        for path, detected, logdets in zip(batch.posteriors, batch.detections,
+                                           batch.logdet_posteriors):
             previous = start.posteriors
-            for posteriors, hits in zip(path, detected):
+            for posteriors, hits, logdet in zip(path, detected, logdets):
                 for l in np.flatnonzero(~hits):
                     assert np.array_equal(
                         posteriors[l], lyapunov_update(previous[l], models[l]))
+                for l, p in enumerate(posteriors):
+                    assert logdet[l] == np.linalg.slogdet(p)[1]
                 previous = posteriors
 
 
