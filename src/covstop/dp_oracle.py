@@ -14,14 +14,17 @@ weights are all zero the priors drop out of the cost and the state is
 just the posterior pair; otherwise the table extends over deterministic
 prior axes as well, at whatever resolution the grids specify.
 
-E[V(next)] interpolates one axis after another, and the branch an axis
-takes depends only on its own target's detection. Outcomes that agree on
-the leading axes therefore share those passes: each (axis, branch)
-interpolation table is built once, and each shared prefix of axes is
-interpolated once per sweep (6 full-table passes instead of 8 on the
-posterior pair), into buffers reused from sweep to sweep. The outcome
-sum keeps its order and starts from +0.0, so the table is bit for bit
-that of interpolating every outcome afresh.
+Both targets' detections are independent and each axis's branch
+depends only on its own target's detection, so E[V(next)] factorizes:
+each axis applies one probability-averaged interpolation, a stencil of
+two taps (gather indices and weights p(branch)*(1-w), p(branch)*w) per
+branch with nonzero probability, and the axes are applied one after
+another. A sweep runs over blocks of axis-0 rows sized to a fixed byte
+budget, so a block's expectation, running cost, clip at zero and
+residual stay in cache. Every stencil sum starts from +0.0. The table
+equals the outcome sum (every outcome interpolated afresh, weighted and
+added) up to rounding in the last bits: the same terms are summed in
+another order.
 """
 
 from __future__ import annotations
@@ -169,20 +172,25 @@ def _axes_for(model: ScalarStopModel) -> list[_Axis]:
     return axes
 
 
-def _outcomes(model: ScalarStopModel, axes: list[_Axis]):
+def _branches(ax: _Axis) -> list:
+    """(detected, probability) of each branch of an axis, if nonzero."""
+    if not ax.branches:
+        return [(False, 1.0)]
+    p_d = ax.target.p_d
+    return [(hit, prob) for hit, prob in ((True, p_d), (False, 1.0 - p_d))
+            if prob != 0.0]
+
+
+def _outcomes(axes: list[_Axis]):
     """Detect/miss outcomes of one transition with nonzero probability.
 
     Yields (probability, detected), where detected[i] says whether axis
     i takes the detection branch; prior axes never do.
     """
-    p_d = (model.target_a.p_d, model.target_other.p_d)
-    for det_a, det_o in product((True, False), repeat=2):
-        prob = (p_d[0] if det_a else 1.0 - p_d[0]) \
-            * (p_d[1] if det_o else 1.0 - p_d[1])
-        if prob == 0.0:
-            continue
-        detected = {"post_a": det_a, "post_other": det_o}
-        yield prob, [ax.branches and detected[ax.name] for ax in axes]
+    for branches in product(*(_branches(ax) for ax in axes)):
+        prob = math.prod(p for _, p in branches)
+        if prob != 0.0:
+            yield prob, [hit for hit, _ in branches]
 
 
 def _interp_table(grid: np.ndarray, values: np.ndarray):
@@ -251,89 +259,115 @@ class QTable:
     residual: float
 
 
-class _ExpectedNext:
-    """E[V(next)] over the detect/miss outcomes, with reused buffers.
+# Bytes of one row block of a Bellman sweep: 64 rows of a 512-column
+# table. A block's buffers stay in cache while its axes are swept.
+_BLOCK_BYTES = 2**18
 
-    V(next) interpolates one axis after another. Outcomes whose leading
-    axes take the same branches share those passes, so each call
-    interpolates every branch prefix once. Each pass writes into a
-    buffer kept across calls, so a sweep allocates no full-size table.
+
+def _stencil(grid: np.ndarray, steps: list, axis: int, ndim: int) -> list:
+    """The probability-averaged interpolation of one axis.
+
+    ``steps`` lists (probability, next covariances) per branch. Each
+    branch adds two taps (gather indices, broadcast weight), its lower
+    and upper interpolation neighbours.
+    """
+    taps = []
+    for prob, nxt in steps:
+        idx, idx_hi, w_lo, w_hi = _lerp_table(grid, nxt, axis, ndim)
+        taps += [(idx, prob * w_lo), (idx_hi, prob * w_hi)]
+    return taps
+
+
+def _apply_stencil(v: np.ndarray, taps: list, axis: int, out: np.ndarray,
+                   scratch: np.ndarray) -> np.ndarray:
+    """Weighted sum of gathers of ``v`` along one axis, from +0.0.
+
+    Indices are always in range, so mode="clip" changes nothing; it lets
+    ``take`` write into ``scratch`` without an intermediate copy.
+    """
+    out.fill(0.0)
+    for idx, weight in taps:
+        term = np.take(v, idx, axis=axis, out=scratch, mode="clip")
+        term *= weight
+        out += term
+    return out
+
+
+class _ExpectedNext:
+    """E[V(next)] as one averaged interpolation per axis, in row blocks.
+
+    ``blocks(value)`` yields the expectation on successive blocks of
+    axis-0 rows: the axis-0 stencil gathers the block's rows from the
+    whole table, the later axes' stencils work inside the block. The
+    three block buffers are reused from block to block and sweep to
+    sweep, so a yielded block is valid until the next one is asked for.
     """
 
-    def __init__(self, outcomes: list, tables: dict, shape: tuple):
-        self.outcomes = outcomes      # (probability, branch of each axis)
-        self.tables = tables          # (axis, branch) -> _lerp_table
-        self.buffers = {}             # branch prefix -> interpolated table
-        self.scratch = np.empty(shape)
+    def __init__(self, stencils: list, shape: tuple):
+        self.stencils = stencils
+        row_bytes = 8 * math.prod(shape[1:])
+        self.height = max(1, _BLOCK_BYTES // row_bytes)
+        block = (min(self.height, shape[0]),) + tuple(shape[1:])
+        self.buffers = [np.empty(block) for _ in range(3)]
 
-    def _buffer(self, key) -> np.ndarray:
-        if key not in self.buffers:
-            self.buffers[key] = np.empty_like(self.scratch)
-        return self.buffers[key]
-
-    def __call__(self, value: np.ndarray, out: np.ndarray) -> np.ndarray:
-        last = value.ndim - 1
-        done = set()
-        out.fill(0.0)
-        for prob, branches in self.outcomes:
-            nxt = value
-            for axis in range(value.ndim):
-                # Every outcome's full interpolation shares one buffer.
-                key = branches[:axis + 1] if axis < last else None
-                if key in done:
-                    nxt = self.buffers[key]
-                    continue
-                nxt = _apply_axis(nxt, self.tables[axis, branches[axis]],
-                                  axis, self._buffer(key), self.scratch)
-                if key is not None:
-                    done.add(key)
-            nxt *= prob
-            out += nxt
-        return out
+    def blocks(self, value: np.ndarray):
+        n_rows = value.shape[0]
+        for start in range(0, n_rows, self.height):
+            rows = slice(start, min(start + self.height, n_rows))
+            out, other, scratch = (b[:rows.stop - start]
+                                   for b in self.buffers)
+            nxt = _apply_stencil(value, [(idx[rows], w[rows])
+                                         for idx, w in self.stencils[0]],
+                                 0, out, scratch)
+            for axis in range(1, value.ndim):
+                nxt, other = _apply_stencil(nxt, self.stencils[axis], axis,
+                                            other, scratch), nxt
+            yield rows, nxt
 
 
 def value_iterate(model: ScalarStopModel, tol: float = 1e-8,
                   max_iters: int = 100_000) -> QTable:
-    """Fixed-point iteration of the shifted Bellman equation."""
+    """Fixed-point iteration of the shifted Bellman equation.
+
+    Each sweep runs block by block over axis-0 rows: the expectation,
+    plus the running cost, clipped at 0 (stopping), and the block's
+    largest change. The running cost sums the detect/miss outcomes at
+    the exact next values.
+    """
     axes = _axes_for(model)
     grids = [ax.grid for ax in axes]
     cbar = _broadcast_sum([ax.cbar_coef * np.log(ax.grid) for ax in axes])
 
-    # Each outcome's running-cost share uses the exact next values; the
-    # interpolation table of each (axis, branch) serves the expected
-    # next value.
+    # Checked below: a map that overflows on the grid is reported as a
+    # numerical failure, not as floating-point warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = {(axis, hit): ax.step(ax.grid, hit)
+                 for axis, ax in enumerate(axes) for hit, _ in _branches(ax)}
+    if not all(np.all(np.isfinite(v)) for v in steps.values()):
+        raise NumericalError("value iteration diverged before iteration "
+                             "1: a covariance map is not finite on the "
+                             "grid")
     running = model.weights.operating_cost - cbar
-    outcomes = []
-    tables = {}
-    for prob, detected in _outcomes(model, axes):
-        # Checked below: a map that overflows on the grid is reported as
-        # a numerical failure, not as floating-point warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            next_vals = [ax.step(ax.grid, hit)
-                         for ax, hit in zip(axes, detected)]
-        if not all(np.all(np.isfinite(v)) for v in next_vals):
-            raise NumericalError("value iteration diverged before iteration "
-                                 "1: a covariance map is not finite on the "
-                                 "grid")
+    for prob, detected in _outcomes(axes):
         running = running + prob * _broadcast_sum(
-            [ax.cbar_coef * np.log(v) for ax, v in zip(axes, next_vals)])
-        outcomes.append((prob, tuple(detected)))
-        for axis, (ax, hit, v) in enumerate(zip(axes, detected, next_vals)):
-            if (axis, hit) not in tables:
-                tables[axis, hit] = _lerp_table(ax.grid, v, axis, len(axes))
+            [ax.cbar_coef * np.log(steps[axis, hit])
+             for axis, (ax, hit) in enumerate(zip(axes, detected))])
+    expected_next = _ExpectedNext(
+        [_stencil(ax.grid, [(prob, steps[axis, hit])
+                            for hit, prob in _branches(ax)], axis, len(axes))
+         for axis, ax in enumerate(axes)], cbar.shape)
 
-    expected_next = _ExpectedNext(outcomes, tables, cbar.shape)
     value = -cbar
     new_value = np.empty(cbar.shape)
     residual = math.inf
     for iteration in range(1, max_iters + 1):
-        expected_next(value, out=new_value)
-        new_value += running
-        np.minimum(0.0, new_value, out=new_value)
-        # The old table is not needed past the residual, so its buffer
-        # takes the difference and then the next sweep.
-        np.subtract(new_value, value, out=value)
-        residual = float(np.max(np.abs(value, out=value)))
+        changes = []
+        for rows, block in expected_next.blocks(value):
+            block += running[rows]
+            np.minimum(0.0, block, out=new_value[rows])
+            np.subtract(new_value[rows], value[rows], out=block)
+            changes.append(np.max(np.abs(block, out=block)))
+        residual = float(np.max(changes))
         value, new_value = new_value, value
         if not math.isfinite(residual):
             raise NumericalError(f"value iteration diverged at iteration "
@@ -344,8 +378,10 @@ def value_iterate(model: ScalarStopModel, tol: float = 1e-8,
         raise NumericalError(f"value iteration did not converge in "
                              f"{max_iters} iterations (residual {residual:.3e})")
 
-    q_continue = expected_next(value, out=new_value)
-    q_continue += running
+    # The previous table is not needed any more; it takes Q_continue.
+    q_continue = new_value
+    for rows, block in expected_next.blocks(value):
+        np.add(block, running[rows], out=q_continue[rows])
     action = np.where(q_continue >= 0.0, int(Action.STOP),
                       int(Action.CONTINUE)).astype(np.int8)
     return QTable(model=model, axis_names=[ax.name for ax in axes],
@@ -365,11 +401,9 @@ def extract_threshold(qtable: QTable) -> np.ndarray:
     if qtable.action.ndim != 2:
         raise ContractError("threshold extraction needs the 2-D table")
     grid_a = qtable.grids[0]
-    out = np.empty(qtable.action.shape[1])
-    for j in range(qtable.action.shape[1]):
-        continues = np.nonzero(qtable.action[:, j] == int(Action.CONTINUE))[0]
-        out[j] = grid_a[continues[0]] if continues.size else grid_a[-1]
-    return out
+    continues = qtable.action == int(Action.CONTINUE)
+    first = np.argmax(continues, axis=0)
+    return np.where(continues.any(axis=0), grid_a[first], grid_a[-1])
 
 
 # Expected movement of the action value (1 stop, 2 continue) along each
@@ -430,7 +464,7 @@ def expected_optimal_cost(qtable: QTable, point: tuple) -> float:
     point = tuple(float(p) for p in np.atleast_1d(point))
     axes = _axes_for(qtable.model)
     total = 0.0
-    for prob, detected in _outcomes(qtable.model, axes):
+    for prob, detected in _outcomes(axes):
         nxt = tuple(ax.step(p, hit)
                     for ax, p, hit in zip(axes, point, detected))
         total += prob * optimal_cost(qtable, nxt)

@@ -464,6 +464,20 @@ class TestExitCodes:
         assert "before iteration 1:" in err[0]
         assert not out.exists()
 
+    def test_dp_threshold_monotonicity_violations_exit_3(self, tmp_path,
+                                                         capsys,
+                                                         monkeypatch):
+        # Violations are reported, not fatal: the outputs are written and
+        # the exit code says the table is not monotone.
+        monkeypatch.setattr(cli, "check_monotone_policy", lambda qtable: 2)
+        out = tmp_path / "out"
+        code = main(["dp-threshold", "--grid", "8", "--seed", "1",
+                     "--out", str(out)])
+        assert code == 3
+        assert "monotonicity violations 2" in capsys.readouterr().out
+        for name in ("qtable.csv", "threshold.csv", "manifest.json"):
+            assert (out / name).is_file()
+
 
 # The scalar per-belief stack, by defining module: the reference that
 # tests and the benchmark compare the path engine against.

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from covstop.dp_oracle import (QTable, ScalarStopModel, ScalarTarget,
                                extract_threshold, greedy_policy, log_grid,
                                make_scalar_model, optimal_cost,
                                scalar_scenario, value_iterate)
-from covstop.dp_oracle import (_ExpectedNext, _axes_for, _broadcast_sum,
-                               _interp_table, _lerp_table, _outcomes)
+from covstop import dp_oracle
+from covstop.dp_oracle import (_ExpectedNext, _axes_for, _branches,
+                               _broadcast_sum, _interp_table, _outcomes,
+                               _stencil)
 from covstop.errors import ContractError, NumericalError
 from covstop.observability import (Belief, CostWeights, StoppingCase,
                                    transformed_running_cost)
@@ -42,21 +46,28 @@ def reference_expected_next(value, outcomes):
     return expected
 
 
+def reference_costs(model):
+    """Axes, Cbar and the running cost summed over the outcomes."""
+    axes = _axes_for(model)
+    cbar = _broadcast_sum([ax.cbar_coef * np.log(ax.grid) for ax in axes])
+    running = model.weights.operating_cost - cbar
+    for prob, detected in _outcomes(axes):
+        next_vals = [ax.step(ax.grid, hit) for ax, hit in zip(axes, detected)]
+        running = running + prob * _broadcast_sum(
+            [ax.cbar_coef * np.log(v) for ax, v in zip(axes, next_vals)])
+    return axes, cbar, running
+
+
 def reference_value_iterate(model, tol=1e-8, max_iters=100_000):
     """The loop reference: every outcome interpolates every axis afresh.
 
     Returns (value, q_continue, running_cost, iterations).
     """
-    axes = _axes_for(model)
-    cbar = _broadcast_sum([ax.cbar_coef * np.log(ax.grid) for ax in axes])
-    running = model.weights.operating_cost - cbar
+    axes, cbar, running = reference_costs(model)
     outcomes = []
-    for prob, detected in _outcomes(model, axes):
-        next_vals = [ax.step(ax.grid, hit) for ax, hit in zip(axes, detected)]
-        running = running + prob * _broadcast_sum(
-            [ax.cbar_coef * np.log(v) for ax, v in zip(axes, next_vals)])
-        outcomes.append((prob, [_interp_table(ax.grid, v)
-                                for ax, v in zip(axes, next_vals)]))
+    for prob, detected in _outcomes(axes):
+        outcomes.append((prob, [_interp_table(ax.grid, ax.step(ax.grid, hit))
+                                for ax, hit in zip(axes, detected)]))
     value = -cbar
     for iteration in range(1, max_iters + 1):
         new_value = np.minimum(0.0, running
@@ -69,10 +80,70 @@ def reference_value_iterate(model, tol=1e-8, max_iters=100_000):
     return value, q_continue, running, iteration
 
 
+def reference_stencils(model):
+    """Per axis, (indices, weight) taps: each branch's two neighbours
+    weighted by p(branch) * (1 - w) and p(branch) * w."""
+    axes = _axes_for(model)
+    stencils = []
+    for axis, ax in enumerate(axes):
+        p_d = ax.target.p_d
+        branches = ([(True, p_d), (False, 1.0 - p_d)] if ax.branches
+                    else [(False, 1.0)])
+        shape = [1] * len(axes)
+        shape[axis] = -1
+        taps = []
+        for hit, prob in branches:
+            if prob == 0.0:
+                continue
+            idx, w = _interp_table(ax.grid, ax.step(ax.grid, hit))
+            taps.append((idx, (prob * (1.0 - w)).reshape(shape)))
+            taps.append((np.minimum(idx + 1, len(ax.grid) - 1),
+                         (prob * w).reshape(shape)))
+        stencils.append(taps)
+    return stencils
+
+
+def model_shape(model):
+    return tuple(len(ax.grid) for ax in _axes_for(model))
+
+
+def reference_separable_expected_next(value, stencils):
+    """One averaged interpolation per axis on the whole table, each sum
+    starting from +0.0."""
+    nxt = value
+    for axis, taps in enumerate(stencils):
+        total = 0.0
+        for idx, weight in taps:
+            total = total + weight * np.take(nxt, idx, axis=axis)
+        nxt = total
+    return nxt
+
+
+def reference_separable_value_iterate(model, tol=1e-8, max_iters=100_000):
+    """The separable reference: full-table sweeps, no row blocks.
+
+    Returns (value, q_continue, running_cost, iterations).
+    """
+    _, cbar, running = reference_costs(model)
+    stencils = reference_stencils(model)
+    value = -cbar
+    for iteration in range(1, max_iters + 1):
+        new_value = np.minimum(0.0, reference_separable_expected_next(
+            value, stencils) + running)
+        residual = float(np.max(np.abs(new_value - value)))
+        value = new_value
+        if residual < tol:
+            break
+    q_continue = reference_separable_expected_next(value, stencils) + running
+    return value, q_continue, running, iteration
+
+
 def assert_matches_reference(model, tol=1e-8):
+    """Bit for bit against the separable reference; within 1e-13 of the
+    outcome loop, which sums the same terms in another order."""
     qtable = value_iterate(model, tol=tol)
-    value, q_continue, running, iterations = reference_value_iterate(model,
-                                                                     tol)
+    value, q_continue, running, iterations = \
+        reference_separable_value_iterate(model, tol)
     assert qtable.n_iterations == iterations
     assert np.array_equal(qtable.value, value)
     assert np.array_equal(qtable.q_continue, q_continue)
@@ -81,7 +152,48 @@ def assert_matches_reference(model, tol=1e-8):
     assert np.array_equal(np.signbit(qtable.value), np.signbit(value))
     assert np.array_equal(np.signbit(qtable.q_continue),
                           np.signbit(q_continue))
+
+    value, q_continue, running, iterations = reference_value_iterate(model,
+                                                                     tol)
+    assert qtable.n_iterations == iterations
+    for got, want in [(qtable.value, value), (qtable.q_continue, q_continue)]:
+        assert np.all(np.abs(got - want)
+                      <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    assert np.array_equal(qtable.action,
+                          np.where(q_continue >= 0.0, int(Action.STOP),
+                                   int(Action.CONTINUE)))
     return qtable
+
+
+def limit_block_rows(monkeypatch, model, rows):
+    """Size the sweep's row blocks to ``rows`` rows of the model's table."""
+    monkeypatch.setattr(dp_oracle, "_BLOCK_BYTES",
+                        rows * 8 * math.prod(model_shape(model)[1:]))
+
+
+# Model arguments of the bit-for-bit reference cases.
+REFERENCE_CASES = [
+    pytest.param({}, id="case4"),
+    pytest.param({"p_d_other": 0.75}, id="four-outcomes"),
+    pytest.param({"p_d": 1.0, "p_d_other": 1.0}, id="certain"),
+    pytest.param({"p_d": 0.0, "p_d_other": 0.3}, id="miss-a"),
+    pytest.param({"n_a": 1, "n_other": 7}, id="one-point"),
+    pytest.param({"c_nu": 1e6}, id="all-stop"),
+]
+
+
+def reference_case_model(kwargs):
+    defaults = {"n_a": 40, "n_other": 33}
+    defaults.update(kwargs)
+    return case4_model(**defaults)
+
+
+def four_axis_model(p_d_other):
+    return make_scalar_model(f=1.0, h=1.0, q=1.0, r=25.0, p_d=0.75,
+                             p_d_other=p_d_other, c_nu=0.8,
+                             beta=(5.0, 1.0), alpha=(0.4, 0.3),
+                             n_a=9, n_other=8, n_prior=6,
+                             p_min=1e-1, p_max=1e2)
 
 
 @pytest.fixture(scope="module")
@@ -139,38 +251,39 @@ class TestValueIterate:
         recomputed = np.minimum(0.0, qtable.q_continue)
         np.testing.assert_allclose(recomputed, qtable.value, atol=1e-7)
 
-    @pytest.mark.parametrize("kwargs", [
-        {},
-        {"p_d_other": 0.75},
-        {"p_d": 1.0, "p_d_other": 1.0},
-        {"p_d": 0.0, "p_d_other": 0.3},
-        {"n_a": 1, "n_other": 7},
-        {"c_nu": 1e6},
-    ], ids=["case4", "four-outcomes", "certain", "miss-a", "one-point",
-            "all-stop"])
+    @pytest.mark.parametrize("kwargs", REFERENCE_CASES)
     def test_matches_reference_loop_bit_for_bit(self, kwargs):
-        defaults = {"n_a": 40, "n_other": 33}
-        defaults.update(kwargs)
-        assert_matches_reference(case4_model(**defaults))
+        assert_matches_reference(reference_case_model(kwargs))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("kwargs", REFERENCE_CASES)
+    def test_row_blocks_match_reference_bit_for_bit(self, kwargs, rows,
+                                                     monkeypatch):
+        model = reference_case_model(kwargs)
+        limit_block_rows(monkeypatch, model, rows)
+        assert_matches_reference(model)
 
     def test_expected_sum_starts_from_positive_zero(self):
-        # Every outcome adds -0.0 here; only a sum that starts from +0.0
-        # ends at +0.0, as the reference's does.
+        # Every tap adds -0.0 here; only a sum that starts from +0.0
+        # ends at +0.0, as both references' sums do.
         model = case4_model(p_d_other=0.75, n_a=5, n_other=4)
         axes = _axes_for(model)
-        outcomes = [(prob, tuple(hits))
-                    for prob, hits in _outcomes(model, axes)]
-        tables = {(axis, hit): _lerp_table(ax.grid, ax.step(ax.grid, hit),
-                                           axis, 2)
-                  for axis, ax in enumerate(axes) for hit in (True, False)}
+        stencils = [_stencil(ax.grid, [(prob, ax.step(ax.grid, hit))
+                                       for hit, prob in _branches(ax)],
+                             axis, 2)
+                    for axis, ax in enumerate(axes)]
         value = np.full((5, 4), -0.0)
-        got = _ExpectedNext(outcomes, tables, value.shape)(
-            value, out=np.empty(value.shape))
-        expected = reference_expected_next(value, [
+        got = np.empty(value.shape)
+        for rows, block in _ExpectedNext(stencils, value.shape).blocks(value):
+            got[rows] = block
+        separable = reference_separable_expected_next(
+            value, reference_stencils(model))
+        loop = reference_expected_next(value, [
             (prob, [_interp_table(ax.grid, ax.step(ax.grid, hit))
                     for ax, hit in zip(axes, hits)])
-            for prob, hits in outcomes])
-        assert np.array_equal(np.signbit(got), np.signbit(expected))
+            for prob, hits in _outcomes(axes)])
+        for expected in (separable, loop):
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
         assert not np.signbit(got).any()
 
     def test_nan_residual_raises_at_once(self):
@@ -335,13 +448,17 @@ class TestPriorAxes:
 
     @pytest.mark.parametrize("p_d_other", [0.0, 0.5])
     def test_four_axis_matches_reference_loop_bit_for_bit(self, p_d_other):
-        model = make_scalar_model(f=1.0, h=1.0, q=1.0, r=25.0, p_d=0.75,
-                                  p_d_other=p_d_other, c_nu=0.8,
-                                  beta=(5.0, 1.0), alpha=(0.4, 0.3),
-                                  n_a=9, n_other=8, n_prior=6,
-                                  p_min=1e-1, p_max=1e2)
-        qtable = assert_matches_reference(model, tol=1e-7)
+        qtable = assert_matches_reference(four_axis_model(p_d_other),
+                                          tol=1e-7)
         assert qtable.value.shape == (9, 6, 8, 6)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("p_d_other", [0.0, 0.5])
+    def test_four_axis_row_blocks_match_reference_bit_for_bit(
+            self, p_d_other, rows, monkeypatch):
+        model = four_axis_model(p_d_other)
+        limit_block_rows(monkeypatch, model, rows)
+        assert_matches_reference(model, tol=1e-7)
 
     def test_four_axis_monotone_structure(self):
         model = make_scalar_model(f=1.0, h=1.0, q=1.0, r=25.0, p_d=0.75,
