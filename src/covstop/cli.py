@@ -31,8 +31,8 @@ from .config import (BUNDLED, _bundled_path, check_seed, config_hash,
 from .dp_oracle import (check_monotone_policy, extract_threshold,
                         make_scalar_model, value_iterate)
 from .errors import ContractError, NumericalError
-from .filter_core import (det_ratio_lyapunov, det_ratio_riccati, loewner_geq,
-                          lyapunov_update, riccati_update, TargetModel)
+from .filter_core import (correct, det_ratios, loewner_geq, moment_blocks,
+                          predict)
 from .gmti import Scenario, run_macro_cycles
 from .linearization import validate_linearization
 from .observability import StoppingCase
@@ -378,46 +378,54 @@ def cmd_dp_threshold(args) -> int:
 
 
 def _theorem2_suite(n_samples: int, seed: int) -> dict:
+    """det(L(P)) / det(P) and det(R(P)) / det(P) decrease in P.
+
+    Each sample draws a model (every tenth is the stock GMTI one) and an
+    ordered pair into stacks allocated before the first draw; one
+    ``det_ratios`` call then decides them all.
+    """
+    m, mz = 4, 3
+    f, q = np.empty((n_samples, m, m)), np.empty((n_samples, m, m))
+    h, r = np.empty((n_samples, mz, m)), np.empty((n_samples, mz, mz))
+    pairs = np.empty((2, n_samples, m, m))  # P1 >= P2
     gen = stream(seed, "verify.theorem2")
-    gmti_model = stock_scenario("flyby").models[0]
-    violations = 0
-    worst = 0.0
+    stock = stock_scenario("flyby").models[0]
+    stock_q = stock.Q + 1e-8 * np.eye(m)
     for i in range(n_samples):
-        m = 4
         if i % 10 == 0:
-            f = gmti_model.F
-            q = gmti_model.Q + 1e-8 * np.eye(4)
+            f[i], q[i] = stock.F, stock_q
         else:
-            f = random_transition(gen, m, gen.uniform(0.5, 1.5))
-            q = random_pd(gen, m, gen.uniform(0.3, 3.0))
-        model = TargetModel(F=f, G=np.eye(m), H=gen.normal(size=(3, m)),
-                            Q=q, r_base=random_pd(gen, 3, 1.0, jitter=1e-3),
-                            p_d=1.0, delta=1.0)
-        p1, p2 = ordered_pair(gen, m, gen.uniform(0.5, 2.0))
-        for ratio_fn in (det_ratio_lyapunov,
-                         lambda p, mo: det_ratio_riccati(p, mo, 1.0)):
-            r1, r2 = ratio_fn(p1, model), ratio_fn(p2, model)
-            slack = r1 - r2 - 1e-9 * max(abs(r1), abs(r2))
-            if slack > 0.0:
-                violations += 1
-                worst = max(worst, slack)
-    return {"samples": n_samples, "violations": violations, "worst": worst}
+            f[i] = random_transition(gen, m, gen.uniform(0.5, 1.5))
+            q[i] = random_pd(gen, m, gen.uniform(0.3, 3.0))
+        h[i] = gen.normal(size=(mz, m))
+        r[i] = random_pd(gen, mz, 1.0, jitter=1e-3)
+        pairs[:, i] = ordered_pair(gen, m, gen.uniform(0.5, 2.0))
+    # r1 and r2: (Lyapunov, Riccati) ratios of each sample's P1 and P2.
+    r1, r2 = np.stack(det_ratios(pairs, f, h, q, r), axis=1)
+    slack = r1 - r2 - 1e-9 * np.maximum(np.abs(r1), np.abs(r2))
+    violated = slack[slack > 0.0]
+    return {"samples": n_samples, "violations": int(violated.size),
+            "worst": float(violated.max(initial=0.0))}
 
 
 def _operator_monotonicity_suite(n_samples: int, seed: int) -> dict:
+    """The Lyapunov and Riccati maps of the stock GMTI model, at priority
+    0.6, preserve the Loewner order of ordered pairs drawn into a stack
+    allocated before the first draw."""
+    pairs = np.empty((2, n_samples, 4, 4))  # P1 >= P2
     gen = stream(seed, "verify.operators")
+    for i in range(n_samples):
+        pairs[:, i] = ordered_pair(gen, 4, gen.uniform(0.5, 2.0))
     model = stock_scenario("flyby").models[0]
-    violations = 0
-    for _ in range(n_samples):
-        p1, p2 = ordered_pair(gen, 4, gen.uniform(0.5, 2.0))
-        tol = 1e-9 * float(np.trace(p1))
-        if not loewner_geq(lyapunov_update(p1, model),
-                           lyapunov_update(p2, model), tol):
-            violations += 1
-        if not loewner_geq(riccati_update(p1, model, 0.6),
-                           riccati_update(p2, model, 0.6), tol):
-            violations += 1
-    return {"samples": n_samples, "violations": violations}
+    posterior, bad = correct(pairs, *moment_blocks(
+        model.F, model.H, model.Q, model.effective_noise(0.6)))
+    if bad.any():
+        raise NumericalError("covariance update is not positive definite")
+    # updated[0] and [1]: (Lyapunov, Riccati) updates of P1 and of P2.
+    updated = np.stack([predict(pairs, model.F, model.Q), posterior], axis=1)
+    geq = loewner_geq(updated[0], updated[1],
+                      1e-9 * np.trace(pairs[0], axis1=-2, axis2=-1))
+    return {"samples": n_samples, "violations": int(np.sum(~geq))}
 
 
 def _policy_suite(n_samples: int, seed: int) -> dict:
@@ -433,8 +441,6 @@ def _policy_suite(n_samples: int, seed: int) -> dict:
 
 def cmd_verify_properties(args) -> int:
     _require_count("--samples", args.samples)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = {"command": "verify-properties", "samples": args.samples,
            "seed": args.seed}
     report = {
@@ -444,6 +450,8 @@ def cmd_verify_properties(args) -> int:
         "policy_monotone_violations": _policy_suite(
             args.samples, child_seed(args.seed, "policy")),
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "properties_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
     write_manifest(out, "verify-properties", cfg, args.seed,

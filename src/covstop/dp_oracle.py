@@ -216,23 +216,6 @@ def _lerp_table(grid: np.ndarray, values: np.ndarray, axis: int,
             (1.0 - w).reshape(shape), w.reshape(shape))
 
 
-def _apply_axis(v: np.ndarray, table, axis: int, out=None,
-                scratch=None) -> np.ndarray:
-    """Interpolate ``v`` along one axis, into ``out`` if given.
-
-    ``scratch`` is an optional buffer of the result's shape. Indices are
-    always in range, so mode="clip" changes nothing; it lets ``take``
-    write into ``out`` without an intermediate copy.
-    """
-    idx, idx_hi, w_lo, w_hi = table
-    lo = np.take(v, idx, axis=axis, out=out, mode="clip")
-    hi = np.take(v, idx_hi, axis=axis, out=scratch, mode="clip")
-    lo *= w_lo
-    hi *= w_hi
-    lo += hi
-    return lo
-
-
 def _broadcast_sum(vectors: list[np.ndarray]) -> np.ndarray:
     """Sum of per-axis 1-D vectors broadcast onto the full mesh."""
     ndim = len(vectors)
@@ -423,12 +406,14 @@ def check_monotone_policy(qtable: QTable) -> int:
 
 def _interp_point(qtable: QTable, values: np.ndarray,
                   point: tuple) -> float:
+    """``values`` interpolated at one point: each axis's one-branch
+    stencil, from the last axis to the first."""
     out = values
-    for axis in reversed(range(len(point))):
-        grid = qtable.grids[axis]
-        table = _lerp_table(grid, float(point[axis]), axis, out.ndim)
-        out = _apply_axis(out, table, axis)
-        out = np.squeeze(out, axis=axis)
+    for grid, p in reversed(list(zip(qtable.grids, point))):
+        taps = _stencil(grid, [(1.0, float(p))], -1, out.ndim)
+        shape = out.shape[:-1] + (1,)
+        out = _apply_stencil(out, taps, -1, np.empty(shape),
+                             np.empty(shape))[..., 0]
     return float(out)
 
 

@@ -2,9 +2,8 @@
 
 Implements the two covariance recursions of the tracker, the
 measurement-dependent Riccati update and the measurement-free Lyapunov
-(predictor) update, together with the Loewner-order utilities and the
-determinant-ratio quantities whose monotonicity drives the stopping
-structure.
+(predictor) update, together with the Loewner-order check and the
+determinant ratios whose monotonicity drives the stopping structure.
 
 All operations are pure functions of ndarray inputs; covariances are
 plain symmetric ``(m, m)`` float arrays. Updates re-symmetrize their
@@ -17,16 +16,17 @@ This module is the one place that writes the recursion out. Its steps
 (``symmetrize``, ``predict``, ``moment_blocks``, ``correct``,
 ``cholesky`` and ``logdets``) work on one ``(m, m)`` matrix and on
 ``(..., m, m)`` stacks alike, and give each matrix of a stack exactly
-the result it gets on its own. ``lyapunov_update`` and
-``riccati_update`` are their per-matrix views, which the scalar rollout
-uses; the batched path engine in ``optimizer`` calls the same steps on
-a stacked (1 + paths, targets, m, m) state whose row 0 is the prior
-shared by every path, correcting only the targets it measures. The
-products take a contiguous transpose (F' for ``predict``, G' for
-``correct``), which the engine builds once per run and the per-matrix
-views once per call. The engine runs only ``predict`` and ``correct``
-epoch by epoch, and calls ``logdets`` once on each block of stored
-epochs.
+the result it gets on its own. The batched path engine in
+``optimizer`` calls them on a stacked (1 + paths, targets, m, m) state
+whose row 0 is the prior shared by every path, correcting only the
+targets it measures; it runs only ``predict`` and ``correct`` epoch by
+epoch, and calls ``logdets`` once per block of stored epochs.
+``det_ratios`` and ``loewner_geq`` decide ``verify-properties``' stacks
+of sampled matrices. The products take a contiguous transpose (F' for
+``predict``, G' for ``correct``), which the engine builds once per run
+and other callers once per call. ``lyapunov_update`` and
+``riccati_update`` are per-matrix views on a ``TargetModel``, which only
+the scalar rollout, a reference for tests and the benchmark, calls.
 """
 
 from __future__ import annotations
@@ -241,18 +241,20 @@ def riccati_update(p: np.ndarray, model: TargetModel,
     return updated
 
 
-def loewner_geq(p: np.ndarray, q: np.ndarray, tol: float | None = None) -> bool:
-    """True iff P dominates Q in the positive semidefinite order.
+def loewner_geq(p: np.ndarray, q: np.ndarray,
+                tol: float | np.ndarray | None = None) -> bool | np.ndarray:
+    """True iff P dominates Q in the positive semidefinite order; on
+    stacks, one bool per entry.
 
-    ``tol`` defaults to ``1e-9 * trace(p)``, a scale-aware slack for
-    round-off in the eigenvalue check.
+    ``tol``, a number or one per entry, defaults to ``1e-9 * trace(p)``,
+    a scale-aware slack for round-off in the eigenvalue check.
     """
     if p.shape != q.shape:
         raise ContractError("cannot compare matrices of different shapes")
     if tol is None:
-        tol = 1e-9 * abs(float(np.trace(p)))
-    eig_min = np.linalg.eigvalsh(symmetrize(p - q))[0]
-    return bool(eig_min >= -tol)
+        tol = 1e-9 * np.abs(np.trace(p, axis1=-2, axis2=-1))
+    geq = np.linalg.eigvalsh(symmetrize(p - q))[..., 0] >= -np.asarray(tol)
+    return bool(geq) if geq.ndim == 0 else geq
 
 
 def eigenvalues_sorted(p: np.ndarray) -> np.ndarray:
@@ -260,21 +262,22 @@ def eigenvalues_sorted(p: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(symmetrize(p))[::-1]
 
 
-def _det_ratio(p: np.ndarray, update) -> float:
-    """det(update(P)) / det(P); 0 if det(update(P)) is not positive."""
-    logdet_p, bad = logdets(p)
-    if bad:
+def det_ratios(p: np.ndarray, f: np.ndarray, h: np.ndarray, q: np.ndarray,
+               r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det(L(P)) / det(P) and det(R(P)) / det(P) for one matrix or each
+    entry of a stack, L the Lyapunov map F P F' + Q and R the Riccati map
+    ``correct`` on ``moment_blocks(f, h, q, r)``. Both decrease in P on
+    the PSD cone.
+
+    ContractError where det(P) is not positive; NumericalError where the
+    moment matrix is not positive definite, as in ``riccati_update``. A
+    ratio is 0 where the update's determinant is not positive.
+    """
+    posterior, bad = correct(p, *moment_blocks(f, h, q, r))
+    logdet, nonpositive = logdets(np.stack([p, predict(p, f, q), posterior]))
+    if nonpositive[0].any():
         raise ContractError("P must have positive determinant")
-    logdet_next, bad = logdets(update(p))
-    return 0.0 if bad else float(np.exp(logdet_next - logdet_p))
-
-
-def det_ratio_lyapunov(p: np.ndarray, model: TargetModel) -> float:
-    """det(L(P)) / det(P), decreasing in P on the PSD cone."""
-    return _det_ratio(p, lambda x: lyapunov_update(x, model))
-
-
-def det_ratio_riccati(p: np.ndarray, model: TargetModel,
-                      priority: float = 1.0) -> float:
-    """det(R(P)) / det(P) for the detection branch."""
-    return _det_ratio(p, lambda x: riccati_update(x, model, priority))
+    if bad.any():
+        raise NumericalError("covariance update is not positive definite")
+    ratios = np.where(nonpositive[1:], 0.0, np.exp(logdet[1:] - logdet[0]))
+    return ratios[0], ratios[1]

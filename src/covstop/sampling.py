@@ -1,7 +1,9 @@
 """Random matrix samplers for property suites.
 
-Used by the policy monotonicity checker and by the verify-properties
-command; tests reuse them for inputs (never for expected values).
+The policy monotonicity checker and the verify-properties filter suites
+draw one sample at a time from a seeded stream, in a fixed order, into
+stacks that they then decide all at once. Tests reuse the samplers for
+inputs (never for expected values).
 """
 
 from __future__ import annotations

@@ -12,10 +12,14 @@ import pytest
 import covstop
 from covstop import cli, optimizer
 from covstop.cli import main
-from covstop.config import _bundled_path, params_to_dict
+from covstop.config import _bundled_path, params_to_dict, stock_scenario
 from covstop.dp_oracle import make_scalar_model, value_iterate
 from covstop.errors import ContractError
+from covstop.filter_core import (TargetModel, loewner_geq, lyapunov_update,
+                                 riccati_update)
 from covstop.policy import ParamLayout, PolicyFamily
+from covstop.sampling import ordered_pair, random_pd, random_transition
+from covstop.streams import stream
 
 
 # Subcommands that take --params and --config.
@@ -423,11 +427,19 @@ class TestExitCodes:
         assert "numerical failure:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_run_too_large_for_memory_exits_2(self, tmp_path, monkeypatch,
-                                              capsys):
-        # A 1e8-epoch horizon needs a 95 GiB engine state buffer. The
-        # fake refuses it as numpy does, without trying, and the engine
-        # must ask for it before drawing 3.2 GB of detections.
+    @pytest.mark.parametrize("module,argv", [
+        # A 1e8-epoch horizon needs a 95 GiB engine state buffer, which
+        # the engine must ask for before drawing 3.2 GB of detections.
+        (optimizer, ["periodic-sweep", "--rollouts", "3", "--tau-max",
+                     "100000000"]),
+        # 1e8 samples need 1.6e9-entry stacks, which the suites must ask
+        # for before their first draw.
+        (cli, ["verify-properties", "--samples", "100000000"]),
+    ], ids=["periodic-sweep", "verify-properties"])
+    def test_run_too_large_for_memory_exits_2(self, module, argv, tmp_path,
+                                              monkeypatch, capsys):
+        # The fake refuses more than 1e8 entries as numpy refuses what it
+        # cannot allocate, without trying.
         real_empty = np.empty
 
         def empty(shape, *args, **kwargs):
@@ -437,13 +449,12 @@ class TestExitCodes:
             return real_empty(shape, *args, **kwargs)
 
         def stream(*args):
-            raise AssertionError("detections drawn before the buffer")
+            raise AssertionError("samples drawn before the buffers")
 
         monkeypatch.setattr(np, "empty", empty)
-        monkeypatch.setattr(optimizer, "stream", stream)
+        monkeypatch.setattr(module, "stream", stream)
         out = tmp_path / "out"
-        code = main(["periodic-sweep", "--rollouts", "3", "--tau-max",
-                     "100000000", "--seed", "1", "--out", str(out)])
+        code = main(argv + ["--seed", "1", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
@@ -479,14 +490,17 @@ class TestExitCodes:
             assert (out / name).is_file()
 
 
-# The scalar per-belief stack, by defining module: the reference that
-# tests and the benchmark compare the path engine against.
+# The scalar per-belief stack and the per-matrix covariance updates, by
+# defining module: the reference that tests and the benchmark compare
+# the path engine and the stacked steps against.
 SCALAR_REFERENCE = [("optimizer", "rollout"),
                     ("observability", "belief_step"),
                     ("observability", "stopping_cost"),
                     ("observability", "transformed_running_cost"),
                     ("observability", "mutual_information"),
-                    ("policy", "decision_statistic"), ("policy", "decide")]
+                    ("policy", "decision_statistic"), ("policy", "decide"),
+                    ("filter_core", "lyapunov_update"),
+                    ("filter_core", "riccati_update")]
 TRAIN_ARGV = ["--family", "eigen-sum", "--iterations", "1", "--restarts",
               "1", "--rollouts-per-eval", "2"]
 # Tiny-budget runs of every subcommand and every policy source; PARAMS
@@ -526,6 +540,80 @@ def test_cli_never_calls_scalar_reference(run, tmp_path, monkeypatch,
              "PERSISTENT_PARAMS": str(persistent_params)}
     argv = [files.get(arg, arg) for arg in REFERENCE_FREE_ARGV[run]]
     assert main(argv + ["--seed", "3", "--out", str(tmp_path / "out")]) == 0
+
+
+def per_matrix_det_ratio(p, update):
+    # det(update(P)) / det(P) from two slogdets; 0 if det(update(P)) is
+    # not positive.
+    sign, logdet = np.linalg.slogdet(p)
+    assert sign > 0.0
+    sign_next, logdet_next = np.linalg.slogdet(update(p))
+    return float(np.exp(logdet_next - logdet)) if sign_next > 0.0 else 0.0
+
+
+def per_sample_theorem2(n_samples, seed, pair):
+    """_theorem2_suite's report, one TargetModel and four determinant
+    ratios at a time, from the same draws in the same order."""
+    gen = stream(seed, "verify.theorem2")
+    stock = stock_scenario("flyby").models[0]
+    violations, worst = 0, 0.0
+    for i in range(n_samples):
+        m = 4
+        if i % 10 == 0:
+            f, q = stock.F, stock.Q + 1e-8 * np.eye(4)
+        else:
+            f = random_transition(gen, m, gen.uniform(0.5, 1.5))
+            q = random_pd(gen, m, gen.uniform(0.3, 3.0))
+        model = TargetModel(F=f, G=np.eye(m), H=gen.normal(size=(3, m)),
+                            Q=q, r_base=random_pd(gen, 3, 1.0, jitter=1e-3),
+                            p_d=1.0, delta=1.0)
+        p1, p2 = pair(gen, m, gen.uniform(0.5, 2.0))
+        for update in (lambda p: lyapunov_update(p, model),
+                       lambda p: riccati_update(p, model, 1.0)):
+            r1 = per_matrix_det_ratio(p1, update)
+            r2 = per_matrix_det_ratio(p2, update)
+            slack = r1 - r2 - 1e-9 * max(abs(r1), abs(r2))
+            if slack > 0.0:
+                violations += 1
+                worst = max(worst, slack)
+    return {"samples": n_samples, "violations": violations, "worst": worst}
+
+
+def per_sample_operators(n_samples, seed, pair):
+    """_operator_monotonicity_suite's report, one pair of matrices at a
+    time, from the same draws in the same order."""
+    gen = stream(seed, "verify.operators")
+    model = stock_scenario("flyby").models[0]
+    violations = 0
+    for _ in range(n_samples):
+        p1, p2 = pair(gen, 4, gen.uniform(0.5, 2.0))
+        tol = 1e-9 * float(np.trace(p1))
+        violations += not loewner_geq(lyapunov_update(p1, model),
+                                      lyapunov_update(p2, model), tol)
+        violations += not loewner_geq(riccati_update(p1, model, 0.6),
+                                      riccati_update(p2, model, 0.6), tol)
+    return {"samples": n_samples, "violations": violations}
+
+
+def swapped_pair(gen, m, scale):
+    # The mutant: P1 <= P2 instead of P1 >= P2.
+    p1, p2 = ordered_pair(gen, m, scale)
+    return p2, p1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("pair", [ordered_pair, swapped_pair],
+                         ids=["drawn", "swapped"])
+def test_stacked_suites_match_per_sample_loop(pair, seed, monkeypatch):
+    monkeypatch.setattr(cli, "ordered_pair", pair)
+    theorem2 = cli._theorem2_suite(300, seed)
+    expected = per_sample_theorem2(300, seed, pair)
+    assert theorem2 == expected
+    assert theorem2["worst"].hex() == expected["worst"].hex()
+    operators = cli._operator_monotonicity_suite(300, seed)
+    assert operators == per_sample_operators(300, seed, pair)
+    if pair is swapped_pair:
+        assert theorem2["violations"] > 0 and operators["violations"] > 0
 
 
 def test_cli_import_loads_no_scipy():

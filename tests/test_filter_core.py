@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from covstop.errors import ContractError, NumericalError
-from covstop.filter_core import (TargetModel, correct, det_ratio_lyapunov,
-                                 det_ratio_riccati, eigenvalues_sorted,
-                                 loewner_geq, lyapunov_update, moment_blocks,
-                                 predict, riccati_update, symmetrize)
+from covstop.filter_core import (TargetModel, correct, det_ratios,
+                                 eigenvalues_sorted, loewner_geq,
+                                 lyapunov_update, moment_blocks, predict,
+                                 riccati_update, symmetrize)
 from covstop.gmti import system_matrices
 from covstop.sampling import ordered_pair, random_pd, random_psd, random_transition
 from covstop.streams import stream
@@ -239,6 +239,25 @@ class TestLoewner:
     def test_shape_mismatch(self):
         with pytest.raises(ContractError):
             loewner_geq(np.eye(2), np.eye(3))
+        with pytest.raises(ContractError):
+            loewner_geq(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)))
+
+    def test_stack_with_per_entry_tol(self):
+        # Row 0 is dominated; row 1 exceeds P by 1e-6 I, inside a tol of
+        # 1e-5 and outside one of 1e-7; row 2 is random.
+        gen = stream(14, "test.loewner.stack")
+        p = np.array([random_pd(gen, 3) for _ in range(12)]).reshape(3, 4, 3, 3)
+        q = np.array([random_pd(gen, 3) for _ in range(12)]).reshape(3, 4, 3, 3)
+        q[0], q[1] = 0.5 * p[0], p[1] + 1e-6 * np.eye(3)
+        tol = gen.uniform(0.0, 1e-3, (3, 4))
+        tol[1] = [1e-5, 1e-5, 1e-7, 1e-7]
+        got = loewner_geq(p, q, tol)
+        assert got.shape == (3, 4) and got.dtype == bool
+        assert got[0].all() and list(got[1]) == [True, True, False, False]
+        default = loewner_geq(p, q)
+        for index in np.ndindex(3, 4):
+            assert got[index] == loewner_geq(p[index], q[index], tol[index])
+            assert default[index] == loewner_geq(p[index], q[index])
 
 
 class TestEigenvalues:
@@ -266,89 +285,105 @@ class TestEigenvalues:
                                        rtol=1e-9, atol=1e-9)
 
 
+def ratios(p, model, priority=1.0):
+    # det_ratios on one model's blocks: (Lyapunov, Riccati) per entry.
+    return det_ratios(p, model.F, model.H, model.Q,
+                      model.effective_noise(priority))
+
+
 class TestDetRatios:
     def test_zero_transition(self):
         model = make_model(np.zeros((2, 2)), np.eye(2), np.eye(2), np.eye(2))
         gen = stream(9, "test.detratio")
         p = random_pd(gen, 2, 1.5)
-        np.testing.assert_allclose(det_ratio_lyapunov(p, model),
+        np.testing.assert_allclose(ratios(p, model)[0],
                                    1.0 / np.linalg.det(p), rtol=1e-12)
 
     def test_scalar_lyapunov_values(self):
         model = make_model([[1.0]], [[1.0]], [[1.0]], [[1.0]])
-        assert det_ratio_lyapunov(np.array([[1.0]]), model) == pytest.approx(2.0)
-        assert det_ratio_lyapunov(np.array([[2.0]]), model) == pytest.approx(1.5)
+        lyap, _ = ratios(np.array([[[1.0]], [[2.0]]]), model)
+        assert lyap == pytest.approx([2.0, 1.5])
 
     def test_scalar_riccati_values(self):
         # Hand evaluation of the determinant identity at P = 1 and P = 2.
         model = make_model([[1.0]], [[1.0]], [[1.0]], [[1.0]])
-        assert det_ratio_riccati(np.array([[1.0]]), model) == pytest.approx(1.5)
-        assert det_ratio_riccati(np.array([[2.0]]), model) == pytest.approx(5.0 / 6.0)
+        _, ricc = ratios(np.array([[[1.0]], [[2.0]]]), model)
+        assert ricc == pytest.approx([1.5, 5.0 / 6.0])
 
     def test_zero_observation_reduces_to_lyapunov(self):
         model = make_model(np.eye(2) * 0.9, np.zeros((2, 2)), np.eye(2),
                            np.eye(2))
         gen = stream(10, "test.detratio.h0")
         p = random_pd(gen, 2, 2.0)
-        assert det_ratio_riccati(p, model) == pytest.approx(
-            det_ratio_lyapunov(p, model))
+        lyap, ricc = ratios(p, model)
+        assert ricc == pytest.approx(lyap)
 
     def test_riccati_ratio_matches_determinant_identity(self):
         gen = stream(11, "test.detratio.identity")
-        for _ in range(20):
-            m = 3
-            f = random_transition(gen, m, gen.uniform(0.5, 1.5))
-            q = random_pd(gen, m, 1.0)
-            r = random_pd(gen, 2, 1.0, jitter=1e-2)
-            h = gen.normal(size=(2, m))
-            model = TargetModel(F=f, G=np.eye(m), H=h, Q=q, r_base=r,
-                                p_d=1.0, delta=1.0)
-            p = random_pd(gen, m, gen.uniform(0.5, 3.0))
-            expected = (np.linalg.det(q)
-                        * np.linalg.det(np.linalg.inv(p)
-                                        + h.T @ np.linalg.inv(r) @ h
-                                        + f.T @ np.linalg.inv(q) @ f)
-                        * np.linalg.det(r)
-                        / np.linalg.det(r + h @ p @ h.T))
-            assert det_ratio_riccati(p, model) == pytest.approx(expected,
-                                                                rel=1e-8)
+        m = 3
+        f, q = np.empty((20, m, m)), np.empty((20, m, m))
+        r, h = np.empty((20, 2, 2)), np.empty((20, 2, m))
+        p = np.empty((20, m, m))
+        for i in range(20):
+            f[i] = random_transition(gen, m, gen.uniform(0.5, 1.5))
+            q[i] = random_pd(gen, m, 1.0)
+            r[i] = random_pd(gen, 2, 1.0, jitter=1e-2)
+            h[i] = gen.normal(size=(2, m))
+            p[i] = random_pd(gen, m, gen.uniform(0.5, 3.0))
+        _, ricc = det_ratios(p, f, h, q, r)
+        for i in range(20):
+            expected = (np.linalg.det(q[i])
+                        * np.linalg.det(np.linalg.inv(p[i])
+                                        + h[i].T @ np.linalg.inv(r[i]) @ h[i]
+                                        + f[i].T @ np.linalg.inv(q[i]) @ f[i])
+                        * np.linalg.det(r[i])
+                        / np.linalg.det(r[i] + h[i] @ p[i] @ h[i].T))
+            assert ricc[i] == pytest.approx(expected, rel=1e-8)
 
     def test_nonpositive_determinant_rejected(self):
         model = make_model([[1.0]], [[1.0]], [[1.0]], [[1.0]])
         with pytest.raises(ContractError):
-            det_ratio_lyapunov(np.array([[0.0]]), model)
+            ratios(np.array([[[1.0]], [[0.0]]]), model)
 
-    @pytest.mark.parametrize("ratio_fn", [
-        det_ratio_lyapunov,
-        lambda p, m: det_ratio_riccati(p, m, 1.0),
-    ])
-    def test_sampled_monotone_decrease(self, ratio_fn):
+    def test_moment_matrix_not_pd_raises(self):
+        # As in test_indefinite_posterior_raises: the second entry's
+        # det(P) is positive, but its posterior diag(~0.5, -1, -1) is not.
+        model = make_model(np.eye(3), [[1.0, 0.0, 0.0]], np.zeros((3, 3)),
+                           1.0)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            ratios(np.array([np.eye(3), np.diag([1.0, -1.0, -1.0])]), model)
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["lyapunov", "riccati"])
+    def test_sampled_monotone_decrease(self, kind):
         # No stability assumption: spectral radii above 1 included.
         gen = stream(12, "test.detratio.monotone")
-        for _ in range(100):
-            m = 4
-            f = random_transition(gen, m, gen.uniform(0.5, 1.5))
-            model = TargetModel(F=f, G=np.eye(m),
-                                H=gen.normal(size=(3, m)),
-                                Q=random_pd(gen, m, gen.uniform(0.5, 2.0)),
-                                r_base=random_pd(gen, 3, 1.0, jitter=1e-2),
-                                p_d=1.0, delta=1.0)
-            p1, p2 = ordered_pair(gen, m, gen.uniform(0.5, 2.0))
-            r1, r2 = ratio_fn(p1, model), ratio_fn(p2, model)
-            assert r1 <= r2 + 1e-9 * max(abs(r1), abs(r2))
+        m = 4
+        f, q = np.empty((100, m, m)), np.empty((100, m, m))
+        h, r = np.empty((100, 3, m)), np.empty((100, 3, 3))
+        pairs = np.empty((2, 100, m, m))
+        for i in range(100):
+            f[i] = random_transition(gen, m, gen.uniform(0.5, 1.5))
+            h[i] = gen.normal(size=(3, m))
+            q[i] = random_pd(gen, m, gen.uniform(0.5, 2.0))
+            r[i] = random_pd(gen, 3, 1.0, jitter=1e-2)
+            pairs[:, i] = ordered_pair(gen, m, gen.uniform(0.5, 2.0))
+        r1, r2 = det_ratios(pairs, f, h, q, r)[kind]
+        assert np.all(r1 <= r2 + 1e-9 * np.maximum(np.abs(r1), np.abs(r2)))
 
 
 class TestOperatorMonotonicity:
     def test_updates_preserve_loewner_order(self):
         model = gmti_model()
         gen = stream(13, "test.monotone.ops")
-        for _ in range(100):
-            p1, p2 = ordered_pair(gen, 4, gen.uniform(0.3, 3.0))
-            tol = 1e-9 * float(np.trace(p1))
-            assert loewner_geq(lyapunov_update(p1, model),
-                               lyapunov_update(p2, model), tol)
-            assert loewner_geq(riccati_update(p1, model, 0.6),
-                               riccati_update(p2, model, 0.6), tol)
+        pairs = np.empty((2, 100, 4, 4))
+        for i in range(100):
+            pairs[:, i] = ordered_pair(gen, 4, gen.uniform(0.3, 3.0))
+        tol = 1e-9 * np.trace(pairs[0], axis1=-2, axis2=-1)
+        post, bad = correct(pairs, *moment_blocks(
+            model.F, model.H, model.Q, model.effective_noise(0.6)))
+        assert not bad.any()
+        for updated in (predict(pairs, model.F, model.Q), post):
+            assert loewner_geq(updated[0], updated[1], tol).all()
 
 
 class TestModelValidation:
