@@ -6,18 +6,24 @@ policy training and the property-verification suites. Every command
 requires an explicit seed, a non-negative integer, from the flag or the
 scenario file. Each writes plot-ready CSV files whose first line records
 the generating config hash and the column units, and finishes with a
-JSON run manifest. The hashed config covers the policy a run uses: the
-content of its ``--params`` file, or the flags it was trained with.
-Outputs are byte identical across reruns of the same (config, seed).
+JSON run manifest that lists exactly the files written. The hashed config
+covers the policy a run uses: the content of its ``--params`` file, or
+the flags it was trained with. Outputs are byte identical across reruns
+of the same (config, seed).
 
-Exit codes: 0 success, 2 validation error (bad input, or a run too large
-for memory), 3 numerical failure.
+A run makes ``--out`` and writes its outputs only after all its results
+exist, so a run that fails while computing leaves no ``--out`` behind.
+
+Exit codes: 0 success, 2 validation error (bad input, a run too large
+for memory, or an ``--out`` that cannot be made or written), 3 numerical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 from pathlib import Path
@@ -112,18 +118,37 @@ def write_csv(path: Path, names: list, columns: list, cfg_hash: str,
                      % tuple(chain.from_iterable(zip(*values))))
 
 
-def write_manifest(out_dir: Path, command: str, cfg: dict, seed: int,
-                   files: list) -> None:
+def write_outputs(args, cfg: dict, outputs: dict) -> None:
+    """Make ``--out`` and write a finished run's files, then its manifest.
+
+    ``outputs`` maps each file name to a CSV table ``(names, columns,
+    units)``, which ``write_csv`` writes under the config hash, or to a
+    JSON document. The hash is taken once, of the run's final ``cfg``,
+    which also holds the run's seed. The manifest's ``command`` is the
+    subcommand's name and its ``outputs`` are exactly the mapping's names.
+    Raises ContractError if ``--out`` cannot be made or written.
+    """
+    cfg_hash = config_hash(cfg)
     manifest = {
-        "command": command,
-        "config_hash": config_hash(cfg),
+        "command": args.command,
+        "config_hash": cfg_hash,
         "config": cfg,
-        "seed": seed,
+        "seed": cfg["seed"],
         "versions": {"covstop": __version__, "numpy": np.__version__},
-        "outputs": sorted(files),
+        "outputs": sorted(outputs),
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in {**outputs, "manifest.json": manifest}.items():
+            if isinstance(content, dict):
+                (out / name).write_text(
+                    json.dumps(content, indent=2, sort_keys=True) + "\n")
+            else:
+                names, columns, units = content
+                write_csv(out / name, names, columns, cfg_hash, units)
+    except OSError as exc:
+        raise ContractError(f"cannot write --out {out}: {exc}") from None
 
 
 def _load_run_scenario(args) -> tuple[Scenario, dict, int]:
@@ -205,24 +230,18 @@ def _policy(scenario, args, seed: int, cfg: dict):
 def cmd_optimize(args) -> int:
     scenario, cfg, seed = _load_run_scenario(args)
     _, layout, result = _policy(scenario, args, seed, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    h = config_hash(cfg)
-    phi_cols = [f"phi_{i}" for i in range(layout.n_params)]
     trace = result.trace
     phis = np.array([t.phi for t in trace])
-    write_csv(out / "spsa_trace.csv",
-              ["restart", "iteration", "cost"] + phi_cols,
-              [np.array([t.restart for t in trace]),
-               np.array([t.iteration for t in trace]),
-               np.array([t.cost for t in trace], dtype=float)]
-              + list(phis.T),
-              h, "cost=nats+epochs*c_nu, phi=unconstrained")
-    (out / "best_params.json").write_text(
-        json.dumps(params_to_dict(result.best_params, layout), indent=2,
-                   sort_keys=True) + "\n")
-    write_manifest(out, "optimize", cfg, seed,
-                   ["spsa_trace.csv", "best_params.json"])
+    write_outputs(args, cfg, {
+        "spsa_trace.csv": (
+            ["restart", "iteration", "cost"]
+            + [f"phi_{i}" for i in range(layout.n_params)],
+            [np.array([t.restart for t in trace]),
+             np.array([t.iteration for t in trace]),
+             np.array([t.cost for t in trace], dtype=float)] + list(phis.T),
+            "cost=nats+epochs*c_nu, phi=unconstrained"),
+        "best_params.json": params_to_dict(result.best_params, layout),
+    })
     print(f"best smoothed cost {result.best_cost:.6g} "
           f"(restart {result.best_restart}, iteration {result.best_iteration})")
     return 0
@@ -234,24 +253,21 @@ def cmd_flyby(args) -> int:
     cnu_grid = _parse_grid("--cnu-grid", args.cnu_grid)
     _require_count("--rollouts", args.rollouts)
     cfg["pd_grid"], cfg["cnu_grid"] = pd_grid, cnu_grid
+    # Every cell's scenario is checked before a policy is trained.
+    cells = [(p_d, c_nu, scenario.with_overrides(operating_cost=c_nu, p_d=p_d))
+             for p_d in pd_grid for c_nu in cnu_grid]
     params, _, _ = _policy(scenario, args, seed, cfg)
-    h = config_hash(cfg)
     rows = []
     eval_seed = child_seed(seed, "cli.flyby.eval")
     seeds = [child_seed(eval_seed, "pair", b) for b in range(args.rollouts)]
-    for p_d in pd_grid:
-        for c_nu in cnu_grid:
-            variant = scenario.with_overrides(operating_cost=c_nu, p_d=p_d)
-            taus, costs = policy_costs(variant, params, seeds)
-            rows.append([p_d, c_nu, float(np.mean(costs)),
-                         float(np.std(costs) / np.sqrt(len(costs))),
-                         float(np.mean(taus))])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "figure4_grid.csv",
-              ["p_d", "c_nu", "mean_cost", "stderr_cost", "mean_tau"],
-              np.array(rows).T, h, "cost=nats+epochs*c_nu, tau=epochs")
-    write_manifest(out, "flyby", cfg, seed, ["figure4_grid.csv"])
+    for p_d, c_nu, variant in cells:
+        taus, costs = policy_costs(variant, params, seeds)
+        rows.append([p_d, c_nu, float(np.mean(costs)),
+                     float(np.std(costs) / np.sqrt(len(costs))),
+                     float(np.mean(taus))])
+    write_outputs(args, cfg, {"figure4_grid.csv": (
+        ["p_d", "c_nu", "mean_cost", "stderr_cost", "mean_tau"],
+        np.array(rows).T, "cost=nats+epochs*c_nu, tau=epochs")})
     return 0
 
 
@@ -260,28 +276,23 @@ def cmd_periodic_sweep(args) -> int:
     k_max = args.kmax if args.kmax is not None else scenario.tau_max
     cfg["kmax"] = k_max
     params = _policy(scenario, args, seed, cfg)[0] if args.params else None
-    h = config_hash(cfg)
     eval_seed = child_seed(seed, "cli.periodic.eval")
     curve = periodic_cost_curve(scenario, eval_seed, args.rollouts, k_max)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     means = np.array([curve[:, k].mean() for k in range(k_max)])
     stderrs = np.array([curve[:, k].std() / np.sqrt(curve.shape[0])
                         for k in range(k_max)])
-    files = ["periodic_costs.csv"]
-    write_csv(out / "periodic_costs.csv", ["k_stop", "mean_cost", "stderr"],
-              [np.arange(1, k_max + 1), means, stderrs], h,
-              "cost=nats+epochs*c_nu")
+    outputs = {"periodic_costs.csv": (
+        ["k_stop", "mean_cost", "stderr"],
+        [np.arange(1, k_max + 1), means, stderrs], "cost=nats+epochs*c_nu")}
     if params is not None:
         policy_cost = evaluate_cost(scenario, params, eval_seed,
                                     args.rollouts)
         best = int(np.argmin(means))
-        write_csv(out / "envelope.csv",
-                  ["policy_cost", "best_periodic_cost", "best_k_stop"],
-                  [[policy_cost], [means[best]], [best + 1]], h,
-                  "cost=nats+epochs*c_nu")
-        files.append("envelope.csv")
-    write_manifest(out, "periodic-sweep", cfg, seed, files)
+        outputs["envelope.csv"] = (
+            ["policy_cost", "best_periodic_cost", "best_k_stop"],
+            [[policy_cost], [means[best]], [best + 1]],
+            "cost=nats+epochs*c_nu")
+    write_outputs(args, cfg, outputs)
     return 0
 
 
@@ -290,58 +301,46 @@ def cmd_persistent(args) -> int:
     _require_count("--cycles", args.cycles)
     cfg["cycles"] = args.cycles
     params, _, _ = _policy(scenario, args, seed, cfg)
-    h = config_hash(cfg)
     trace = run_macro_cycles(scenario, params, args.cycles,
                              child_seed(seed, "cli.persistent"))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "logdet_trace.csv",
-              ["cycle", "epoch", "target", "log_det_P", "log_det_Pbar",
-               "detected", "action"],
-              [trace.cycle, trace.epoch, trace.target,
-               trace.log_det_posterior, trace.log_det_prior, trace.detected,
-               trace.action],
-              h, "log_det=nats, action: 1=stop 2=continue")
-    write_csv(out / "stop_times.csv", ["cycle", "tau", "priority_target"],
-              [np.arange(args.cycles), trace.stop_times,
-               trace.priority_targets], h, "tau=epochs")
-    write_manifest(out, "persistent", cfg, seed,
-                   ["logdet_trace.csv", "stop_times.csv"])
+    write_outputs(args, cfg, {
+        "logdet_trace.csv": (
+            ["cycle", "epoch", "target", "log_det_P", "log_det_Pbar",
+             "detected", "action"],
+            [trace.cycle, trace.epoch, trace.target, trace.log_det_posterior,
+             trace.log_det_prior, trace.detected, trace.action],
+            "log_det=nats, action: 1=stop 2=continue"),
+        "stop_times.csv": (
+            ["cycle", "tau", "priority_target"],
+            [np.arange(args.cycles), trace.stop_times,
+             trace.priority_targets], "tau=epochs"),
+    })
     return 0
 
 
 def cmd_validate_linearization(args) -> int:
     _require_count("--seeds", args.seeds)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = {"command": "validate-linearization", "seeds": args.seeds,
            "seed": args.seed}
-    h = config_hash(cfg)
     report = validate_linearization(n_seeds=args.seeds, seed=args.seed)
-    files = []
     k_names = ["state"] + [f"k_{k}" for k in report.ks]
-    write_csv(out / "table_d.csv", k_names,
-              [report.state_labels] + list(report.d_values.T), h,
-              "D=dimensionless relative Jacobian drift")
-    files.append("table_d.csv")
+    outputs = {"table_d.csv": (
+        k_names, [report.state_labels] + list(report.d_values.T),
+        "D=dimensionless relative Jacobian drift")}
     for g in report.gammas:
         tag = str(g).replace(".", "")
-        name = f"table_e_gamma{tag}.csv"
-        write_csv(out / name, k_names,
-                  [report.state_labels] + list(report.e_values[g].T), h,
-                  f"E=second/first order ratio, gamma={g}, "
-                  f"mean over {report.n_seeds} tracks")
-        files.append(name)
+        outputs[f"table_e_gamma{tag}.csv"] = (
+            k_names, [report.state_labels] + list(report.e_values[g].T),
+            f"E=second/first order ratio, gamma={g}, "
+            f"mean over {report.n_seeds} tracks")
     flags = report.flags
-    write_csv(out / "linearity_flags.csv",
-              ["metric", "state", "k", "gamma", "value"],
-              [[f[0] for f in flags], [f[1] for f in flags],
-               [f[2] for f in flags],
-               ["" if f[3] is None else f[3] for f in flags],
-               [f[4] for f in flags]],
-              h, "entries exceeding bounds D<=0.06 E<=0.02")
-    files.append("linearity_flags.csv")
-    write_manifest(out, "validate-linearization", cfg, args.seed, files)
+    outputs["linearity_flags.csv"] = (
+        ["metric", "state", "k", "gamma", "value"],
+        [[f[0] for f in flags], [f[1] for f in flags], [f[2] for f in flags],
+         ["" if f[3] is None else f[3] for f in flags],
+         [f[4] for f in flags]],
+        "entries exceeding bounds D<=0.06 E<=0.02")
+    write_outputs(args, cfg, outputs)
     return 0
 
 
@@ -351,7 +350,6 @@ def cmd_dp_threshold(args) -> int:
            "p_d": args.pd if args.pd is not None else 0.75,
            "c_nu": args.c_nu if args.c_nu is not None else 0.8,
            "grid": args.grid, "seed": args.seed}
-    h = config_hash(cfg)
     model = make_scalar_model(f=args.f, q=args.q, r=args.r, p_d=cfg["p_d"],
                               c_nu=cfg["c_nu"], n_a=args.grid,
                               n_other=args.grid)
@@ -359,19 +357,17 @@ def cmd_dp_threshold(args) -> int:
     violations = check_monotone_policy(qtable)
     threshold = extract_threshold(qtable)
     grid_a, grid_o = qtable.grids
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "qtable.csv",
-              ["P_a", "P_other", "V", "Q_continue", "action"],
-              [np.repeat(_texts(grid_a), len(grid_o)),
-               np.tile(_texts(grid_o), len(grid_a)),
-               qtable.value.ravel(), qtable.q_continue.ravel(),
-               qtable.action.ravel()], h,
-              "P=squared state units, V/Q=nats, action: 1=stop 2=continue")
-    write_csv(out / "threshold.csv", ["P_other", "g"], [grid_o, threshold],
-              h, "stop below g, continue at or above")
-    write_manifest(out, "dp-threshold", cfg, args.seed,
-                   ["qtable.csv", "threshold.csv"])
+    write_outputs(args, cfg, {
+        "qtable.csv": (
+            ["P_a", "P_other", "V", "Q_continue", "action"],
+            [np.repeat(_texts(grid_a), len(grid_o)),
+             np.tile(_texts(grid_o), len(grid_a)),
+             qtable.value.ravel(), qtable.q_continue.ravel(),
+             qtable.action.ravel()],
+            "P=squared state units, V/Q=nats, action: 1=stop 2=continue"),
+        "threshold.csv": (["P_other", "g"], [grid_o, threshold],
+                          "stop below g, continue at or above"),
+    })
     print(f"value iteration: {qtable.n_iterations} iterations, residual "
           f"{qtable.residual:.3e}, monotonicity violations {violations}")
     return 0 if violations == 0 else 3
@@ -450,12 +446,7 @@ def cmd_verify_properties(args) -> int:
         "policy_monotone_violations": _policy_suite(
             args.samples, child_seed(args.seed, "policy")),
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "properties_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
-    write_manifest(out, "verify-properties", cfg, args.seed,
-                   ["properties_report.json"])
+    write_outputs(args, cfg, {"properties_report.json": report})
     failed = (report["det_ratio_monotone"]["violations"]
               + report["operator_monotone"]["violations"]
               + sum(report["policy_monotone_violations"].values()))
@@ -567,6 +558,10 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None:  # every subcommand has --seed
             check_seed(args.seed, "--seed")
+        # Every subcommand has --out; a typo should not cost a run.
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ContractError(f"cannot write --out {args.out}: it exists "
+                                f"and is not a directory")
         return args.func(args)
     except ContractError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -27,8 +27,7 @@ import numpy as np
 from .errors import ContractError
 from .filter_core import TargetModel
 from .gmti import (MacroMode, OrbitSpec, PlatformState, Scenario,
-                   platform_orbit_state, system_matrices)
-from .linearization import jacobian_h
+                   jacobian_h, platform_orbit_state, system_matrices)
 from .observability import CostWeights, StoppingCase
 from .policy import ParamLayout, PolicyFamily, PolicyParams
 

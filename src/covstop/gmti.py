@@ -127,6 +127,27 @@ def nonlinear_h(s: np.ndarray, platform: PlatformState) -> np.ndarray:
     return np.array([rng, math.atan2(dy, dx), (dx * dvx + dy * dvy) / rng])
 
 
+def jacobian_h(s: np.ndarray, platform: PlatformState) -> np.ndarray:
+    """Closed-form 3x4 Jacobian of the measurement map at state s."""
+    s = np.asarray(s, dtype=float)
+    dx = s[0] - platform.xi[0]
+    dy = s[2] - platform.xi[2]
+    dvx = s[1] - platform.xi[1]
+    dvy = s[3] - platform.xi[3]
+    rho2 = dx * dx + dy * dy
+    r = np.sqrt(rho2 + platform.altitude**2)
+    if r == 0.0 or rho2 == 0.0:
+        raise ContractError("Jacobian undefined at zero range or directly "
+                            "above the platform track")
+    r3 = r**3
+    return np.array([
+        [dx / r, 0.0, dy / r, 0.0],
+        [-dy / rho2, 0.0, dx / rho2, 0.0],
+        [dvx / r - (dx * dy * dvy + dx * dx * dvx) / r3, dx / r,
+         dvy / r - (dx * dy * dvx + dy * dy * dvy) / r3, dy / r],
+    ])
+
+
 def propagate_truth(s: np.ndarray, model: TargetModel, sigma_p: float,
                     rng: np.random.Generator) -> np.ndarray:
     """One truth step F s + G w with acceleration noise std sigma_p."""
@@ -238,8 +259,6 @@ def models_at_location(scenario: Scenario, location: int) -> tuple:
     """
     if scenario.orbit is None or scenario.estimates is None:
         return scenario.models
-    from .linearization import jacobian_h
-
     platform = platform_orbit_state(scenario.orbit, location)
     return tuple(m.with_observation(jacobian_h(np.asarray(e), platform))
                  for m, e in zip(scenario.models, scenario.estimates))

@@ -1,4 +1,4 @@
-"""Jacobian, Hessian and linearity diagnostics for the measurement map.
+"""Hessian and linearity diagnostics for the measurement map.
 
 The tracker's linear model replaces the range/azimuth/range-rate map by
 its Jacobian at the initial nominal state. Two ratios justify that:
@@ -9,8 +9,8 @@ geometries, below 0.06 and 0.02 respectively.
 
 Matrix norms are spectral; the tensor contraction in E reduces to the
 Euclidean norm of a 3-vector of quadratic forms. The Hessian comes from
-central finite differences of the analytic Jacobian, which is itself
-cross-checked against finite differences of the map.
+central finite differences of the analytic Jacobian, ``gmti.jacobian_h``,
+which is itself cross-checked against finite differences of the map.
 """
 
 from __future__ import annotations
@@ -21,29 +21,9 @@ import numpy as np
 
 from .errors import ContractError
 from .filter_core import TargetModel
-from .gmti import PlatformState, nonlinear_h, propagate_truth, system_matrices
+from .gmti import (PlatformState, jacobian_h, nonlinear_h, propagate_truth,
+                   system_matrices)
 from .streams import stream
-
-
-def jacobian_h(s: np.ndarray, platform: PlatformState) -> np.ndarray:
-    """Closed-form 3x4 Jacobian of the measurement map at state s."""
-    s = np.asarray(s, dtype=float)
-    dx = s[0] - platform.xi[0]
-    dy = s[2] - platform.xi[2]
-    dvx = s[1] - platform.xi[1]
-    dvy = s[3] - platform.xi[3]
-    rho2 = dx * dx + dy * dy
-    r = np.sqrt(rho2 + platform.altitude**2)
-    if r == 0.0 or rho2 == 0.0:
-        raise ContractError("Jacobian undefined at zero range or directly "
-                            "above the platform track")
-    r3 = r**3
-    return np.array([
-        [dx / r, 0.0, dy / r, 0.0],
-        [-dy / rho2, 0.0, dx / rho2, 0.0],
-        [dvx / r - (dx * dy * dvy + dx * dx * dvx) / r3, dx / r,
-         dvy / r - (dx * dy * dvx + dy * dy * dvy) / r3, dy / r],
-    ])
 
 
 # Central-difference step of hessian_h, relative to each component.

@@ -14,7 +14,7 @@ from covstop import cli, optimizer
 from covstop.cli import main
 from covstop.config import _bundled_path, params_to_dict, stock_scenario
 from covstop.dp_oracle import make_scalar_model, value_iterate
-from covstop.errors import ContractError
+from covstop.errors import ContractError, NumericalError
 from covstop.filter_core import (TargetModel, loewner_geq, lyapunov_update,
                                  riccati_update)
 from covstop.policy import ParamLayout, PolicyFamily
@@ -488,6 +488,72 @@ class TestExitCodes:
         assert "monotonicity violations 2" in capsys.readouterr().out
         for name in ("qtable.csv", "threshold.csv", "manifest.json"):
             assert (out / name).is_file()
+
+    @pytest.mark.parametrize("case", ["existing-file", "below-a-file",
+                                      "file-name-taken"])
+    def test_unusable_out_exits_2(self, case, tmp_path, monkeypatch, capsys):
+        # An existing non-directory --out is refused before any work; the
+        # others fail when the finished run writes, as an OSError.
+        blocker = tmp_path / "blocker"
+        out = {"existing-file": blocker, "below-a-file": blocker / "out",
+               "file-name-taken": tmp_path / "out"}[case]
+        if case == "file-name-taken":
+            (out / "threshold.csv").mkdir(parents=True)
+        else:
+            blocker.write_text("")
+        if case == "existing-file":
+            monkeypatch.setattr(cli, "value_iterate", lambda model: pytest.fail(
+                "the run started before --out was checked"))
+        code = main(["dp-threshold", "--grid", "8", "--seed", "1",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"validation error: cannot write --out "
+                                 f"{out}")
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("argv,entry", [
+        (RERUN_ARGV["optimize"], "spsa_optimize"),
+        (RERUN_ARGV["periodic-sweep"], "periodic_cost_curve"),
+        (RERUN_ARGV["flyby"] + ["--params", "PARAMS"], "policy_costs"),
+        (["persistent", "--cycles", "2", "--params", "PARAMS"],
+         "run_macro_cycles"),
+        (RERUN_ARGV["validate-linearization"], "validate_linearization"),
+        (RERUN_ARGV["dp-threshold"], "value_iterate"),
+        (RERUN_ARGV["verify-properties"], "verify_monotone"),
+    ], ids=lambda value: value[0] if isinstance(value, list) else None)
+    def test_failing_run_writes_nothing(self, argv, entry, tmp_path,
+                                        stop_first_params, monkeypatch,
+                                        capsys):
+        def fail(*args, **kwargs):
+            raise NumericalError(f"{entry} failed")
+
+        monkeypatch.setattr(cli, entry, fail)
+        argv = [str(stop_first_params) if a == "PARAMS" else a for a in argv]
+        out = tmp_path / "out"
+        code = main(argv + ["--seed", "1", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"numerical failure: {entry} failed"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [["--pd-grid", "0.5,2"],
+                                      ["--cnu-grid", "0.8,-1"]],
+                             ids=["pd-grid", "cnu-grid"])
+    def test_flyby_checks_grid_before_training(self, grid, tmp_path,
+                                               monkeypatch, capsys):
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the grid was checked")
+
+        monkeypatch.setattr(cli, "spsa_optimize", work)
+        monkeypatch.setattr(cli, "policy_costs", work)
+        out = tmp_path / "out"
+        code = main(["flyby", "--rollouts", "2", *grid, *TRAIN_ARGV,
+                     "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert "validation error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # The scalar per-belief stack and the per-matrix covariance updates, by

@@ -8,11 +8,10 @@ import pytest
 from covstop.config import _bundled_path, scenario_from_dict, stock_scenario
 from covstop.errors import ContractError
 from covstop.filter_core import lyapunov_update, riccati_update
-from covstop.gmti import (MacroMode, OrbitSpec, PlatformState,
+from covstop.gmti import (MacroMode, OrbitSpec, PlatformState, jacobian_h,
                           macro_select_priority, models_at_location,
                           nonlinear_h, platform_orbit_state, propagate_truth,
                           run_macro_cycles, system_matrices)
-from covstop.linearization import jacobian_h
 from covstop.observability import Belief
 from covstop.optimizer import StopAt, rollout
 from covstop.policy import Action, PolicyFamily, PolicyParams
