@@ -60,62 +60,78 @@ def _fmt(value) -> str:
 CSV_BLOCK_ROWS = 65536
 
 
-def _format_column(column: np.ndarray):
-    """Cell texts of a 1-D column, as ``_fmt`` gives them cell by cell."""
-    cells = column.tolist()
-    if set(map(type, cells)) == {str}:
-        return cells
-    return map(_fmt, cells)
-
-
-def _texts(column: np.ndarray) -> np.ndarray:
-    """Cell texts of a column as an object array, to repeat or tile
-    without formatting each copy again."""
-    return np.array(list(_format_column(column)), dtype=object)
-
-
-def _cell_spec(column: np.ndarray) -> tuple[str, list]:
-    """The ``%`` conversion and values that give a column's cell texts."""
+def _cell_spec(column: np.ndarray) -> str:
+    """The ``%`` conversion of a column's ``_cell_values`` (float.__repr__
+    for floats)."""
     kind = column.dtype.kind
-    if kind == "f":  # tolist() gives Python floats: %r is float.__repr__
-        return "%r", column.tolist()
-    if kind in "iub":
-        return "%d", column.tolist()
-    return "%s", list(_format_column(column))
+    return "%r" if kind == "f" else "%d" if kind in "iub" else "%s"
+
+
+def _cell_values(column: np.ndarray) -> list:
+    """A 1-D column's cells as Python numbers, or else as ``_fmt`` texts."""
+    cells = column.tolist()
+    if column.dtype.kind in "fiub" or set(map(type, cells)) == {str}:
+        return cells
+    return list(map(_fmt, cells))
 
 
 def write_csv(path: Path, names: list, columns: list, cfg_hash: str,
               units: str) -> None:
-    """Write equal-length 1-D columns under a config-hash and units line.
+    """Write a table under a config-hash and units line.
 
     An ndarray column is formatted by its dtype: a float cell is the
     ``repr`` of the Python float, an integer cell its decimal digits and
-    a bool cell 1 or 0. Any other sequence is taken as objects and
-    formatted cell by cell by the same rule (other objects by ``str``),
-    so mixed cells such as text labels and empty strings keep their own
-    rule. Each block of CSV_BLOCK_ROWS rows is formatted by one ``%``.
-    Raises ContractError unless there is one name per column and every
-    column is 1-D and as long as the first.
+    a bool cell 1 or 0. Any other sequence is taken as objects, each cell
+    formatted by the same rule (other objects by ``str``). The columns
+    are 1-D and as long as the first, or form a grid: if a column has
+    k >= 2 dimensions, the leading k columns are 1-D axes, the others
+    have shape (len(axis_1), ..., len(axis_k)), and each row is one point
+    of the axes' product in C order (last axis fastest): its axis values,
+    then its cells. Axis values are formatted once, into the row
+    template. At most CSV_BLOCK_ROWS rows go through one ``%``. Raises
+    ContractError unless each column has one name and its shape.
     """
     columns = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object)
                for c in columns]
     if len(names) != len(columns):
         raise ContractError(f"{path.name}: {len(names)} names for "
                             f"{len(columns)} columns")
-    n_rows = len(columns[0])
-    for name, column in zip(names, columns):
-        if column.shape != (n_rows,):
+    n_axes = max(c.ndim for c in columns)
+    n_axes = n_axes if n_axes > 1 else 0
+    axes, cells = columns[:n_axes], columns[n_axes:]
+    shape = tuple(map(len, axes)) or (len(columns[0]),)
+    for i, (name, column) in enumerate(zip(names, columns)):
+        expected = shape[i:i + 1] if i < n_axes else shape
+        if column.shape != expected:
             raise ContractError(f"{path.name}: column {name} has shape "
-                                f"{column.shape}, not ({n_rows},)")
+                                f"{column.shape}, not {expected}")
+    texts = [[(_cell_spec(a) % v).replace("%", "%%")
+              for v in _cell_values(a)] for a in axes]
+    row = ",".join(map(_cell_spec, cells)) + "\n"
+    tails = [t + "," + row for t in texts.pop()] if axes else [row] * shape[0]
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg_hash} units: {units}\n"
                  + ",".join(names) + "\n")
-        for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            specs, values = zip(*(_cell_spec(c[start:start + CSV_BLOCK_ROWS])
-                                  for c in columns))
-            row = ",".join(specs) + "\n"
-            fh.write(row * len(values[0])
-                     % tuple(chain.from_iterable(zip(*values))))
+        for index in np.ndindex(shape[:-1]):
+            prefix = "".join(t[i] + "," for t, i in zip(texts, index))
+            for start in range(0, shape[-1], CSV_BLOCK_ROWS):
+                block = slice(start, start + CSV_BLOCK_ROWS)
+                values = [_cell_values(c[index][block]) for c in cells]
+                fh.write((prefix + prefix.join(tails[block]))
+                         % tuple(chain.from_iterable(zip(*values))))
+
+
+def _stale_outputs(out: Path) -> set:
+    """Plain files directly in ``out`` that its earlier manifest lists;
+    none if that manifest does not parse."""
+    try:
+        listed = json.loads((out / "manifest.json").read_text())["outputs"]
+    except (OSError, ValueError, TypeError, KeyError):
+        return set()
+    names = listed if isinstance(listed, list) else []
+    return {n for n in names if isinstance(n, str) and "/" not in n
+            and os.sep not in n and ".." not in n
+            and os.path.isfile(out / n) and not os.path.islink(out / n)}
 
 
 def write_outputs(args, cfg: dict, outputs: dict) -> None:
@@ -126,6 +142,7 @@ def write_outputs(args, cfg: dict, outputs: dict) -> None:
     JSON document. The hash is taken once, of the run's final ``cfg``,
     which also holds the run's seed. The manifest's ``command`` is the
     subcommand's name and its ``outputs`` are exactly the mapping's names.
+    It first deletes the ``_stale_outputs`` this run does not write.
     Raises ContractError if ``--out`` cannot be made or written.
     """
     cfg_hash = config_hash(cfg)
@@ -140,6 +157,8 @@ def write_outputs(args, cfg: dict, outputs: dict) -> None:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        for name in _stale_outputs(out) - {*outputs, "manifest.json"}:
+            (out / name).unlink()
         for name, content in {**outputs, "manifest.json": manifest}.items():
             if isinstance(content, dict):
                 (out / name).write_text(
@@ -254,20 +273,21 @@ def cmd_flyby(args) -> int:
     _require_count("--rollouts", args.rollouts)
     cfg["pd_grid"], cfg["cnu_grid"] = pd_grid, cnu_grid
     # Every cell's scenario is checked before a policy is trained.
-    cells = [(p_d, c_nu, scenario.with_overrides(operating_cost=c_nu, p_d=p_d))
+    cells = [scenario.with_overrides(operating_cost=c_nu, p_d=p_d)
              for p_d in pd_grid for c_nu in cnu_grid]
     params, _, _ = _policy(scenario, args, seed, cfg)
-    rows = []
     eval_seed = child_seed(seed, "cli.flyby.eval")
     seeds = [child_seed(eval_seed, "pair", b) for b in range(args.rollouts)]
-    for p_d, c_nu, variant in cells:
+    # Mean cost, its standard error and mean tau over the (p_d, c_nu) grid.
+    stats = np.empty((3, len(pd_grid), len(cnu_grid)))
+    for cell, variant in zip(stats.reshape(3, -1).T, cells):
         taus, costs = policy_costs(variant, params, seeds)
-        rows.append([p_d, c_nu, float(np.mean(costs)),
-                     float(np.std(costs) / np.sqrt(len(costs))),
-                     float(np.mean(taus))])
+        cell[:] = (np.mean(costs), np.std(costs) / np.sqrt(len(costs)),
+                   np.mean(taus))
     write_outputs(args, cfg, {"figure4_grid.csv": (
         ["p_d", "c_nu", "mean_cost", "stderr_cost", "mean_tau"],
-        np.array(rows).T, "cost=nats+epochs*c_nu, tau=epochs")})
+        [np.array(pd_grid), np.array(cnu_grid), *stats],
+        "cost=nats+epochs*c_nu, tau=epochs")})
     return 0
 
 
@@ -360,10 +380,7 @@ def cmd_dp_threshold(args) -> int:
     write_outputs(args, cfg, {
         "qtable.csv": (
             ["P_a", "P_other", "V", "Q_continue", "action"],
-            [np.repeat(_texts(grid_a), len(grid_o)),
-             np.tile(_texts(grid_o), len(grid_a)),
-             qtable.value.ravel(), qtable.q_continue.ravel(),
-             qtable.action.ravel()],
+            [grid_a, grid_o, qtable.value, qtable.q_continue, qtable.action],
             "P=squared state units, V/Q=nats, action: 1=stop 2=continue"),
         "threshold.csv": (["P_other", "g"], [grid_o, threshold],
                           "stop below g, continue at or above"),
@@ -559,9 +576,12 @@ def main(argv=None) -> int:
         if args.seed is not None:  # every subcommand has --seed
             check_seed(args.seed, "--seed")
         # Every subcommand has --out; a typo should not cost a run.
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise ContractError(f"cannot write --out {args.out}: it exists "
-                                f"and is not a directory")
+        head = args.out  # becomes its nearest existing ancestor, or itself
+        while head and not os.path.exists(head):
+            head = os.path.dirname(head)
+        if head and not os.path.isdir(head):
+            raise ContractError(f"cannot write --out {args.out}: {head} "
+                                f"exists and is not a directory")
         return args.func(args)
     except ContractError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -492,8 +492,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", ["existing-file", "below-a-file",
                                       "file-name-taken"])
     def test_unusable_out_exits_2(self, case, tmp_path, monkeypatch, capsys):
-        # An existing non-directory --out is refused before any work; the
-        # others fail when the finished run writes, as an OSError.
+        # An existing non-directory --out, or one below a file, is refused
+        # before any work; a file name taken by a directory fails when the
+        # finished run writes, as an OSError.
         blocker = tmp_path / "blocker"
         out = {"existing-file": blocker, "below-a-file": blocker / "out",
                "file-name-taken": tmp_path / "out"}[case]
@@ -501,7 +502,7 @@ class TestExitCodes:
             (out / "threshold.csv").mkdir(parents=True)
         else:
             blocker.write_text("")
-        if case == "existing-file":
+        if case != "file-name-taken":
             monkeypatch.setattr(cli, "value_iterate", lambda model: pytest.fail(
                 "the run started before --out was checked"))
         code = main(["dp-threshold", "--grid", "8", "--seed", "1",
@@ -554,6 +555,51 @@ class TestExitCodes:
         assert code == 2
         assert "validation error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestReusedOut:
+    def test_rerun_without_params_drops_envelope(self, tmp_path,
+                                                 stop_first_params):
+        out = tmp_path / "out"
+        for extra in (["--params", str(stop_first_params)], []):
+            assert main(["periodic-sweep", "--rollouts", "5", *extra,
+                         "--seed", "1", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "periodic_costs.csv"]
+
+    def test_only_listed_plain_files_directly_in_out_go(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        (out / "listed-dir").mkdir()
+        for path in (tmp_path / "outside.csv", out / "sub" / "inner.csv",
+                     out / "stale.csv", out / "a..b.csv", out / "unlisted.csv",
+                     out / "qtable.csv"):
+            path.write_text("x\n")
+        (out / "link.csv").symlink_to(tmp_path / "outside.csv")
+        listed = ["../outside.csv", "sub/inner.csv", str(out / "unlisted.csv"),
+                  "listed-dir", "link.csv", "a..b.csv", "missing.csv",
+                  "stale.csv", "qtable.csv", "manifest.json"]
+        (out / "manifest.json").write_text(json.dumps({"outputs": listed}))
+        assert main(["dp-threshold", "--grid", "4", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "a..b.csv", "link.csv", "listed-dir", "manifest.json",
+            "qtable.csv", "sub", "threshold.csv", "unlisted.csv"]
+        assert (out / "sub" / "inner.csv").is_file()
+        assert (tmp_path / "outside.csv").read_text() == "x\n"
+
+    @pytest.mark.parametrize("manifest", [
+        "{", "", "[]", '{"outputs": "stale.csv"}', '{"outputs": [1]}',
+        '{"output": ["stale.csv"]}'])
+    def test_manifest_that_does_not_parse_deletes_nothing(
+            self, manifest, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "stale.csv").write_text("x\n")
+        (out / "manifest.json").write_text(manifest)
+        assert main(["dp-threshold", "--grid", "4", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert (out / "stale.csv").read_text() == "x\n"
 
 
 # The scalar per-belief stack and the per-matrix covariance updates, by
@@ -701,9 +747,23 @@ def per_cell(value) -> str:
     return str(value)
 
 
+def expand_grid(columns):
+    # A grid table's 1-D columns: row r of the axes' C-order product has
+    # each axis's value at r's index on it, and each cell array's
+    # element at that index. Tables of 1-D columns pass unchanged.
+    columns = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object)
+               for c in columns]
+    k = max(c.ndim for c in columns)
+    if k < 2:
+        return columns
+    index = np.indices([len(a) for a in columns[:k]]).reshape(k, -1)
+    return ([a[i] for a, i in zip(columns[:k], index)]
+            + [c.reshape(-1) for c in columns[k:]])
+
+
 def reference_write_csv(path, names, columns, cfg_hash, units):
     # The per-cell writer that block formatting replaced: one Python
-    # call per cell and one join per row.
+    # call per cell and one join per row, over a grid's expanded columns.
     def cells(column):
         kind = column.dtype.kind
         if kind == "f":
@@ -717,8 +777,7 @@ def reference_write_csv(path, names, columns, cfg_hash, units):
             return values
         return map(per_cell, values)
 
-    columns = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object)
-               for c in columns]
+    columns = expand_grid(columns)
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg_hash} units: {units}\n"
                  + ",".join(names) + "\n")
@@ -757,6 +816,37 @@ REFERENCE_COLUMNS = {
     "no-rows": [np.array([]), np.array([], dtype=int), []],
 }
 
+# Grid axes by name: every kind, floats whose repr is unusual and texts
+# that look like % conversions, mixed objects, 1 x N and N x 1 grids,
+# three axes, an empty axis, and leading axes longer than a block of 2.
+FLOAT_AXIS = np.array([-0.0, 1e16, 1e-05, 0.1 + 0.2, math.nan])
+TEXT_AXIS = ["%", "%s", "%%", "a%db", ""]
+GRID_AXES = {
+    "float-int": [FLOAT_AXIS, np.array([-7, 0, 2**40])],
+    "bool-text": [np.array([True, False]), TEXT_AXIS],
+    "text-float": [TEXT_AXIS, FLOAT_AXIS],
+    "mixed-uint": [[None, 0.5, "%x", np.bool_(True), np.float64(-0.0)],
+                   np.array([0, 2**64 - 1], dtype=np.uint64)],
+    "1xN": [np.array([0.5]), FLOAT_AXIS],
+    "Nx1": [TEXT_AXIS, np.array([1e-05])],
+    "three-axes": [np.array([3, 1], dtype=np.int8), np.array([False, True]),
+                   TEXT_AXIS],
+    "empty-axis": [FLOAT_AXIS, np.array([])],
+}
+
+
+def grid_cells(shape):
+    # One cell array of each kind the writer formats, of the given shape.
+    n = math.prod(shape)
+    mixed = [None, 0.1, "%s", np.bool_(True), -0.0, 7, ""]
+    return [np.random.default_rng(n).standard_normal(shape),
+            np.arange(n).reshape(shape) - 3,
+            (np.arange(n) % 3 == 0).reshape(shape),
+            np.array([f"%{i}%%" for i in range(n)], dtype=object)
+            .reshape(shape),
+            np.array([mixed[i % 7] for i in range(n)], dtype=object)
+            .reshape(shape)]
+
 
 class TestWriteCsv:
     TYPED = [
@@ -792,13 +882,32 @@ class TestWriteCsv:
         grid = np.array([1e-05, 1e+16, -0.0, 0.1, 1.0 / 3.0, 2.0])
         repeated = np.repeat(grid, 3)
         tiled = np.tile(grid[::-1], 3)
-        texts = [np.repeat(cli._texts(grid), 3),
-                 np.tile(cli._texts(grid[::-1]), 3)]
+        texts = [np.repeat(np.array(list(map(per_cell, grid)), dtype=object),
+                           3),
+                 np.tile(np.array(list(map(per_cell, grid[::-1])),
+                                  dtype=object), 3)]
         assert all(c.dtype == object for c in texts)
         floats_path, texts_path = tmp_path / "f.csv", tmp_path / "t.csv"
         cli.write_csv(floats_path, ["a", "b"], [repeated, tiled], "h", "u")
         cli.write_csv(texts_path, ["a", "b"], texts, "h", "u")
         assert texts_path.read_bytes() == floats_path.read_bytes()
+
+    @pytest.mark.parametrize("block_rows", [2, 65536])
+    @pytest.mark.parametrize("name", list(GRID_AXES))
+    def test_grid_matches_expanded_columns(self, name, block_rows, tmp_path,
+                                           monkeypatch):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        axes = GRID_AXES[name]
+        columns = axes + grid_cells(tuple(len(a) for a in axes))
+        names = [f"c{i}" for i in range(len(columns))]
+        paths = [tmp_path / f"{run}.csv" for run in ("grid", "flat", "ref")]
+        cli.write_csv(paths[0], names, columns, "abc", "x=%s units")
+        cli.write_csv(paths[1], names, expand_grid(columns), "abc",
+                      "x=%s units")
+        reference_write_csv(paths[2], names, columns, "abc", "x=%s units")
+        grid, flat, ref = (path.read_bytes() for path in paths)
+        assert grid == flat == ref
+        assert grid.count(b"\n") == 2 + math.prod(map(len, axes))
 
     def test_no_rows_writes_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -819,6 +928,16 @@ class TestWriteCsv:
         (["a", "b"], [[1, 2], np.ones((2, 2))], "column b"),
         (["a", "b"], [np.arange(2), [1, 2, 3]], "column b"),
         (["a"], [np.arange(2), np.arange(2)], "1 names for 2 columns"),
+        # Grids: cells transposed, raveled or of another rank, and an axis
+        # that is not 1-D.
+        (["a", "b", "c"], [np.arange(2), np.arange(3), np.ones((3, 2))],
+         "column c"),
+        (["a", "b", "c", "d"], [np.arange(2), np.arange(3), np.ones((2, 3)),
+                                np.ones(6)], "column d"),
+        (["a", "b", "c", "d"], [np.arange(2), np.arange(3), np.ones((2, 3)),
+                                np.ones((2, 3, 1))], "column c"),
+        (["a", "b", "c", "d"], [np.arange(2), np.arange(3), np.ones((2, 3)),
+                                [[1, 2, 3], [4, 5]]], "column d"),
     ])
     def test_ragged_columns_raise(self, names, columns, culprit, tmp_path):
         path = tmp_path / "t.csv"
@@ -830,11 +949,14 @@ class TestWriteCsv:
 @pytest.mark.parametrize("argv", [
     ["dp-threshold", "--grid", "64"],
     ["persistent", "--cycles", "6", "--params", "PERSISTENT_PARAMS"],
+    ["flyby", "--rollouts", "2", "--params", "PARAMS"],
 ])
 def test_cli_outputs_match_reference_writer(argv, tmp_path, monkeypatch,
-                                            persistent_params):
-    argv = [str(persistent_params) if arg == "PERSISTENT_PARAMS" else arg
-            for arg in argv] + ["--seed", "3", "--out"]
+                                            persistent_params,
+                                            stop_first_params):
+    files = {"PARAMS": str(stop_first_params),
+             "PERSISTENT_PARAMS": str(persistent_params)}
+    argv = [files.get(arg, arg) for arg in argv] + ["--seed", "3", "--out"]
     outputs = []
     for run in ("new", "ref"):
         if run == "ref":
