@@ -143,7 +143,9 @@ def write_outputs(args, cfg: dict, outputs: dict) -> None:
     which also holds the run's seed. The manifest's ``command`` is the
     subcommand's name and its ``outputs`` are exactly the mapping's names.
     It first deletes the ``_stale_outputs`` this run does not write.
-    Raises ContractError if ``--out`` cannot be made or written.
+    Raises ContractError if ``--out`` cannot be made or written, and
+    before it deletes or writes anything if one of the names exists in
+    ``--out`` as anything but a regular file (a symlink too).
     """
     cfg_hash = config_hash(cfg)
     manifest = {
@@ -155,6 +157,11 @@ def write_outputs(args, cfg: dict, outputs: dict) -> None:
         "outputs": sorted(outputs),
     }
     out = Path(args.out)
+    for name in [*outputs, "manifest.json"]:
+        path = out / name  # writing would follow a symlink out of --out
+        if os.path.islink(path) or (path.exists() and not path.is_file()):
+            raise ContractError(f"cannot write --out {out}: {name} exists "
+                                f"and is not a regular file")
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name in _stale_outputs(out) - {*outputs, "manifest.json"}:

@@ -60,39 +60,33 @@ from .policy import (Action, ParamLayout, PolicyFamily, PolicyParams,
                      covariance_features, decide, weigh_features)
 from .streams import child_seed, stream
 
-# An objective maps (phi, seed) to a scalar cost.
-Objective = Callable[[np.ndarray, int], float]
+# An objective maps (phis, seed) to one cost per phi, all scored on the
+# seed's rollouts.
+Objective = Callable[[Sequence[np.ndarray], int], Sequence[float]]
+
+# SPSA's fixed gains (Spall 1998): iteration n perturbs by
+# _OMEGA / (n+1)^_GAMMA and steps by epsilon / (n+2+_S_OFFSET)^_ZETA.
+# Nominees are ranked on a trailing mean of _SMOOTH_WINDOW iterate costs.
+_OMEGA = 0.2
+_GAMMA = 0.602
+_S_OFFSET = 10.0
+_ZETA = 0.801
+_SMOOTH_WINDOW = 32
 
 
 @dataclass(frozen=True)
 class SpsaSchedule:
-    """Gain sequences and batch sizes for the stochastic search.
+    """Step gain and batch sizes for the stochastic search."""
 
-    Perturbation size follows omega / (n+1)^gamma and the iterate step
-    epsilon / (n+1+s)^zeta, with the exponents constrained to
-    0.5 <= gamma <= 1 and 0.5 < zeta <= 1.
-    """
-
-    omega: float = 0.2
-    gamma: float = 0.602
     epsilon: float = 0.05
-    s_offset: float = 10.0
-    zeta: float = 0.801
     n_iterations: int = 500
     n_restarts: int = 8
     rollouts_per_eval: int = 16
-    smooth_window: int = 32
     n_screen: int = 0  # random-search candidates screened per restart seat
 
     def __post_init__(self):
-        if not all(0.0 < v < np.inf
-                   for v in (self.omega, self.epsilon, self.s_offset)):
-            raise ContractError("omega, epsilon and s_offset must be finite "
-                                "and positive")
-        if not 0.5 <= self.gamma <= 1.0:
-            raise ContractError("gamma must lie in [0.5, 1]")
-        if not 0.5 < self.zeta <= 1.0:
-            raise ContractError("zeta must lie in (0.5, 1]")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ContractError("epsilon must be finite and positive")
         if self.n_iterations < 0 or self.n_restarts < 1:
             raise ContractError("need n_iterations >= 0 and n_restarts >= 1")
         if self.rollouts_per_eval < 1:
@@ -101,11 +95,11 @@ class SpsaSchedule:
             raise ContractError("n_screen cannot be negative")
 
     def perturbation(self, n: int) -> float:
-        return self.omega / (n + 1) ** self.gamma
+        return _OMEGA / (n + 1) ** _GAMMA
 
     def step_size(self, n: int) -> float:
         # epsilon_{n+1} for the update applied at iteration n.
-        return self.epsilon / (n + 2 + self.s_offset) ** self.zeta
+        return self.epsilon / (n + 2 + _S_OFFSET) ** _ZETA
 
 
 @dataclass
@@ -478,26 +472,22 @@ def evaluate_cost(scenario, policy: PolicyParams | StopAt, seed: int,
 
 def rollout_objective(scenario, layout: ParamLayout,
                       n_rollouts: int) -> Objective:
-    """Objective closure mapping (phi, seed) to the evaluated cost.
+    """Objective closure mapping (phis, seed) to one cost per phi.
 
-    Equals ``evaluate_cost`` on ``layout.build(phi)``: the mean of the
-    ``score_paths`` costs over the seed's chunks. The last seed's
-    full-horizon chunks are kept with their features, so calls that
-    share a seed, such as the two sides of an SPSA gradient estimate or
-    the nominees of one re-rank seed, share one simulation and one
-    eigendecomposition of each covariance.
+    Each cost equals ``evaluate_cost`` on ``layout.build(phi)``: the mean
+    of the ``score_paths`` costs over the seed's chunks. A call simulates
+    the seed's full-horizon chunks once and scores every phi on them, so
+    the two sides of an SPSA gradient estimate, or the nominees of one
+    re-rank seed, share one simulation and one eigendecomposition of each
+    covariance.
     """
-    last: dict = {}  # seed -> list of PathBatch chunks, one slot
-
-    def objective(phi: np.ndarray, seed: int) -> float:
-        if seed not in last:
-            last.clear()
-            last[seed] = list(_path_chunks(scenario,
-                                           _eval_seeds(seed, n_rollouts),
-                                           StopAt(scenario.tau_max)))
-        policy = layout.build(phi)
-        return float(np.mean(np.concatenate(
-            [score_paths(batch, policy)[1] for batch in last[seed]])))
+    def objective(phis: Sequence[np.ndarray], seed: int) -> list[float]:
+        policies = [layout.build(phi) for phi in phis]
+        chunks = list(_path_chunks(scenario, _eval_seeds(seed, n_rollouts),
+                                   StopAt(scenario.tau_max)))
+        return [float(np.mean(np.concatenate(
+            [score_paths(batch, policy)[1] for batch in chunks])))
+            for policy in policies]
 
     return objective
 
@@ -507,22 +497,18 @@ def rademacher(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def spsa_gradient(phi: np.ndarray, n: int, schedule: SpsaSchedule,
-                  objective: Objective, seed: int,
-                  direction: np.ndarray | None = None) -> np.ndarray:
+                  objective: Objective, seed: int) -> np.ndarray:
     """Two-sided random-direction gradient estimate at iteration n.
 
-    Both perturbed evaluations receive the same evaluation seed, so the
-    detection streams are common to the plus and minus sides.
+    The plus and minus sides are scored in one objective call, on one
+    evaluation seed, so their detection streams are common.
     """
     phi = np.asarray(phi, dtype=float)
-    if direction is None:
-        direction = rademacher(phi.shape[0], stream(seed, "spsa.direction", n))
-    else:
-        direction = np.asarray(direction, dtype=float)
+    direction = rademacher(phi.shape[0], stream(seed, "spsa.direction", n))
     omega_n = schedule.perturbation(n)
-    eval_seed = child_seed(seed, "spsa.eval", n)
-    j_plus = objective(phi + omega_n * direction, eval_seed)
-    j_minus = objective(phi - omega_n * direction, eval_seed)
+    j_plus, j_minus = objective(
+        [phi + omega_n * direction, phi - omega_n * direction],
+        child_seed(seed, "spsa.eval", n))
     return (j_plus - j_minus) / (2.0 * omega_n) * direction
 
 
@@ -552,16 +538,19 @@ def spsa_minimize(objective: Objective, initial_phis: Sequence[np.ndarray],
     nominates the iterate minimizing a trailing-window mean (raw sample
     costs are too noisy to rank directly; a window is eligible only
     once full, so single lucky draws cannot win). The per-restart
-    nominees are then re-ranked on a common, larger evaluation. Every
-    restart follows the schedule's gain sequences as given: omega and
-    epsilon are absolute, whatever the magnitude of the start. A
-    non-finite cost or iterate aborts the restart, not the search.
+    nominees are then re-ranked on a common, larger evaluation: eight
+    seeds, each scoring every nominee in one objective call. Every
+    restart follows the gain sequences as given: the perturbation and
+    the step are absolute, whatever the magnitude of the start. A
+    non-finite cost or iterate aborts the restart, not the search; a
+    search in which no restart, or no nominee's re-rank, has a finite
+    cost raises NumericalError.
     """
     if len(initial_phis) == 0:
         raise ContractError("need at least one initial condition")
     result = SpsaResult(best_phi=None, best_cost=np.inf, best_restart=-1,
                         best_iteration=-1)
-    min_window = min(schedule.smooth_window, schedule.n_iterations + 1)
+    min_window = min(_SMOOTH_WINDOW, schedule.n_iterations + 1)
     nominees = []  # (phi, restart, iteration)
     for r, phi0 in enumerate(initial_phis):
         phi = np.array(phi0, dtype=float)
@@ -570,12 +559,13 @@ def spsa_minimize(objective: Objective, initial_phis: Sequence[np.ndarray],
         local_best = None
         local_cost = np.inf
         for n in range(schedule.n_iterations + 1):
-            cost = objective(phi, child_seed(restart_seed, "spsa.iterate", n))
+            (cost,) = objective(
+                [phi], child_seed(restart_seed, "spsa.iterate", n))
             result.trace.append(TraceRecord(r, n, phi.copy(), cost))
             if not np.isfinite(cost):
                 break
             window.append(cost)
-            smoothed = float(np.mean(window[-schedule.smooth_window:]))
+            smoothed = float(np.mean(window[-_SMOOTH_WINDOW:]))
             if len(window) >= min_window and smoothed < local_cost:
                 local_cost = smoothed
                 local_best = (phi.copy(), r, n)
@@ -590,10 +580,8 @@ def spsa_minimize(objective: Objective, initial_phis: Sequence[np.ndarray],
     if not nominees:
         raise NumericalError("every restart produced non-finite costs")
     rerank_seed = child_seed(seed, "spsa.rerank")
-    # Seed by seed, so an objective that keeps its last seed's simulation
-    # simulates each re-rank batch once for all nominees.
-    rerank = [[objective(phi, child_seed(rerank_seed, "rep", i))
-               for phi, _, _ in nominees] for i in range(8)]
+    rerank = [objective([phi for phi, _, _ in nominees],
+                        child_seed(rerank_seed, "rep", i)) for i in range(8)]
     for (phi, r, n), costs in zip(nominees, zip(*rerank)):
         score = np.mean(costs)
         if score < result.best_cost:
@@ -601,6 +589,8 @@ def spsa_minimize(objective: Objective, initial_phis: Sequence[np.ndarray],
             result.best_phi = phi
             result.best_restart = r
             result.best_iteration = n
+    if result.best_phi is None:
+        raise NumericalError("no nominee has a finite re-rank cost")
     return result
 
 
@@ -620,7 +610,7 @@ def spsa_optimize(scenario, layout: ParamLayout, schedule: SpsaSchedule,
     candidates = [layout.random_init(rng) for _ in range(n_candidates)]
     if schedule.n_screen > 0:
         screen_seed = child_seed(seed, "spsa.screen")
-        scores = [objective(phi, child_seed(screen_seed, "cand", i))
+        scores = [objective([phi], child_seed(screen_seed, "cand", i))[0]
                   for i, phi in enumerate(candidates)]
         order = np.argsort(scores)[:schedule.n_restarts]
         initial_phis = [candidates[i] for i in order]

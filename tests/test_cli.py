@@ -490,19 +490,23 @@ class TestExitCodes:
             assert (out / name).is_file()
 
     @pytest.mark.parametrize("case", ["existing-file", "below-a-file",
-                                      "file-name-taken"])
+                                      "file-name-taken", "file-name-linked"])
     def test_unusable_out_exits_2(self, case, tmp_path, monkeypatch, capsys):
         # An existing non-directory --out, or one below a file, is refused
-        # before any work; a file name taken by a directory fails when the
-        # finished run writes, as an OSError.
+        # before any work; a file name taken by a directory or a symlink
+        # is refused by the finished run before it writes any file.
         blocker = tmp_path / "blocker"
         out = {"existing-file": blocker, "below-a-file": blocker / "out",
-               "file-name-taken": tmp_path / "out"}[case]
+               "file-name-taken": tmp_path / "out",
+               "file-name-linked": tmp_path / "out"}[case]
         if case == "file-name-taken":
             (out / "threshold.csv").mkdir(parents=True)
         else:
             blocker.write_text("")
-        if case != "file-name-taken":
+        if case == "file-name-linked":
+            out.mkdir()
+            (out / "threshold.csv").symlink_to(blocker)
+        elif case != "file-name-taken":
             monkeypatch.setattr(cli, "value_iterate", lambda model: pytest.fail(
                 "the run started before --out was checked"))
         code = main(["dp-threshold", "--grid", "8", "--seed", "1",
@@ -513,6 +517,9 @@ class TestExitCodes:
         assert err[0].startswith(f"validation error: cannot write --out "
                                  f"{out}")
         assert not (out / "manifest.json").exists()
+        assert not (out / "qtable.csv").exists()
+        if case != "file-name-taken":
+            assert blocker.read_text() == ""
 
     @pytest.mark.parametrize("argv,entry", [
         (RERUN_ARGV["optimize"], "spsa_optimize"),

@@ -31,6 +31,11 @@ def always(action):
     return lambda belief, epoch: action
 
 
+def batched(scalar):
+    """An objective that scores each phi of a call with ``scalar``."""
+    return lambda phis, seed: [scalar(phi, seed) for phi in phis]
+
+
 def zero_priority_scenario():
     scenario = scalar_test_scenario(p_d=0.9, p_d_other=0.9)
     return dataclasses.replace(scenario, priorities=np.array([1.0, 0.0]))
@@ -127,22 +132,24 @@ class TestSpsaGradient:
     def test_constant_objective_zero_gradient(self):
         schedule = SpsaSchedule()
         grad = spsa_gradient(np.zeros(4), 0, schedule,
-                             lambda phi, seed: 7.5, seed=1)
+                             batched(lambda phi, seed: 7.5), seed=1)
         assert np.array_equal(grad, np.zeros(4))
 
-    def test_linear_objective_direction_average(self):
+    def test_linear_objective_direction_average(self, monkeypatch):
         # For J = c.phi the estimate is (c.d) d; averaging over all
         # Rademacher directions recovers c exactly.
         c = np.array([1.0, -2.0, 0.5, 3.0])
-        schedule = SpsaSchedule(omega=0.1)
+        schedule = SpsaSchedule()
         total = np.zeros(4)
         count = 0
         for bits in range(16):
             d = np.array([1.0 if bits & (1 << i) else -1.0
                           for i in range(4)])
+            monkeypatch.setattr(optimizer, "rademacher",
+                                lambda dim, rng, d=d: d)
             grad = spsa_gradient(np.zeros(4), 0, schedule,
-                                 lambda phi, seed: float(c @ phi), seed=0,
-                                 direction=d)
+                                 batched(lambda phi, seed: float(c @ phi)),
+                                 seed=0)
             np.testing.assert_allclose(grad, (c @ d) * d, rtol=1e-12)
             total += grad
             count += 1
@@ -152,7 +159,8 @@ class TestSpsaGradient:
         schedule = SpsaSchedule()
         for n in range(5):
             grad = spsa_gradient(np.zeros(3), n, schedule,
-                                 lambda phi, seed: float(phi @ phi), seed=4)
+                                 batched(lambda phi, seed: float(phi @ phi)),
+                                 seed=4)
             np.testing.assert_array_equal(grad, np.zeros(3))
 
     def test_common_random_numbers_cancel_policy_independent_noise(self):
@@ -163,7 +171,8 @@ class TestSpsaGradient:
             return float(stream(seed, "noise").normal())
 
         schedule = SpsaSchedule()
-        grad = spsa_gradient(np.ones(4), 2, schedule, noisy, seed=9)
+        grad = spsa_gradient(np.ones(4), 2, schedule, batched(noisy),
+                             seed=9)
         assert np.array_equal(grad, np.zeros(4))
 
     def test_rademacher_signs(self):
@@ -181,13 +190,14 @@ class TestSpsaMinimize:
             return float(np.sum((phi - target) ** 2))
 
         schedule = SpsaSchedule(n_iterations=2000, n_restarts=1,
-                                omega=0.1, epsilon=0.4, s_offset=10.0)
-        result = spsa_minimize(objective, [np.zeros(2)], schedule, seed=5)
+                                epsilon=0.4)
+        result = spsa_minimize(batched(objective), [np.zeros(2)], schedule,
+                               seed=5)
         assert np.linalg.norm(result.best_phi - target) < 1e-2
         # The gains are absolute: a start of small but nonzero magnitude
         # must converge just as a zero start does.
-        result = spsa_minimize(objective, [np.full(2, 1e-3)], schedule,
-                               seed=5)
+        result = spsa_minimize(batched(objective), [np.full(2, 1e-3)],
+                               schedule, seed=5)
         assert np.linalg.norm(result.best_phi - target) < 1e-2
 
     def test_gains_follow_schedule_whatever_the_start(self):
@@ -200,7 +210,7 @@ class TestSpsaMinimize:
 
         schedule = SpsaSchedule(n_iterations=1, n_restarts=1)
         phi0 = np.array([10.0, -10.0])
-        result = spsa_minimize(objective, [phi0], schedule, seed=7)
+        result = spsa_minimize(batched(objective), [phi0], schedule, seed=7)
         # points: the iterate's cost, then the plus and minus sides
         omega_0 = schedule.perturbation(0)
         np.testing.assert_allclose(np.abs(points[1] - phi0), omega_0)
@@ -217,7 +227,7 @@ class TestSpsaMinimize:
         inits = [np.array([3.0, 0.0]), np.array([0.5, 0.5]),
                  np.array([2.0, 2.0])]
         schedule = SpsaSchedule(n_iterations=0, n_restarts=3)
-        result = spsa_minimize(objective, inits, schedule, seed=2)
+        result = spsa_minimize(batched(objective), inits, schedule, seed=2)
         np.testing.assert_array_equal(result.best_phi, inits[1])
         assert result.best_restart == 1
 
@@ -228,29 +238,44 @@ class TestSpsaMinimize:
             return float(np.sum(phi ** 2))
 
         schedule = SpsaSchedule(n_iterations=5, n_restarts=2)
-        result = spsa_minimize(objective, [np.array([3.0]), np.array([1.0])],
+        result = spsa_minimize(batched(objective),
+                               [np.array([3.0]), np.array([1.0])],
                                schedule, seed=3)
         assert result.best_restart == 1
 
     def test_empty_inits_rejected(self):
         with pytest.raises(ContractError):
-            spsa_minimize(lambda phi, seed: 0.0, [], SpsaSchedule(), 0)
+            spsa_minimize(batched(lambda phi, seed: 0.0), [], SpsaSchedule(),
+                          0)
+
+    def test_no_finite_rerank_cost_raises(self):
+        # Finite on every iterate seed, NaN on the eight re-rank seeds:
+        # the search has nominees but none with a finite score.
+        rerank_seed = child_seed(3, "spsa.rerank")
+        rerank = {child_seed(rerank_seed, "rep", i) for i in range(8)}
+
+        def objective(phi, seed):
+            return float("nan") if seed in rerank else float(phi @ phi)
+
+        schedule = SpsaSchedule(n_iterations=3, n_restarts=2)
+        with pytest.raises(NumericalError, match="re-rank"):
+            spsa_minimize(batched(objective), [np.ones(2), 2 * np.ones(2)],
+                          schedule, seed=3)
 
     def test_schedule_validation(self):
-        with pytest.raises(ContractError):
-            SpsaSchedule(gamma=0.3)
-        with pytest.raises(ContractError):
-            SpsaSchedule(zeta=0.5)
-        with pytest.raises(ContractError):
-            SpsaSchedule(omega=0.0)
+        for bad in (dict(epsilon=0.0), dict(epsilon=np.inf),
+                    dict(n_iterations=-1), dict(n_restarts=0),
+                    dict(rollouts_per_eval=0), dict(n_screen=-1)):
+            with pytest.raises(ContractError):
+                SpsaSchedule(**bad)
 
     def test_trace_records_every_iteration(self):
         def objective(phi, seed):
             return float(np.sum(phi ** 2))
 
         schedule = SpsaSchedule(n_iterations=10, n_restarts=2)
-        result = spsa_minimize(objective, [np.ones(2), 2 * np.ones(2)],
-                               schedule, seed=1)
+        result = spsa_minimize(batched(objective),
+                               [np.ones(2), 2 * np.ones(2)], schedule, seed=1)
         assert len(result.trace) == 2 * 11
         assert all(np.all(np.isfinite(t.phi)) for t in result.trace)
 
@@ -268,6 +293,20 @@ class TestSpsaOptimizeOnScenario:
         never = evaluate_cost(scenario, StopAt(scenario.tau_max), 99, 200)
         immediate = evaluate_cost(scenario, StopAt(1), 99, 200)
         assert cost < min(never, immediate) - 1.0
+
+    def test_each_objective_call_simulates_once(self, monkeypatch):
+        # Two screened candidates per restart seat, then per restart 4
+        # iterate calls and 3 gradient calls, then 8 re-rank calls: one
+        # simulation each, whatever the number of phis scored.
+        counts = Counter()
+        monkeypatch.setattr(optimizer, "_path_chunks",
+                            counting(optimizer._path_chunks, "simulate",
+                                     counts))
+        layout = ParamLayout(PolicyFamily.EIGEN_SUM, 2, 1)
+        schedule = SpsaSchedule(n_iterations=3, n_restarts=2,
+                                rollouts_per_eval=4, n_screen=1)
+        spsa_optimize(scalar_test_scenario(), layout, schedule, seed=4)
+        assert counts["simulate"] == 4 + 2 * (4 + 3) + 8
 
     def test_best_params_round_trip(self):
         scenario = scalar_test_scenario()
@@ -419,8 +458,8 @@ class TestPathEngine:
         assert evaluate_cost(scenario, params, 4, 6) == \
             pytest.approx(expected, rel=1e-12, abs=0)
         objective = rollout_objective(scenario, layout, 6)
-        assert objective(params.phi, 4) == \
-            evaluate_cost(scenario, params, 4, 6)
+        assert objective([params.phi], 4) == \
+            [evaluate_cost(scenario, params, 4, 6)]
 
     @pytest.mark.parametrize("chunk_paths", [1, 2, 3, 4, 5])
     def test_objective_equals_evaluate_cost_in_any_chunking(
@@ -437,11 +476,11 @@ class TestPathEngine:
         for family in PolicyFamily:
             layout = ParamLayout(family, 4, 4)
             objective = rollout_objective(scenario, layout, 5)
-            for scale in (0.03, 0.1, 1.0):
-                phi = scale * stream(1, "engine.params").uniform(
-                    -1.0, 1.0, layout.n_params)
-                assert objective(phi, 4) == \
-                    evaluate_cost(scenario, layout.build(phi), 4, 5)
+            phis = [scale * stream(1, "engine.params").uniform(
+                -1.0, 1.0, layout.n_params) for scale in (0.03, 0.1, 1.0)]
+            assert objective(phis, 4) == \
+                [evaluate_cost(scenario, layout.build(phi), 4, 5)
+                 for phi in phis]
 
     def test_objective_simulates_each_seed_once(self, monkeypatch):
         scenario = stock_scenario("flyby")
@@ -453,12 +492,13 @@ class TestPathEngine:
         layout = ParamLayout(PolicyFamily.EIGEN_SUM, 4, 4)
         objective = rollout_objective(scenario, layout, 5)
         phis = [0.1 * stream(i, "engine.params").uniform(
-            -1.0, 1.0, layout.n_params) for i in range(2)]
-        costs = [objective(phi, 4) for phi in phis]
-        assert counts["simulate"] == 1 and costs[0] != costs[1]
-        objective(phis[0], 5)
-        objective(phis[1], 5)
+            -1.0, 1.0, layout.n_params) for i in range(3)]
+        costs = objective(phis, 4)
+        assert counts["simulate"] == 1 and len(set(costs)) == 3
+        assert objective(phis[:1], 4) == costs[:1]
         assert counts["simulate"] == 2
+        objective(phis, 5)
+        assert counts["simulate"] == 3
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ContractError):
