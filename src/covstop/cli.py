@@ -16,7 +16,7 @@ exist, so a run that fails while computing leaves no ``--out`` behind.
 
 Exit codes: 0 success, 2 validation error (bad input, a run too large
 for memory, or an ``--out`` that cannot be made or written), 3 numerical
-failure.
+failure, a sample cost that overflows to a non-finite value included.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def cmd_optimize(args) -> int:
             "cost=nats+epochs*c_nu, phi=unconstrained"),
         "best_params.json": params_to_dict(result.best_params, layout),
     })
-    print(f"best smoothed cost {result.best_cost:.6g} "
+    print(f"best re-rank cost {result.best_cost:.6g} "
           f"(restart {result.best_restart}, iteration {result.best_iteration})")
     return 0
 

@@ -6,8 +6,11 @@ rejected wherever they appear, covariances accept either a full matrix
 scenario must carry its own seed, a non-negative JSON integer, so no run
 ever defaults to wall-clock randomness. Every other number in a scenario
 or params document, alone or in a list, must be a JSON number (a boolean
-or a numeric string is not), and ``tau_max``, ``n_locations`` and
-``start_location`` must be JSON integers. The paper's two stock scenarios
+or a numeric string is not) and finite (Python's json reads ``NaN`` and
+``Infinity``, which are refused), and ``tau_max``, ``n_locations`` and
+``start_location`` must be JSON integers. A scenario whose numbers are
+too large to build its model matrices, or params whose weights would
+not be finite, are refused too. The paper's two stock scenarios
 are such documents, bundled with the package; ``stock_scenario`` loads
 them. A params document's layout takes JSON integers (not booleans) for
 ``n_targets``, ``state_dim`` and ``a``, with 0 <= a < n_targets, and
@@ -78,10 +81,17 @@ def check_seed(value, where: str) -> int:
 
 
 def _number(value, where: str) -> float:
-    """``value`` as a float if it is a JSON number (not a boolean)."""
+    """``value`` as a float if it is a finite JSON number (not a boolean,
+    and not the ``NaN`` or ``Infinity`` that Python's json reads)."""
     if type(value) not in (int, float):
         raise ContractError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ContractError(f"{where} is too large for a float") from None
+    if not math.isfinite(number):
+        raise ContractError(f"{where} must be finite, got {value!r}")
+    return number
 
 
 def _numbers(obj, where: str) -> np.ndarray:
@@ -115,18 +125,24 @@ def _state_vector(obj, where: str) -> np.ndarray:
 def scenario_from_dict(spec: dict) -> Scenario:
     """Build a validated scenario from its JSON representation.
 
-    A value of the wrong type or shape is a ContractError. ``name``
+    A value of the wrong type or shape is a ContractError, and so are
+    numbers too large to build the models from: a floating-point
+    overflow or invalid operation while the matrices are computed. ``name``
     labels the file, ``seed`` is read by the caller from the raw dict,
     and ``sigma_p`` and each target's ``true_state`` describe the truth
     model; the scenario keeps none of them, but they are validated all
     the same.
     """
     try:
-        return _scenario_from_dict(spec)
+        with np.errstate(over="raise", invalid="raise"):
+            return _scenario_from_dict(spec)
     except ContractError:
         raise
     except (TypeError, ValueError) as exc:
         raise ContractError(f"scenario: {exc}") from None
+    except ArithmeticError as exc:
+        raise ContractError(f"scenario: numbers too large to build the "
+                            f"model matrices from: {exc}") from None
 
 
 def _scenario_from_dict(spec: dict) -> Scenario:
@@ -303,4 +319,10 @@ def params_from_dict(spec: dict) -> tuple[PolicyParams, ParamLayout]:
         phi = _numbers(spec["phi"], "params.phi")
     except (TypeError, ValueError) as exc:
         raise ContractError(f"params: {exc}") from None
-    return layout.build(phi), layout
+    with np.errstate(over="ignore"):  # an infinite weight is refused below
+        params = layout.build(phi)
+    if not (np.all(np.isfinite(params.theta))
+            and np.all(np.isfinite(params.theta_bar))):
+        raise ContractError("params: phi builds weights too large to be "
+                            "finite")
+    return params, layout

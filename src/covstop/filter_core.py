@@ -177,6 +177,8 @@ class TargetModel:
             raise ContractError("H must map states to observations")
         if self.r_base.shape != (mz, mz):
             raise ContractError("r_base must match the observation dimension")
+        if not all(np.all(np.isfinite(a)) for a in (self.F, self.G, self.H)):
+            raise ContractError("F, G and H must be finite")
         check_covariance(self.Q, "Q")
         check_covariance(self.r_base, "r_base")
         if np.linalg.eigvalsh(symmetrize(self.r_base))[0] <= 0.0:

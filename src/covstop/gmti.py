@@ -294,28 +294,29 @@ def _concat(parts: list, dtype) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype)
 
 
-def run_macro_cycles(scenario: Scenario, policies, n_cycles: int,
+def run_macro_cycles(scenario: Scenario, policy: MacroPolicy, n_cycles: int,
                      seed: int) -> MacroTrace:
     """Alternate priority selection and micro-manager stopping runs.
 
-    ``policies`` is PolicyParams or ``StopAt(k)``, or, for orbital
-    scenarios, a mapping from orbit location to either; any other
-    policy raises ContractError. Each cycle simulates one path on the
-    batched engine with seed ``child_seed(seed, "macro.cycle", cycle)``,
-    and the engine stops simulating it at the cycle's stopping epoch
-    (within one stop-check block), where ``rollout`` would stop.
-    Posteriors carry across cycles; priors re-anchor to the posteriors
-    when each micro clock resets, so zero-priority targets track their
-    priors exactly within a cycle. The re-linearized models are built
-    once per orbit location, with only their new H checked; each cycle
-    hands them and its one-hot priorities to the engine without
-    building a scenario. The engine carries the cycle's prior in its
-    state with the path's posterior, so each simulated epoch is one
+    ``policy``, PolicyParams or ``StopAt(k)``, stops every cycle; any
+    other policy, a mapping included, raises ContractError. Each cycle
+    simulates one path on the batched engine with seed
+    ``child_seed(seed, "macro.cycle", cycle)``, and the engine stops
+    simulating it at the cycle's stopping epoch (within one stop-check
+    block), where ``rollout`` would stop. Posteriors carry across
+    cycles; priors re-anchor to the posteriors when each micro clock
+    resets, so zero-priority targets track their priors exactly within
+    a cycle. The scenario's macro mode picks each cycle's priorities. An
+    orbital scenario moves the platform one orbit location per cycle,
+    and its re-linearized models are built once per location, with only
+    their new H checked; a scenario without an orbit keeps its own
+    models. Each cycle hands its models and priorities to the engine
+    without building a scenario. The engine carries the cycle's prior in
+    its state with the path's posterior, so each simulated epoch is one
     stacked predict, correct and log-determinant step.
     """
-    choices = policies.values() if isinstance(policies, dict) else [policies]
-    if not all(isinstance(p, MacroPolicy) for p in choices):
-        raise ContractError("macro-cycle policies must be PolicyParams or "
+    if not isinstance(policy, MacroPolicy):
+        raise ContractError("the macro-cycle policy must be PolicyParams or "
                             "StopAt(k)")
     n = scenario.n_targets
     posteriors = scenario.initial_posteriors
@@ -329,7 +330,6 @@ def run_macro_cycles(scenario: Scenario, policies, n_cycles: int,
         if location not in models_by_location:
             models_by_location[location] = models_at_location(scenario,
                                                               location)
-        policy = policies[location] if isinstance(policies, dict) else policies
         (batch,) = _path_chunks(
             scenario, [child_seed(seed, "macro.cycle", cycle)], policy,
             belief=Belief(posteriors, posteriors, a),

@@ -152,10 +152,6 @@ class LinearityReport:
     n_seeds: int
     flags: list = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.flags
-
 
 def validate_linearization(initial_states: dict | None = None,
                            platform0: PlatformState | None = None,

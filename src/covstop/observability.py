@@ -4,8 +4,14 @@ For linear-Gaussian targets the mutual information between a target's
 state and its measurement history reduces to a weighted log-determinant
 difference of the prior (predictor-only) and posterior covariances. The
 stopping cost compares the highest-priority target against the rest
-through a designer-chosen aggregator (max, min or sum), and the
-transformed running cost re-centers Bellman's equation so that the stop
+through a designer-chosen aggregator (max, min or sum);
+``aggregate_rivals`` takes any stack of per-target values, so the
+batched path engine in ``optimizer`` shares it. ``stopping_cost`` and
+``belief_step``, the one-epoch belief transition for a given detection
+outcome, work on one belief at a time; only the scalar ``rollout``, the
+reference the engine is checked against, calls them. The
+value-iteration oracle in ``dp_oracle`` computes its own transformed
+running cost, which re-centers Bellman's equation so that the stop
 action has value zero.
 
 Logs are natural; the per-target weights absorb base changes and the
@@ -16,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -90,18 +95,6 @@ class Belief:
     def n_targets(self) -> int:
         return len(self.posteriors)
 
-    def replace_slot(self, slot: str, target: int, value: np.ndarray) -> "Belief":
-        """Copy of this belief with one covariance swapped out."""
-        if slot == "posterior":
-            posts = list(self.posteriors)
-            posts[target] = value
-            return Belief(tuple(posts), self.priors, self.a)
-        if slot == "prior":
-            priors = list(self.priors)
-            priors[target] = value
-            return Belief(self.posteriors, tuple(priors), self.a)
-        raise ContractError(f"unknown belief slot {slot!r}")
-
 
 def mutual_information(prior: np.ndarray, posterior: np.ndarray,
                        alpha: float, beta: float) -> float:
@@ -167,28 +160,3 @@ def belief_step(belief: Belief, detected: Sequence[bool],
             posts.append(lyapunov_update(belief.posteriors[l], models[l]))
         priors.append(lyapunov_update(belief.priors[l], models[l]))
     return Belief(tuple(posts), tuple(priors), belief.a)
-
-
-def transformed_running_cost(belief: Belief, weights: CostWeights,
-                             models: Sequence[TargetModel],
-                             priorities: np.ndarray) -> float:
-    """Continue-action running cost in stop-value-zero coordinates.
-
-    Equals operating cost minus the current stopping cost plus the
-    expected stopping cost after one transition, the expectation taken
-    over the joint detect/miss outcome of all targets (independent
-    Bernoulli per target).
-    """
-    priorities = np.asarray(priorities, dtype=float)
-    total = weights.operating_cost - stopping_cost(belief, weights)
-    n = belief.n_targets
-    p_d = np.array([models[l].p_d for l in range(n)])
-    for outcome in product((False, True), repeat=n):
-        prob = 1.0
-        for l in range(n):
-            prob *= p_d[l] if outcome[l] else 1.0 - p_d[l]
-        if prob == 0.0:
-            continue
-        stepped = belief_step(belief, outcome, models, priorities)
-        total += prob * stopping_cost(stepped, weights)
-    return total

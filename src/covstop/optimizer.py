@@ -76,12 +76,16 @@ _SMOOTH_WINDOW = 32
 
 @dataclass(frozen=True)
 class SpsaSchedule:
-    """Step gain and batch sizes for the stochastic search."""
+    """Step gain and batch sizes for the stochastic search.
 
-    epsilon: float = 0.05
-    n_iterations: int = 500
-    n_restarts: int = 8
-    rollouts_per_eval: int = 16
+    The caller sets the budget (the CLI from its training flags); only
+    random-search screening defaults, to none.
+    """
+
+    epsilon: float
+    n_iterations: int
+    n_restarts: int
+    rollouts_per_eval: int
     n_screen: int = 0  # random-search candidates screened per restart seat
 
     def __post_init__(self):
@@ -442,12 +446,24 @@ def policy_costs(scenario, policy: PolicyParams | StopAt,
     each seed ``s``, costs up to round-off; the paths are simulated for
     this policy and scored chunk by chunk, so memory stays bounded
     however many seeds there are, and no chunk runs far past its last
-    stop.
+    stop. A sample cost that is not finite, such as an operating cost
+    that overflows over the epochs before tau, raises NumericalError.
     """
-    scored = [score_paths(batch, policy) for batch in
-              _path_chunks(scenario, seeds, policy)]
+    scored = []
+    for batch in _path_chunks(scenario, seeds, policy):
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            tau, costs = score_paths(batch, policy)
+        _check_finite_costs(costs, scenario)
+        scored.append((tau, costs))
     return (np.concatenate([tau for tau, _ in scored]),
             np.concatenate([costs for _, costs in scored]))
+
+
+def _check_finite_costs(costs: np.ndarray, scenario) -> None:
+    if not np.all(np.isfinite(costs)):
+        raise NumericalError(
+            f"a sample cost is not finite (operating cost "
+            f"{scenario.weights.operating_cost:g} per epoch)")
 
 
 def _eval_seeds(seed: int, n_rollouts: int) -> list[int]:
@@ -660,7 +676,7 @@ def periodic_cost_curve(scenario, seed: int, n_rollouts: int,
     periodic_policy_cost keeps the scalar ``rollout`` loop, so the curve
     and the per-k cost stay independent and each checks the other. Any
     numerical failure within the horizon, even after k_max, raises
-    NumericalError.
+    NumericalError, and so does a sample cost that is not finite.
     """
     k_max = scenario.tau_max if k_max is None else k_max
     if not 1 <= k_max <= scenario.tau_max:
@@ -670,5 +686,8 @@ def periodic_cost_curve(scenario, seed: int, n_rollouts: int,
                               StopAt(scenario.tau_max)):
         batch.raise_failures()
         stopping_costs.append(batch.stopping_costs[:, :k_max])
-    return np.arange(k_max) * scenario.weights.operating_cost \
-        + np.concatenate(stopping_costs)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        curve = np.arange(k_max) * scenario.weights.operating_cost \
+            + np.concatenate(stopping_costs)
+    _check_finite_costs(curve, scenario)
+    return curve

@@ -110,6 +110,36 @@ NON_NUMBER_CONFIG = [
     (("targets", 0, "estimate"), [130.0, 5.5, 84.0, "8.1"]),
     (("targets", 1, "true_state"), [True, 3.0, 40.0, 7.0]),
 ]
+# Numbers that are JSON numbers but break the run, by the file they are
+# in ("flyby" and "persistent" are the bundled scenarios, "params" the
+# persistent_params fixture) and their path there. The first five
+# overflowed building the models, in Python float arithmetic; the NaNs,
+# infinities and the estimate (whose Jacobian is NaN) reached the CSVs;
+# the rest were accepted silently, 1e200 squaring to an infinite weight.
+BAD_NUMBER_FILE = [
+    ("flyby", ("model", "sigma_a_deg"), 1e200),
+    ("flyby", ("model", "sigma_rdot"), 1e200),
+    ("flyby", ("platform", "altitude"), 1e200),
+    ("flyby", ("model", "period"), 1e100),
+    ("flyby", ("model", "sigma_r"), 10**401 - 1),
+    ("flyby", ("weights", "alpha", 0), math.nan),
+    ("flyby", ("weights", "beta", 0), math.inf),
+    ("flyby", ("model", "delta"), math.nan),
+    ("flyby", ("targets", 0, "estimate"), [1e200, 0.0, 0.0, 0.0]),
+    ("flyby", ("priorities", 1), math.nan),
+    ("flyby", ("sigma_p",), math.nan),
+    ("persistent", ("platform", "altitude"), math.inf),
+    ("params", ("phi", 0), math.nan),
+    ("params", ("phi", 0), math.inf),
+    ("params", ("phi", 0), 1e200),
+]
+
+
+def bad_number_id(case):
+    document, keys, value = case
+    text = ("401-digits" if isinstance(value, int)
+            else json.dumps(value, separators=(",", ":")))
+    return f"{document}:{'.'.join(map(str, keys))}={text}"
 
 
 # Tiny-budget runs of the subcommands, by name; persistent has its own
@@ -410,6 +440,51 @@ class TestExitCodes:
         assert "validation error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", BAD_NUMBER_FILE,
+                             ids=map(bad_number_id, BAD_NUMBER_FILE))
+    def test_bad_number_in_file_exits_2(self, case, tmp_path,
+                                        persistent_params, capsys):
+        document, keys, value = case
+        source = (persistent_params if document == "params"
+                  else _bundled_path(document))
+        spec = json.loads(source.read_text())
+        node = spec
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(spec))
+        argv = {"flyby": ["periodic-sweep", "--rollouts", "2",
+                          "--config", str(path)],
+                "persistent": ["persistent", "--cycles", "2", "--config",
+                               str(path), "--params", str(persistent_params)],
+                "params": ["persistent", "--cycles", "2",
+                           "--params", str(path)]}[document]
+        out = tmp_path / "out"
+        code = main(argv + ["--seed", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("validation error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["periodic-sweep", "--rollouts", "3", "--c-nu", "1e308"],
+        ["flyby", "--params", "PARAMS", "--rollouts", "2", "--pd-grid",
+         "0.75", "--cnu-grid", "1e308"],
+    ], ids=["periodic-sweep", "flyby"])
+    def test_overflowing_sample_cost_exits_3(self, argv, tmp_path,
+                                             persistent_params, capsys):
+        # 1e308 is a finite operating cost, but two epochs of it are not.
+        argv = [str(persistent_params) if a == "PARAMS" else a for a in argv]
+        out = tmp_path / "out"
+        code = main(argv + ["--seed", "1", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["periodic-sweep", "--rollouts", "2"],
         ["flyby", "--rollouts", "2", "--pd-grid", "0.75",
@@ -564,6 +639,25 @@ class TestExitCodes:
         assert not out.exists()
 
 
+def test_optimize_prints_the_re_rank_cost(tmp_path, monkeypatch, capsys):
+    # best_cost is the nominees' re-rank mean, not the trailing-window
+    # mean that nominated them.
+    results = []
+
+    def spsa_optimize(*args):
+        results.append(optimizer.spsa_optimize(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "spsa_optimize", spsa_optimize)
+    argv = ["optimize", "--family", "eigen-sum", "--iterations", "2",
+            "--restarts", "2", "--rollouts-per-eval", "2"]
+    assert main(argv + ["--seed", "1", "--out", str(tmp_path / "out")]) == 0
+    (result,) = results
+    assert capsys.readouterr().out.splitlines() == [
+        f"best re-rank cost {result.best_cost:.6g} (restart "
+        f"{result.best_restart}, iteration {result.best_iteration})"]
+
+
 class TestReusedOut:
     def test_rerun_without_params_drops_envelope(self, tmp_path,
                                                  stop_first_params):
@@ -615,7 +709,6 @@ class TestReusedOut:
 SCALAR_REFERENCE = [("optimizer", "rollout"),
                     ("observability", "belief_step"),
                     ("observability", "stopping_cost"),
-                    ("observability", "transformed_running_cost"),
                     ("observability", "mutual_information"),
                     ("policy", "decision_statistic"), ("policy", "decide"),
                     ("filter_core", "lyapunov_update"),

@@ -395,6 +395,16 @@ class TestModelValidation:
         with pytest.raises(ContractError):
             make_model(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("name", ["F", "G", "H"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_system_matrices_must_be_finite(self, name, value):
+        model = gmti_model()
+        fields = {f: getattr(model, f) for f in ("F", "G", "H", "Q", "r_base")}
+        fields[name] = fields[name].copy()
+        fields[name][0, 0] = value
+        with pytest.raises(ContractError, match="finite"):
+            TargetModel(**fields, p_d=model.p_d, delta=model.delta)
+
     def test_symmetrize_output(self):
         model = gmti_model()
         gen = stream(15, "test.symmetry")

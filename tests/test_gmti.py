@@ -280,14 +280,6 @@ class TestRunMacroCycles:
             if l != a:
                 assert rows[l][-1] > rows[l][0]
 
-    def test_per_location_policies_are_selected(self):
-        s = stock_scenario("persistent").with_overrides(tau_max=6)
-        start = s.orbit.start_location
-        policies = {start: StopAt(1), start + 1: StopAt(2),
-                    start + 2: StopAt(3)}
-        trace = run_macro_cycles(s, policies, 3, seed=2)
-        assert trace.stop_times.tolist() == [1, 2, 3]
-
     def test_priors_reset_each_cycle(self):
         s = stock_scenario("persistent").with_overrides(tau_max=5)
         trace = run_macro_cycles(s, StopAt(2), 2, seed=3)
@@ -300,29 +292,32 @@ class TestRunMacroCycles:
     @pytest.mark.parametrize("policies", [
         lambda belief, epoch: Action.STOP,
         {1: StopAt(2), 2: lambda belief, epoch: Action.STOP},
+        {location: StopAt(2) for location in range(1, 73)},
     ])
     def test_other_callables_rejected(self, policies):
+        # One policy stops every cycle: a per-location mapping is
+        # rejected even when each of its values would be accepted.
         s = stock_scenario("persistent").with_overrides(tau_max=5)
         with pytest.raises(ContractError):
             run_macro_cycles(s, policies, 2, seed=3)
 
 
-def scalar_macro_cycles(scenario, policies, n_cycles, seed):
+def scalar_macro_cycles(scenario, policy, n_cycles, seed):
     """The scalar reference: one rollout per cycle, slogdet per record.
 
-    Returns the seven trace columns stacked as rows, the stop times and
-    the priority targets.
+    An orbital scenario moves one orbit location per cycle; one without
+    an orbit keeps its own models. Returns the seven trace columns
+    stacked as rows, the stop times and the priority targets.
     """
     rows, stop_times, priority_targets = [], [], []
     posteriors = scenario.initial_posteriors
-    location = scenario.orbit.start_location
+    location = scenario.orbit.start_location if scenario.orbit else None
     for cycle in range(n_cycles):
         a, nu = macro_select_priority(posteriors, scenario.macro_mode,
                                       scenario.priorities)
         cyc_scenario = dataclasses.replace(
             scenario, priorities=nu,
             models=models_at_location(scenario, location))
-        policy = policies[location] if isinstance(policies, dict) else policies
         result = rollout(cyc_scenario, policy,
                          child_seed(seed, "macro.cycle", cycle),
                          initial_belief=Belief(posteriors, posteriors, a))
@@ -337,7 +332,8 @@ def scalar_macro_cycles(scenario, policies, n_cycles, seed):
         stop_times.append(result.tau)
         priority_targets.append(a)
         posteriors = result.belief_trajectory[-1].posteriors
-        location = location % scenario.orbit.n_locations + 1
+        if location is not None:
+            location = location % scenario.orbit.n_locations + 1
     return np.array(rows).T, stop_times, priority_targets
 
 
@@ -349,11 +345,11 @@ def eigen_sum_first_axis(weight: float) -> PolicyParams:
 
 
 class TestMacroCyclesMatchScalarLoop:
-    def assert_same(self, policies, seed):
-        s = stock_scenario("persistent")
-        trace = run_macro_cycles(s, policies, 20, seed)
+    def assert_same(self, name, policy, seed):
+        s = stock_scenario(name)
+        trace = run_macro_cycles(s, policy, 20, seed)
         columns, stop_times, priority_targets = scalar_macro_cycles(
-            s, policies, 20, seed)
+            s, policy, 20, seed)
         assert trace.stop_times.tolist() == stop_times
         assert trace.priority_targets.tolist() == priority_targets
         for name, expected in zip(("cycle", "epoch", "target", "detected",
@@ -367,12 +363,23 @@ class TestMacroCyclesMatchScalarLoop:
 
     @pytest.mark.parametrize("seed", [1, 2, 7])
     def test_policy_params(self, seed):
-        trace = self.assert_same(eigen_sum_first_axis(0.006), seed)
+        trace = self.assert_same("persistent", eigen_sum_first_axis(0.006),
+                                 seed)
         assert len(set(trace.stop_times.tolist())) > 2
         assert trace.detected.any() and not trace.detected.all()
 
-    def test_per_location_stop_at(self):
-        # stop epochs 1..75 over locations 1..20, some past the horizon
-        policies = {loc: StopAt(13 * loc % 75 + 1) for loc in range(1, 73)}
-        trace = self.assert_same(policies, 4)
-        assert trace.stop_times.max() == 60
+    @pytest.mark.parametrize("k", [1, 14, 60, 75])
+    def test_stop_at(self, k):
+        # 60 is the horizon and 75 lies past it
+        trace = self.assert_same("persistent", StopAt(k), 4)
+        assert trace.stop_times.tolist() == [min(k, 60)] * 20
+
+    def test_flyby_policy_params(self):
+        # The fly-by has no orbit: fixed priorities and models each cycle.
+        trace = self.assert_same("flyby", eigen_sum_first_axis(0.05), 3)
+        assert trace.stop_times[0] == 18
+        assert (trace.priority_targets == 0).all()
+
+    def test_flyby_stop_at_past_horizon(self):
+        trace = self.assert_same("flyby", StopAt(75), 5)
+        assert trace.stop_times.tolist() == [60] * 20

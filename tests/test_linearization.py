@@ -176,7 +176,7 @@ class TestMetricE:
 class TestValidateLinearization:
     def test_stock_grid_within_bounds(self):
         report = validate_linearization(n_seeds=5, seed=3)
-        assert report.ok
+        assert report.flags == []
         assert report.d_values.shape == (5, 3)
         assert np.all(report.d_values >= 0.0)
         assert np.all(report.d_values <= 0.06)
@@ -192,7 +192,7 @@ class TestValidateLinearization:
                                         platform0=platform,
                                         ks=(10, 50), gammas=(0.5,),
                                         n_seeds=3, seed=1)
-        assert not report.ok
+        assert report.flags
 
     def test_deterministic_given_seed(self):
         r1 = validate_linearization(n_seeds=3, seed=11)

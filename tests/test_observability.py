@@ -6,10 +6,12 @@ from covstop.errors import ContractError
 from covstop.filter_core import TargetModel, lyapunov_update, riccati_update
 from covstop.observability import (Belief, CostWeights, StoppingCase,
                                    belief_step, mutual_information,
-                                   stopping_cost, transformed_running_cost)
+                                   stopping_cost)
 from covstop.optimizer import StopAt, rollout
 from covstop.sampling import ordered_pair, random_pd, random_psd
 from covstop.streams import stream
+
+from belief_reference import replace_slot, transformed_running_cost
 
 
 def scalar_model(f=1.0, h=1.0, q=1.0, r=1.0, p_d=0.75):
@@ -201,8 +203,8 @@ class TestTransformedRunningCost:
             for (slot, target), sign in directions.items():
                 current = (belief.posteriors if slot == "posterior"
                            else belief.priors)[target]
-                bumped = belief.replace_slot(
-                    slot, target, current + gen.uniform(0.1, 5.0))
+                bumped = replace_slot(
+                    belief, slot, target, current + gen.uniform(0.1, 5.0))
                 value = transformed_running_cost(bumped, weights, models,
                                                  priorities)
                 assert sign * (value - base) >= -1e-9

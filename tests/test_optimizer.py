@@ -27,6 +27,13 @@ def scalar_test_scenario(p0=(9.0, 4.0), tau_max=40, p_d=0.75, p_d_other=0.0):
     return scalar_scenario(model, *p0, tau_max=tau_max)
 
 
+def spsa_schedule(**overrides):
+    """An SpsaSchedule with these tests' budget, ``overrides`` aside."""
+    budget = dict(epsilon=0.05, n_iterations=500, n_restarts=8,
+                  rollouts_per_eval=16)
+    return SpsaSchedule(**{**budget, **overrides})
+
+
 def always(action):
     return lambda belief, epoch: action
 
@@ -130,7 +137,7 @@ class TestEvaluateCost:
 
 class TestSpsaGradient:
     def test_constant_objective_zero_gradient(self):
-        schedule = SpsaSchedule()
+        schedule = spsa_schedule()
         grad = spsa_gradient(np.zeros(4), 0, schedule,
                              batched(lambda phi, seed: 7.5), seed=1)
         assert np.array_equal(grad, np.zeros(4))
@@ -139,7 +146,7 @@ class TestSpsaGradient:
         # For J = c.phi the estimate is (c.d) d; averaging over all
         # Rademacher directions recovers c exactly.
         c = np.array([1.0, -2.0, 0.5, 3.0])
-        schedule = SpsaSchedule()
+        schedule = spsa_schedule()
         total = np.zeros(4)
         count = 0
         for bits in range(16):
@@ -156,7 +163,7 @@ class TestSpsaGradient:
         np.testing.assert_allclose(total / count, c, rtol=1e-12)
 
     def test_quadratic_at_origin_is_exactly_zero(self):
-        schedule = SpsaSchedule()
+        schedule = spsa_schedule()
         for n in range(5):
             grad = spsa_gradient(np.zeros(3), n, schedule,
                                  batched(lambda phi, seed: float(phi @ phi)),
@@ -170,7 +177,7 @@ class TestSpsaGradient:
         def noisy(phi, seed):
             return float(stream(seed, "noise").normal())
 
-        schedule = SpsaSchedule()
+        schedule = spsa_schedule()
         grad = spsa_gradient(np.ones(4), 2, schedule, batched(noisy),
                              seed=9)
         assert np.array_equal(grad, np.zeros(4))
@@ -189,7 +196,7 @@ class TestSpsaMinimize:
         def objective(phi, seed):
             return float(np.sum((phi - target) ** 2))
 
-        schedule = SpsaSchedule(n_iterations=2000, n_restarts=1,
+        schedule = spsa_schedule(n_iterations=2000, n_restarts=1,
                                 epsilon=0.4)
         result = spsa_minimize(batched(objective), [np.zeros(2)], schedule,
                                seed=5)
@@ -208,7 +215,7 @@ class TestSpsaMinimize:
             points.append(np.array(phi))
             return float(weights @ phi)
 
-        schedule = SpsaSchedule(n_iterations=1, n_restarts=1)
+        schedule = spsa_schedule(n_iterations=1, n_restarts=1)
         phi0 = np.array([10.0, -10.0])
         result = spsa_minimize(batched(objective), [phi0], schedule, seed=7)
         # points: the iterate's cost, then the plus and minus sides
@@ -226,7 +233,7 @@ class TestSpsaMinimize:
 
         inits = [np.array([3.0, 0.0]), np.array([0.5, 0.5]),
                  np.array([2.0, 2.0])]
-        schedule = SpsaSchedule(n_iterations=0, n_restarts=3)
+        schedule = spsa_schedule(n_iterations=0, n_restarts=3)
         result = spsa_minimize(batched(objective), inits, schedule, seed=2)
         np.testing.assert_array_equal(result.best_phi, inits[1])
         assert result.best_restart == 1
@@ -237,7 +244,7 @@ class TestSpsaMinimize:
                 return float("nan")
             return float(np.sum(phi ** 2))
 
-        schedule = SpsaSchedule(n_iterations=5, n_restarts=2)
+        schedule = spsa_schedule(n_iterations=5, n_restarts=2)
         result = spsa_minimize(batched(objective),
                                [np.array([3.0]), np.array([1.0])],
                                schedule, seed=3)
@@ -245,7 +252,7 @@ class TestSpsaMinimize:
 
     def test_empty_inits_rejected(self):
         with pytest.raises(ContractError):
-            spsa_minimize(batched(lambda phi, seed: 0.0), [], SpsaSchedule(),
+            spsa_minimize(batched(lambda phi, seed: 0.0), [], spsa_schedule(),
                           0)
 
     def test_no_finite_rerank_cost_raises(self):
@@ -257,7 +264,7 @@ class TestSpsaMinimize:
         def objective(phi, seed):
             return float("nan") if seed in rerank else float(phi @ phi)
 
-        schedule = SpsaSchedule(n_iterations=3, n_restarts=2)
+        schedule = spsa_schedule(n_iterations=3, n_restarts=2)
         with pytest.raises(NumericalError, match="re-rank"):
             spsa_minimize(batched(objective), [np.ones(2), 2 * np.ones(2)],
                           schedule, seed=3)
@@ -267,13 +274,22 @@ class TestSpsaMinimize:
                     dict(n_iterations=-1), dict(n_restarts=0),
                     dict(rollouts_per_eval=0), dict(n_screen=-1)):
             with pytest.raises(ContractError):
-                SpsaSchedule(**bad)
+                spsa_schedule(**bad)
+
+    def test_budget_has_no_defaults(self):
+        # The CLI's training flags are the one budget; only screening,
+        # which no flag sets, defaults (to none).
+        with pytest.raises(TypeError):
+            SpsaSchedule()
+        schedule = SpsaSchedule(epsilon=0.25, n_iterations=200,
+                                n_restarts=4, rollouts_per_eval=16)
+        assert schedule.n_screen == 0
 
     def test_trace_records_every_iteration(self):
         def objective(phi, seed):
             return float(np.sum(phi ** 2))
 
-        schedule = SpsaSchedule(n_iterations=10, n_restarts=2)
+        schedule = spsa_schedule(n_iterations=10, n_restarts=2)
         result = spsa_minimize(batched(objective),
                                [np.ones(2), 2 * np.ones(2)], schedule, seed=1)
         assert len(result.trace) == 2 * 11
@@ -286,7 +302,7 @@ class TestSpsaOptimizeOnScenario:
         # 5 percent comparison
         scenario = scalar_test_scenario(p0=(50.0, 2.0), tau_max=60)
         layout = ParamLayout(PolicyFamily.EIGEN_SUM, 2, 1)
-        schedule = SpsaSchedule(n_iterations=120, n_restarts=3,
+        schedule = spsa_schedule(n_iterations=120, n_restarts=3,
                                 rollouts_per_eval=8, n_screen=15)
         result = spsa_optimize(scenario, layout, schedule, seed=8)
         cost = evaluate_cost(scenario, result.best_params, 99, 2000)
@@ -303,7 +319,7 @@ class TestSpsaOptimizeOnScenario:
                             counting(optimizer._path_chunks, "simulate",
                                      counts))
         layout = ParamLayout(PolicyFamily.EIGEN_SUM, 2, 1)
-        schedule = SpsaSchedule(n_iterations=3, n_restarts=2,
+        schedule = spsa_schedule(n_iterations=3, n_restarts=2,
                                 rollouts_per_eval=4, n_screen=1)
         spsa_optimize(scalar_test_scenario(), layout, schedule, seed=4)
         assert counts["simulate"] == 4 + 2 * (4 + 3) + 8
@@ -311,7 +327,7 @@ class TestSpsaOptimizeOnScenario:
     def test_best_params_round_trip(self):
         scenario = scalar_test_scenario()
         layout = ParamLayout(PolicyFamily.EIGEN_SUM, 2, 1)
-        schedule = SpsaSchedule(n_iterations=0, n_restarts=2)
+        schedule = spsa_schedule(n_iterations=0, n_restarts=2)
         result = spsa_optimize(scenario, layout, schedule, seed=4)
         rebuilt = layout.build(result.best_phi)
         np.testing.assert_array_equal(rebuilt.theta,

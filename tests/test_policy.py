@@ -12,6 +12,8 @@ from covstop.policy import (Action, ParamLayout, PolicyFamily,
 from covstop.sampling import random_pd, random_psd
 from covstop.streams import stream
 
+from belief_reference import replace_slot
+
 EIGEN_FAMILIES = (PolicyFamily.EIGEN_MAX, PolicyFamily.EIGEN_MIN,
                   PolicyFamily.EIGEN_SUM)
 
@@ -209,7 +211,8 @@ def per_belief_violations(params, n_samples, seed):
         bump = random_psd(rng, m, base_scale * rng.uniform(0.2, 4.0))
         current = (belief.posteriors if slot == "posterior"
                    else belief.priors)[target]
-        bigger = belief.replace_slot(slot, target, symmetrize(current + bump))
+        bigger = replace_slot(belief, slot, target,
+                              symmetrize(current + bump))
         before, after = decide(belief, params), decide(bigger, params)
         # the priority posterior and the rivals' priors raise continue
         toward_continue = (target == belief.a) == (slot == "posterior")
@@ -248,7 +251,7 @@ class TestVerifyMonotone:
                                      np.zeros((2, 2)))
         base = Belief((np.diag([0.5, 0.4]), np.diag([0.2, 0.2])),
                       (np.eye(2), np.eye(2)), 0)
-        bigger = base.replace_slot("posterior", 0, np.diag([1.5, 0.4]))
+        bigger = replace_slot(base, "posterior", 0, np.diag([1.5, 0.4]))
         assert decide(base, params) is Action.CONTINUE
         assert decide(bigger, params) is Action.STOP  # forbidden flip
 
@@ -262,10 +265,10 @@ class TestVerifyMonotone:
         for _ in range(400):
             belief = random_belief(gen, m=3, scale=2.0)
             bump = random_psd(gen, 3, gen.uniform(0.5, 4.0))
-            bigger_a = belief.replace_slot(
-                "posterior", 0, belief.posteriors[0] + bump)
-            bigger_r = belief.replace_slot(
-                "posterior", 1, belief.posteriors[1] + bump)
+            bigger_a = replace_slot(
+                belief, "posterior", 0, belief.posteriors[0] + bump)
+            bigger_r = replace_slot(
+                belief, "posterior", 1, belief.posteriors[1] + bump)
             before = decide(belief, params)
             flips["a_up"].add((before, decide(bigger_a, params)))
             flips["rival_up"].add((before, decide(bigger_r, params)))
