@@ -439,7 +439,7 @@ def _operator_monotonicity_suite(n_samples: int, seed: int) -> dict:
     model = stock_scenario("flyby").models[0]
     posterior, bad = correct(pairs, *moment_blocks(
         model.F, model.H, model.Q, model.effective_noise(0.6)))
-    if bad.any():
+    if bad is not None:
         raise NumericalError("covariance update is not positive definite")
     # updated[0] and [1]: (Lyapunov, Riccati) updates of P1 and of P2.
     updated = np.stack([predict(pairs, model.F, model.Q), posterior], axis=1)

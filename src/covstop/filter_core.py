@@ -17,10 +17,10 @@ This module is the one place that writes the recursion out. Its steps
 ``cholesky`` and ``logdets``) work on one ``(m, m)`` matrix and on
 ``(..., m, m)`` stacks alike, and give each matrix of a stack exactly
 the result it gets on its own. The batched path engine in
-``optimizer`` calls them on a stacked (1 + paths, targets, m, m) state
-whose row 0 is the prior shared by every path, correcting only the
-targets it measures; it runs only ``predict`` and ``correct`` epoch by
-epoch, and calls ``logdets`` once per block of stored epochs.
+``optimizer`` calls them on a stacked state of rows, every target's
+prior shared by every path and then each path's posteriors, correcting
+only the targets it measures; it runs only ``predict`` and ``correct``
+epoch by epoch, and calls ``logdets`` once per block of stored epochs.
 ``det_ratios`` and ``loewner_geq`` decide ``verify-properties``' stacks
 of sampled matrices. The products take a contiguous transpose (F' for
 ``predict``, G' for ``correct``), which the engine builds once per run
@@ -54,14 +54,16 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _t(a))
 
 
-def cholesky(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cholesky(s: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Lower Cholesky factors of one matrix or a stack, and a mask of the
     entries that are not positive definite.
 
-    A non-PD entry gets the identity factor as a placeholder.
+    The mask is built only when LAPACK refuses a factor, so it is None
+    when every entry is positive definite and has a True entry
+    otherwise. A non-PD entry gets the identity factor as a placeholder.
     """
     try:
-        return np.linalg.cholesky(s), np.zeros(s.shape[:-2], dtype=bool)
+        return np.linalg.cholesky(s), None
     except np.linalg.LinAlgError:
         bad = np.zeros(s.shape[:-2], dtype=bool)
         for index in np.ndindex(bad.shape):
@@ -104,7 +106,8 @@ def moment_blocks(f: np.ndarray, h: np.ndarray, q: np.ndarray,
 
 
 def correct(p: np.ndarray, g: np.ndarray, d: np.ndarray,
-            g_t: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+            g_t: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray | None]:
     """Riccati update of covariances after a detection, and a mask of
     failed entries.
 
@@ -116,7 +119,8 @@ def correct(p: np.ndarray, g: np.ndarray, d: np.ndarray,
     Schur complement of S: the posterior, PSD by construction. Works on
     one matrix or a stack. An entry whose M is not positive definite
     (S is not, or the posterior would not be) is flagged in the mask,
-    and its result is a placeholder. ``g_t`` is G' as a contiguous
+    and its result is a placeholder; as for ``cholesky``, the mask is
+    None when no entry is flagged. ``g_t`` is G' as a contiguous
     array, built here when it is not given, as for ``predict``'s F'.
     """
     m = p.shape[-1]
@@ -238,7 +242,7 @@ def riccati_update(p: np.ndarray, model: TargetModel,
         raise ContractError("covariance dimension does not match model")
     updated, bad = correct(p, *moment_blocks(
         model.F, model.H, model.Q, model.effective_noise(priority)))
-    if bad:
+    if bad is not None:
         raise NumericalError("covariance update is not positive definite")
     return updated
 
@@ -279,7 +283,7 @@ def det_ratios(p: np.ndarray, f: np.ndarray, h: np.ndarray, q: np.ndarray,
     logdet, nonpositive = logdets(np.stack([p, predict(p, f, q), posterior]))
     if nonpositive[0].any():
         raise ContractError("P must have positive determinant")
-    if bad.any():
+    if bad is not None:
         raise NumericalError("covariance update is not positive definite")
     ratios = np.where(nonpositive[1:], 0.0, np.exp(logdet[1:] - logdet[0]))
     return ratios[0], ratios[1]

@@ -19,14 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError
 from .filter_core import TargetModel, check_covariance, logdets
 from .observability import Belief, CostWeights
-from .optimizer import StopAt, _path_chunks, score_paths
+from .optimizer import StopAt, _path_chunks
 from .policy import Action, PolicyParams
 from .streams import child_seed
 
@@ -160,20 +159,21 @@ class MacroMode(Enum):
     PERSISTENT = "persistent"
 
 
-def macro_select_priority(posteriors: Sequence[np.ndarray], mode: MacroMode,
+def macro_select_priority(log_dets: np.ndarray, mode: MacroMode,
                           fixed_nu: np.ndarray | None = None
                           ) -> tuple[int, np.ndarray]:
     """Priority vector for the next scheduling interval.
 
-    Persistent mode points all resources at the target with largest
-    posterior log-determinant; fly-by mode returns the configured
-    vector, whose argmax names the priority target.
+    ``log_dets`` holds each target's posterior log-determinant.
+    Persistent mode points all resources at the target with the largest;
+    fly-by mode returns the configured vector, whose argmax names the
+    priority target.
     """
-    if len(posteriors) < 2:
+    if len(log_dets) < 2:
         raise ContractError("need at least two targets")
     if mode is MacroMode.PERSISTENT:
-        a = int(np.argmax(logdets(np.asarray(posteriors))[0]))
-        nu = np.zeros(len(posteriors))
+        a = int(np.argmax(log_dets))
+        nu = np.zeros(len(log_dets))
         nu[a] = 1.0
         return a, nu
     if fixed_nu is None:
@@ -303,29 +303,36 @@ def run_macro_cycles(scenario: Scenario, policy: MacroPolicy, n_cycles: int,
     simulates one path on the batched engine with seed
     ``child_seed(seed, "macro.cycle", cycle)``, and the engine stops
     simulating it at the cycle's stopping epoch (within one stop-check
-    block), where ``rollout`` would stop. Posteriors carry across
-    cycles; priors re-anchor to the posteriors when each micro clock
-    resets, so zero-priority targets track their priors exactly within
-    a cycle. The scenario's macro mode picks each cycle's priorities. An
-    orbital scenario moves the platform one orbit location per cycle,
-    and its re-linearized models are built once per location, with only
-    their new H checked; a scenario without an orbit keeps its own
-    models. Each cycle hands its models and priorities to the engine
-    without building a scenario. The engine carries the cycle's prior in
-    its state with the path's posterior, so each simulated epoch is one
-    stacked predict, correct and log-determinant step.
+    block), where ``rollout`` would stop. tau is the batch's
+    ``stop_epochs(policy)``: the epoch the engine's stop checks found,
+    with no sample cost computed. Posteriors carry across cycles; priors
+    re-anchor to the posteriors when each micro clock resets, so
+    zero-priority targets track their priors exactly within a cycle,
+    and the engine decomposes their covariances once, on the prior row.
+    The scenario's macro mode picks each cycle's priorities, from the
+    log-determinants of the posteriors the cycle starts from: the
+    scenario's for the first cycle, then those the engine computed at
+    the previous cycle's tau. An orbital scenario moves the platform one
+    orbit location per cycle, and its re-linearized models are built
+    once per location, with only their new H checked; a scenario
+    without an orbit keeps its own models. Each cycle hands its models
+    and priorities to the engine without building a scenario. The
+    engine carries the cycle's prior in its state with the path's
+    posterior, so each simulated epoch is one stacked predict and
+    correct step.
     """
     if not isinstance(policy, MacroPolicy):
         raise ContractError("the macro-cycle policy must be PolicyParams or "
                             "StopAt(k)")
     n = scenario.n_targets
     posteriors = scenario.initial_posteriors
+    log_dets = logdets(np.array(posteriors))[0]
     location = scenario.orbit.start_location if scenario.orbit else None
     models_by_location = {}
     taus, priority_targets = [], []
     logdet_posts, logdet_priors, detected = [], [], []
     for cycle in range(n_cycles):
-        a, nu = macro_select_priority(posteriors, scenario.macro_mode,
+        a, nu = macro_select_priority(log_dets, scenario.macro_mode,
                                       scenario.priorities)
         if location not in models_by_location:
             models_by_location[location] = models_at_location(scenario,
@@ -334,14 +341,14 @@ def run_macro_cycles(scenario: Scenario, policy: MacroPolicy, n_cycles: int,
             scenario, [child_seed(seed, "macro.cycle", cycle)], policy,
             belief=Belief(posteriors, posteriors, a),
             models=models_by_location[location], priorities=nu)
-        path_tau, _ = score_paths(batch, policy)
-        tau = int(path_tau[0])
+        tau = int(batch.stop_epochs(policy)[0])
         taus.append(tau)
         priority_targets.append(a)
         logdet_posts.append(batch.logdet_posteriors[0, :tau].ravel())
         logdet_priors.append(batch.logdet_priors[:tau].ravel())
         detected.append(batch.detections[0, :tau].ravel())
         posteriors = batch.posteriors[0, tau - 1]
+        log_dets = batch.logdet_posteriors[0, tau - 1]
         if location is not None:
             location = location % scenario.orbit.n_locations + 1
     stop_times = np.array(taus, dtype=int)

@@ -4,36 +4,41 @@ Given its seed, a rollout's belief path does not depend on the policy:
 detections are drawn for every target at every epoch and the priors are
 deterministic. The batched path engine uses that. ``_path_chunks`` runs
 the Riccati/Lyapunov recursion for many seeds at once, calling
-``filter_core``'s predict and correct once per epoch on a stacked
-(1 + paths, targets, m, m) state whose row 0 is the prior shared by
-every path. Everything else it records is read off the stored states
-once per block of epochs: each path's log-determinants, stopping costs
-and first failed epoch, and under a policy its stop check. Every caller
-names the policy its chunks are for.
+``filter_core``'s predict and correct once per epoch on a stacked state
+of rows: every target's prior, shared by every path, then each path's
+posteriors of the targets that can differ from their priors (a target
+that is never measured and starts at its prior has none). Everything
+else it records is read off the stored rows once per block of epochs:
+each path's log-determinants and first failed epoch, and under a policy
+its stop check. Every caller names the policy its chunks are for.
 Under PolicyParams the engine checks the stopping rule every few epochs
 and ends a chunk once every path has stopped, so a ``PathBatch``'s
 epoch axis may end before the horizon; ``StopAt(k)`` runs k epochs, and
 ``StopAt(tau_max)`` the whole horizon. ``score_paths`` then scores a
-policy on one chunk. For a parametrized policy the decision statistic
-is weighed from per-covariance features (eigenvalues, or the matrices
-for quadform) that the batch computes once and keeps, and tau is the
-first epoch where the statistic reaches 1; ``StopAt(k)`` stops every
-path at k. The sample cost is (tau - 1) times the operating cost plus
-the stopping cost at tau. Views built on the engine, all chunk by
-chunk: ``policy_costs`` and ``evaluate_cost``, which stop each chunk at
-tau, and ``periodic_cost_curve`` and the SPSA objective, which score
-many policies on full-horizon chunks. The SPSA search minimizes the
-mean sample cost over the unconstrained policy parameters with a
-two-sided simultaneous-perturbation gradient estimate; its two
-perturbed evaluations share one simulation and its features.
+policy on one chunk. For the policy a chunk was simulated for, tau is
+the epoch the engine's checks found. For another parametrized policy
+the decision statistic is weighed from per-covariance features
+(eigenvalues, or the matrices for quadform) that the batch computes
+once and keeps, and tau is the first epoch where the statistic reaches
+1; ``StopAt(k)`` stops every path at k. The sample cost is (tau - 1)
+times the operating cost plus the stopping cost at tau, which the batch
+computes from its log-determinants on first use. Views built on the
+engine, all chunk by chunk: ``policy_costs`` and ``evaluate_cost``,
+which stop each chunk at tau, and ``periodic_cost_curve`` and the SPSA
+objective, which score many policies on full-horizon chunks. The SPSA
+search minimizes the mean sample cost over the unconstrained policy
+parameters with a two-sided simultaneous-perturbation gradient
+estimate; its two perturbed evaluations share one simulation and its
+features.
 
 ``gmti.run_macro_cycles`` is a view on the engine too: it simulates one
-path per cycle, stopped at tau, from the cycle's carried posteriors;
-every other view starts from the scenario's own belief. ``rollout``,
-an epoch-by-epoch loop with one belief object per epoch, is the scalar
-reference the engine is checked against. Its one library caller is
-``periodic_policy_cost``, kept independent of ``periodic_cost_curve``;
-nothing the CLI runs reaches either. The benchmark pins both by name:
+path per cycle, stopped at tau, from the cycle's carried posteriors,
+and reads tau without computing a cost; every other view starts from
+the scenario's own belief. ``rollout``, an epoch-by-epoch loop with one
+belief object per epoch, is the scalar reference the engine is checked
+against. Its one library caller is ``periodic_policy_cost``, kept
+independent of ``periodic_cost_curve``; nothing the CLI runs reaches
+either. The benchmark pins both by name:
 its traced run wraps ``rollout`` and its sweep check recomputes costs
 with ``periodic_policy_cost``.
 
@@ -48,14 +53,15 @@ for policy-independent objectives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ContractError, NumericalError
 from .filter_core import correct, logdets, moment_blocks, predict
-from .observability import (Belief, aggregate_rivals, belief_step,
-                            stopping_cost)
+from .observability import (Belief, CostWeights, aggregate_rivals,
+                            belief_step, stopping_cost)
 from .policy import (Action, ParamLayout, PolicyFamily, PolicyParams,
                      covariance_features, decide, weigh_features)
 from .streams import child_seed, stream
@@ -186,50 +192,146 @@ _CHUNK_ENTRIES = 2**20
 _STOP_BLOCK = 8
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """Where a chunk keeps its covariances, one per row.
+
+    Every target's prior comes first, shared by every path; then, path
+    by path, the posteriors of the targets in the span ``distinct``. A
+    target outside the span is shared: it is never measured and starts
+    with its posterior equal to its prior, and both are only ever
+    predicted, each matrix of a stack getting the bits it gets on its
+    own; so its posterior equals its prior, bit for bit, on every path
+    at every epoch, and it has no posterior row.
+    """
+
+    n_targets: int
+    n_paths: int
+    distinct: slice
+
+    @property
+    def width(self) -> int:
+        return self.distinct.stop - self.distinct.start
+
+    def targets(self) -> np.ndarray:
+        """Each row's target."""
+        targets = np.arange(self.n_targets + self.n_paths * self.width)
+        posterior_rows = targets[self.n_targets:]
+        posterior_rows[:] = self.distinct.start \
+            + (posterior_rows - self.n_targets) % self.width
+        return targets
+
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """Per-row values, (..., epochs, rows), as per-target ones,
+        (..., 1 + paths, epochs, targets): the priors', then each path's
+        posteriors', a shared target's copied from its prior."""
+        lead, n_epochs = values.shape[:-2], values.shape[-2]
+        out = np.empty(lead + (1 + self.n_paths, n_epochs, self.n_targets),
+                       dtype=values.dtype)
+        out[...] = values[..., None, :, :self.n_targets]
+        out[..., 1:, :, self.distinct] = values[..., self.n_targets:].reshape(
+            lead + (n_epochs, self.n_paths, self.width)).swapaxes(-3, -2)
+        return out
+
+
 @dataclass
 class PathBatch:
     """Belief paths of a batch of seeds.
 
-    Axis 0 indexes seeds, axis 1 epochs: index k - 1 holds the belief
-    after the k-th update. Axis 1 ends where the policy the chunk was
-    simulated for needs it to (see ``_path_chunks``), which may be
-    before the ``horizon``. ``failed_at`` holds each path's first epoch
-    whose covariance update failed or left a non-positive determinant,
-    0 if there is none. A failed path's entries from ``failed_at`` on
-    (that epoch included, and its stopping costs and features) are
-    placeholders: the engine finds a determinant failure only at the
-    end of the stop block it happened in, and runs the path on from
-    its bad state until then.
+    ``rows`` holds each covariance the engine simulated once, laid out
+    by ``layout`` (see ``_Rows``); its axis 0 indexes epochs: index
+    k - 1 holds the belief after the k-th update. The epoch axis ends
+    where ``policy``, the policy the chunk was simulated for, needs it
+    to (see ``_path_chunks``), which may be before the ``horizon``.
+    ``posteriors`` and ``priors`` show every target, a shared target's
+    posteriors being copies of its priors. ``taus`` holds each path's
+    stopping epoch under ``policy``, as the engine's stop checks decided
+    it. ``failed_at`` holds each path's first epoch whose covariance
+    update failed or left a non-positive determinant, 0 if there is
+    none. A failed path's entries from ``failed_at`` on (that epoch
+    included, and its stopping costs and features) are placeholders:
+    the engine finds a failure only at the end of the stop block it
+    happened in, and runs the path on from its bad state until then.
 
-    ``posteriors`` and ``priors`` (and their log-determinants) are
-    views of the chunk's state buffer, in which the priors are row 0.
     ``features`` keeps the ``covariance_features`` of the posteriors and
     priors once something has computed them: the engine's stop check,
     or the first call for a family of the same kind (the eigen families
-    share theirs).
+    share theirs). They, the log-determinants and the stopping costs
+    are computed on the rows, so a shared target's are its prior's.
     """
 
     a: int
     horizon: int
-    operating_cost: float
+    weights: CostWeights
+    policy: PolicyParams | StopAt
+    taus: np.ndarray  # (B,) stopping epochs under ``policy``
+    layout: _Rows
     detections: np.ndarray  # (B, T, L) applied-detection flags
-    posteriors: np.ndarray  # (B, T, L, m, m)
-    priors: np.ndarray  # (T, L, m, m), shared by every path
+    rows: np.ndarray  # (T, L + B * layout.width, m, m)
     logdet_posteriors: np.ndarray  # (B, T, L)
     logdet_priors: np.ndarray  # (T, L)
-    stopping_costs: np.ndarray  # (B, T)
     failed_at: np.ndarray  # (B,)
     # feature kind -> (K, B, T, L) and (K, T, L) features
     _features: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def priors(self) -> np.ndarray:  # (T, L, m, m)
+        return self.rows[:, :self.layout.n_targets]
+
+    @cached_property
+    def posteriors(self) -> np.ndarray:  # (B, T, L, m, m)
+        # The entries of each matrix lead, as ``spread`` takes them.
+        entries = self.layout.spread(self.rows.transpose(2, 3, 0, 1))
+        return np.ascontiguousarray(entries[:, :, 1:].transpose(2, 3, 4, 0, 1))
+
+    @cached_property
+    def stopping_costs(self) -> np.ndarray:  # (B, T)
+        """The stopping cost at each epoch of each path, computed from the
+        log-determinants on first use."""
+        weights = self.weights
+        with np.errstate(invalid="ignore"):  # inf - inf on failed paths
+            infos = weights.alpha * self.logdet_priors \
+                - weights.beta * self.logdet_posteriors
+        return aggregate_rivals(infos, self.a, weights.case)
 
     def features(self, family: PolicyFamily) -> tuple[np.ndarray, np.ndarray]:
         """``covariance_features`` of the posteriors and the priors."""
         kind = _feature_kind(family)
         if kind not in self._features:
-            self._features[kind] = (
-                covariance_features(self.posteriors, family),
-                covariance_features(self.priors, family))
+            features = self.layout.spread(covariance_features(self.rows,
+                                                              family))
+            self._features[kind] = (features[:, 1:], features[:, 0])
         return self._features[kind]
+
+    def stop_epochs(self, policy: PolicyParams | StopAt) -> np.ndarray:
+        """Each path's stopping epoch under a policy.
+
+        Under ``StopAt(k)`` tau is min(k, horizon) on every path. Under
+        PolicyParams tau is the first epoch whose decision statistic
+        reaches 1, or the horizon if none does. For ``policy`` itself,
+        the one the batch was simulated for, tau is ``taus``, which the
+        engine's stop checks decided; any other policy is weighed from
+        the batch's cached features, so deciding many policies on one
+        batch decomposes each covariance once. As in ``rollout``, a
+        path's numerical failure raises NumericalError only when it
+        happens at or before its tau. A batch simulated for another
+        policy may end before some path's tau; that raises ContractError.
+        """
+        if policy is self.policy:
+            tau = self.taus
+        elif isinstance(policy, StopAt):
+            tau = np.full(self.failed_at.size, min(policy.k, self.horizon))
+        else:
+            post, prior = self.features(policy.family)
+            stops = weigh_features(post, prior, self.a, policy) >= 1.0
+            tau = np.where(stops.any(axis=1), stops.argmax(axis=1) + 1,
+                           self.horizon)
+        if tau.max() > self.rows.shape[0]:
+            raise ContractError("the paths end before this policy stops; "
+                                "simulate them for it or for the whole "
+                                "horizon")
+        self.raise_failures(until=tau)
+        return tau
 
     def raise_failures(self, until: np.ndarray | None = None) -> None:
         """NumericalError for paths that failed at or before ``until``.
@@ -251,6 +353,12 @@ def _feature_kind(family: PolicyFamily) -> str:
     return "entries" if family is PolicyFamily.QUADFORM else "eigenvalues"
 
 
+def _span(mask: np.ndarray) -> slice:
+    """The slice from the first to the last True entry of a target mask."""
+    index = np.flatnonzero(mask)
+    return slice(index[0], index[-1] + 1) if index.size else slice(0, 0)
+
+
 def _path_chunks(scenario, seeds: Sequence[int],
                  policy: PolicyParams | StopAt, *,
                  belief: Belief | None = None,
@@ -264,25 +372,30 @@ def _path_chunks(scenario, seeds: Sequence[int],
     ``StopAt(tau_max)`` gives chunks any policy can be scored on. Under
     PolicyParams the decision statistic is evaluated every _STOP_BLOCK
     epochs, and a chunk ends at the first check by which every one of
-    its paths has reached 1 (or at the horizon); the features the check
-    computed stay in the batch. Chunk sizes do not depend on the policy.
+    its paths has reached 1 (or at the horizon); the first epoch at
+    which each path reached it is its ``taus`` entry, and the features
+    the checks computed stay in the batch. Chunk sizes do not depend on
+    the policy.
 
-    A chunk simulates one (1 + paths, targets, m, m) state: row 0 is the
-    deterministic prior, shared by every path, and rows 1.. are the
-    paths' posteriors. Each epoch runs only the recursion: one stacked
-    ``predict`` of priors and posteriors together, and one ``correct``
-    of the previous posteriors on the span from the first to the last
-    target of positive priority, whose result replaces the prediction
-    where the epoch's detection mask is set; an epoch on which no path
-    detects a measured target makes no correction. F' and the span's
-    moment blocks G, G' and D are built once per call. The epochs
-    between two stop checks (all of them under ``StopAt``) form a block,
-    and each block makes one ``logdets`` call on its stored states and,
-    under PolicyParams, one ``covariance_features`` call. These are
-    ``filter_core``'s steps behind lyapunov_update and riccati_update,
-    which give each matrix of a stack the bits it gets on its own, so
-    every chunk recomputes the same priors. The batch's priors and
-    posteriors are views of the chunk's state buffer.
+    A chunk simulates one (rows, m, m) state laid out by ``_Rows``:
+    every target's deterministic prior, then each path's posteriors of
+    the targets that can differ from their priors, the span from the
+    first to the last target that is measured (of positive priority) or
+    starts with its posterior unequal to its prior. Each epoch runs
+    only the recursion: one stacked ``predict`` of every row, and one
+    ``correct`` of the previous posteriors on the span of measured
+    targets, whose result replaces the prediction where the epoch's
+    detection mask is set; an epoch on which no path detects a measured
+    target makes no correction. F' and the measured span's moment
+    blocks G, G' and D are built once per call. The epochs between two
+    stop checks (all of them under ``StopAt``) form a block. At its end
+    the block's correction failures are recorded, and one ``logdets``
+    call and, under PolicyParams, one ``covariance_features`` call run
+    on its rows, so each shared target's covariances are decomposed
+    once, as priors. These are ``filter_core``'s steps behind
+    lyapunov_update and riccati_update, which give each matrix of a
+    stack the bits it gets on its own, so every chunk recomputes the
+    same priors.
 
     ``belief`` replaces the scenario's initial belief, and ``models``
     and ``priorities`` replace its own without being validated again:
@@ -293,8 +406,8 @@ def _path_chunks(scenario, seeds: Sequence[int],
     positive definite (a non-PD innovation covariance or posterior)
     where a detection was applied, at its epoch, or a non-positive
     determinant, found by the block's scan of its log-determinants; a
-    bad prior fails every path. A failed path's carried state is reset
-    to the identity at the end of its block, so it stays finite. An
+    bad prior fails every path. A failed path's posterior rows are reset
+    to the identity at the end of its block, so they stay finite. An
     empty ``seeds`` raises ContractError on the first ``next``.
     """
     seeds = list(seeds)
@@ -312,96 +425,115 @@ def _path_chunks(scenario, seeds: Sequence[int],
                             else priorities, dtype=float)
     measurable = priorities > 0.0
     p_d = np.array([m.p_d for m in models])
+    start_prior = np.array(belief.priors)
+    start_post = np.array(belief.posteriors)
+    # Basic slices, which read and write views. A zero-priority target
+    # inside the measured span is corrected with an unused placeholder
+    # noise: its detections are always masked out. The measured span
+    # lies in the distinct one, and is also taken relative to it.
+    measured = _span(measurable)
+    distinct = _span(measurable
+                     | (start_post != start_prior).any(axis=(-2, -1)))
+    measured_rows = slice(measured.start - distinct.start,
+                          measured.stop - distinct.start)
     f = np.array([m.F for m in models])
     q = np.array([m.Q for m in models])
-    # The span of measured targets, a basic slice that reads and writes
-    # views. A zero-priority target inside it is corrected with an unused
-    # placeholder noise: its detections are always masked out.
-    span = np.flatnonzero(measurable)
-    measured = slice(span[0], span[-1] + 1) if span.size else slice(0, 0)
     h = np.array([m.H for m in models])
     r = np.array([m.effective_noise(nu) if nu > 0.0 else m.r_base
                   for m, nu in zip(models, priorities)])
     g, d = moment_blocks(f[measured], h[measured], q[measured], r[measured])
     f_t, g_t = f.swapaxes(-1, -2).copy(), g.swapaxes(-1, -2).copy()
-    weights = scenario.weights
 
     # Epochs a chunk may need, and how many it runs between stop checks.
     checked = isinstance(policy, PolicyParams)
     last = horizon if checked else min(policy.k, horizon)
     block = _STOP_BLOCK if checked else last
 
-    start_prior = np.array(belief.priors)
-    start_post = np.array(belief.posteriors)
-    eye = np.eye(start_post.shape[-1])
+    m = start_post.shape[-1]
+    eye = np.eye(m)
     chunk_size = max(1, _CHUNK_ENTRIES // (horizon * start_post.size))
     for start in range(0, len(seeds), chunk_size):
         chunk = seeds[start:start + chunk_size]
         n_paths = len(chunk)
+        layout = _Rows(n_targets, n_paths, distinct)
+        targets = layout.targets()
+        by_path = (n_paths, layout.width, m, m)  # a state's posterior rows
         # The state buffers come first: a horizon too long for memory
         # fails here, before any detection is drawn.
-        states = np.empty((1 + n_paths, last) + start_post.shape)
-        logdet_states = np.empty((1 + n_paths, last, n_targets))
+        rows = np.empty((last, targets.size, m, m))
+        logdet_rows = np.empty((last, targets.size))
         draws = np.array([stream(s, "rollout.detect").random(
             (last, n_targets)) for s in chunk])
         detections = (draws < p_d) & measurable
         hits = detections[..., measured]  # (paths, epochs, measured)
         any_hit = hits.any(axis=(0, 2))
-        # Each (m, m) matrix must be C-contiguous in its last two axes
-        # (the path axis must not be innermost): on other strides numpy's
-        # stacked matmul may not give each matrix the bits it gets on its
-        # own. Slicing the leading axes keeps this.
-        state = np.empty(states[:, 0].shape)
-        state[0], state[1:] = start_prior, start_post
+        # Each (m, m) matrix must be C-contiguous in its last two axes: on
+        # other strides numpy's stacked matmul may not give each matrix
+        # the bits it gets on its own. Slicing and reshaping the leading
+        # axes keeps this, and so does taking each row's F, F' and Q.
+        f_rows, f_rows_t, q_rows = f[targets], f_t[targets], q[targets]
+        state = np.empty(rows.shape[1:])
+        state[:n_targets] = start_prior
+        state[n_targets:] = start_post[targets[n_targets:]]
         block_features = []
         failed_at = np.zeros(n_paths, dtype=int)
-        stopped = np.zeros(n_paths, dtype=bool)
+        # Stopping epochs under a checked policy, 0 until a check finds one.
+        taus = np.zeros(n_paths, dtype=int)
         end = 0
-        while end < last and not stopped.all():
+        while end < last and not taus.all():
             begin, end = end, min(end + block, last)
+            refused = []  # (epoch, paths whose applied correction failed)
             for k in range(begin, end):
-                predicted = predict(state, f, q, f_t)
+                predicted = predict(state, f_rows, q_rows, f_rows_t)
                 if any_hit[k]:
                     hit = hits[:, k]
-                    corrected, bad = correct(state[1:, measured], g, d, g_t)
-                    np.copyto(predicted[1:, measured], corrected,
+                    previous = state[n_targets:].reshape(by_path)
+                    updated = predicted[n_targets:].reshape(by_path)
+                    corrected, bad = correct(previous[:, measured_rows],
+                                             g, d, g_t)
+                    np.copyto(updated[:, measured_rows], corrected,
                               where=hit[..., None, None])
-                    if bad.any():
-                        failed = (bad & hit).any(axis=1)
-                        failed_at[failed & (failed_at == 0)] = k + 1
-                state = predicted
-                states[:, k] = state
-            logdet, bad_dets = logdets(states[:, begin:end])
-            logdet_states[:, begin:end] = logdet
+                    if bad is not None:
+                        refused.append((k, (bad & hit).any(axis=1)))
+                rows[k] = state = predicted
+            for k, failed in refused:
+                failed_at[failed & (failed_at == 0)] = k + 1
+            logdet, bad_dets = logdets(rows[begin:end])
+            logdet_rows[begin:end] = logdet
             if bad_dets.any():
                 # A path fails at its first epoch with a non-positive
-                # determinant, unless a correction failed before it.
-                bad_epochs = (bad_dets[1:].any(axis=-1)
-                              | bad_dets[0].any(axis=-1))
+                # determinant, unless a correction failed before it. A
+                # bad prior, shared targets' included, fails every path.
+                bad_epochs = (bad_dets[:, n_targets:].reshape(
+                    -1, *by_path[:2]).any(axis=-1)
+                    | bad_dets[:, :n_targets].any(axis=-1)[:, None]).T
                 first = begin + bad_epochs.argmax(axis=1) + 1
                 new = bad_epochs.any(axis=1) & ((failed_at == 0)
                                                 | (first < failed_at))
                 failed_at[new] = first[new]
             if failed_at.any():
-                state[1:][failed_at > 0] = eye  # keep failed paths finite
+                # keep failed paths finite
+                state[n_targets:].reshape(by_path)[failed_at > 0] = eye
             if checked:
-                features = covariance_features(states[:, begin:end],
-                                               policy.family)
+                features = layout.spread(covariance_features(
+                    rows[begin:end], policy.family))
                 block_features.append(features)
-                stat = weigh_features(features[:, 1:], features[:, 0],
-                                      belief.a, policy)
-                stopped |= (stat >= 1.0).any(axis=1)
-        states, logdet_states = states[:, :end], logdet_states[:, :end]
-        with np.errstate(invalid="ignore"):  # inf - inf on failed paths
-            infos = weights.alpha * logdet_states[0] \
-                - weights.beta * logdet_states[1:]
+                stops = weigh_features(features[:, 1:], features[:, 0],
+                                       belief.a, policy) >= 1.0
+                if stops.any():
+                    first = begin + stops.argmax(axis=1) + 1
+                    new = stops.any(axis=1) & (taus == 0)
+                    taus[new] = first[new]
+        if not checked:
+            taus[:] = last
+        taus[taus == 0] = horizon
+        logdet_states = layout.spread(logdet_rows[:end])
         batch = PathBatch(
-            a=belief.a, horizon=horizon, operating_cost=weights.operating_cost,
-            detections=detections[:, :end], posteriors=states[1:],
-            priors=states[0], logdet_posteriors=logdet_states[1:],
-            logdet_priors=logdet_states[0],
-            stopping_costs=aggregate_rivals(infos, belief.a, weights.case),
-            failed_at=failed_at)
+            a=belief.a, horizon=horizon, weights=scenario.weights,
+            policy=policy, taus=taus, layout=layout,
+            detections=detections[:, :end], rows=rows[:end],
+            logdet_posteriors=logdet_states[1:],
+            logdet_priors=logdet_states[0], failed_at=failed_at)
         if checked:
             features = np.concatenate(block_features, axis=-2)
             batch._features[_feature_kind(policy.family)] = (
@@ -413,28 +545,17 @@ def score_paths(paths: PathBatch, policy: PolicyParams | StopAt
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Stopping epochs and sample costs of a policy on simulated paths.
 
-    Under ``StopAt(k)`` tau is min(k, horizon) on every path. Under
-    PolicyParams tau is the first epoch whose decision statistic reaches
-    1, or the horizon if none does; the statistic is weighed from the
-    batch's cached features, so scoring many policies on one batch
-    decomposes each covariance once. As in ``rollout``, a path's
-    numerical failure raises NumericalError only when it happens at or
-    before its tau. A batch simulated for another policy may end before
-    some path's tau; that raises ContractError.
+    tau is ``paths.stop_epochs(policy)``: the engine's own decision for
+    the policy the batch was simulated for, and otherwise weighed from
+    the batch's cached features; it raises as that does. The sample
+    cost is (tau - 1) times the operating cost plus the stopping cost
+    at tau. A cost that overflows is inf, without a warning; callers
+    refuse non-finite costs.
     """
-    if isinstance(policy, StopAt):
-        tau = np.full(paths.failed_at.size, min(policy.k, paths.horizon))
-    else:
-        post, prior = paths.features(policy.family)
-        stops = weigh_features(post, prior, paths.a, policy) >= 1.0
-        tau = np.where(stops.any(axis=1), stops.argmax(axis=1) + 1,
-                       paths.horizon)
-    if tau.max() > paths.stopping_costs.shape[1]:
-        raise ContractError("the paths end before this policy stops; "
-                            "simulate them for it or for the whole horizon")
-    paths.raise_failures(until=tau)
-    costs = (tau - 1) * paths.operating_cost \
-        + paths.stopping_costs[np.arange(tau.size), tau - 1]
+    tau = paths.stop_epochs(policy)
+    with np.errstate(over="ignore"):
+        costs = (tau - 1) * paths.weights.operating_cost \
+            + paths.stopping_costs[np.arange(tau.size), tau - 1]
     return tau, costs
 
 
@@ -451,8 +572,7 @@ def policy_costs(scenario, policy: PolicyParams | StopAt,
     """
     scored = []
     for batch in _path_chunks(scenario, seeds, policy):
-        with np.errstate(over="ignore"):  # an overflow is refused below
-            tau, costs = score_paths(batch, policy)
+        tau, costs = score_paths(batch, policy)
         _check_finite_costs(costs, scenario)
         scored.append((tau, costs))
     return (np.concatenate([tau for tau, _ in scored]),

@@ -53,9 +53,14 @@ _RIVAL_AGGREGATE = {PolicyFamily.EIGEN_MAX: StoppingCase.MAX_DIFF,
 
 
 def reparam_positive(phi: np.ndarray) -> np.ndarray:
-    """Elementwise square: unconstrained phi to nonnegative weights."""
+    """Elementwise square: unconstrained phi to nonnegative weights.
+
+    An entry too large to square gives an infinite weight, without a
+    warning: the search refuses the non-finite costs that follow.
+    """
     phi = np.asarray(phi, dtype=float)
-    return phi * phi
+    with np.errstate(over="ignore"):
+        return phi * phi
 
 
 def reparam_spherical(phi: np.ndarray) -> np.ndarray:
@@ -189,16 +194,19 @@ def weigh_features(post_features: np.ndarray, prior_features: np.ndarray,
     right, with elementwise operations. Those give the same bits
     whatever the leading shape and memory layout of the features, so a
     statistic computed block by block equals the one computed on the
-    whole stack (einsum does not promise that).
+    whole stack (einsum does not promise that). Weights large enough to
+    overflow give an infinite or NaN statistic, without a warning; a NaN
+    statistic never reaches 1.
     """
     family = params.family
-    values = (_weighted_sum(post_features,
-                            _feature_weights(family, params.theta))
-              - _weighted_sum(prior_features,
-                              _feature_weights(family, params.theta_bar)))
-    return aggregate_rivals(values, a,
-                            _RIVAL_AGGREGATE.get(family,
-                                                 StoppingCase.AVG_DIFF))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (_weighted_sum(post_features,
+                                _feature_weights(family, params.theta))
+                  - _weighted_sum(prior_features,
+                                  _feature_weights(family, params.theta_bar)))
+        return aggregate_rivals(values, a,
+                                _RIVAL_AGGREGATE.get(family,
+                                                     StoppingCase.AVG_DIFF))
 
 
 def decide(belief: Belief, params: PolicyParams) -> Action:

@@ -472,10 +472,14 @@ class TestExitCodes:
         ["periodic-sweep", "--rollouts", "3", "--c-nu", "1e308"],
         ["flyby", "--params", "PARAMS", "--rollouts", "2", "--pd-grid",
          "0.75", "--cnu-grid", "1e308"],
-    ], ids=["periodic-sweep", "flyby"])
+        ["optimize", "--family", "eigen-sum", "--iterations", "2",
+         "--restarts", "2", "--rollouts-per-eval", "2", "--c-nu", "1e308"],
+    ], ids=["periodic-sweep", "flyby", "optimize"])
     def test_overflowing_sample_cost_exits_3(self, argv, tmp_path,
                                              persistent_params, capsys):
         # 1e308 is a finite operating cost, but two epochs of it are not.
+        # The search's iterates then grow until their weights overflow;
+        # only the one failure line may reach stderr, no numpy warning.
         argv = [str(persistent_params) if a == "PARAMS" else a for a in argv]
         out = tmp_path / "out"
         code = main(argv + ["--seed", "1", "--out", str(out)])
@@ -484,6 +488,31 @@ class TestExitCodes:
         assert len(err) == 1
         assert err[0].startswith("numerical failure:")
         assert not out.exists()
+
+    def test_overflowing_operating_cost_leaves_macro_cycles_alone(
+            self, tmp_path, capsys):
+        # The macro trace holds no cost, so an operating cost whose
+        # sample costs would overflow changes nothing it writes.
+        params = Path(__file__).resolve().parents[1] / "benchmarks" \
+            / "persistent_params.json"
+        outputs = {}
+        for c_nu in ("0.8", "1e308"):
+            out = tmp_path / c_nu
+            code = main(["persistent", "--params", str(params), "--cycles",
+                         "3", "--c-nu", c_nu, "--seed", "1",
+                         "--out", str(out)])
+            assert code == 0
+            assert capsys.readouterr().err == ""
+            outputs[c_nu] = {p.name: p.read_bytes() for p in out.iterdir()}
+        manifest = json.loads(outputs["1e308"]["manifest.json"])
+        assert manifest["outputs"] == ["logdet_trace.csv", "stop_times.csv"]
+        assert sorted(outputs["1e308"]) == ["logdet_trace.csv",
+                                            "manifest.json",
+                                            "stop_times.csv"]
+        for name in manifest["outputs"]:
+            body = [b.split(b"\n", 1)[1] for b in
+                    (outputs["0.8"][name], outputs["1e308"][name])]
+            assert body[0] == body[1]
 
     @pytest.mark.parametrize("argv", [
         ["periodic-sweep", "--rollouts", "2"],

@@ -172,14 +172,14 @@ class TestPlatformOrbit:
 
 class TestMacroSelect:
     def test_persistent_picks_largest_logdet(self):
-        posts = [2.0 * np.eye(2), np.eye(2)]
-        a, nu = macro_select_priority(posts, MacroMode.PERSISTENT)
+        a, nu = macro_select_priority(np.log([4.0, 1.0]),
+                                      MacroMode.PERSISTENT)
         assert a == 0
         np.testing.assert_array_equal(nu, [1.0, 0.0])
 
     def test_flyby_fixed_vector(self):
         nu_cfg = np.array([0.6, 0.39, 0.008, 0.002])
-        a, nu = macro_select_priority([np.eye(2)] * 4, MacroMode.FLYBY_FIXED,
+        a, nu = macro_select_priority(np.zeros(4), MacroMode.FLYBY_FIXED,
                                       nu_cfg)
         assert a == 0
         np.testing.assert_array_equal(nu, nu_cfg)
@@ -249,7 +249,8 @@ class TestRunMacroCycles:
         posts = list(s.initial_posteriors)
         location = s.orbit.start_location
         for cycle in range(3):
-            a, nu = macro_select_priority(posts, MacroMode.PERSISTENT)
+            a, nu = macro_select_priority(np.linalg.slogdet(posts)[1],
+                                          MacroMode.PERSISTENT)
             models = models_at_location(s, location)
             expected = []
             for l in range(4):
@@ -313,7 +314,8 @@ def scalar_macro_cycles(scenario, policy, n_cycles, seed):
     posteriors = scenario.initial_posteriors
     location = scenario.orbit.start_location if scenario.orbit else None
     for cycle in range(n_cycles):
-        a, nu = macro_select_priority(posteriors, scenario.macro_mode,
+        a, nu = macro_select_priority(np.linalg.slogdet(posteriors)[1],
+                                      scenario.macro_mode,
                                       scenario.priorities)
         cyc_scenario = dataclasses.replace(
             scenario, priorities=nu,

@@ -632,3 +632,110 @@ class TestPathEngine:
         never = PolicyParams(PolicyFamily.EIGEN_SUM, zeros, zeros)
         with pytest.raises(NumericalError):
             score_paths(failed, never)
+
+
+def first_axis_policy(weight):
+    # Eigen-sum weights on every target's largest eigenvalue: on the
+    # persistent scenario, stops spread over the horizon.
+    theta = np.zeros((4, 4))
+    theta[:, 0] = weight
+    return PolicyParams(PolicyFamily.EIGEN_SUM, theta, theta)
+
+
+class TestSharedPriorRows:
+    """A never-measured target that starts with its posterior equal to
+    its prior is decomposed once, as a prior, and each stop is decided
+    once, by the engine's block checks."""
+
+    POLICIES = {"stop-at-horizon": StopAt(60),
+                "eigen-sum": first_axis_policy(0.006)}
+
+    def assert_rows_match_full_stack(self, batch):
+        # Log-determinants and features read off the rows carry the bits
+        # the whole (paths, epochs, targets) stacks give.
+        logdet, _ = optimizer.logdets(batch.posteriors)
+        np.testing.assert_array_equal(batch.logdet_posteriors, logdet)
+        logdet, _ = optimizer.logdets(batch.priors)
+        np.testing.assert_array_equal(batch.logdet_priors, logdet)
+        for family in (PolicyFamily.EIGEN_SUM, PolicyFamily.QUADFORM):
+            post, prior = batch.features(family)
+            np.testing.assert_array_equal(
+                post, optimizer.covariance_features(batch.posteriors, family))
+            np.testing.assert_array_equal(
+                prior, optimizer.covariance_features(batch.priors, family))
+
+    @pytest.mark.parametrize("n_paths", [1, 16])
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_shared_rows_match_full_stack(self, n_paths, policy):
+        scenario = stock_scenario("persistent")
+        policy = self.POLICIES[policy]
+        seeds = [child_seed(3, "shared", b) for b in range(n_paths)]
+        (batch,) = _path_chunks(scenario, seeds, policy)
+        # Only the priority target has posterior rows.
+        assert batch.layout.distinct == slice(0, 1)
+        assert batch.rows.shape[1] == 4 + n_paths
+        for l in range(1, 4):
+            np.testing.assert_array_equal(
+                batch.posteriors[:, :, l],
+                np.broadcast_to(batch.priors[:, l],
+                                batch.posteriors[:, :, l].shape))
+        self.assert_rows_match_full_stack(batch)
+
+    def test_unshared_zero_priority_target_keeps_its_rows(self):
+        # Target 2 has zero priority, but its posterior starts at twice
+        # its prior: it keeps posterior rows of its own, and so does
+        # target 1, which lies inside the span from target 0 to 2.
+        scenario = stock_scenario("persistent")
+        posteriors = list(scenario.initial_posteriors)
+        posteriors[2] = 2.0 * posteriors[2]
+        scenario = dataclasses.replace(scenario,
+                                       initial_posteriors=posteriors)
+        seeds = [child_seed(4, "shared", b) for b in range(3)]
+        for policy in self.POLICIES.values():
+            (batch,) = _path_chunks(scenario, seeds, policy)
+            assert batch.layout.distinct == slice(0, 3)
+            assert batch.rows.shape[1] == 4 + 3 * 3
+            assert not np.array_equal(batch.posteriors[:, :, 2],
+                                      np.broadcast_to(
+                                          batch.priors[:, 2],
+                                          batch.posteriors[:, :, 2].shape))
+            self.assert_rows_match_full_stack(batch)
+
+    def test_block_decomposes_prior_row_and_priority_posteriors(
+            self, monkeypatch):
+        # One persistent path: a stop block's 8 epochs hold 8 * 4 priors
+        # and 8 posteriors of the priority target, 40 matrices where the
+        # whole (1 + 1, 8, 4) stack has 64.
+        scenario = stock_scenario("persistent")
+        shapes = []
+
+        def recorded(covariances, family):
+            shapes.append(covariances.shape)
+            return covariance_features(covariances, family)
+
+        covariance_features = optimizer.covariance_features
+        monkeypatch.setattr(optimizer, "covariance_features", recorded)
+        (batch,) = _path_chunks(scenario, [5], first_axis_policy(0.006))
+        blocks = batch.rows.shape[0] // _STOP_BLOCK
+        assert shapes == [(_STOP_BLOCK, 5, 4, 4)] * blocks
+
+    @pytest.mark.parametrize("n_paths", [1, 16])
+    def test_engine_stops_equal_reweighed_stops(self, n_paths):
+        # An equal policy object is not the one the batch was simulated
+        # for, so its stops are weighed again from the stored features.
+        scenario = stock_scenario("persistent")
+        seeds = [child_seed(6, "shared", b) for b in range(n_paths)]
+        # No path stops within the horizon, stops near epoch 22, and
+        # stops at epochs 2 to 4.
+        for weight in (0.001, 0.006, 0.05):
+            policy = first_axis_policy(weight)
+            (batch,) = _path_chunks(scenario, seeds, policy)
+            tau, costs = score_paths(batch, policy)
+            np.testing.assert_array_equal(tau, batch.taus)
+            again = dataclasses.replace(policy)
+            assert again is not batch.policy
+            reweighed_tau, reweighed_costs = score_paths(batch, again)
+            np.testing.assert_array_equal(reweighed_tau, tau)
+            np.testing.assert_array_equal(reweighed_costs, costs)
+            (full,) = _path_chunks(scenario, seeds, StopAt(60))
+            np.testing.assert_array_equal(score_paths(full, policy)[0], tau)
