@@ -13,6 +13,13 @@ of the same (config, seed).
 
 A run makes ``--out`` and writes its outputs only after all its results
 exist, so a run that fails while computing leaves no ``--out`` behind.
+The outputs are written into a staging directory in ``--out`` and then
+renamed into place, the manifest last, so a run that fails while
+writing leaves the files in ``--out`` as they were. A table of
+more than CSV_BLOCK_ROWS rows is formatted by up to one process per CPU
+(forked workers, where the platform has ``os.fork``), with the bytes of
+one process. A part whose worker fails is formatted again by the run's
+own process, so an error surfaces as the one-process writer raises it.
 
 Exit codes: 0 success, 2 validation error (bad input, a run too large
 for memory, or an ``--out`` that cannot be made or written), 3 numerical
@@ -25,7 +32,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +63,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# Rows formatted and written together; bounds the text held in memory.
+# Rows formatted and written together; bounds the text that each process
+# writing a table holds in memory. A table of more rows is split among
+# up to one process per CPU (see write_csv).
 CSV_BLOCK_ROWS = 65536
 
 
@@ -75,6 +84,79 @@ def _cell_values(column: np.ndarray) -> list:
     return list(map(_fmt, cells))
 
 
+def _csv_processes(rows: int) -> int:
+    """Processes that format a table: one per CSV_BLOCK_ROWS rows, at most
+    one per CPU this process may run on, and one without ``os.fork``."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), -(-rows // CSV_BLOCK_ROWS))
+
+
+def _fork_writer(write_rows, pieces: tuple, directory: Path,
+                 encoding: str) -> tuple:
+    """(pid, file) of a forked worker that writes ``pieces`` into an
+    unlinked temporary file in ``directory``, or (None, None) if either
+    cannot be made. The worker exits 0 once the file is flushed, 1 if it
+    raised; ``os._exit`` runs no exit hook and flushes no inherited
+    buffer."""
+    import tempfile  # loaded with numpy
+
+    try:
+        text = tempfile.TemporaryFile("w+", encoding=encoding, dir=directory)
+    except OSError:
+        return None, None
+    try:
+        pid = os.fork()
+    except OSError:
+        text.close()
+        return None, None
+    if pid == 0:
+        code = 1
+        try:
+            write_rows(text, *pieces)
+            text.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid, text
+
+
+def _write_split(fh, write_rows, parts: list, directory: Path) -> None:
+    """Write each part, a range of pieces, in order: the first straight
+    into ``fh`` and each other one by a ``_fork_writer`` worker, whose
+    file is appended once it has exited 0. A part whose worker could not
+    start or did not exit 0 is written here instead, so it raises what
+    the serial writer raises. If this process raises, every worker still
+    running is killed and reaped first."""
+    import shutil  # loaded with numpy
+    import signal
+
+    fh.flush()  # a worker must inherit no buffered text
+    workers = []  # [pieces, pid, file]; pid is None once reaped
+    try:
+        for pieces in parts[1:]:
+            workers.append([pieces, *_fork_writer(write_rows, pieces,
+                                                  directory, fh.encoding)])
+        write_rows(fh, *parts[0])
+        for worker in workers:
+            pieces, pid, text = worker
+            status = 1 if pid is None else os.waitpid(pid, 0)[1]
+            worker[1] = None
+            if status != 0:
+                write_rows(fh, *pieces)
+                continue
+            fh.flush()
+            text.seek(0)
+            shutil.copyfileobj(text.buffer, fh.buffer)
+    finally:
+        for _, pid, text in workers:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            if text is not None:
+                text.close()
+
+
 def write_csv(path: Path, names: list, columns: list, cfg_hash: str,
               units: str) -> None:
     """Write a table under a config-hash and units line.
@@ -88,8 +170,19 @@ def write_csv(path: Path, names: list, columns: list, cfg_hash: str,
     have shape (len(axis_1), ..., len(axis_k)), and each row is one point
     of the axes' product in C order (last axis fastest): its axis values,
     then its cells. Axis values are formatted once, into the row
-    template. At most CSV_BLOCK_ROWS rows go through one ``%``. Raises
-    ContractError unless each column has one name and its shape.
+    template. Raises ContractError unless each column has one name and
+    its shape.
+
+    The rows go out in pieces: at most CSV_BLOCK_ROWS rows of one value
+    of the leading axes, formatted by one ``%``. A table of more than
+    CSV_BLOCK_ROWS rows is cut, at piece boundaries, into P contiguous
+    parts of near-equal rows, P = ``_csv_processes``. This process
+    writes the first part straight into the file while P - 1 forked
+    workers each write one of the others, piece by piece, into an
+    unlinked temporary file beside it; their files are then appended in
+    order. The bytes are those of the serial loop. A part whose worker
+    fails is written by this process, so every error is raised as the
+    serial writer raises it.
     """
     columns = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object)
                for c in columns]
@@ -109,16 +202,34 @@ def write_csv(path: Path, names: list, columns: list, cfg_hash: str,
               for v in _cell_values(a)] for a in axes]
     row = ",".join(map(_cell_spec, cells)) + "\n"
     tails = [t + "," + row for t in texts.pop()] if axes else [row] * shape[0]
+
+    def write_rows(fh, first: int, stop: int | None) -> None:
+        """Write pieces first to stop (None: the last) in file order."""
+        pieces = ((index, slice(start, start + CSV_BLOCK_ROWS))
+                  for index in np.ndindex(shape[:-1])
+                  for start in range(0, shape[-1], CSV_BLOCK_ROWS))
+        for index, block in islice(pieces, first, stop):
+            prefix = "".join(t[i] + "," for t, i in zip(texts, index))
+            values = [_cell_values(c[index][block]) for c in cells]
+            fh.write((prefix + prefix.join(tails[block]))
+                     % tuple(chain.from_iterable(zip(*values))))
+
+    rows = int(np.prod(shape))
+    n_parts = _csv_processes(rows)
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg_hash} units: {units}\n"
                  + ",".join(names) + "\n")
-        for index in np.ndindex(shape[:-1]):
-            prefix = "".join(t[i] + "," for t, i in zip(texts, index))
-            for start in range(0, shape[-1], CSV_BLOCK_ROWS):
-                block = slice(start, start + CSV_BLOCK_ROWS)
-                values = [_cell_values(c[index][block]) for c in cells]
-                fh.write((prefix + prefix.join(tails[block]))
-                         % tuple(chain.from_iterable(zip(*values))))
+        if n_parts < 2:
+            write_rows(fh, 0, None)
+            return
+        # The row each piece starts at; a piece joins the part that holds
+        # its middle row.
+        starts = (np.arange(0, rows, shape[-1])[:, None]
+                  + np.arange(0, shape[-1], CSV_BLOCK_ROWS)).ravel()
+        owner = (starts + np.append(starts[1:], rows)) * n_parts // (2 * rows)
+        bounds = np.searchsorted(owner, np.arange(n_parts + 1)).tolist()
+        parts = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+        _write_split(fh, write_rows, parts, path.parent)
 
 
 def _stale_outputs(out: Path) -> set:
@@ -142,11 +253,18 @@ def write_outputs(args, cfg: dict, outputs: dict) -> None:
     JSON document. The hash is taken once, of the run's final ``cfg``,
     which also holds the run's seed. The manifest's ``command`` is the
     subcommand's name and its ``outputs`` are exactly the mapping's names.
-    It first deletes the ``_stale_outputs`` this run does not write.
-    Raises ContractError if ``--out`` cannot be made or written, and
-    before it deletes or writes anything if one of the names exists in
-    ``--out`` as anything but a regular file (a symlink too).
+    Every file is first written into a staging directory in ``--out``.
+    Then the ``_stale_outputs`` this run does not write are deleted and
+    each staged file is renamed into ``--out``, the manifest last. The
+    staging directory is removed whether or not the writes succeed, so a
+    write that fails part way leaves the files in ``--out`` as they
+    were. Raises ContractError if ``--out`` cannot be made or
+    written, and before it deletes or writes anything if one of the
+    names exists in ``--out`` as anything but a regular file (a symlink
+    too).
     """
+    import tempfile  # loaded with numpy
+
     cfg_hash = config_hash(cfg)
     manifest = {
         "command": args.command,
@@ -162,17 +280,28 @@ def write_outputs(args, cfg: dict, outputs: dict) -> None:
         if os.path.islink(path) or (path.exists() and not path.is_file()):
             raise ContractError(f"cannot write --out {out}: {name} exists "
                                 f"and is not a regular file")
+    files = {**outputs, "manifest.json": manifest}
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name in _stale_outputs(out) - {*outputs, "manifest.json"}:
-            (out / name).unlink()
-        for name, content in {**outputs, "manifest.json": manifest}.items():
-            if isinstance(content, dict):
-                (out / name).write_text(
-                    json.dumps(content, indent=2, sort_keys=True) + "\n")
-            else:
-                names, columns, units = content
-                write_csv(out / name, names, columns, cfg_hash, units)
+        # Inside --out, not beside it: a --out that is a mount point or a
+        # symlink may sit on another filesystem than its parent.
+        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+        try:
+            for name, content in files.items():
+                if isinstance(content, dict):
+                    (staging / name).write_text(
+                        json.dumps(content, indent=2, sort_keys=True) + "\n")
+                else:
+                    names, columns, units = content
+                    write_csv(staging / name, names, columns, cfg_hash, units)
+            for name in _stale_outputs(out) - files.keys():
+                (out / name).unlink()
+            for name in files:  # the manifest last
+                os.replace(staging / name, out / name)
+        finally:
+            for path in staging.iterdir():
+                path.unlink()
+            staging.rmdir()
     except OSError as exc:
         raise ContractError(f"cannot write --out {out}: {exc}") from None
 

@@ -176,9 +176,12 @@ def _feature_weights(family: PolicyFamily, theta: np.ndarray) -> np.ndarray:
 
 
 def _weighted_sum(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    total = features[0] * weights[0]
-    for feature, weight in zip(features[1:], weights[1:]):
-        total += feature * weight
+    # One multiply makes every product; the adds stay left to right.
+    products = features * weights.reshape(
+        weights.shape[:1] + (1,) * (features.ndim - 2) + weights.shape[1:])
+    total = products[0]
+    for product in products[1:]:
+        total += product
     return total
 
 

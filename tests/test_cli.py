@@ -1,9 +1,13 @@
 import csv
+import errno
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -650,6 +654,54 @@ class TestExitCodes:
         assert err == [f"numerical failure: {entry} failed"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("earlier_run", [False, True],
+                             ids=["new-out", "reused-out"])
+    def test_write_failing_part_way_leaves_out_as_it_was(
+            self, earlier_run, tmp_path, monkeypatch, capsys):
+        # The second file cannot be written (a full disk, say): --out
+        # holds exactly the files it held before, and nothing else.
+        out = tmp_path / "out"
+        if earlier_run:
+            assert main(["dp-threshold", "--grid", "4", "--seed", "2",
+                         "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.glob("out/*")}
+        written, write_csv = [], cli.write_csv
+
+        def fail_second(path, *args):
+            written.append(path.name)
+            if len(written) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write_csv(path, *args)
+
+        monkeypatch.setattr(cli, "write_csv", fail_second)
+        code = main(["dp-threshold", "--grid", "8", "--seed", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert written == ["qtable.csv", "threshold.csv"]
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"validation error: cannot write --out {out}: [Errno 28] No "
+            f"space left on device")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_out_linked_to_another_filesystem(self, tmp_path):
+        # Files are renamed into --out from a directory on its own
+        # filesystem, whatever filesystem --out's parent is on.
+        shm = Path("/dev/shm")
+        if not shm.is_dir() or shm.stat().st_dev == tmp_path.stat().st_dev:
+            pytest.skip("needs /dev/shm on another filesystem")
+        target = Path(tempfile.mkdtemp(dir=shm))
+        try:
+            (tmp_path / "out").symlink_to(target)
+            assert main(["dp-threshold", "--grid", "4", "--seed", "1",
+                         "--out", str(tmp_path / "out")]) == 0
+            assert sorted(p.name for p in target.iterdir()) == [
+                "manifest.json", "qtable.csv", "threshold.csv"]
+        finally:
+            for path in target.iterdir():
+                path.unlink()
+            target.rmdir()
+
     @pytest.mark.parametrize("grid", [["--pd-grid", "0.5,2"],
                                       ["--cnu-grid", "0.8,-1"]],
                              ids=["pd-grid", "cnu-grid"])
@@ -1073,6 +1125,147 @@ class TestWriteCsv:
         with pytest.raises(ContractError, match=culprit):
             cli.write_csv(path, names, columns, "h", "u")
         assert not path.exists()
+
+
+class Cell:
+    # An object cell whose text is "c". Formatting it first calls
+    # ``in_parent`` in the process that made it, and ``in_worker`` in any
+    # other (a forked worker).
+    def __init__(self, in_worker=None, in_parent=None):
+        self.owner = os.getpid()
+        self.in_worker, self.in_parent = in_worker, in_parent
+
+    def __str__(self):
+        act = self.in_parent if os.getpid() == self.owner else self.in_worker
+        if act is not None:
+            act()
+        return "c"
+
+
+def fail_cell():
+    raise ValueError("cell 9 cannot be formatted")
+
+
+@pytest.fixture
+def split_writer(tmp_path, monkeypatch):
+    # Blocks of 2 rows. Yields a function that sets the CPU count and
+    # returns the list of pids the writer forks. Afterwards every worker
+    # has been reaped, and the directory holds no file but the tables
+    # the test wrote.
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 2)
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def set_cpus(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        return forked
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield set_cpus
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert {p.name for p in tmp_path.iterdir()} <= {"t.csv", "ref.csv"}
+
+
+class TestSplitWriter:
+    # Tables of more than CSV_BLOCK_ROWS rows are split among processes.
+    # Flat: 7 rows in 4 blocks. Grids: 5 x 3 (2 blocks per axis-0 value,
+    # so parts split an axis-0 value's rows) and 2 x 2 x 5 (3 blocks per
+    # leading pair). Every kind of cell, texts that look like %
+    # conversions and non-ASCII text are in each part.
+    TABLES = {
+        "flat": REFERENCE_COLUMNS["kinds"] + [
+            ["é", "%s", "", "ß%", "a", "b", "%%"]],
+        "grid": GRID_AXES["float-int"] + grid_cells((5, 3)),
+        "three-axes": GRID_AXES["three-axes"] + grid_cells((2, 2, 5)),
+    }
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_bytes_equal_reference_writer(self, name, cpus, split_writer,
+                                          tmp_path):
+        forked = split_writer(cpus)
+        columns = self.TABLES[name]
+        names = [f"c{i}" for i in range(len(columns))]
+        path, expected = tmp_path / "t.csv", tmp_path / "ref.csv"
+        cli.write_csv(path, names, columns, "abc", "x=%s units")
+        reference_write_csv(expected, names, columns, "abc", "x=%s units")
+        assert path.read_bytes() == expected.read_bytes()
+        assert len(forked) == cpus - 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_worker_error_is_raised_as_the_serial_writer_raises_it(
+            self, cpus, split_writer, tmp_path):
+        # Cell 9 is in the last part: a worker's at 2 and 3 CPUs.
+        forked = split_writer(cpus)
+        cells = [Cell() for _ in range(12)]
+        cells[9] = Cell(fail_cell, fail_cell)
+        with pytest.raises(ValueError, match="^cell 9 cannot be formatted$"):
+            cli.write_csv(tmp_path / "t.csv", ["a", "b"],
+                          [np.arange(12), cells], "h", "u")
+        assert len(forked) == cpus - 1
+
+    def test_killed_worker_part_is_written_by_the_parent(self, split_writer,
+                                                         tmp_path):
+        forked = split_writer(3)
+        kill = lambda: os.kill(os.getpid(), signal.SIGKILL)  # noqa: E731
+        cells = [Cell(kill) for _ in range(12)]
+        path, expected = tmp_path / "t.csv", tmp_path / "ref.csv"
+        cli.write_csv(path, ["a", "b"], [np.arange(12), cells], "h", "u")
+        reference_write_csv(expected, ["a", "b"], [np.arange(12), cells],
+                            "h", "u")
+        assert path.read_bytes() == expected.read_bytes()
+        assert len(forked) == 2
+
+    @pytest.mark.parametrize("module,name", [(os, "fork"),
+                                             (tempfile, "TemporaryFile")])
+    def test_worker_that_cannot_start_leaves_its_part_to_the_parent(
+            self, module, name, split_writer, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise BlockingIOError(errno.EAGAIN, "Resource unavailable")
+
+        split_writer(3)
+        monkeypatch.setattr(module, name, refuse)
+        columns = self.TABLES["grid"]
+        names = [f"c{i}" for i in range(len(columns))]
+        path, expected = tmp_path / "t.csv", tmp_path / "ref.csv"
+        cli.write_csv(path, names, columns, "abc", "x=%s units")
+        reference_write_csv(expected, names, columns, "abc", "x=%s units")
+        assert path.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, OSError])
+    def test_parent_error_kills_running_workers(self, error, split_writer,
+                                                tmp_path):
+        # The workers would sleep for 20 s; the parent's first part raises
+        # at once, and the workers are killed and reaped.
+        def stall():
+            time.sleep(20)
+
+        def parent_fails():
+            raise error("parent failed")
+
+        forked = split_writer(3)
+        cells = [Cell(in_parent=parent_fails)] + [Cell(stall)] * 11
+        start = time.monotonic()
+        with pytest.raises(error, match="parent failed"):
+            cli.write_csv(tmp_path / "t.csv", ["a", "b"],
+                          [np.arange(12), cells], "h", "u")
+        assert time.monotonic() - start < 10
+        assert len(forked) == 2
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_one_process_without_fork_or_affinity(self, missing,
+                                                  monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert cli._csv_processes(10 * cli.CSV_BLOCK_ROWS) == 2
+        monkeypatch.delattr(os, missing)
+        assert cli._csv_processes(10 * cli.CSV_BLOCK_ROWS) == 1
 
 
 @pytest.mark.parametrize("argv", [
