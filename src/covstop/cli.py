@@ -21,14 +21,30 @@ more than CSV_BLOCK_ROWS rows is formatted by up to one process per CPU
 one process. A part whose worker fails is formatted again by the run's
 own process, so an error surfaces as the one-process writer raises it.
 
+Before the work, ``main`` refuses an ``--out`` below a file, and a
+name the run will write (``OUTPUT_NAMES``) that exists in ``--out`` as
+anything but a regular file, so a typo or a taken name costs no run.
+
 Exit codes: 0 success, 2 validation error (bad input, a run too large
 for memory, or an ``--out`` that cannot be made or written), 3 numerical
 failure, a sample cost that overflows to a non-finite value included.
+
+The process entry, ``python -m covstop.cli`` and the ``covstop``
+script, is ``run``: it calls ``main``, moves every object still alive
+into the garbage collector's permanent generation (``gc.freeze``) and
+exits with ``main``'s code through ``sys.exit``. The interpreter's exit
+collections then skip the heap that importing numpy and the package
+left, which would otherwise cost tens of milliseconds per run; stdio is
+still flushed and exit handlers still run. By then every output is
+closed and renamed into place. ``main`` itself never freezes: tests and
+benchmark probes call it in a process that goes on living, and a frozen
+heap is never collected.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -47,7 +63,7 @@ from .errors import ContractError, NumericalError
 from .filter_core import (correct, det_ratios, loewner_geq, moment_blocks,
                           predict)
 from .gmti import Scenario, run_macro_cycles
-from .linearization import validate_linearization
+from .linearization import STUDY_GAMMAS, validate_linearization
 from .observability import StoppingCase
 from .optimizer import (SpsaSchedule, evaluate_cost, periodic_cost_curve,
                         policy_costs, spsa_optimize)
@@ -232,6 +248,43 @@ def write_csv(path: Path, names: list, columns: list, cfg_hash: str,
         _write_split(fh, write_rows, parts, path.parent)
 
 
+def _gamma_table(gamma: float) -> str:
+    return f"table_e_gamma{str(gamma).replace('.', '')}.csv"
+
+
+# The files each subcommand writes besides manifest.json; periodic-sweep
+# adds envelope.csv under --params (see _output_names).
+OUTPUT_NAMES = {
+    "optimize": ("spsa_trace.csv", "best_params.json"),
+    "flyby": ("figure4_grid.csv",),
+    "periodic-sweep": ("periodic_costs.csv",),
+    "persistent": ("logdet_trace.csv", "stop_times.csv"),
+    "validate-linearization": ("table_d.csv",
+                               *map(_gamma_table, STUDY_GAMMAS),
+                               "linearity_flags.csv"),
+    "dp-threshold": ("qtable.csv", "threshold.csv"),
+    "verify-properties": ("properties_report.json",),
+}
+
+
+def _output_names(args) -> list[str]:
+    """The files a run of ``args`` writes besides manifest.json."""
+    names = list(OUTPUT_NAMES[args.command])
+    if args.command == "periodic-sweep" and args.params:
+        names.append("envelope.csv")
+    return names
+
+
+def _check_output_names(out: Path, names) -> None:
+    """ContractError if one of ``names`` exists in ``out`` as anything but
+    a regular file (a symlink too)."""
+    for name in names:
+        path = out / name  # writing would follow a symlink out of --out
+        if os.path.islink(path) or (path.exists() and not path.is_file()):
+            raise ContractError(f"cannot write --out {out}: {name} exists "
+                                f"and is not a regular file")
+
+
 def _stale_outputs(out: Path) -> set:
     """Plain files directly in ``out`` that its earlier manifest lists;
     none if that manifest does not parse."""
@@ -275,11 +328,8 @@ def write_outputs(args, cfg: dict, outputs: dict) -> None:
         "outputs": sorted(outputs),
     }
     out = Path(args.out)
-    for name in [*outputs, "manifest.json"]:
-        path = out / name  # writing would follow a symlink out of --out
-        if os.path.islink(path) or (path.exists() and not path.is_file()):
-            raise ContractError(f"cannot write --out {out}: {name} exists "
-                                f"and is not a regular file")
+    # main checked the names before the run; --out may have changed since.
+    _check_output_names(out, [*outputs, "manifest.json"])
     files = {**outputs, "manifest.json": manifest}
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -484,8 +534,7 @@ def cmd_validate_linearization(args) -> int:
         k_names, [report.state_labels] + list(report.d_values.T),
         "D=dimensionless relative Jacobian drift")}
     for g in report.gammas:
-        tag = str(g).replace(".", "")
-        outputs[f"table_e_gamma{tag}.csv"] = (
+        outputs[_gamma_table(g)] = (
             k_names, [report.state_labels] + list(report.e_values[g].T),
             f"E=second/first order ratio, gamma={g}, "
             f"mean over {report.n_seeds} tracks")
@@ -718,6 +767,8 @@ def main(argv=None) -> int:
         if head and not os.path.isdir(head):
             raise ContractError(f"cannot write --out {args.out}: {head} "
                                 f"exists and is not a directory")
+        _check_output_names(Path(args.out),
+                            [*_output_names(args), "manifest.json"])
         return args.func(args)
     except ContractError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
@@ -731,5 +782,16 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """The process entry: exit with ``main``'s code, its heap frozen.
+
+    Freezing after ``main`` returns, not before it, lets the run's own
+    garbage be collected while it works; only the exit skips the heap.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ContractError
 from .filter_core import TargetModel, check_covariance, logdets
 from .observability import Belief, CostWeights
-from .optimizer import StopAt, _path_chunks
+from .optimizer import StopAt, _dynamics, _path_chunks
 from .policy import Action, PolicyParams
 from .streams import child_seed
 
@@ -315,11 +315,13 @@ def run_macro_cycles(scenario: Scenario, policy: MacroPolicy, n_cycles: int,
     the previous cycle's tau. An orbital scenario moves the platform one
     orbit location per cycle, and its re-linearized models are built
     once per location, with only their new H checked; a scenario
-    without an orbit keeps its own models. Each cycle hands its models
-    and priorities to the engine without building a scenario. The
-    engine carries the cycle's prior in its state with the path's
-    posterior, so each simulated epoch is one stacked predict and
-    correct step.
+    without an orbit keeps its own models. The engine's ``_dynamics``
+    of a cycle's models and priorities are built once per (location,
+    priority target) and handed to it without building a scenario; they
+    all share one stack of F, F' and Q and the per-row copies of it,
+    since re-linearizing changes only H. The engine carries the cycle's
+    prior in its state with the path's posterior, so each simulated
+    epoch is one stacked predict and correct step.
     """
     if not isinstance(policy, MacroPolicy):
         raise ContractError("the macro-cycle policy must be PolicyParams or "
@@ -329,18 +331,23 @@ def run_macro_cycles(scenario: Scenario, policy: MacroPolicy, n_cycles: int,
     log_dets = logdets(np.array(posteriors))[0]
     location = scenario.orbit.start_location if scenario.orbit else None
     models_by_location = {}
+    dynamics, built = {}, None  # (location, a) -> the engine's _dynamics
     taus, priority_targets = [], []
     logdet_posts, logdet_priors, detected = [], [], []
     for cycle in range(n_cycles):
         a, nu = macro_select_priority(log_dets, scenario.macro_mode,
                                       scenario.priorities)
-        if location not in models_by_location:
-            models_by_location[location] = models_at_location(scenario,
-                                                              location)
+        if (location, a) not in dynamics:
+            if location not in models_by_location:
+                models_by_location[location] = models_at_location(scenario,
+                                                                  location)
+            # Every location's models have the scenario's F and Q.
+            built = dynamics[location, a] = _dynamics(
+                models_by_location[location], nu, like=built)
         (batch,) = _path_chunks(
             scenario, [child_seed(seed, "macro.cycle", cycle)], policy,
             belief=Belief(posteriors, posteriors, a),
-            models=models_by_location[location], priorities=nu)
+            dynamics=dynamics[location, a])
         tau = int(batch.stop_epochs(policy)[0])
         taus.append(tau)
         priority_targets.append(a)

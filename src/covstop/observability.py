@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -116,6 +117,21 @@ def _target_infos(belief: Belief, weights: CostWeights) -> np.ndarray:
     ])
 
 
+# The ufunc reduction behind np.max, np.min and np.sum, without their
+# Python wrappers.
+_RIVAL_REDUCERS = {StoppingCase.MAX_DIFF: np.maximum.reduce,
+                   StoppingCase.MIN_DIFF: np.minimum.reduce,
+                   StoppingCase.AVG_DIFF: np.add.reduce}
+
+
+@lru_cache(maxsize=None)
+def _rival_index(n_targets: int, a: int) -> np.ndarray:
+    """The targets other than ``a``, in order (read-only)."""
+    index = np.delete(np.arange(n_targets), a)
+    index.flags.writeable = False
+    return index
+
+
 def aggregate_rivals(values: np.ndarray, a: int,
                      case: StoppingCase) -> np.ndarray:
     """Minus the priority target's value plus the rivals' aggregate.
@@ -124,14 +140,8 @@ def aggregate_rivals(values: np.ndarray, a: int,
     of them aggregates at once; ``case`` picks max, min or sum over the
     rivals, in target order.
     """
-    rivals = values[..., [l for l in range(values.shape[-1]) if l != a]]
-    if case is StoppingCase.MAX_DIFF:
-        agg = np.max(rivals, axis=-1)
-    elif case is StoppingCase.MIN_DIFF:
-        agg = np.min(rivals, axis=-1)
-    else:
-        agg = np.sum(rivals, axis=-1)
-    return -values[..., a] + agg
+    rivals = values.take(_rival_index(values.shape[-1], a), axis=-1)
+    return -values[..., a] + _RIVAL_REDUCERS[case](rivals, axis=-1)
 
 
 def stopping_cost(belief: Belief, weights: CostWeights) -> float:

@@ -359,11 +359,80 @@ def _span(mask: np.ndarray) -> slice:
     return slice(index[0], index[-1] + 1) if index.size else slice(0, 0)
 
 
+@dataclass(frozen=True)
+class _Dynamics:
+    """The targets' models and priorities as the path engine's stacks.
+
+    ``f``, ``f_t`` (F') and ``q`` hold every target's F, F' and Q, and
+    ``g``, ``g_t`` (G') and ``d`` the moment blocks of the ``measured``
+    span, from the first to the last target of positive priority; a
+    zero-priority target inside it gets an unused placeholder noise, as
+    its detections are always masked out. ``rows`` keeps each chunk
+    layout's per-row stacks (see ``row_stacks``). Built by ``_dynamics``.
+    """
+
+    f: np.ndarray  # (L, m, m)
+    f_t: np.ndarray
+    q: np.ndarray
+    measurable: np.ndarray  # (L,) positive priority
+    p_d: np.ndarray  # (L,)
+    measured: slice
+    g: np.ndarray
+    g_t: np.ndarray
+    d: np.ndarray
+    rows: dict  # (paths, distinct start, stop) -> ``row_stacks``
+
+    @property
+    def n_targets(self) -> int:
+        return self.f.shape[0]
+
+    def row_stacks(self, layout: _Rows) -> tuple:
+        """Each row's target, and its F, F' and Q, built once per layout
+        and shared by every chunk laid out alike (never written)."""
+        key = (layout.n_paths, layout.distinct.start, layout.distinct.stop)
+        if key not in self.rows:
+            targets = layout.targets()
+            self.rows[key] = (targets, self.f[targets], self.f_t[targets],
+                              self.q[targets])
+        return self.rows[key]
+
+
+def _dynamics(models: Sequence, priorities: np.ndarray,
+              like: _Dynamics | None = None) -> _Dynamics:
+    """The path engine's ``_Dynamics`` of models and priorities, which
+    are not validated again. ``like``, dynamics whose models have the
+    same F and Q as these (only H differs), lends its F, F' and Q stacks
+    and its per-row stacks, which the two then share."""
+    if len({(m.state_dim, m.obs_dim) for m in models}) != 1:
+        raise ContractError("batched paths need one state and one "
+                            "observation dimension for every target")
+    priorities = np.asarray(priorities, dtype=float)
+    if like is None:
+        f = np.array([m.F for m in models])
+        q = np.array([m.Q for m in models])
+        # Each (m, m) matrix must be C-contiguous in its last two axes: on
+        # other strides numpy's stacked matmul may not give each matrix
+        # the bits it gets on its own. Taking rows of these stacks keeps
+        # this.
+        f_t, rows = f.swapaxes(-1, -2).copy(), {}
+    else:
+        f, f_t, q, rows = like.f, like.f_t, like.q, like.rows
+    measurable = priorities > 0.0
+    measured = _span(measurable)
+    h = np.array([m.H for m in models[measured]])
+    r = np.array([m.effective_noise(nu) if nu > 0.0 else m.r_base
+                  for m, nu in zip(models[measured], priorities[measured])])
+    g, d = moment_blocks(f[measured], h, q[measured], r)
+    return _Dynamics(f=f, f_t=f_t, q=q, measurable=measurable,
+                     p_d=np.array([m.p_d for m in models]),
+                     measured=measured, g=g,
+                     g_t=g.swapaxes(-1, -2).copy(), d=d, rows=rows)
+
+
 def _path_chunks(scenario, seeds: Sequence[int],
                  policy: PolicyParams | StopAt, *,
                  belief: Belief | None = None,
-                 models: Sequence | None = None,
-                 priorities: np.ndarray | None = None
+                 dynamics: _Dynamics | None = None
                  ) -> Iterator[PathBatch]:
     """Simulate the seeds' paths in chunks of about _CHUNK_ENTRIES.
 
@@ -386,8 +455,10 @@ def _path_chunks(scenario, seeds: Sequence[int],
     ``correct`` of the previous posteriors on the span of measured
     targets, whose result replaces the prediction where the epoch's
     detection mask is set; an epoch on which no path detects a measured
-    target makes no correction. F' and the measured span's moment
-    blocks G, G' and D are built once per call. The epochs between two
+    target makes no correction. The stacks of F, F' and Q, the measured
+    span's moment blocks G, G' and D, and each chunk layout's per-row F,
+    F' and Q come from ``dynamics`` (see ``_Dynamics``), built once per
+    call unless the caller passes them. The epochs between two
     stop checks (all of them under ``StopAt``) form a block. At its end
     the block's correction failures are recorded, and one ``logdets``
     call and, under PolicyParams, one ``covariance_features`` call run
@@ -397,10 +468,10 @@ def _path_chunks(scenario, seeds: Sequence[int],
     stack the bits it gets on its own, so every chunk recomputes the
     same priors.
 
-    ``belief`` replaces the scenario's initial belief, and ``models``
-    and ``priorities`` replace its own without being validated again:
-    the macro cycles pass each cycle's, which were validated when they
-    were built. Seed ``s`` draws its detections from the same stream as
+    ``belief`` replaces the scenario's initial belief, and ``dynamics``
+    the ``_dynamics`` of its models and priorities: the macro cycles
+    pass each cycle's, built once per orbit location and priority
+    target. Seed ``s`` draws its detections from the same stream as
     ``rollout(scenario, policy, s)``. Failures are recorded in each
     batch's ``failed_at``, not raised: a moment matrix that is not
     positive definite (a non-PD innovation covariance or posterior)
@@ -414,35 +485,21 @@ def _path_chunks(scenario, seeds: Sequence[int],
     if not seeds:
         raise ContractError("need at least one seed")
     belief = scenario.initial_belief() if belief is None else belief
-    models = scenario.models if models is None else models
-    n_targets, horizon = len(models), scenario.tau_max
+    if dynamics is None:
+        dynamics = _dynamics(scenario.models, scenario.priorities)
+    n_targets, horizon = dynamics.n_targets, scenario.tau_max
     if belief.n_targets != n_targets:
         raise ContractError("belief and scenario disagree on target count")
-    if len({(m.state_dim, m.obs_dim) for m in models}) != 1:
-        raise ContractError("batched paths need one state and one "
-                            "observation dimension for every target")
-    priorities = np.asarray(scenario.priorities if priorities is None
-                            else priorities, dtype=float)
-    measurable = priorities > 0.0
-    p_d = np.array([m.p_d for m in models])
     start_prior = np.array(belief.priors)
     start_post = np.array(belief.posteriors)
-    # Basic slices, which read and write views. A zero-priority target
-    # inside the measured span is corrected with an unused placeholder
-    # noise: its detections are always masked out. The measured span
-    # lies in the distinct one, and is also taken relative to it.
-    measured = _span(measurable)
-    distinct = _span(measurable
+    # Basic slices, which read and write views. The measured span lies
+    # in the distinct one, and is also taken relative to it.
+    measured = dynamics.measured
+    distinct = _span(dynamics.measurable
                      | (start_post != start_prior).any(axis=(-2, -1)))
     measured_rows = slice(measured.start - distinct.start,
                           measured.stop - distinct.start)
-    f = np.array([m.F for m in models])
-    q = np.array([m.Q for m in models])
-    h = np.array([m.H for m in models])
-    r = np.array([m.effective_noise(nu) if nu > 0.0 else m.r_base
-                  for m, nu in zip(models, priorities)])
-    g, d = moment_blocks(f[measured], h[measured], q[measured], r[measured])
-    f_t, g_t = f.swapaxes(-1, -2).copy(), g.swapaxes(-1, -2).copy()
+    g, d, g_t = dynamics.g, dynamics.d, dynamics.g_t
 
     # Epochs a chunk may need, and how many it runs between stop checks.
     checked = isinstance(policy, PolicyParams)
@@ -456,7 +513,7 @@ def _path_chunks(scenario, seeds: Sequence[int],
         chunk = seeds[start:start + chunk_size]
         n_paths = len(chunk)
         layout = _Rows(n_targets, n_paths, distinct)
-        targets = layout.targets()
+        targets, f_rows, f_rows_t, q_rows = dynamics.row_stacks(layout)
         by_path = (n_paths, layout.width, m, m)  # a state's posterior rows
         # The state buffers come first: a horizon too long for memory
         # fails here, before any detection is drawn.
@@ -464,14 +521,11 @@ def _path_chunks(scenario, seeds: Sequence[int],
         logdet_rows = np.empty((last, targets.size))
         draws = np.array([stream(s, "rollout.detect").random(
             (last, n_targets)) for s in chunk])
-        detections = (draws < p_d) & measurable
+        detections = (draws < dynamics.p_d) & dynamics.measurable
         hits = detections[..., measured]  # (paths, epochs, measured)
         any_hit = hits.any(axis=(0, 2))
-        # Each (m, m) matrix must be C-contiguous in its last two axes: on
-        # other strides numpy's stacked matmul may not give each matrix
-        # the bits it gets on its own. Slicing and reshaping the leading
-        # axes keeps this, and so does taking each row's F, F' and Q.
-        f_rows, f_rows_t, q_rows = f[targets], f_t[targets], q[targets]
+        # Slicing and reshaping the leading axes keeps each (m, m) matrix
+        # C-contiguous (see _dynamics).
         state = np.empty(rows.shape[1:])
         state[:n_targets] = start_prior
         state[n_targets:] = start_post[targets[n_targets:]]

@@ -1,5 +1,6 @@
 import csv
 import errno
+import gc
 import json
 import math
 import os
@@ -282,6 +283,30 @@ class TestConfigHashNamesThePolicy:
             argv[:flag] + [n] + argv[flag + 1:], tmp_path / n))
             for n in ("1", "2")}
         assert len(hashes) == 2
+
+
+# Tiny runs of every subcommand (PARAMS: a params file) and the first
+# work-layer entry each reaches, as covstop.cli looks it up.
+WORK_ENTRY_ARGV = [
+    (RERUN_ARGV["optimize"], "spsa_optimize"),
+    (RERUN_ARGV["periodic-sweep"], "periodic_cost_curve"),
+    (RERUN_ARGV["flyby"] + ["--params", "PARAMS"], "policy_costs"),
+    (["persistent", "--cycles", "2", "--params", "PARAMS"],
+     "run_macro_cycles"),
+    (RERUN_ARGV["validate-linearization"], "validate_linearization"),
+    (RERUN_ARGV["dp-threshold"], "value_iterate"),
+    (RERUN_ARGV["verify-properties"], "verify_monotone"),
+]
+# periodic-sweep under --params also writes envelope.csv.
+OUTPUT_ARGV = WORK_ENTRY_ARGV + [
+    (RERUN_ARGV["periodic-sweep"] + ["--params", "PARAMS"],
+     "periodic_cost_curve")]
+OUTPUT_IDS = ([argv[0] for argv, _ in WORK_ENTRY_ARGV]
+              + ["periodic-sweep-params"])
+
+
+def with_params(argv, params):
+    return [str(params) if a == "PARAMS" else a for a in argv]
 
 
 class TestExitCodes:
@@ -600,9 +625,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", ["existing-file", "below-a-file",
                                       "file-name-taken", "file-name-linked"])
     def test_unusable_out_exits_2(self, case, tmp_path, monkeypatch, capsys):
-        # An existing non-directory --out, or one below a file, is refused
-        # before any work; a file name taken by a directory or a symlink
-        # is refused by the finished run before it writes any file.
+        # An existing non-directory --out, one below a file, and a file
+        # name taken by a directory or a symlink are all refused before
+        # any work.
         blocker = tmp_path / "blocker"
         out = {"existing-file": blocker, "below-a-file": blocker / "out",
                "file-name-taken": tmp_path / "out",
@@ -614,9 +639,8 @@ class TestExitCodes:
         if case == "file-name-linked":
             out.mkdir()
             (out / "threshold.csv").symlink_to(blocker)
-        elif case != "file-name-taken":
-            monkeypatch.setattr(cli, "value_iterate", lambda model: pytest.fail(
-                "the run started before --out was checked"))
+        monkeypatch.setattr(cli, "value_iterate", lambda model: pytest.fail(
+            "the run started before --out was checked"))
         code = main(["dp-threshold", "--grid", "8", "--seed", "1",
                      "--out", str(out)])
         assert code == 2
@@ -629,16 +653,9 @@ class TestExitCodes:
         if case != "file-name-taken":
             assert blocker.read_text() == ""
 
-    @pytest.mark.parametrize("argv,entry", [
-        (RERUN_ARGV["optimize"], "spsa_optimize"),
-        (RERUN_ARGV["periodic-sweep"], "periodic_cost_curve"),
-        (RERUN_ARGV["flyby"] + ["--params", "PARAMS"], "policy_costs"),
-        (["persistent", "--cycles", "2", "--params", "PARAMS"],
-         "run_macro_cycles"),
-        (RERUN_ARGV["validate-linearization"], "validate_linearization"),
-        (RERUN_ARGV["dp-threshold"], "value_iterate"),
-        (RERUN_ARGV["verify-properties"], "verify_monotone"),
-    ], ids=lambda value: value[0] if isinstance(value, list) else None)
+    @pytest.mark.parametrize("argv,entry", WORK_ENTRY_ARGV,
+                             ids=lambda value: value[0]
+                             if isinstance(value, list) else None)
     def test_failing_run_writes_nothing(self, argv, entry, tmp_path,
                                         stop_first_params, monkeypatch,
                                         capsys):
@@ -646,13 +663,44 @@ class TestExitCodes:
             raise NumericalError(f"{entry} failed")
 
         monkeypatch.setattr(cli, entry, fail)
-        argv = [str(stop_first_params) if a == "PARAMS" else a for a in argv]
+        argv = with_params(argv, stop_first_params)
         out = tmp_path / "out"
         code = main(argv + ["--seed", "1", "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert err == [f"numerical failure: {entry} failed"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,entry", OUTPUT_ARGV, ids=OUTPUT_IDS)
+    def test_declared_names_are_the_files_written(self, argv, entry, tmp_path,
+                                                  stop_first_params):
+        argv = with_params(argv, stop_first_params) + [
+            "--seed", "1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        args = cli.build_parser().parse_args(argv)
+        assert manifest["outputs"] == sorted(cli._output_names(args))
+
+    @pytest.mark.parametrize("argv,entry", OUTPUT_ARGV, ids=OUTPUT_IDS)
+    def test_taken_output_name_is_refused_before_the_run(
+            self, argv, entry, tmp_path, stop_first_params, monkeypatch,
+            capsys):
+        # A trained run would lose its training to a name that only the
+        # write finds taken.
+        monkeypatch.setattr(cli, entry, lambda *args, **kwargs: pytest.fail(
+            "the run started before its output names were checked"))
+        out = tmp_path / "out"
+        argv = with_params(argv, stop_first_params) + [
+            "--seed", "1", "--out", str(out)]
+        names = cli._output_names(cli.build_parser().parse_args(argv))
+        for name in names + ["manifest.json"]:
+            (out / name).mkdir(parents=True)
+            assert main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"validation error: cannot write --out {out}: "
+                           f"{name} exists and is not a regular file"]
+            (out / name).rmdir()
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("earlier_run", [False, True],
                              ids=["new-out", "reused-out"])
@@ -917,6 +965,88 @@ def test_cli_import_loads_no_scipy():
                           text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert done.stdout.strip() == "[]"
+
+
+# dp-threshold runs that exit 0, 2 (bad input) and 3 (numerical failure).
+EXIT_ARGV = {
+    0: ["dp-threshold", "--grid", "16", "--seed", "1"],
+    2: ["dp-threshold", "--grid", "0", "--seed", "1"],
+    3: ["dp-threshold", "--grid", "16", "--f", "1e154", "--seed", "1"],
+}
+
+
+def cli_process(args):
+    """``python`` with ``args``, importing covstop from this tree."""
+    src = Path(covstop.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+
+
+def tree_bytes(out):
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("code", sorted(EXIT_ARGV))
+    def test_run_freezes_once_after_main_and_exits_with_its_code(
+            self, code, monkeypatch):
+        frozen = gc.get_freeze_count()
+        events = []
+        monkeypatch.setattr(cli, "main", lambda: events.append("main") or code)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+        assert exited.value.code == code
+        assert events == ["main", "freeze"]
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("code", sorted(EXIT_ARGV))
+    def test_main_leaves_the_heap_unfrozen(self, code, tmp_path, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(EXIT_ARGV[code] + ["--out", str(tmp_path / "out")]) \
+            == code
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("code", sorted(EXIT_ARGV))
+    def test_module_process_matches_in_process_main(self, code, tmp_path,
+                                                    capsys):
+        argv = EXIT_ARGV[code]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == code
+        expected = capsys.readouterr()
+        done = cli_process(["-m", "covstop.cli", *argv,
+                            "--out", str(tmp_path / "b")])
+        assert done.returncode == code
+        assert (done.stdout, done.stderr) == (expected.out, expected.err)
+        assert tree_bytes(tmp_path / "b") == tree_bytes(tmp_path / "a")
+        assert (tmp_path / "b").exists() == (code == 0)
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    def test_entries_freeze_then_flush_and_run_exit_handlers(self, entry,
+                                                             tmp_path):
+        # ``python -m covstop.cli`` (the module run as __main__) and the
+        # console script named in pyproject.toml, called as an installed
+        # script calls it. The exit handler runs after the heap was
+        # frozen, and prints after the run's own buffered output.
+        if entry == "module":
+            call = "import runpy; runpy.run_module('covstop.cli', " \
+                   "run_name='__main__')"
+        else:
+            tomllib = pytest.importorskip("tomllib")
+            pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+            with open(pyproject, "rb") as fh:
+                target = tomllib.load(fh)["project"]["scripts"]["covstop"]
+            module, name = target.split(":")
+            call = f"from {module} import {name}; sys.exit({name}())"
+        argv = ["covstop"] + EXIT_ARGV[0] + ["--out", str(tmp_path / "out")]
+        code = ("import atexit, gc, sys; atexit.register(lambda: print("
+                "'frozen', gc.get_freeze_count() > 0)); "
+                f"sys.argv = {argv!r}; {call}")
+        done = cli_process(["-c", code])
+        assert done.returncode == 0
+        lines = done.stdout.splitlines()
+        assert lines[0].startswith("value iteration:")
+        assert lines[1:] == ["frozen True"]
 
 
 def per_cell(value) -> str:
