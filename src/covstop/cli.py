@@ -65,8 +65,8 @@ from .filter_core import (correct, det_ratios, loewner_geq, moment_blocks,
 from .gmti import Scenario, run_macro_cycles
 from .linearization import STUDY_GAMMAS, validate_linearization
 from .observability import StoppingCase
-from .optimizer import (SpsaSchedule, evaluate_cost, periodic_cost_curve,
-                        policy_costs, spsa_optimize)
+from .optimizer import (SpsaSchedule, periodic_cost_curve, policy_costs,
+                        spsa_optimize)
 from .policy import ParamLayout, PolicyFamily, verify_monotone
 from .sampling import ordered_pair, random_pd, random_transition
 from .streams import child_seed, stream
@@ -397,23 +397,30 @@ def _load_params(path: str, scenario: Scenario):
     return params, layout
 
 
-def _require_count(flag: str, value: int) -> None:
-    if value < 1:
-        raise ContractError(f"{flag} must be at least 1, got {value}")
+def _require_count(flag: str, value: int, least: int = 1) -> None:
+    if value < least:
+        raise ContractError(f"{flag} must be at least {least}, got {value}")
 
 
 def _policy(scenario, args, seed: int, cfg: dict):
     """The run's policy and layout, and the SPSA result if it was trained.
 
     ``--params`` loads the policy and checks it against the scenario;
-    without it SPSA trains one. ``cfg`` records the canonical params
-    document (the file's content, not its path) or the training flags,
-    so the config hash covers the policy.
+    without it SPSA trains one, and only then are the training flags
+    checked. ``cfg`` records the canonical params document (the file's
+    content, not its path) or the training flags, so the config hash
+    covers the policy.
     """
     if getattr(args, "params", None):
         params, layout = _load_params(args.params, scenario)
         cfg["params"] = params_to_dict(params, layout)
         return params, layout, None
+    _require_count("--iterations", args.iterations, least=0)
+    _require_count("--restarts", args.restarts)
+    _require_count("--rollouts-per-eval", args.rollouts_per_eval)
+    if not 0.0 < args.epsilon < np.inf:
+        raise ContractError(f"--epsilon must be finite and positive, got "
+                            f"{args.epsilon}")
     cfg["train"] = {flag: getattr(args, flag) for flag in (
         "family", "iterations", "restarts", "rollouts_per_eval", "epsilon",
         "share_other", "tie_priors")}
@@ -480,10 +487,18 @@ def cmd_flyby(args) -> int:
 def cmd_periodic_sweep(args) -> int:
     scenario, cfg, seed = _load_run_scenario(args)
     k_max = args.kmax if args.kmax is not None else scenario.tau_max
+    if not 1 <= k_max <= scenario.tau_max:
+        raise ContractError(f"--kmax must lie in [1, {scenario.tau_max}] "
+                            f"(the horizon), got {k_max}")
+    _require_count("--rollouts", args.rollouts)
     cfg["kmax"] = k_max
     params = _policy(scenario, args, seed, cfg)[0] if args.params else None
     eval_seed = child_seed(seed, "cli.periodic.eval")
-    curve = periodic_cost_curve(scenario, eval_seed, args.rollouts, k_max)
+    if params is None:
+        curve = periodic_cost_curve(scenario, eval_seed, args.rollouts, k_max)
+    else:  # the policy is scored on the curve's paths
+        curve, sample_costs = periodic_cost_curve(
+            scenario, eval_seed, args.rollouts, k_max, policy=params)
     means = np.array([curve[:, k].mean() for k in range(k_max)])
     stderrs = np.array([curve[:, k].std() / np.sqrt(curve.shape[0])
                         for k in range(k_max)])
@@ -491,12 +506,10 @@ def cmd_periodic_sweep(args) -> int:
         ["k_stop", "mean_cost", "stderr"],
         [np.arange(1, k_max + 1), means, stderrs], "cost=nats+epochs*c_nu")}
     if params is not None:
-        policy_cost = evaluate_cost(scenario, params, eval_seed,
-                                    args.rollouts)
         best = int(np.argmin(means))
         outputs["envelope.csv"] = (
             ["policy_cost", "best_periodic_cost", "best_k_stop"],
-            [[policy_cost], [means[best]], [best + 1]],
+            [[float(np.mean(sample_costs))], [means[best]], [best + 1]],
             "cost=nats+epochs*c_nu")
     write_outputs(args, cfg, outputs)
     return 0
@@ -674,16 +687,22 @@ def _add_scenario_args(p: argparse.ArgumentParser, scenario_default: str):
 
 def _add_train_args(p: argparse.ArgumentParser):
     p.add_argument("--family", default="quadform",
-                   choices=[f.value for f in PolicyFamily])
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--rollouts-per-eval", type=int, default=16)
+                   choices=[f.value for f in PolicyFamily],
+                   help="policy family to train")
+    p.add_argument("--iterations", type=int, default=200,
+                   help="SPSA iterations per restart, 0 or more")
+    p.add_argument("--restarts", type=int, default=4,
+                   help="SPSA restarts, at least 1")
+    p.add_argument("--rollouts-per-eval", type=int, default=16,
+                   help="rollouts per training cost evaluation, at least 1")
     p.add_argument("--epsilon", type=float, default=0.25,
                    help="SPSA step-gain numerator: iteration n steps by "
                         "epsilon/(n+2+s)^zeta, applied unscaled whatever "
                         "the start's magnitude")
-    p.add_argument("--share-other", action="store_true")
-    p.add_argument("--tie-priors", action="store_true")
+    p.add_argument("--share-other", action="store_true",
+                   help="one weight block for every non-priority target")
+    p.add_argument("--tie-priors", action="store_true",
+                   help="weigh the priors with the posteriors' weights")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -696,16 +715,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p, "flyby")
     _add_train_args(p)
     p.add_argument("--params", help="trained policy params JSON")
-    p.add_argument("--pd-grid", default="0.6,0.75,0.9")
-    p.add_argument("--cnu-grid", default="0.2,0.4,0.8,1.6")
-    p.add_argument("--rollouts", type=int, default=500)
+    p.add_argument("--pd-grid", default="0.6,0.75,0.9",
+                   help="comma-separated detection probabilities")
+    p.add_argument("--cnu-grid", default="0.2,0.4,0.8,1.6",
+                   help="comma-separated operating costs")
+    p.add_argument("--rollouts", type=int, default=500,
+                   help="rollouts per grid cell, at least 1")
     p.set_defaults(func=cmd_flyby)
 
     p = sub.add_parser("persistent", help="macro/micro log-determinant traces")
     _add_scenario_args(p, "persistent")
     _add_train_args(p)
     p.add_argument("--params", help="trained policy params JSON")
-    p.add_argument("--cycles", type=int, default=12)
+    p.add_argument("--cycles", type=int, default=12,
+                   help="macro cycles, at least 1")
     p.set_defaults(func=cmd_persistent)
 
     p = sub.add_parser("optimize", help="SPSA policy-parameter search")
@@ -716,8 +739,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("periodic-sweep",
                        help="deterministic stopping-time cost sweep")
     _add_scenario_args(p, "flyby")
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--rollouts", type=int, default=500)
+    p.add_argument("--kmax", type=int,
+                   help="last stopping epoch swept, in [1, tau_max] "
+                        "(default: tau_max)")
+    p.add_argument("--rollouts", type=int, default=500,
+                   help="rollouts, at least 1")
     p.add_argument("--params", help="compare against trained params JSON")
     p.set_defaults(func=cmd_periodic_sweep)
 
@@ -725,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Jacobian drift and Taylor-ratio tables")
     p.add_argument("--seed", type=int, required=True,
                    help="run seed, a non-negative integer")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seeds", type=int, default=100,
                    help="true-track realizations per table cell")
     p.set_defaults(func=cmd_validate_linearization)
@@ -734,21 +760,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="value-iteration oracle and threshold curve")
     p.add_argument("--seed", type=int, required=True,
                    help="run seed, a non-negative integer")
-    p.add_argument("--out", required=True)
-    p.add_argument("--grid", type=int, default=128)
-    p.add_argument("--f", type=float, default=1.0)
-    p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--pd", type=float)
-    p.add_argument("--c-nu", dest="c_nu", type=float)
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--grid", type=int, default=128,
+                   help="grid points per covariance axis, at least 1")
+    p.add_argument("--f", type=float, default=1.0,
+                   help="scalar state transition of both targets")
+    p.add_argument("--q", type=float, default=1.0,
+                   help="scalar process noise variance")
+    p.add_argument("--r", type=float, default=1.0,
+                   help="scalar measurement noise variance")
+    p.add_argument("--pd", type=float,
+                   help="detection probability (default: 0.75)")
+    p.add_argument("--c-nu", dest="c_nu", type=float,
+                   help="operating cost per epoch (default: 0.8)")
     p.set_defaults(func=cmd_dp_threshold)
 
     p = sub.add_parser("verify-properties",
                        help="sampled monotonicity property suites")
     p.add_argument("--seed", type=int, required=True,
                    help="run seed, a non-negative integer")
-    p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--samples", type=int, default=1000,
+                   help="samples per property suite, at least 1")
     p.set_defaults(func=cmd_verify_properties)
 
     return parser

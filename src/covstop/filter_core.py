@@ -23,8 +23,9 @@ only the targets it measures; it runs only ``predict`` and ``correct``
 epoch by epoch, and calls ``logdets`` once per block of stored epochs.
 ``det_ratios`` and ``loewner_geq`` decide ``verify-properties``' stacks
 of sampled matrices. The products take a contiguous transpose (F' for
-``predict``, G' for ``correct``), which the engine builds once per run
-and other callers once per call. ``lyapunov_update`` and
+``predict``, G' for ``correct``), which the engine builds once per set
+of models and priorities (``optimizer._dynamics``) and other callers
+once per call. ``lyapunov_update`` and
 ``riccati_update`` are per-matrix views on a ``TargetModel``, which only
 the scalar rollout, a reference for tests and the benchmark, calls.
 """

@@ -317,11 +317,10 @@ def run_macro_cycles(scenario: Scenario, policy: MacroPolicy, n_cycles: int,
     once per location, with only their new H checked; a scenario
     without an orbit keeps its own models. The engine's ``_dynamics``
     of a cycle's models and priorities are built once per (location,
-    priority target) and handed to it without building a scenario; they
-    all share one stack of F, F' and Q and the per-row copies of it,
-    since re-linearizing changes only H. The engine carries the cycle's
-    prior in its state with the path's posterior, so each simulated
-    epoch is one stacked predict and correct step.
+    priority target) and handed to it without building a scenario. The
+    engine carries the cycle's prior in its state with the path's
+    posterior, so each simulated epoch is one stacked predict and
+    correct step.
     """
     if not isinstance(policy, MacroPolicy):
         raise ContractError("the macro-cycle policy must be PolicyParams or "
@@ -331,7 +330,7 @@ def run_macro_cycles(scenario: Scenario, policy: MacroPolicy, n_cycles: int,
     log_dets = logdets(np.array(posteriors))[0]
     location = scenario.orbit.start_location if scenario.orbit else None
     models_by_location = {}
-    dynamics, built = {}, None  # (location, a) -> the engine's _dynamics
+    dynamics = {}  # (location, a) -> the engine's _dynamics
     taus, priority_targets = [], []
     logdet_posts, logdet_priors, detected = [], [], []
     for cycle in range(n_cycles):
@@ -341,9 +340,8 @@ def run_macro_cycles(scenario: Scenario, policy: MacroPolicy, n_cycles: int,
             if location not in models_by_location:
                 models_by_location[location] = models_at_location(scenario,
                                                                   location)
-            # Every location's models have the scenario's F and Q.
-            built = dynamics[location, a] = _dynamics(
-                models_by_location[location], nu, like=built)
+            dynamics[location, a] = _dynamics(models_by_location[location],
+                                              nu)
         (batch,) = _path_chunks(
             scenario, [child_seed(seed, "macro.cycle", cycle)], policy,
             belief=Belief(posteriors, posteriors, a),

@@ -253,11 +253,11 @@ class PathBatch:
     the engine finds a failure only at the end of the stop block it
     happened in, and runs the path on from its bad state until then.
 
-    ``features`` keeps the ``covariance_features`` of the posteriors and
-    priors once something has computed them: the engine's stop check,
-    or the first call for a family of the same kind (the eigen families
-    share theirs). They, the log-determinants and the stopping costs
-    are computed on the rows, so a shared target's are its prior's.
+    ``features`` keeps each family's ``covariance_features`` of the
+    posteriors and priors once something has computed them: the
+    engine's stop check, or the first call for that family. They, the
+    log-determinants and the stopping costs are computed on the rows,
+    so a shared target's are its prior's.
     """
 
     a: int
@@ -271,7 +271,7 @@ class PathBatch:
     logdet_posteriors: np.ndarray  # (B, T, L)
     logdet_priors: np.ndarray  # (T, L)
     failed_at: np.ndarray  # (B,)
-    # feature kind -> (K, B, T, L) and (K, T, L) features
+    # PolicyFamily -> (K, B, T, L) and (K, T, L) features
     _features: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -296,12 +296,11 @@ class PathBatch:
 
     def features(self, family: PolicyFamily) -> tuple[np.ndarray, np.ndarray]:
         """``covariance_features`` of the posteriors and the priors."""
-        kind = _feature_kind(family)
-        if kind not in self._features:
+        if family not in self._features:
             features = self.layout.spread(covariance_features(self.rows,
                                                               family))
-            self._features[kind] = (features[:, 1:], features[:, 0])
-        return self._features[kind]
+            self._features[family] = (features[:, 1:], features[:, 0])
+        return self._features[family]
 
     def stop_epochs(self, policy: PolicyParams | StopAt) -> np.ndarray:
         """Each path's stopping epoch under a policy.
@@ -348,11 +347,6 @@ class PathBatch:
                 f"of {failed.size} paths")
 
 
-def _feature_kind(family: PolicyFamily) -> str:
-    """Families with equal ``covariance_features`` share a kind."""
-    return "entries" if family is PolicyFamily.QUADFORM else "eigenvalues"
-
-
 def _span(mask: np.ndarray) -> slice:
     """The slice from the first to the last True entry of a target mask."""
     index = np.flatnonzero(mask)
@@ -367,8 +361,7 @@ class _Dynamics:
     ``g``, ``g_t`` (G') and ``d`` the moment blocks of the ``measured``
     span, from the first to the last target of positive priority; a
     zero-priority target inside it gets an unused placeholder noise, as
-    its detections are always masked out. ``rows`` keeps each chunk
-    layout's per-row stacks (see ``row_stacks``). Built by ``_dynamics``.
+    its detections are always masked out. Built by ``_dynamics``.
     """
 
     f: np.ndarray  # (L, m, m)
@@ -380,53 +373,35 @@ class _Dynamics:
     g: np.ndarray
     g_t: np.ndarray
     d: np.ndarray
-    rows: dict  # (paths, distinct start, stop) -> ``row_stacks``
 
     @property
     def n_targets(self) -> int:
         return self.f.shape[0]
 
-    def row_stacks(self, layout: _Rows) -> tuple:
-        """Each row's target, and its F, F' and Q, built once per layout
-        and shared by every chunk laid out alike (never written)."""
-        key = (layout.n_paths, layout.distinct.start, layout.distinct.stop)
-        if key not in self.rows:
-            targets = layout.targets()
-            self.rows[key] = (targets, self.f[targets], self.f_t[targets],
-                              self.q[targets])
-        return self.rows[key]
 
-
-def _dynamics(models: Sequence, priorities: np.ndarray,
-              like: _Dynamics | None = None) -> _Dynamics:
+def _dynamics(models: Sequence, priorities: np.ndarray) -> _Dynamics:
     """The path engine's ``_Dynamics`` of models and priorities, which
-    are not validated again. ``like``, dynamics whose models have the
-    same F and Q as these (only H differs), lends its F, F' and Q stacks
-    and its per-row stacks, which the two then share."""
+    are not validated again."""
     if len({(m.state_dim, m.obs_dim) for m in models}) != 1:
         raise ContractError("batched paths need one state and one "
                             "observation dimension for every target")
     priorities = np.asarray(priorities, dtype=float)
-    if like is None:
-        f = np.array([m.F for m in models])
-        q = np.array([m.Q for m in models])
-        # Each (m, m) matrix must be C-contiguous in its last two axes: on
-        # other strides numpy's stacked matmul may not give each matrix
-        # the bits it gets on its own. Taking rows of these stacks keeps
-        # this.
-        f_t, rows = f.swapaxes(-1, -2).copy(), {}
-    else:
-        f, f_t, q, rows = like.f, like.f_t, like.q, like.rows
+    f = np.array([m.F for m in models])
+    q = np.array([m.Q for m in models])
     measurable = priorities > 0.0
     measured = _span(measurable)
     h = np.array([m.H for m in models[measured]])
     r = np.array([m.effective_noise(nu) if nu > 0.0 else m.r_base
                   for m, nu in zip(models[measured], priorities[measured])])
     g, d = moment_blocks(f[measured], h, q[measured], r)
-    return _Dynamics(f=f, f_t=f_t, q=q, measurable=measurable,
+    # Each (m, m) matrix must be C-contiguous in its last two axes: on
+    # other strides numpy's stacked matmul may not give each matrix the
+    # bits it gets on its own. Taking rows of these stacks keeps this.
+    return _Dynamics(f=f, f_t=f.swapaxes(-1, -2).copy(), q=q,
+                     measurable=measurable,
                      p_d=np.array([m.p_d for m in models]),
                      measured=measured, g=g,
-                     g_t=g.swapaxes(-1, -2).copy(), d=d, rows=rows)
+                     g_t=g.swapaxes(-1, -2).copy(), d=d)
 
 
 def _path_chunks(scenario, seeds: Sequence[int],
@@ -455,15 +430,15 @@ def _path_chunks(scenario, seeds: Sequence[int],
     ``correct`` of the previous posteriors on the span of measured
     targets, whose result replaces the prediction where the epoch's
     detection mask is set; an epoch on which no path detects a measured
-    target makes no correction. The stacks of F, F' and Q, the measured
-    span's moment blocks G, G' and D, and each chunk layout's per-row F,
-    F' and Q come from ``dynamics`` (see ``_Dynamics``), built once per
-    call unless the caller passes them. The epochs between two
-    stop checks (all of them under ``StopAt``) form a block. At its end
-    the block's correction failures are recorded, and one ``logdets``
-    call and, under PolicyParams, one ``covariance_features`` call run
-    on its rows, so each shared target's covariances are decomposed
-    once, as priors. These are ``filter_core``'s steps behind
+    target makes no correction. The stacks of F, F' and Q and the
+    measured span's moment blocks G, G' and D come from ``dynamics``
+    (see ``_Dynamics``), built once per call unless the caller passes
+    them; each chunk takes its rows' F, F' and Q from them. The epochs
+    between two stop checks (all of them under ``StopAt``) form a block.
+    At its end the block's correction failures are recorded, and one
+    ``logdets`` call and, under PolicyParams, one ``covariance_features``
+    call run on its rows, so each shared target's covariances are
+    decomposed once, as priors. These are ``filter_core``'s steps behind
     lyapunov_update and riccati_update, which give each matrix of a
     stack the bits it gets on its own, so every chunk recomputes the
     same priors.
@@ -513,7 +488,9 @@ def _path_chunks(scenario, seeds: Sequence[int],
         chunk = seeds[start:start + chunk_size]
         n_paths = len(chunk)
         layout = _Rows(n_targets, n_paths, distinct)
-        targets, f_rows, f_rows_t, q_rows = dynamics.row_stacks(layout)
+        targets = layout.targets()
+        f_rows, f_rows_t = dynamics.f[targets], dynamics.f_t[targets]
+        q_rows = dynamics.q[targets]
         by_path = (n_paths, layout.width, m, m)  # a state's posterior rows
         # The state buffers come first: a horizon too long for memory
         # fails here, before any detection is drawn.
@@ -590,8 +567,8 @@ def _path_chunks(scenario, seeds: Sequence[int],
             logdet_priors=logdet_states[0], failed_at=failed_at)
         if checked:
             features = np.concatenate(block_features, axis=-2)
-            batch._features[_feature_kind(policy.family)] = (
-                features[:, 1:], features[:, 0])
+            batch._features[policy.family] = (features[:, 1:],
+                                              features[:, 0])
         yield batch
 
 
@@ -839,7 +816,9 @@ def periodic_policy_cost(scenario, k_stop: int, seed: int,
 
 
 def periodic_cost_curve(scenario, seed: int, n_rollouts: int,
-                        k_max: int | None = None) -> np.ndarray:
+                        k_max: int | None = None,
+                        policy: PolicyParams | None = None
+                        ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Sample costs of every deterministic stopping time in one sweep.
 
     Returns an (n_rollouts, k_max) array whose [b, k-1] entry equals,
@@ -851,17 +830,27 @@ def periodic_cost_curve(scenario, seed: int, n_rollouts: int,
     and the per-k cost stay independent and each checks the other. Any
     numerical failure within the horizon, even after k_max, raises
     NumericalError, and so does a sample cost that is not finite.
+
+    With ``policy``, returns the curve and that policy's (n_rollouts,)
+    sample costs, scored by ``score_paths`` on the same chunks: their
+    mean is ``evaluate_cost(scenario, policy, seed, n_rollouts)``.
     """
     k_max = scenario.tau_max if k_max is None else k_max
     if not 1 <= k_max <= scenario.tau_max:
         raise ContractError("k_max must lie in [1, tau_max]")
-    stopping_costs = []
+    stopping_costs, sample_costs = [], []
     for batch in _path_chunks(scenario, _eval_seeds(seed, n_rollouts),
                               StopAt(scenario.tau_max)):
         batch.raise_failures()
         stopping_costs.append(batch.stopping_costs[:, :k_max])
+        if policy is not None:
+            sample_costs.append(score_paths(batch, policy)[1])
     with np.errstate(over="ignore"):  # an overflow is refused below
         curve = np.arange(k_max) * scenario.weights.operating_cost \
             + np.concatenate(stopping_costs)
     _check_finite_costs(curve, scenario)
-    return curve
+    if policy is None:
+        return curve
+    costs = np.concatenate(sample_costs)
+    _check_finite_costs(costs, scenario)
+    return curve, costs

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import gc
@@ -17,14 +18,15 @@ import pytest
 import covstop
 from covstop import cli, optimizer
 from covstop.cli import main
-from covstop.config import _bundled_path, params_to_dict, stock_scenario
+from covstop.config import (_bundled_path, params_from_dict, params_to_dict,
+                            stock_scenario)
 from covstop.dp_oracle import make_scalar_model, value_iterate
 from covstop.errors import ContractError, NumericalError
 from covstop.filter_core import (TargetModel, loewner_geq, lyapunov_update,
                                  riccati_update)
 from covstop.policy import ParamLayout, PolicyFamily
 from covstop.sampling import ordered_pair, random_pd, random_transition
-from covstop.streams import stream
+from covstop.streams import child_seed, stream
 
 
 # Subcommands that take --params and --config.
@@ -205,6 +207,34 @@ class TestPeriodicSweep:
         assert envelope[1] == rows[best][1]
         assert envelope[2] == str(best + 1)
 
+    def test_params_sweep_simulates_its_seeds_once(self, tmp_path,
+                                                   monkeypatch):
+        # Eigen-sum weights 0.1 on every largest eigenvalue stop the
+        # paths from epoch 2 to the horizon; 300 rollouts are two chunks.
+        layout = ParamLayout(PolicyFamily.EIGEN_SUM, 4, 4)
+        phi = np.zeros(layout.n_params)
+        phi[::4] = math.sqrt(0.1)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params_to_dict(layout.build(phi), layout)))
+        calls = []
+        path_chunks = optimizer._path_chunks
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return path_chunks(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "_path_chunks", counted)
+        out = tmp_path / "out"
+        assert main(["periodic-sweep", "--rollouts", "300", "--params",
+                     str(path), "--seed", "8", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        (envelope,) = csv.reader(
+            (out / "envelope.csv").read_text().splitlines()[2:])
+        params, _ = params_from_dict(json.loads(path.read_text()))
+        assert envelope[0] == repr(optimizer.evaluate_cost(
+            stock_scenario("flyby"), params,
+            child_seed(8, "cli.periodic.eval"), 300))
+
 
 class TestPersistent:
     def test_reruns_identical_manifest_complete_values_finite(
@@ -305,6 +335,13 @@ OUTPUT_IDS = ([argv[0] for argv, _ in WORK_ENTRY_ARGV]
               + ["periodic-sweep-params"])
 
 
+# Flags whose values the CLI checks itself; their errors name them.
+CLI_CHECKED_FLAGS = ("--rollouts", "--kmax", "--pd-grid", "--cnu-grid",
+                     "--cycles", "--grid", "--samples", "--seeds",
+                     "--iterations", "--restarts", "--rollouts-per-eval",
+                     "--epsilon")
+
+
 def with_params(argv, params):
     return [str(params) if a == "PARAMS" else a for a in argv]
 
@@ -333,16 +370,38 @@ class TestExitCodes:
         ["validate-linearization", "--seeds", "0"],
         ["optimize", "--restarts", "0"],
         ["optimize", "--epsilon", "nan"],
+        ["periodic-sweep", "--kmax", "99"],
+        ["optimize", "--rollouts-per-eval", "0"],
+        ["optimize", "--iterations", "-1"],
     ])
     def test_bad_input_exits_2(self, argv, tmp_path, stop_first_params,
                                capsys):
         out = tmp_path / "out"
+        refused = argv[-2]  # each case ends with its refused flag and value
         if argv[0] in PARAMS_COMMANDS:
             argv = argv + ["--params", str(stop_first_params)]
         code = main(argv + ["--seed", "1", "--out", str(out)])
         assert code == 2
-        assert "validation error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "validation error:" in err
+        if refused in CLI_CHECKED_FLAGS:
+            assert f"validation error: {refused} " in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["flyby", "persistent"])
+    def test_training_flags_are_not_checked_under_params(
+            self, command, tmp_path, stop_first_params):
+        argv = PARAMS_ARGV[command] + [
+            "--params", str(stop_first_params), "--iterations", "-1",
+            "--restarts", "0", "--rollouts-per-eval", "0", "--epsilon", "nan"]
+        assert main(argv + ["--seed", "1", "--out", str(tmp_path / "out")]) \
+            == 0
+
+    def test_zero_iterations_train(self, tmp_path):
+        argv = ["optimize", "--family", "eigen-sum", "--iterations", "0",
+                "--restarts", "1", "--rollouts-per-eval", "2"]
+        assert main(argv + ["--seed", "1", "--out", str(tmp_path / "out")]) \
+            == 0
 
     @pytest.mark.parametrize("command", [
         "periodic-sweep", "flyby", "persistent", "optimize", "dp-threshold",
@@ -766,6 +825,15 @@ class TestExitCodes:
         assert code == 2
         assert "validation error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_every_flag_has_help():
+    parser = cli.build_parser()
+    (commands,) = [action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    for command, sub in commands.items():
+        for action in sub._actions:
+            assert action.help, (command, action.option_strings)
 
 
 def test_optimize_prints_the_re_rank_cost(tmp_path, monkeypatch, capsys):

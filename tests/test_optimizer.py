@@ -480,9 +480,10 @@ class TestPathEngine:
     @pytest.mark.parametrize("chunk_paths", [1, 2, 3, 4, 5])
     def test_objective_equals_evaluate_cost_in_any_chunking(
             self, monkeypatch, chunk_paths):
-        # Five seeds in five to one chunks. The objective scores every
-        # policy on full-horizon chunks, evaluate_cost on chunks stopped
-        # for that policy; the costs must agree bit for bit.
+        # Five seeds in five to one chunks. The objective and the
+        # periodic curve score every policy on full-horizon chunks,
+        # evaluate_cost on chunks stopped for that policy; the costs must
+        # agree bit for bit.
         scenario = stock_scenario("flyby")
         monkeypatch.setattr(optimizer, "_CHUNK_ENTRIES",
                             chunk_paths * 60 * 4 * 4 * 4)
@@ -494,9 +495,12 @@ class TestPathEngine:
             objective = rollout_objective(scenario, layout, 5)
             phis = [scale * stream(1, "engine.params").uniform(
                 -1.0, 1.0, layout.n_params) for scale in (0.03, 0.1, 1.0)]
-            assert objective(phis, 4) == \
-                [evaluate_cost(scenario, layout.build(phi), 4, 5)
-                 for phi in phis]
+            expected = [evaluate_cost(scenario, layout.build(phi), 4, 5)
+                        for phi in phis]
+            assert objective(phis, 4) == expected
+            assert [float(np.mean(periodic_cost_curve(
+                scenario, 4, 5, policy=layout.build(phi))[1]))
+                for phi in phis] == expected
 
     def test_objective_simulates_each_seed_once(self, monkeypatch):
         scenario = stock_scenario("flyby")
