@@ -26,8 +26,9 @@ name the run will write (``OUTPUT_NAMES``) that exists in ``--out`` as
 anything but a regular file, so a typo or a taken name costs no run.
 
 Exit codes: 0 success, 2 validation error (bad input, a run too large
-for memory, or an ``--out`` that cannot be made or written), 3 numerical
-failure, a sample cost that overflows to a non-finite value included.
+for memory or with an array size numpy cannot index, or an ``--out``
+that cannot be made or written), 3 numerical failure, a sample cost
+that overflows to a non-finite value included.
 
 The process entry, ``python -m covstop.cli`` and the ``covstop``
 script, is ``run``: it calls ``main``, moves every object still alive
@@ -499,9 +500,11 @@ def cmd_periodic_sweep(args) -> int:
     else:  # the policy is scored on the curve's paths
         curve, sample_costs = periodic_cost_curve(
             scenario, eval_seed, args.rollouts, k_max, policy=params)
-    means = np.array([curve[:, k].mean() for k in range(k_max)])
-    stderrs = np.array([curve[:, k].std() / np.sqrt(curve.shape[0])
-                        for k in range(k_max)])
+    # Each k's costs made contiguous sum as curve[:, k].mean() sums them;
+    # curve.mean(axis=0) differs in the last bits.
+    by_k = np.ascontiguousarray(curve.T)
+    means = by_k.mean(axis=1)
+    stderrs = by_k.std(axis=1) / np.sqrt(curve.shape[0])
     outputs = {"periodic_costs.csv": (
         ["k_stop", "mean_cost", "stderr"],
         [np.arange(1, k_max + 1), means, stderrs], "cost=nats+epochs*c_nu")}
@@ -787,6 +790,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# How numpy's ValueError begins for an array size it cannot index,
+# which it refuses before allocating; main reports it as a MemoryError.
+_NUMPY_SIZE_ERRORS = ("Maximum allowed dimension exceeded",
+                      "Maximum allowed size exceeded", "array is too big")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -806,7 +815,10 @@ def main(argv=None) -> int:
     except ContractError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) \
+                and not str(exc).startswith(_NUMPY_SIZE_ERRORS):
+            raise
         print(f"validation error: run too large for memory: {exc}",
               file=sys.stderr)
         return 2

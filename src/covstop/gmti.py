@@ -184,7 +184,12 @@ def macro_select_priority(log_dets: np.ndarray, mode: MacroMode,
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything a stopping-problem run needs, immutable once built."""
+    """Everything a stopping-problem run needs, immutable once built.
+
+    Every target's model has the same state dimension m and the same
+    observation dimension, and each target's initial posterior and prior
+    covariance is m x m; the path engine stacks them all.
+    """
 
     models: tuple
     priorities: np.ndarray
@@ -216,11 +221,20 @@ class Scenario:
             raise ContractError("cost weights must cover every target")
         if self.tau_max < 1:
             raise ContractError("tau_max must be at least 1")
+        if len({(model.state_dim, model.obs_dim)
+                for model in self.models}) != 1:
+            raise ContractError("every target's model needs the same state "
+                                "and observation dimensions")
         if len(self.initial_posteriors) != n or len(self.initial_priors) != n:
             raise ContractError("initial covariances must cover every target")
+        m = self.models[0].state_dim
         for l in range(n):
-            check_covariance(self.initial_posteriors[l], f"P0[{l}]")
-            check_covariance(self.initial_priors[l], f"Pbar0[{l}]")
+            for name, p in ((f"P0[{l}]", self.initial_posteriors[l]),
+                            (f"Pbar0[{l}]", self.initial_priors[l])):
+                shape = check_covariance(p, name).shape
+                if shape != (m, m):
+                    raise ContractError(f"{name} must be {m} x {m}, the "
+                                        f"state dimension, got {shape}")
 
     @property
     def n_targets(self) -> int:

@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import ContractError
 from .filter_core import TargetModel
-from .gmti import (PlatformState, jacobian_h, nonlinear_h, propagate_truth,
-                   system_matrices)
+from .gmti import PlatformState, jacobian_h, propagate_truth, system_matrices
 from .streams import stream
 
 

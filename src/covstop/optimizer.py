@@ -253,9 +253,9 @@ class PathBatch:
     the engine finds a failure only at the end of the stop block it
     happened in, and runs the path on from its bad state until then.
 
-    ``features`` keeps each family's ``covariance_features`` of the
-    posteriors and priors once something has computed them: the
-    engine's stop check, or the first call for that family. They, the
+    ``features`` computes each family's ``covariance_features`` of the
+    posteriors and priors on its first call for that family and keeps
+    them; the engine's stop checks keep theirs to themselves. They, the
     log-determinants and the stopping costs are computed on the rows,
     so a shared target's are its prior's.
     """
@@ -381,10 +381,8 @@ class _Dynamics:
 
 def _dynamics(models: Sequence, priorities: np.ndarray) -> _Dynamics:
     """The path engine's ``_Dynamics`` of models and priorities, which
-    are not validated again."""
-    if len({(m.state_dim, m.obs_dim) for m in models}) != 1:
-        raise ContractError("batched paths need one state and one "
-                            "observation dimension for every target")
+    are not validated again: ``Scenario`` gives every target one state
+    and one observation dimension."""
     priorities = np.asarray(priorities, dtype=float)
     f = np.array([m.F for m in models])
     q = np.array([m.Q for m in models])
@@ -417,8 +415,9 @@ def _path_chunks(scenario, seeds: Sequence[int],
     PolicyParams the decision statistic is evaluated every _STOP_BLOCK
     epochs, and a chunk ends at the first check by which every one of
     its paths has reached 1 (or at the horizon); the first epoch at
-    which each path reached it is its ``taus`` entry, and the features
-    the checks computed stay in the batch. Chunk sizes do not depend on
+    which each path reached it is its ``taus`` entry. The checks'
+    features are not kept: scoring another policy on the batch computes
+    its own (see ``PathBatch.features``). Chunk sizes do not depend on
     the policy.
 
     A chunk simulates one (rows, m, m) state laid out by ``_Rows``:
@@ -506,7 +505,6 @@ def _path_chunks(scenario, seeds: Sequence[int],
         state = np.empty(rows.shape[1:])
         state[:n_targets] = start_prior
         state[n_targets:] = start_post[targets[n_targets:]]
-        block_features = []
         failed_at = np.zeros(n_paths, dtype=int)
         # Stopping epochs under a checked policy, 0 until a check finds one.
         taus = np.zeros(n_paths, dtype=int)
@@ -548,7 +546,6 @@ def _path_chunks(scenario, seeds: Sequence[int],
             if checked:
                 features = layout.spread(covariance_features(
                     rows[begin:end], policy.family))
-                block_features.append(features)
                 stops = weigh_features(features[:, 1:], features[:, 0],
                                        belief.a, policy) >= 1.0
                 if stops.any():
@@ -559,17 +556,12 @@ def _path_chunks(scenario, seeds: Sequence[int],
             taus[:] = last
         taus[taus == 0] = horizon
         logdet_states = layout.spread(logdet_rows[:end])
-        batch = PathBatch(
+        yield PathBatch(
             a=belief.a, horizon=horizon, weights=scenario.weights,
             policy=policy, taus=taus, layout=layout,
             detections=detections[:, :end], rows=rows[:end],
             logdet_posteriors=logdet_states[1:],
             logdet_priors=logdet_states[0], failed_at=failed_at)
-        if checked:
-            features = np.concatenate(block_features, axis=-2)
-            batch._features[policy.family] = (features[:, 1:],
-                                              features[:, 0])
-        yield batch
 
 
 def score_paths(paths: PathBatch, policy: PolicyParams | StopAt

@@ -142,6 +142,35 @@ BAD_NUMBER_FILE = [
 ]
 
 
+# Scenario-file refusals with the key or covariance their message must
+# name; DELETE removes the key. A covariance the size of no state, and a
+# horizon of more epochs than numpy can index, gave tracebacks.
+DELETE = object()
+ASYMMETRIC = [[100.0, 1.0, 0.0, 0.0], [0.0, 25.0, 0.0, 0.0],
+              [0.0, 0.0, 100.0, 0.0], [0.0, 0.0, 0.0, 25.0]]
+NAMED_CONFIG = [
+    (("bogus",), 1.0, "bogus"),
+    (("model", "bogus"), 1.0, "bogus"),
+    (("model",), DELETE, "model"),
+    (("seed",), DELETE, "seed"),
+    (("weights",), 5, "weights"),
+    (("targets", 0, "posterior_cov"), [[100.0, 0.0, 0.0, 0.0]],
+     "targets[0].posterior_cov"),
+    (("platform", "kind"), "helix", "platform kind"),
+    (("targets", 0, "posterior_cov"), ASYMMETRIC, "P0[0]"),
+    (("targets", 0, "posterior_cov"), [1.0, 1.0], "P0[0]"),
+    (("targets", 0, "prior_cov"), [1.0, 1.0], "Pbar0[0]"),
+    (("tau_max",), 10**30, "run too large for memory"),
+]
+
+
+def named_config_id(case):
+    keys, value, _ = case
+    text = "deleted" if value is DELETE else json.dumps(value,
+                                                        separators=(",", ":"))
+    return f"{'.'.join(map(str, keys))}={text}"
+
+
 def bad_number_id(case):
     document, keys, value = case
     text = ("401-digits" if isinstance(value, int)
@@ -206,6 +235,29 @@ class TestPeriodicSweep:
         best = int(np.argmin([float(mean) for _, mean, _ in rows]))
         assert envelope[1] == rows[best][1]
         assert envelope[2] == str(best + 1)
+
+    def test_columns_are_each_k_s_mean_and_stderr(self, tmp_path,
+                                                  monkeypatch):
+        # To the last bit of curve[:, k]'s mean and std / sqrt(rollouts);
+        # from 80 rows up curve.mean(axis=0) differs in the last bits.
+        curves = []
+        curve_of = cli.periodic_cost_curve
+
+        def kept(*args, **kwargs):
+            curves.append(curve_of(*args, **kwargs))
+            return curves[-1]
+
+        monkeypatch.setattr(cli, "periodic_cost_curve", kept)
+        out = tmp_path / "out"
+        assert main(["periodic-sweep", "--rollouts", "80", "--seed", "8",
+                     "--out", str(out)]) == 0
+        (curve,) = curves
+        rows = list(csv.reader(
+            (out / "periodic_costs.csv").read_text().splitlines()[2:]))
+        assert rows == [
+            [str(k + 1), repr(float(curve[:, k].mean())),
+             repr(float(curve[:, k].std() / np.sqrt(80)))]
+            for k in range(curve.shape[1])]
 
     def test_params_sweep_simulates_its_seeds_once(self, tmp_path,
                                                    monkeypatch):
@@ -342,6 +394,19 @@ CLI_CHECKED_FLAGS = ("--rollouts", "--kmax", "--pd-grid", "--cnu-grid",
                      "--epsilon")
 
 
+# Sizes numpy refuses, with a ValueError, before it allocates anything.
+UNINDEXABLE_ARGV = [
+    ["periodic-sweep", "--tau-max", str(10**21)],
+    ["periodic-sweep", "--rollouts", "500", "--tau-max", str(10**17)],
+    ["flyby", "--tau-max", str(10**20)],
+    ["persistent", "--tau-max", str(10**20)],
+    ["dp-threshold", "--grid", str(10**21)],
+    ["verify-properties", "--samples", str(10**17)],
+    ["verify-properties", "--samples", str(10**20)],
+    ["validate-linearization", "--seeds", str(10**23)],
+]
+
+
 def with_params(argv, params):
     return [str(params) if a == "PARAMS" else a for a in argv]
 
@@ -373,19 +438,36 @@ class TestExitCodes:
         ["periodic-sweep", "--kmax", "99"],
         ["optimize", "--rollouts-per-eval", "0"],
         ["optimize", "--iterations", "-1"],
+        *UNINDEXABLE_ARGV,
     ])
     def test_bad_input_exits_2(self, argv, tmp_path, stop_first_params,
                                capsys):
         out = tmp_path / "out"
         refused = argv[-2]  # each case ends with its refused flag and value
+        unindexable = argv in UNINDEXABLE_ARGV
         if argv[0] in PARAMS_COMMANDS:
             argv = argv + ["--params", str(stop_first_params)]
         code = main(argv + ["--seed", "1", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert "validation error:" in err
-        if refused in CLI_CHECKED_FLAGS:
+        if unindexable:  # numpy refuses the size, not the CLI
+            assert err.startswith("validation error: run too large for "
+                                  "memory: ")
+            assert len(err.splitlines()) == 1
+        elif refused in CLI_CHECKED_FLAGS:
             assert f"validation error: {refused} " in err
+        assert not out.exists()
+
+    def test_other_value_error_propagates(self, tmp_path, monkeypatch):
+        def value_iterate(*args, **kwargs):  # near numpy's size messages
+            raise ValueError("Maximum allowed")
+
+        monkeypatch.setattr(cli, "value_iterate", value_iterate)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="^Maximum allowed$"):
+            main(["dp-threshold", "--grid", "8", "--seed", "1", "--out",
+                  str(out)])
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["flyby", "persistent"])
@@ -508,24 +590,35 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "keys,value", MALFORMED_CONFIG + NON_NUMBER_CONFIG,
+        "keys,value,named",
+        [(keys, value, None)
+         for keys, value in MALFORMED_CONFIG + NON_NUMBER_CONFIG]
+        + NAMED_CONFIG,
         ids=[".".join(map(str, keys)) for keys, _ in MALFORMED_CONFIG]
         + [".".join(map(str, keys)) + "=" + json.dumps(value)
-           for keys, value in NON_NUMBER_CONFIG])
-    def test_malformed_config_value_exits_2(self, keys, value, tmp_path,
-                                            capsys):
+           for keys, value in NON_NUMBER_CONFIG]
+        + list(map(named_config_id, NAMED_CONFIG)))
+    def test_malformed_config_value_exits_2(self, keys, value, named,
+                                            tmp_path, capsys):
         spec = json.loads(_bundled_path("flyby").read_text())
         node = spec
         for key in keys[:-1]:
             node = node[key]
-        node[keys[-1]] = value
+        if value is DELETE:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
         path = tmp_path / "config.json"
         path.write_text(json.dumps(spec))
         out = tmp_path / "out"
         code = main(["periodic-sweep", "--rollouts", "2", "--config",
                      str(path), "--seed", "1", "--out", str(out)])
         assert code == 2
-        assert "validation error:" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("validation error:")
+        if named is not None:
+            assert named in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("case", BAD_NUMBER_FILE,

@@ -7,7 +7,7 @@ import pytest
 
 from covstop.config import _bundled_path, scenario_from_dict, stock_scenario
 from covstop.errors import ContractError
-from covstop.filter_core import lyapunov_update, riccati_update
+from covstop.filter_core import TargetModel, lyapunov_update, riccati_update
 from covstop.gmti import (MacroMode, OrbitSpec, PlatformState, jacobian_h,
                           macro_select_priority, models_at_location,
                           nonlinear_h, platform_orbit_state, propagate_truth,
@@ -231,6 +231,18 @@ class TestScenarioBuilders:
         with pytest.raises(ContractError):
             dataclasses.replace(s, priorities=np.array([0.6, 0.39, 0.008,
                                                         0.01]))
+
+    @pytest.mark.parametrize("h,r_base", [
+        (np.ones((2, 4)), np.eye(2)),  # another observation dimension
+        (np.ones((3, 2)), np.eye(3)),  # another state dimension
+    ])
+    def test_targets_share_state_and_observation_dimensions(self, h, r_base):
+        s = stock_scenario("flyby")
+        m = h.shape[1]
+        odd = TargetModel(F=np.eye(m), G=np.eye(m), H=h, Q=np.eye(m),
+                          r_base=r_base, p_d=0.5)
+        with pytest.raises(ContractError, match="same state and observation"):
+            dataclasses.replace(s, models=s.models[:3] + (odd,))
 
 
 class TestRunMacroCycles:
