@@ -49,6 +49,7 @@ import gc
 import json
 import os
 import sys
+from contextlib import contextmanager
 from itertools import chain, islice
 from pathlib import Path
 
@@ -357,18 +358,29 @@ def write_outputs(args, cfg: dict, outputs: dict) -> None:
         raise ContractError(f"cannot write --out {out}: {exc}") from None
 
 
+@contextmanager
+def _refused(flag: str, value):
+    """Name ``flag`` and its ``value`` in a ContractError raised inside."""
+    try:
+        yield
+    except ContractError as exc:
+        raise ContractError(f"{flag} {value}: {exc}") from None
+
+
 def _load_run_scenario(args) -> tuple[Scenario, dict, int]:
     path = Path(args.config) if args.config else _bundled_path(args.scenario)
     scenario, raw = load_scenario(path)
     seed = args.seed if args.seed is not None else raw["seed"]
     overrides = {}
-    if args.c_nu is not None:
-        overrides["operating_cost"] = args.c_nu
-    if args.pd is not None:
-        overrides["p_d"] = args.pd
-    if args.tau_max is not None:
-        overrides["tau_max"] = args.tau_max
-    scenario = scenario.with_overrides(**overrides)
+    # One override at a time, so that a refusal names its flag.
+    for flag, name, key in (("--c-nu", "c_nu", "operating_cost"),
+                            ("--pd", "pd", "p_d"),
+                            ("--tau-max", "tau_max", "tau_max")):
+        value = getattr(args, name)
+        if value is not None:
+            with _refused(flag, value):
+                scenario = scenario.with_overrides(**{key: value})
+            overrides[key] = value
     cfg = {"scenario": raw, "overrides": overrides, "seed": seed}
     return scenario, cfg, seed
 
@@ -437,12 +449,12 @@ def _policy(scenario, args, seed: int, cfg: dict):
                             epsilon=args.epsilon)
     result = spsa_optimize(scenario, layout, schedule,
                            child_seed(seed, "cli.train"))
-    return result.best_params, layout, result
+    return layout.build(result.best_phi), layout, result
 
 
 def cmd_optimize(args) -> int:
     scenario, cfg, seed = _load_run_scenario(args)
-    _, layout, result = _policy(scenario, args, seed, cfg)
+    params, layout, result = _policy(scenario, args, seed, cfg)
     trace = result.trace
     phis = np.array([t.phi for t in trace])
     write_outputs(args, cfg, {
@@ -453,7 +465,7 @@ def cmd_optimize(args) -> int:
              np.array([t.iteration for t in trace]),
              np.array([t.cost for t in trace], dtype=float)] + list(phis.T),
             "cost=nats+epochs*c_nu, phi=unconstrained"),
-        "best_params.json": params_to_dict(result.best_params, layout),
+        "best_params.json": params_to_dict(params, layout),
     })
     print(f"best re-rank cost {result.best_cost:.6g} "
           f"(restart {result.best_restart}, iteration {result.best_iteration})")
@@ -467,8 +479,13 @@ def cmd_flyby(args) -> int:
     _require_count("--rollouts", args.rollouts)
     cfg["pd_grid"], cfg["cnu_grid"] = pd_grid, cnu_grid
     # Every cell's scenario is checked before a policy is trained.
-    cells = [scenario.with_overrides(operating_cost=c_nu, p_d=p_d)
-             for p_d in pd_grid for c_nu in cnu_grid]
+    cells = []
+    for p_d in pd_grid:
+        with _refused("--pd-grid", p_d):
+            by_pd = scenario.with_overrides(p_d=p_d)
+        for c_nu in cnu_grid:
+            with _refused("--cnu-grid", c_nu):
+                cells.append(by_pd.with_overrides(operating_cost=c_nu))
     params, _, _ = _policy(scenario, args, seed, cfg)
     eval_seed = child_seed(seed, "cli.flyby.eval")
     seeds = [child_seed(eval_seed, "pair", b) for b in range(args.rollouts)]
@@ -567,13 +584,15 @@ def cmd_validate_linearization(args) -> int:
 
 def cmd_dp_threshold(args) -> int:
     _require_count("--grid", args.grid)
-    cfg = {"command": "dp-threshold", "f": args.f, "q": args.q, "r": args.r,
-           "p_d": args.pd if args.pd is not None else 0.75,
-           "c_nu": args.c_nu if args.c_nu is not None else 0.8,
-           "grid": args.grid, "seed": args.seed}
-    model = make_scalar_model(f=args.f, q=args.q, r=args.r, p_d=cfg["p_d"],
-                              c_nu=cfg["c_nu"], n_a=args.grid,
-                              n_other=args.grid)
+    values = {"f": args.f, "q": args.q, "r": args.r, "p_d": args.pd,
+              "c_nu": args.c_nu}
+    # Each value alone, the others at their defaults: a refusal names it.
+    for key, flag in zip(values, ("--f", "--q", "--r", "--pd", "--c-nu")):
+        with _refused(flag, values[key]):
+            make_scalar_model(n_a=1, n_other=1, **{key: values[key]})
+    cfg = {"command": "dp-threshold", **values, "grid": args.grid,
+           "seed": args.seed}
+    model = make_scalar_model(**values, n_a=args.grid, n_other=args.grid)
     qtable = value_iterate(model)
     violations = check_monotone_policy(qtable)
     threshold = extract_threshold(qtable)
@@ -772,9 +791,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scalar process noise variance")
     p.add_argument("--r", type=float, default=1.0,
                    help="scalar measurement noise variance")
-    p.add_argument("--pd", type=float,
+    p.add_argument("--pd", type=float, default=0.75,
                    help="detection probability (default: 0.75)")
-    p.add_argument("--c-nu", dest="c_nu", type=float,
+    p.add_argument("--c-nu", dest="c_nu", type=float, default=0.8,
                    help="operating cost per epoch (default: 0.8)")
     p.set_defaults(func=cmd_dp_threshold)
 

@@ -82,17 +82,13 @@ _SMOOTH_WINDOW = 32
 
 @dataclass(frozen=True)
 class SpsaSchedule:
-    """Step gain and batch sizes for the stochastic search.
-
-    The caller sets the budget (the CLI from its training flags); only
-    random-search screening defaults, to none.
-    """
+    """Step gain and batch sizes for the stochastic search: the whole
+    budget, which the caller sets (the CLI from its training flags)."""
 
     epsilon: float
     n_iterations: int
     n_restarts: int
     rollouts_per_eval: int
-    n_screen: int = 0  # random-search candidates screened per restart seat
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < np.inf:
@@ -101,8 +97,6 @@ class SpsaSchedule:
             raise ContractError("need n_iterations >= 0 and n_restarts >= 1")
         if self.rollouts_per_eval < 1:
             raise ContractError("rollouts_per_eval must be at least 1")
-        if self.n_screen < 0:
-            raise ContractError("n_screen cannot be negative")
 
     def perturbation(self, n: int) -> float:
         return _OMEGA / (n + 1) ** _GAMMA
@@ -681,12 +675,14 @@ class TraceRecord:
 
 @dataclass
 class SpsaResult:
+    """The pick, its re-rank mean cost, where it was found, and every
+    iterate scored; the pick's policy is ``layout.build(best_phi)``."""
+
     best_phi: np.ndarray
     best_cost: float
     best_restart: int
     best_iteration: int
     trace: list = field(default_factory=list)
-    best_params: PolicyParams | None = None
 
 
 def spsa_minimize(objective: Objective, initial_phis: Sequence[np.ndarray],
@@ -757,27 +753,14 @@ def spsa_optimize(scenario, layout: ParamLayout, schedule: SpsaSchedule,
                   seed: int) -> SpsaResult:
     """Optimize a policy family on a scenario.
 
-    Restarts come from a random search: ``n_restarts * (1 + n_screen)``
-    uniform candidates are drawn, evaluated once each, and the best
-    ``n_restarts`` seed the stochastic-approximation runs. The search
-    converges only locally, so screening starts matters as much as
-    refining them.
+    The ``n_restarts`` starts are uniform draws from ``layout.random_init``
+    on one stream; ``spsa_minimize`` refines them and picks the result.
+    The caller builds the policy: ``layout.build(result.best_phi)``.
     """
-    objective = rollout_objective(scenario, layout, schedule.rollouts_per_eval)
     rng = stream(seed, "spsa.init")
-    n_candidates = schedule.n_restarts * (1 + schedule.n_screen)
-    candidates = [layout.random_init(rng) for _ in range(n_candidates)]
-    if schedule.n_screen > 0:
-        screen_seed = child_seed(seed, "spsa.screen")
-        scores = [objective([phi], child_seed(screen_seed, "cand", i))[0]
-                  for i, phi in enumerate(candidates)]
-        order = np.argsort(scores)[:schedule.n_restarts]
-        initial_phis = [candidates[i] for i in order]
-    else:
-        initial_phis = candidates[:schedule.n_restarts]
-    result = spsa_minimize(objective, initial_phis, schedule, seed)
-    result.best_params = layout.build(result.best_phi)
-    return result
+    starts = [layout.random_init(rng) for _ in range(schedule.n_restarts)]
+    objective = rollout_objective(scenario, layout, schedule.rollouts_per_eval)
+    return spsa_minimize(objective, starts, schedule, seed)
 
 
 @dataclass(frozen=True)

@@ -258,29 +258,23 @@ class ParamLayout:
         """(n_theta_blocks, m) weight rows to (L, m)."""
         if not self.share_other:
             return blocks
-        rows = np.empty((self.n_targets, blocks.shape[1]))
+        rows = np.repeat(blocks[1:], self.n_targets, axis=0)
         rows[self.a] = blocks[0]
-        for l in range(self.n_targets):
-            if l != self.a:
-                rows[l] = blocks[1]
         return rows
 
     def build(self, phi: np.ndarray) -> PolicyParams:
+        """Each ``block_size`` slice of ``phi`` to a weight row, by
+        ``reparam_spherical`` for quadform (no angles, on 1-D states,
+        give [1.0]) and ``reparam_positive`` otherwise."""
         phi = np.asarray(phi, dtype=float)
         if phi.shape != (self.n_params,):
             raise ContractError(f"expected {self.n_params} parameters, "
                                 f"got {phi.shape}")
         reparam = (reparam_spherical if self.family is PolicyFamily.QUADFORM
                    else reparam_positive)
-        width = self.block_size
-        blocks = phi.reshape(-1, width) if width else np.zeros((0, 0))
-        if self.family is PolicyFamily.QUADFORM and width == 0:
-            # One-dimensional states: every unit vector is +-1.
-            n_rows = self.n_theta_blocks * (1 if self.tie_priors else 2)
-            rows = np.ones((n_rows, 1))
-        else:
-            rows = np.array([reparam(b) for b in blocks])
         n = self.n_theta_blocks
+        blocks = phi.reshape(n if self.tie_priors else 2 * n, self.block_size)
+        rows = np.array([reparam(b) for b in blocks])
         theta = self._expand(rows[:n])
         theta_bar = theta if self.tie_priors else self._expand(rows[n:])
         return PolicyParams(self.family, theta, theta_bar, phi=phi)

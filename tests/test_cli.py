@@ -391,7 +391,8 @@ OUTPUT_IDS = ([argv[0] for argv, _ in WORK_ENTRY_ARGV]
 CLI_CHECKED_FLAGS = ("--rollouts", "--kmax", "--pd-grid", "--cnu-grid",
                      "--cycles", "--grid", "--samples", "--seeds",
                      "--iterations", "--restarts", "--rollouts-per-eval",
-                     "--epsilon")
+                     "--epsilon", "--c-nu", "--pd", "--tau-max", "--f", "--q",
+                     "--r")
 
 
 # Sizes numpy refuses, with a ValueError, before it allocates anything.
@@ -424,10 +425,19 @@ class TestExitCodes:
         ["persistent", "--cycles", "-2"],
         ["periodic-sweep", "--c-nu", "nan"],
         ["periodic-sweep", "--c-nu", "inf"],
+        ["periodic-sweep", "--c-nu", "-1"],
+        ["periodic-sweep", "--pd", "1.5"],
+        ["periodic-sweep", "--tau-max", "0"],
         ["flyby", "--c-nu", "nan"],
+        ["flyby", "--pd-grid", "0.5,2"],
+        ["flyby", "--cnu-grid", "0.8,-1"],
         ["dp-threshold", "--f", "nan"],
         ["dp-threshold", "--q", "inf"],
+        ["dp-threshold", "--q", "-1"],
+        ["dp-threshold", "--r", "inf"],
+        ["dp-threshold", "--pd", "2"],
         ["dp-threshold", "--c-nu", "nan"],
+        ["dp-threshold", "--c-nu", "0"],
         ["dp-threshold", "--grid", "0"],
         ["dp-threshold", "--grid", "16", "--f", "1e200"],
         ["verify-properties", "--samples", "0"],
@@ -456,7 +466,29 @@ class TestExitCodes:
                                   "memory: ")
             assert len(err.splitlines()) == 1
         elif refused in CLI_CHECKED_FLAGS:
-            assert f"validation error: {refused} " in err
+            assert err.startswith(f"validation error: {refused} ")
+            assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,line", [
+        (["periodic-sweep", "--c-nu", "-1"],
+         "--c-nu -1.0: operating cost must be finite and positive"),
+        (["persistent", "--pd", "1.5"], "--pd 1.5: p_d must lie in [0, 1]"),
+        (["flyby", "--tau-max", "0"],
+         "--tau-max 0: tau_max must be at least 1"),
+        (["flyby", "--cnu-grid", "0.8,-1"],
+         "--cnu-grid -1.0: operating cost must be finite and positive"),
+        (["dp-threshold", "--f", "1e200"],
+         "--f 1e+200: f**2, h**2, q and r must be finite"),
+        (["dp-threshold", "--q", "-1"], "--q -1.0: q and r must be positive"),
+        (["dp-threshold", "--pd", "2"], "--pd 2.0: p_d must lie in [0, 1]"),
+    ])
+    def test_library_refusal_names_flag_and_value(self, argv, line,
+                                                  tmp_path, capsys):
+        # The library's rule, prefixed with the flag and the value refused.
+        out = tmp_path / "out"
+        assert main(argv + ["--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"validation error: {line}\n"
         assert not out.exists()
 
     def test_other_value_error_propagates(self, tmp_path, monkeypatch):
@@ -916,7 +948,8 @@ class TestExitCodes:
         code = main(["flyby", "--rollouts", "2", *grid, *TRAIN_ARGV,
                      "--seed", "1", "--out", str(out)])
         assert code == 2
-        assert "validation error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"validation error: {grid[0]} ")
         assert not out.exists()
 
 
@@ -946,6 +979,39 @@ def test_optimize_prints_the_re_rank_cost(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"best re-rank cost {result.best_cost:.6g} (restart "
         f"{result.best_restart}, iteration {result.best_iteration})"]
+    # The params file is the search's pick, built on the run's layout.
+    doc = json.loads((tmp_path / "out" / "best_params.json").read_text())
+    assert doc["phi"] == result.best_phi.tolist()
+    params, layout = params_from_dict(doc)
+    assert layout == ParamLayout(PolicyFamily.EIGEN_SUM, 4, 4)
+    built = layout.build(result.best_phi)
+    np.testing.assert_array_equal(params.theta, built.theta)
+    np.testing.assert_array_equal(params.theta_bar, built.theta_bar)
+
+
+def test_shared_tied_training_is_read_back(tmp_path):
+    # One eigen-sum block for the priority target and one for its rivals,
+    # tied across posteriors and priors: 8 parameters.
+    trained = tmp_path / "trained"
+    assert main(["optimize", "--family", "eigen-sum", "--iterations", "2",
+                 "--restarts", "1", "--rollouts-per-eval", "2",
+                 "--share-other", "--tie-priors", "--seed", "1",
+                 "--out", str(trained)]) == 0
+    path = trained / "best_params.json"
+    doc = json.loads(path.read_text())
+    assert doc["layout"]["share_other"] is True
+    assert doc["layout"]["tie_priors"] is True
+    assert len(doc["phi"]) == 8
+    out = tmp_path / "sweep"
+    assert main(["periodic-sweep", "--rollouts", "20", "--params", str(path),
+                 "--seed", "1", "--out", str(out)]) == 0
+    (envelope,) = csv.reader(
+        (out / "envelope.csv").read_text().splitlines()[2:])
+    policy = ParamLayout(PolicyFamily.EIGEN_SUM, 4, 4, share_other=True,
+                         tie_priors=True).build(np.array(doc["phi"]))
+    assert envelope[0] == repr(optimizer.evaluate_cost(
+        stock_scenario("flyby"), policy, child_seed(1, "cli.periodic.eval"),
+        20))
 
 
 class TestReusedOut:

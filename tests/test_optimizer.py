@@ -272,18 +272,18 @@ class TestSpsaMinimize:
     def test_schedule_validation(self):
         for bad in (dict(epsilon=0.0), dict(epsilon=np.inf),
                     dict(n_iterations=-1), dict(n_restarts=0),
-                    dict(rollouts_per_eval=0), dict(n_screen=-1)):
+                    dict(rollouts_per_eval=0)):
             with pytest.raises(ContractError):
                 spsa_schedule(**bad)
 
     def test_budget_has_no_defaults(self):
-        # The CLI's training flags are the one budget; only screening,
-        # which no flag sets, defaults (to none).
+        # The CLI's training flags are the one budget.
         with pytest.raises(TypeError):
             SpsaSchedule()
-        schedule = SpsaSchedule(epsilon=0.25, n_iterations=200,
-                                n_restarts=4, rollouts_per_eval=16)
-        assert schedule.n_screen == 0
+        fields = dataclasses.fields(SpsaSchedule)
+        assert [f.name for f in fields] == [
+            "epsilon", "n_iterations", "n_restarts", "rollouts_per_eval"]
+        assert all(f.default is dataclasses.MISSING for f in fields)
 
     def test_trace_records_every_iteration(self):
         def objective(phi, seed):
@@ -303,35 +303,27 @@ class TestSpsaOptimizeOnScenario:
         scenario = scalar_test_scenario(p0=(50.0, 2.0), tau_max=60)
         layout = ParamLayout(PolicyFamily.EIGEN_SUM, 2, 1)
         schedule = spsa_schedule(n_iterations=120, n_restarts=3,
-                                rollouts_per_eval=8, n_screen=15)
+                                rollouts_per_eval=8)
         result = spsa_optimize(scenario, layout, schedule, seed=8)
-        cost = evaluate_cost(scenario, result.best_params, 99, 2000)
+        cost = evaluate_cost(scenario, layout.build(result.best_phi), 99,
+                             2000)
         never = evaluate_cost(scenario, StopAt(scenario.tau_max), 99, 200)
         immediate = evaluate_cost(scenario, StopAt(1), 99, 200)
         assert cost < min(never, immediate) - 1.0
 
     def test_each_objective_call_simulates_once(self, monkeypatch):
-        # Two screened candidates per restart seat, then per restart 4
-        # iterate calls and 3 gradient calls, then 8 re-rank calls: one
-        # simulation each, whatever the number of phis scored.
+        # Per restart 4 iterate calls and 3 gradient calls, then 8
+        # re-rank calls: one simulation each, whatever the number of phis
+        # scored.
         counts = Counter()
         monkeypatch.setattr(optimizer, "_path_chunks",
                             counting(optimizer._path_chunks, "simulate",
                                      counts))
         layout = ParamLayout(PolicyFamily.EIGEN_SUM, 2, 1)
         schedule = spsa_schedule(n_iterations=3, n_restarts=2,
-                                rollouts_per_eval=4, n_screen=1)
+                                rollouts_per_eval=4)
         spsa_optimize(scalar_test_scenario(), layout, schedule, seed=4)
-        assert counts["simulate"] == 4 + 2 * (4 + 3) + 8
-
-    def test_best_params_round_trip(self):
-        scenario = scalar_test_scenario()
-        layout = ParamLayout(PolicyFamily.EIGEN_SUM, 2, 1)
-        schedule = spsa_schedule(n_iterations=0, n_restarts=2)
-        result = spsa_optimize(scenario, layout, schedule, seed=4)
-        rebuilt = layout.build(result.best_phi)
-        np.testing.assert_array_equal(rebuilt.theta,
-                                      result.best_params.theta)
+        assert counts["simulate"] == 2 * (4 + 3) + 8
 
 
 class TestPeriodicPolicies:

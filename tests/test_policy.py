@@ -162,6 +162,21 @@ class TestParamLayout:
         np.testing.assert_array_equal(params.theta[1], params.theta[2])
         np.testing.assert_array_equal(params.theta[1], params.theta[3])
         np.testing.assert_array_equal(params.theta_bar, params.theta)
+        # Shared blocks put the priority block on row a, the rival block
+        # on every other row, for any a; theta blocks come first.
+        for a in range(4):
+            for tie_priors in (False, True):
+                layout = ParamLayout(PolicyFamily.EIGEN_SUM, 4, 4,
+                                     share_other=True, tie_priors=tie_priors,
+                                     a=a)
+                phi = np.arange(1.0, layout.n_params + 1.0)
+                blocks = (phi * phi).reshape(-1, 4)
+                expected = np.tile(blocks[1::2, None], (1, 4, 1))
+                expected[:, a] = blocks[::2]
+                params = layout.build(phi)
+                np.testing.assert_array_equal(params.theta, expected[0])
+                np.testing.assert_array_equal(params.theta_bar,
+                                              expected[-1])
 
     def test_build_validates_length(self):
         layout = ParamLayout(PolicyFamily.EIGEN_SUM, 2, 4)
@@ -173,6 +188,18 @@ class TestParamLayout:
         assert layout.n_params == 0
         params = layout.build(np.zeros(0))
         np.testing.assert_array_equal(np.abs(params.theta), np.ones((2, 1)))
+        # A block of no angles is the unit vector [1.0], whatever the
+        # layout shares or ties.
+        for share_other in (False, True):
+            for tie_priors in (False, True):
+                layout = ParamLayout(PolicyFamily.QUADFORM, 3, 1,
+                                     share_other=share_other,
+                                     tie_priors=tie_priors, a=1)
+                assert layout.n_params == 0
+                params = layout.build(np.zeros(0))
+                np.testing.assert_array_equal(params.theta, np.ones((3, 1)))
+                np.testing.assert_array_equal(params.theta_bar,
+                                              np.ones((3, 1)))
 
 
 # The sampler draws beliefs of the params' (targets, state dim) shape.
