@@ -21,9 +21,10 @@ more than CSV_BLOCK_ROWS rows is formatted by up to one process per CPU
 one process. A part whose worker fails is formatted again by the run's
 own process, so an error surfaces as the one-process writer raises it.
 
-Before the work, ``main`` refuses an ``--out`` below a file, and a
-name the run will write (``OUTPUT_NAMES``) that exists in ``--out`` as
-anything but a regular file, so a typo or a taken name costs no run.
+Before the work, ``main`` refuses an empty ``--out``, an ``--out``
+below a file, and a name the run will write (``OUTPUT_NAMES``) that
+exists in ``--out`` as anything but a regular file, so a typo or a
+taken name costs no run.
 
 Exit codes: 0 success, 2 validation error (bad input, a run too large
 for memory or with an array size numpy cannot index, or an ``--out``
@@ -821,7 +822,11 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None:  # every subcommand has --seed
             check_seed(args.seed, "--seed")
-        # Every subcommand has --out; a typo should not cost a run.
+        # Every subcommand has --out; a typo or an empty one (an unset
+        # shell variable, which would mean ".") should not cost a run.
+        if not args.out:
+            raise ContractError("--out is empty; give a directory, or . "
+                                "for the current one")
         head = args.out  # becomes its nearest existing ancestor, or itself
         while head and not os.path.exists(head):
             head = os.path.dirname(head)

@@ -10,22 +10,23 @@ posteriors of the targets that can differ from their priors (a target
 that is never measured and starts at its prior has none). Everything
 else it records is read off the stored rows once per block of epochs:
 each path's log-determinants and first failed epoch, and under a policy
-its stop check. Every caller names the policy its chunks are for.
-Under PolicyParams the engine checks the stopping rule every few epochs
-and ends a chunk once every path has stopped, so a ``PathBatch``'s
-epoch axis may end before the horizon; ``StopAt(k)`` runs k epochs, and
-``StopAt(tau_max)`` the whole horizon. ``score_paths`` then scores a
-policy on one chunk. For the policy a chunk was simulated for, tau is
-the epoch the engine's checks found. For another parametrized policy
-the decision statistic is weighed from per-covariance features
-(eigenvalues, or the matrices for quadform) that the batch computes
-once and keeps, and tau is the first epoch where the statistic reaches
-1; ``StopAt(k)`` stops every path at k. The sample cost is (tau - 1)
-times the operating cost plus the stopping cost at tau, which the batch
-computes from its log-determinants on first use. Views built on the
-engine, all chunk by chunk: ``policy_costs`` and ``evaluate_cost``,
-which stop each chunk at tau, and ``periodic_cost_curve`` and the SPSA
-objective, which score many policies on full-horizon chunks. The SPSA
+its stop check, the two epochs recorded by one rule. Every caller names
+the policy its chunks are for. Under PolicyParams the engine checks the
+stopping rule every few epochs and ends a chunk once every path has
+stopped, so a ``PathBatch``'s epoch axis may end before the horizon;
+``StopAt(k)`` runs k epochs, and ``StopAt(tau_max)`` the whole horizon.
+``score_paths`` then scores a policy on one chunk. For the policy a
+chunk was simulated for, tau is the epoch the engine's checks found.
+For another parametrized policy the decision statistic is weighed from
+per-covariance features (eigenvalues, or the matrices for quadform)
+that the batch computes once and keeps, and tau is the first epoch
+where the statistic reaches 1; ``StopAt(k)`` stops every path at k. The
+sample cost is the entry at tau of ``PathBatch.sample_costs``, the one
+statement of the cost rule: stopping at epoch k costs k - 1 times the
+operating cost plus the stopping cost at k. Views built on the engine,
+all chunk by chunk: ``policy_costs`` and ``evaluate_cost``, which stop
+each chunk at tau, and ``periodic_cost_curve`` and the SPSA objective,
+which score many policies on full-horizon chunks. The SPSA
 search minimizes the mean sample cost over the unconstrained policy
 parameters with a two-sided simultaneous-perturbation gradient
 estimate; its two perturbed evaluations share one simulation and its
@@ -196,7 +197,8 @@ class _Rows:
     with its posterior equal to its prior, and both are only ever
     predicted, each matrix of a stack getting the bits it gets on its
     own; so its posterior equals its prior, bit for bit, on every path
-    at every epoch, and it has no posterior row.
+    at every epoch, and it has no posterior row. ``split`` lays out any
+    per-row values as a (posteriors, priors) pair.
     """
 
     n_targets: int
@@ -215,17 +217,19 @@ class _Rows:
             + (posterior_rows - self.n_targets) % self.width
         return targets
 
-    def spread(self, values: np.ndarray) -> np.ndarray:
-        """Per-row values, (..., epochs, rows), as per-target ones,
-        (..., 1 + paths, epochs, targets): the priors', then each path's
-        posteriors', a shared target's copied from its prior."""
+    def split(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row values, (..., epochs, rows), as per-target ones: each
+        path's posteriors', (..., paths, epochs, targets), a shared
+        target's copied from its prior, and the priors', (..., epochs,
+        targets). Both are new arrays: neither keeps ``values`` alive."""
         lead, n_epochs = values.shape[:-2], values.shape[-2]
-        out = np.empty(lead + (1 + self.n_paths, n_epochs, self.n_targets),
-                       dtype=values.dtype)
-        out[...] = values[..., None, :, :self.n_targets]
-        out[..., 1:, :, self.distinct] = values[..., self.n_targets:].reshape(
+        priors = values[..., :self.n_targets]
+        posteriors = np.empty(lead + (self.n_paths, n_epochs, self.n_targets),
+                              dtype=values.dtype)
+        posteriors[...] = priors[..., None, :, :]
+        posteriors[..., self.distinct] = values[..., self.n_targets:].reshape(
             lead + (n_epochs, self.n_paths, self.width)).swapaxes(-3, -2)
-        return out
+        return posteriors, priors.copy()
 
 
 @dataclass
@@ -238,20 +242,23 @@ class PathBatch:
     where ``policy``, the policy the chunk was simulated for, needs it
     to (see ``_path_chunks``), which may be before the ``horizon``.
     ``posteriors`` and ``priors`` show every target, a shared target's
-    posteriors being copies of its priors. ``taus`` holds each path's
-    stopping epoch under ``policy``, as the engine's stop checks decided
-    it. ``failed_at`` holds each path's first epoch whose covariance
-    update failed or left a non-positive determinant, 0 if there is
-    none. A failed path's entries from ``failed_at`` on (that epoch
-    included, and its stopping costs and features) are placeholders:
-    the engine finds a failure only at the end of the stop block it
-    happened in, and runs the path on from its bad state until then.
+    posteriors being copies of its priors; the log-determinants and
+    features are laid out alike, as ``layout.split`` pairs.
+    ``sample_costs`` prices a stop at every epoch of every path.
+    ``taus`` holds each path's stopping epoch under ``policy``, as the
+    engine's stop checks decided it. ``failed_at`` holds each path's
+    first epoch whose covariance update failed or left a non-positive
+    determinant, 0 if there is none. A failed path's entries from
+    ``failed_at`` on (that epoch included, and its sample costs and
+    features) are placeholders: the engine finds a failure only at the
+    end of the stop block it happened in, and runs the path on from its
+    bad state until then.
 
     ``features`` computes each family's ``covariance_features`` of the
     posteriors and priors on its first call for that family and keeps
     them; the engine's stop checks keep theirs to themselves. They, the
-    log-determinants and the stopping costs are computed on the rows,
-    so a shared target's are its prior's.
+    log-determinants and the sample costs are computed on the rows, so
+    a shared target's are its prior's.
     """
 
     a: int
@@ -274,26 +281,28 @@ class PathBatch:
 
     @cached_property
     def posteriors(self) -> np.ndarray:  # (B, T, L, m, m)
-        # The entries of each matrix lead, as ``spread`` takes them.
-        entries = self.layout.spread(self.rows.transpose(2, 3, 0, 1))
-        return np.ascontiguousarray(entries[:, :, 1:].transpose(2, 3, 4, 0, 1))
+        # The entries of each matrix lead, as ``split`` takes them.
+        entries, _ = self.layout.split(self.rows.transpose(2, 3, 0, 1))
+        return np.ascontiguousarray(entries.transpose(2, 3, 4, 0, 1))
 
     @cached_property
-    def stopping_costs(self) -> np.ndarray:  # (B, T)
-        """The stopping cost at each epoch of each path, computed from the
-        log-determinants on first use."""
+    def sample_costs(self) -> np.ndarray:  # (B, T)
+        """The sample cost of stopping at each epoch k of each path, k - 1
+        times the operating cost plus the stopping cost at k, computed on
+        first use. An overflow, or a failed path's inf - inf, gives a
+        non-finite cost without a warning; callers refuse those."""
         weights = self.weights
-        with np.errstate(invalid="ignore"):  # inf - inf on failed paths
+        with np.errstate(invalid="ignore", over="ignore"):
             infos = weights.alpha * self.logdet_priors \
                 - weights.beta * self.logdet_posteriors
-        return aggregate_rivals(infos, self.a, weights.case)
+            return np.arange(self.rows.shape[0]) * weights.operating_cost \
+                + aggregate_rivals(infos, self.a, weights.case)
 
     def features(self, family: PolicyFamily) -> tuple[np.ndarray, np.ndarray]:
         """``covariance_features`` of the posteriors and the priors."""
         if family not in self._features:
-            features = self.layout.spread(covariance_features(self.rows,
-                                                              family))
-            self._features[family] = (features[:, 1:], features[:, 0])
+            self._features[family] = self.layout.split(
+                covariance_features(self.rows, family))
         return self._features[family]
 
     def stop_epochs(self, policy: PolicyParams | StopAt) -> np.ndarray:
@@ -315,10 +324,10 @@ class PathBatch:
         elif isinstance(policy, StopAt):
             tau = np.full(self.failed_at.size, min(policy.k, self.horizon))
         else:
-            post, prior = self.features(policy.family)
-            stops = weigh_features(post, prior, self.a, policy) >= 1.0
-            tau = np.where(stops.any(axis=1), stops.argmax(axis=1) + 1,
-                           self.horizon)
+            tau = np.zeros(self.failed_at.size, dtype=int)
+            _record_first(tau, weigh_features(*self.features(policy.family),
+                                              self.a, policy) >= 1.0, 0)
+            tau[tau == 0] = self.horizon
         if tau.max() > self.rows.shape[0]:
             raise ContractError("the paths end before this policy stops; "
                                 "simulate them for it or for the whole "
@@ -339,6 +348,15 @@ class PathBatch:
                 f"covariance update failed at epoch "
                 f"{int(self.failed_at[failed].min())} on {int(failed.sum())} "
                 f"of {failed.size} paths")
+
+
+def _record_first(epochs: np.ndarray, mask: np.ndarray, begin: int) -> None:
+    """Give each path whose ``epochs`` entry is 0 the first epoch of the
+    block after ``begin`` at which its row of the (paths, block) ``mask``
+    is set."""
+    if mask.any():  # most blocks set nothing; this keeps them cheap
+        new = mask.any(axis=1) & (epochs == 0)
+        epochs[new] = begin + mask[new].argmax(axis=1) + 1
 
 
 def _span(mask: np.ndarray) -> slice:
@@ -428,26 +446,28 @@ def _path_chunks(scenario, seeds: Sequence[int],
     (see ``_Dynamics``), built once per call unless the caller passes
     them; each chunk takes its rows' F, F' and Q from them. The epochs
     between two stop checks (all of them under ``StopAt``) form a block.
-    At its end the block's correction failures are recorded, and one
-    ``logdets`` call and, under PolicyParams, one ``covariance_features``
-    call run on its rows, so each shared target's covariances are
-    decomposed once, as priors. These are ``filter_core``'s steps behind
-    lyapunov_update and riccati_update, which give each matrix of a
-    stack the bits it gets on its own, so every chunk recomputes the
-    same priors.
+    At its end one ``logdets`` call and, under PolicyParams, one
+    ``covariance_features`` call run on its rows, so each shared
+    target's covariances are decomposed once, as priors. These are
+    ``filter_core``'s steps behind lyapunov_update and riccati_update,
+    which give each matrix of a stack the bits it gets on its own, so
+    every chunk recomputes the same priors. ``_record_first`` then
+    records each path's first failed epoch and, under PolicyParams, its
+    first stop, from (paths, epochs) masks of the block.
 
     ``belief`` replaces the scenario's initial belief, and ``dynamics``
     the ``_dynamics`` of its models and priorities: the macro cycles
     pass each cycle's, built once per orbit location and priority
     target. Seed ``s`` draws its detections from the same stream as
     ``rollout(scenario, policy, s)``. Failures are recorded in each
-    batch's ``failed_at``, not raised: a moment matrix that is not
-    positive definite (a non-PD innovation covariance or posterior)
-    where a detection was applied, at its epoch, or a non-positive
-    determinant, found by the block's scan of its log-determinants; a
-    bad prior fails every path. A failed path's posterior rows are reset
-    to the identity at the end of its block, so they stay finite. An
-    empty ``seeds`` raises ContractError on the first ``next``.
+    batch's ``failed_at``, not raised. A block's failure mask joins a
+    moment matrix that is not positive definite (a non-PD innovation
+    covariance or posterior) where a detection was applied and a
+    non-positive determinant, so a path fails at the earlier of the
+    two; a bad prior fails every path. A failed path's posterior rows
+    are reset to the identity at the end of its block, so they stay
+    finite. An empty ``seeds`` raises ContractError on the first
+    ``next``.
     """
     seeds = list(seeds)
     if not seeds:
@@ -505,7 +525,8 @@ def _path_chunks(scenario, seeds: Sequence[int],
         end = 0
         while end < last and not taus.all():
             begin, end = end, min(end + block, last)
-            refused = []  # (epoch, paths whose applied correction failed)
+            # The block's failed (path, epoch) pairs, from both sources.
+            failed = np.zeros((n_paths, end - begin), dtype=bool)
             for k in range(begin, end):
                 predicted = predict(state, f_rows, q_rows, f_rows_t)
                 if any_hit[k]:
@@ -517,45 +538,30 @@ def _path_chunks(scenario, seeds: Sequence[int],
                     np.copyto(updated[:, measured_rows], corrected,
                               where=hit[..., None, None])
                     if bad is not None:
-                        refused.append((k, (bad & hit).any(axis=1)))
+                        failed[:, k - begin] = (bad & hit).any(axis=1)
                 rows[k] = state = predicted
-            for k, failed in refused:
-                failed_at[failed & (failed_at == 0)] = k + 1
             logdet, bad_dets = logdets(rows[begin:end])
             logdet_rows[begin:end] = logdet
             if bad_dets.any():
-                # A path fails at its first epoch with a non-positive
-                # determinant, unless a correction failed before it. A
-                # bad prior, shared targets' included, fails every path.
-                bad_epochs = (bad_dets[:, n_targets:].reshape(
-                    -1, *by_path[:2]).any(axis=-1)
-                    | bad_dets[:, :n_targets].any(axis=-1)[:, None]).T
-                first = begin + bad_epochs.argmax(axis=1) + 1
-                new = bad_epochs.any(axis=1) & ((failed_at == 0)
-                                                | (first < failed_at))
-                failed_at[new] = first[new]
+                # A bad prior, shared targets' included, fails every path.
+                bad_posts, bad_priors = layout.split(bad_dets)
+                failed |= bad_posts.any(axis=-1) | bad_priors.any(axis=-1)
+            _record_first(failed_at, failed, begin)
             if failed_at.any():
                 # keep failed paths finite
                 state[n_targets:].reshape(by_path)[failed_at > 0] = eye
             if checked:
-                features = layout.spread(covariance_features(
-                    rows[begin:end], policy.family))
-                stops = weigh_features(features[:, 1:], features[:, 0],
-                                       belief.a, policy) >= 1.0
-                if stops.any():
-                    first = begin + stops.argmax(axis=1) + 1
-                    new = stops.any(axis=1) & (taus == 0)
-                    taus[new] = first[new]
-        if not checked:
-            taus[:] = last
-        taus[taus == 0] = horizon
-        logdet_states = layout.spread(logdet_rows[:end])
+                _record_first(taus, weigh_features(*layout.split(
+                    covariance_features(rows[begin:end], policy.family)),
+                    belief.a, policy) >= 1.0, begin)
+        taus[taus == 0] = last
+        logdet_posteriors, logdet_priors = layout.split(logdet_rows[:end])
         yield PathBatch(
             a=belief.a, horizon=horizon, weights=scenario.weights,
             policy=policy, taus=taus, layout=layout,
             detections=detections[:, :end], rows=rows[:end],
-            logdet_posteriors=logdet_states[1:],
-            logdet_priors=logdet_states[0], failed_at=failed_at)
+            logdet_posteriors=logdet_posteriors,
+            logdet_priors=logdet_priors, failed_at=failed_at)
 
 
 def score_paths(paths: PathBatch, policy: PolicyParams | StopAt
@@ -564,16 +570,12 @@ def score_paths(paths: PathBatch, policy: PolicyParams | StopAt
 
     tau is ``paths.stop_epochs(policy)``: the engine's own decision for
     the policy the batch was simulated for, and otherwise weighed from
-    the batch's cached features; it raises as that does. The sample
-    cost is (tau - 1) times the operating cost plus the stopping cost
-    at tau. A cost that overflows is inf, without a warning; callers
-    refuse non-finite costs.
+    the batch's cached features; it raises as that does. Each path's
+    sample cost is its ``paths.sample_costs`` entry at tau, which may
+    not be finite; callers refuse non-finite costs.
     """
     tau = paths.stop_epochs(policy)
-    with np.errstate(over="ignore"):
-        costs = (tau - 1) * paths.weights.operating_cost \
-            + paths.stopping_costs[np.arange(tau.size), tau - 1]
-    return tau, costs
+    return tau, paths.sample_costs[np.arange(tau.size), tau - 1]
 
 
 def policy_costs(scenario, policy: PolicyParams | StopAt,
@@ -629,18 +631,20 @@ def rollout_objective(scenario, layout: ParamLayout,
 
     Each cost equals ``evaluate_cost`` on ``layout.build(phi)``: the mean
     of the ``score_paths`` costs over the seed's chunks. A call simulates
-    the seed's full-horizon chunks once and scores every phi on them, so
-    the two sides of an SPSA gradient estimate, or the nominees of one
-    re-rank seed, share one simulation and one eigendecomposition of each
-    covariance.
+    the seed's full-horizon chunks once, scoring every phi on a chunk
+    before it simulates the next, so the two sides of an SPSA gradient
+    estimate, or the nominees of one re-rank seed, share one simulation
+    and one eigendecomposition of each covariance, and memory holds one
+    chunk.
     """
     def objective(phis: Sequence[np.ndarray], seed: int) -> list[float]:
         policies = [layout.build(phi) for phi in phis]
-        chunks = list(_path_chunks(scenario, _eval_seeds(seed, n_rollouts),
-                                   StopAt(scenario.tau_max)))
-        return [float(np.mean(np.concatenate(
-            [score_paths(batch, policy)[1] for batch in chunks])))
-            for policy in policies]
+        costs = [[] for _ in policies]
+        for batch in _path_chunks(scenario, _eval_seeds(seed, n_rollouts),
+                                  StopAt(scenario.tau_max)):
+            for policy, scored in zip(policies, costs):
+                scored.append(score_paths(batch, policy)[1])
+        return [float(np.mean(np.concatenate(scored))) for scored in costs]
 
     return objective
 
@@ -800,7 +804,7 @@ def periodic_cost_curve(scenario, seed: int, n_rollouts: int,
     up to round-off, periodic_policy_cost's underlying sample for the
     same seed, rollout index and k. A view on the batched path engine:
     each rollout's path is simulated once under ``StopAt(tau_max)``,
-    chunk by chunk, and its stopping costs serve every k.
+    chunk by chunk, and its first k_max ``sample_costs`` are its row.
     periodic_policy_cost keeps the scalar ``rollout`` loop, so the curve
     and the per-k cost stay independent and each checks the other. Any
     numerical failure within the horizon, even after k_max, raises
@@ -813,16 +817,14 @@ def periodic_cost_curve(scenario, seed: int, n_rollouts: int,
     k_max = scenario.tau_max if k_max is None else k_max
     if not 1 <= k_max <= scenario.tau_max:
         raise ContractError("k_max must lie in [1, tau_max]")
-    stopping_costs, sample_costs = [], []
+    curves, sample_costs = [], []
     for batch in _path_chunks(scenario, _eval_seeds(seed, n_rollouts),
                               StopAt(scenario.tau_max)):
         batch.raise_failures()
-        stopping_costs.append(batch.stopping_costs[:, :k_max])
+        curves.append(batch.sample_costs[:, :k_max])
         if policy is not None:
             sample_costs.append(score_paths(batch, policy)[1])
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        curve = np.arange(k_max) * scenario.weights.operating_cost \
-            + np.concatenate(stopping_costs)
+    curve = np.concatenate(curves)
     _check_finite_costs(curve, scenario)
     if policy is None:
         return curve

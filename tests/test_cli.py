@@ -702,6 +702,33 @@ class TestExitCodes:
         assert err[0].startswith("numerical failure:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("weight", ["alpha", "beta"])
+    @pytest.mark.parametrize("argv", [
+        ["periodic-sweep", "--rollouts", "3"],
+        ["flyby", "--params", "PARAMS", "--rollouts", "2", "--pd-grid",
+         "0.75", "--cnu-grid", "0.8"],
+        ["optimize", "--family", "eigen-sum", "--iterations", "2",
+         "--restarts", "2", "--rollouts-per-eval", "2"],
+    ], ids=["periodic-sweep", "flyby", "optimize"])
+    def test_overflowing_cost_weights_exit_3(self, argv, weight, tmp_path,
+                                             persistent_params, capsys):
+        # Information weights of 1e308 overflow the weighted
+        # log-determinants, so every sample cost is inf or NaN: the one
+        # failure line, and no numpy warning, may reach stderr.
+        spec = json.loads(_bundled_path("flyby").read_text())
+        spec["weights"][weight] = [1e308] * 4
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(spec))
+        argv = [str(persistent_params) if a == "PARAMS" else a for a in argv]
+        out = tmp_path / "out"
+        code = main(argv + ["--config", str(config), "--seed", "1",
+                            "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure:")
+        assert not out.exists()
+
     def test_overflowing_operating_cost_leaves_macro_cycles_alone(
             self, tmp_path, capsys):
         # The macro trace holds no cost, so an operating cost whose
@@ -836,6 +863,34 @@ class TestExitCodes:
         assert not (out / "qtable.csv").exists()
         if case != "file-name-taken":
             assert blocker.read_text() == ""
+
+    def test_empty_out_exits_2(self, tmp_path, monkeypatch, capsys):
+        # An empty --out, as from an unset shell variable, is refused
+        # before any work: taken as the current directory, it would
+        # delete keep.txt, a stale output of its manifest. An explicit
+        # "." still means the current directory.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "keep.txt").write_text("kept\n")
+        manifest = json.dumps({"outputs": ["keep.txt"]})
+        (tmp_path / "manifest.json").write_text(manifest)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "periodic_cost_curve",
+                          lambda *args, **kwargs: pytest.fail(
+                              "the run started before --out was checked"))
+            code = main(["periodic-sweep", "--rollouts", "2", "--seed", "1",
+                         "--out", ""])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("validation error: --out ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "keep.txt", "manifest.json"]
+        assert (tmp_path / "keep.txt").read_text() == "kept\n"
+        assert (tmp_path / "manifest.json").read_text() == manifest
+        assert main(["periodic-sweep", "--rollouts", "2", "--seed", "1",
+                     "--out", "."]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json", "periodic_costs.csv"]
 
     @pytest.mark.parametrize("argv,entry", WORK_ENTRY_ARGV,
                              ids=lambda value: value[0]

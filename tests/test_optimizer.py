@@ -512,6 +512,35 @@ class TestPathEngine:
         objective(phis, 5)
         assert counts["simulate"] == 3
 
+    def test_objective_scores_each_chunk_before_the_next(self,
+                                                        monkeypatch):
+        # Five seeds in three chunks of at most two paths: every phi is
+        # scored on a chunk before the next chunk is simulated, so the
+        # objective holds one chunk however many rollouts it averages.
+        scenario = stock_scenario("flyby")
+        monkeypatch.setattr(optimizer, "_CHUNK_ENTRIES", 2 * 60 * 4 * 4 * 4)
+        events = []
+        path_chunks, score = optimizer._path_chunks, optimizer.score_paths
+
+        def logged_chunks(*args, **kwargs):
+            for batch in path_chunks(*args, **kwargs):
+                events.append("simulate")
+                yield batch
+
+        def logged_score(*args, **kwargs):
+            events.append("score")
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "_path_chunks", logged_chunks)
+        monkeypatch.setattr(optimizer, "score_paths", logged_score)
+        layout = ParamLayout(PolicyFamily.EIGEN_SUM, 4, 4)
+        phis = [0.1 * stream(i, "engine.params").uniform(
+            -1.0, 1.0, layout.n_params) for i in range(2)]
+        costs = rollout_objective(scenario, layout, 5)(phis, 4)
+        assert events == ["simulate", "score", "score"] * 3
+        assert costs == [evaluate_cost(scenario, layout.build(phi), 4, 5)
+                         for phi in phis]
+
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ContractError):
             next(_path_chunks(scalar_test_scenario(), [], StopAt(1)))
@@ -567,6 +596,35 @@ class TestPathEngine:
                               belief=belief)).raise_failures()
         (batch,) = _path_chunks(scenario, seeds, full, belief=belief)
         np.testing.assert_array_equal(batch.failed_at, 2)
+
+    def test_block_records_the_earlier_of_two_failures(self):
+        # In one block, target 0's correction is refused at the first
+        # epoch that detects it: its posterior diag(1, -1, -1) is not
+        # PSD, but with F = I and Q = 0 its determinant stays 1 while it
+        # is only predicted. Target 1's prior diag(-4, -2.5, 1) steps by
+        # +I to a non-positive determinant at epoch 3, on every path. A
+        # path fails at the earlier epoch, whichever source it is.
+        still = TargetModel(F=np.eye(3), G=np.eye(3), H=np.eye(1, 3),
+                            Q=np.zeros((3, 3)), r_base=np.eye(1), p_d=0.3)
+        moving = TargetModel(F=np.eye(3), G=np.eye(3), H=np.eye(1, 3),
+                             Q=np.eye(3), r_base=np.eye(1), p_d=0.3)
+        scenario = Scenario(models=(still, moving),
+                            priorities=np.array([0.5, 0.5]),
+                            weights=CostWeights(np.zeros(2), np.ones(2), 0.1),
+                            tau_max=6, initial_posteriors=(np.eye(3),) * 2,
+                            initial_priors=(np.eye(3),) * 2)
+        belief = Belief((np.diag([1.0, -1.0, -1.0]), np.eye(3)),
+                        (np.eye(3), np.diag([-4.0, -2.5, 1.0])), 0)
+        seeds = [child_seed(7, "engine", b) for b in range(12)]
+        (batch,) = _path_chunks(scenario, seeds, StopAt(6), belief=belief)
+        detected = batch.detections[:, :, 0]
+        refused_at = np.where(detected.any(axis=1),
+                              detected.argmax(axis=1) + 1, 0)
+        early = (refused_at > 0) & (refused_at < 3)
+        # Both orders occur: a refusal before epoch 3, and one after it.
+        assert early.any() and (refused_at > 3).any()
+        np.testing.assert_array_equal(batch.failed_at,
+                                      np.where(early, refused_at, 3))
 
     def test_nonpd_prior_fails_after_the_first_block(self):
         # Target 1's prior diag(-20, -9.5) steps by +I: its determinant is

@@ -28,7 +28,7 @@ from covstop.filter_core import (TargetModel, cholesky, correct, loewner_geq,
                                  lyapunov_update, moment_blocks, predict,
                                  riccati_update)
 from covstop.gmti import Scenario
-from covstop.observability import Belief, CostWeights
+from covstop.observability import Belief, CostWeights, aggregate_rivals
 from covstop.optimizer import (_STOP_BLOCK, StopAt, _path_chunks,
                                policy_costs, score_paths)
 from covstop.policy import (ParamLayout, PolicyFamily, PolicyParams,
@@ -348,14 +348,17 @@ def test_stop_at_simulates_to_its_epoch(k):
     (full,) = _path_chunks(scenario, [3, 4], StopAt(scenario.tau_max))
     n = min(k, scenario.tau_max)
     assert batch.posteriors.shape[1] == n
-    np.testing.assert_array_equal(batch.stopping_costs,
-                                  full.stopping_costs[:, :n])
+    np.testing.assert_array_equal(batch.sample_costs,
+                                  full.sample_costs[:, :n])
     np.testing.assert_array_equal(batch.posteriors, full.posteriors[:, :n])
     tau, costs = score_paths(batch, StopAt(k))
     np.testing.assert_array_equal(tau, n)
+    weights = scenario.weights
+    infos = weights.alpha * full.logdet_priors[n - 1] \
+        - weights.beta * full.logdet_posteriors[:, n - 1]
     np.testing.assert_array_equal(
-        costs, (n - 1) * scenario.weights.operating_cost
-        + full.stopping_costs[:, n - 1])
+        costs, (n - 1) * weights.operating_cost
+        + aggregate_rivals(infos, scenario.a, weights.case))
 
 
 def test_batch_ending_before_tau_is_a_contract_error():
