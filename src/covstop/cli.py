@@ -15,8 +15,10 @@ A run makes ``--out`` and writes its outputs only after all its results
 exist, so a run that fails while computing leaves no ``--out`` behind.
 The outputs are written into a staging directory in ``--out`` and then
 renamed into place, the manifest last, so a run that fails while
-writing leaves the files in ``--out`` as they were. A table of
-more than CSV_BLOCK_ROWS rows is formatted by up to one process per CPU
+writing leaves the files in ``--out`` as they were. A table is
+formatted CSV_PIECE_ROWS rows at a time, so a writer's memory does not
+grow with the table. A table of more than CSV_SPLIT_ROWS rows is
+formatted by up to one process per CSV_SPLIT_ROWS rows and per CPU
 (forked workers, where the platform has ``os.fork``), with the bytes of
 one process. A part whose worker fails is formatted again by the run's
 own process, so an error surfaces as the one-process writer raises it.
@@ -27,8 +29,9 @@ exists in ``--out`` as anything but a regular file, so a typo or a
 taken name costs no run.
 
 Exit codes: 0 success, 2 validation error (bad input, a run too large
-for memory or with an array size numpy cannot index, or an ``--out``
-that cannot be made or written), 3 numerical failure, a sample cost
+for memory, with an array size numpy cannot index or with more than
+MAX_SAMPLES property samples, or an ``--out`` that cannot be made or
+written), 3 numerical failure, a sample cost
 that overflows to a non-finite value included.
 
 The process entry, ``python -m covstop.cli`` and the ``covstop``
@@ -71,7 +74,8 @@ from .observability import StoppingCase
 from .optimizer import (SpsaSchedule, periodic_cost_curve, policy_costs,
                         spsa_optimize)
 from .policy import ParamLayout, PolicyFamily, verify_monotone
-from .sampling import ordered_pair, random_pd, random_transition
+from .sampling import (ordered_pair, random_pd, random_transition,
+                       sample_blocks)
 from .streams import child_seed, stream
 
 def _fmt(value) -> str:
@@ -82,10 +86,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# Rows formatted and written together; bounds the text that each process
-# writing a table holds in memory. A table of more rows is split among
-# up to one process per CPU (see write_csv).
-CSV_BLOCK_ROWS = 65536
+# The piece bound: rows formatted by one ``%`` and written together. It
+# bounds the cells and the text that a process writing a table holds at
+# once, whatever the table's length.
+CSV_PIECE_ROWS = 2048
+# The split threshold: a table is formatted by one process per this many
+# rows, at most one per CPU (see write_csv).
+CSV_SPLIT_ROWS = 65536
 
 
 def _cell_spec(column: np.ndarray) -> str:
@@ -104,11 +111,11 @@ def _cell_values(column: np.ndarray) -> list:
 
 
 def _csv_processes(rows: int) -> int:
-    """Processes that format a table: one per CSV_BLOCK_ROWS rows, at most
+    """Processes that format a table: one per CSV_SPLIT_ROWS rows, at most
     one per CPU this process may run on, and one without ``os.fork``."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return min(len(os.sched_getaffinity(0)), -(-rows // CSV_BLOCK_ROWS))
+    return min(len(os.sched_getaffinity(0)), -(-rows // CSV_SPLIT_ROWS))
 
 
 def _fork_writer(write_rows, pieces: tuple, directory: Path,
@@ -192,9 +199,11 @@ def write_csv(path: Path, names: list, columns: list, cfg_hash: str,
     template. Raises ContractError unless each column has one name and
     its shape.
 
-    The rows go out in pieces: at most CSV_BLOCK_ROWS rows of one value
-    of the leading axes, formatted by one ``%``. A table of more than
-    CSV_BLOCK_ROWS rows is cut, at piece boundaries, into P contiguous
+    The rows go out in pieces: at most CSV_PIECE_ROWS rows of one value
+    of the leading axes, formatted by one ``%``. A writer holds one
+    piece's cells and text, and the axes' texts, at a time; nothing it
+    holds grows with the number of rows. A table of more than
+    CSV_SPLIT_ROWS rows is cut, at piece boundaries, into P contiguous
     parts of near-equal rows, P = ``_csv_processes``. This process
     writes the first part straight into the file while P - 1 forked
     workers each write one of the others, piece by piece, into an
@@ -220,18 +229,24 @@ def write_csv(path: Path, names: list, columns: list, cfg_hash: str,
     texts = [[(_cell_spec(a) % v).replace("%", "%%")
               for v in _cell_values(a)] for a in axes]
     row = ",".join(map(_cell_spec, cells)) + "\n"
-    tails = [t + "," + row for t in texts.pop()] if axes else [row] * shape[0]
+    # A grid row's template after its leading axes' texts, by its last
+    # axis's value; a flat row's template is ``row``.
+    tails = [t + "," + row for t in texts.pop()] if axes else None
 
     def write_rows(fh, first: int, stop: int | None) -> None:
         """Write pieces first to stop (None: the last) in file order."""
-        pieces = ((index, slice(start, start + CSV_BLOCK_ROWS))
+        pieces = ((index, slice(start, min(start + CSV_PIECE_ROWS, shape[-1])))
                   for index in np.ndindex(shape[:-1])
-                  for start in range(0, shape[-1], CSV_BLOCK_ROWS))
+                  for start in range(0, shape[-1], CSV_PIECE_ROWS))
         for index, block in islice(pieces, first, stop):
             prefix = "".join(t[i] + "," for t, i in zip(texts, index))
-            values = [_cell_values(c[index][block]) for c in cells]
-            fh.write((prefix + prefix.join(tails[block]))
-                     % tuple(chain.from_iterable(zip(*values))))
+            template = (prefix + prefix.join(tails[block]) if axes
+                        else row * (block.stop - block.start))
+            # Row by row; the column lists go once the tuple holds the
+            # cells, and the cells once the text is made.
+            values = chain.from_iterable(
+                zip(*[_cell_values(c[index][block]) for c in cells]))
+            fh.write(template % tuple(values))
 
     rows = int(np.prod(shape))
     n_parts = _csv_processes(rows)
@@ -244,7 +259,7 @@ def write_csv(path: Path, names: list, columns: list, cfg_hash: str,
         # The row each piece starts at; a piece joins the part that holds
         # its middle row.
         starts = (np.arange(0, rows, shape[-1])[:, None]
-                  + np.arange(0, shape[-1], CSV_BLOCK_ROWS)).ravel()
+                  + np.arange(0, shape[-1], CSV_PIECE_ROWS)).ravel()
         owner = (starts + np.append(starts[1:], rows)) * n_parts // (2 * rows)
         bounds = np.searchsorted(owner, np.arange(n_parts + 1)).tolist()
         parts = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
@@ -611,55 +626,74 @@ def cmd_dp_threshold(args) -> int:
     return 0 if violations == 0 else 3
 
 
+# The most samples verify-properties draws per suite, about an hour's
+# run. The suites decide in blocks, so memory no longer bounds a run; a
+# larger --samples (an extra-zeros typo) is refused before the first
+# draw with the exit, 2, and the one "run too large for memory" line
+# that met it while the suites held every sample at once.
+MAX_SAMPLES = 10**7
+
+
 def _theorem2_suite(n_samples: int, seed: int) -> dict:
     """det(L(P)) / det(P) and det(R(P)) / det(P) decrease in P.
 
     Each sample draws a model (every tenth is the stock GMTI one) and an
-    ordered pair into stacks allocated before the first draw; one
-    ``det_ratios`` call then decides them all.
+    ordered pair. The samples are decided in blocks (``sample_blocks``),
+    each by one ``det_ratios`` call; a block whose samples fail raises
+    its error before the next block is drawn.
     """
     m, mz = 4, 3
-    f, q = np.empty((n_samples, m, m)), np.empty((n_samples, m, m))
-    h, r = np.empty((n_samples, mz, m)), np.empty((n_samples, mz, mz))
-    pairs = np.empty((2, n_samples, m, m))  # P1 >= P2
     gen = stream(seed, "verify.theorem2")
     stock = stock_scenario("flyby").models[0]
     stock_q = stock.Q + 1e-8 * np.eye(m)
-    for i in range(n_samples):
-        if i % 10 == 0:
-            f[i], q[i] = stock.F, stock_q
-        else:
-            f[i] = random_transition(gen, m, gen.uniform(0.5, 1.5))
-            q[i] = random_pd(gen, m, gen.uniform(0.3, 3.0))
-        h[i] = gen.normal(size=(mz, m))
-        r[i] = random_pd(gen, mz, 1.0, jitter=1e-3)
-        pairs[:, i] = ordered_pair(gen, m, gen.uniform(0.5, 2.0))
-    # r1 and r2: (Lyapunov, Riccati) ratios of each sample's P1 and P2.
-    r1, r2 = np.stack(det_ratios(pairs, f, h, q, r), axis=1)
-    slack = r1 - r2 - 1e-9 * np.maximum(np.abs(r1), np.abs(r2))
-    violated = slack[slack > 0.0]
-    return {"samples": n_samples, "violations": int(violated.size),
-            "worst": float(violated.max(initial=0.0))}
+    violations, worst = 0, 0.0
+    for start, stop in sample_blocks(n_samples):
+        n = stop - start
+        f, q = np.empty((n, m, m)), np.empty((n, m, m))
+        h, r = np.empty((n, mz, m)), np.empty((n, mz, mz))
+        pairs = np.empty((2, n, m, m))  # P1 >= P2
+        for j in range(n):
+            if (start + j) % 10 == 0:
+                f[j], q[j] = stock.F, stock_q
+            else:
+                f[j] = random_transition(gen, m, gen.uniform(0.5, 1.5))
+                q[j] = random_pd(gen, m, gen.uniform(0.3, 3.0))
+            h[j] = gen.normal(size=(mz, m))
+            r[j] = random_pd(gen, mz, 1.0, jitter=1e-3)
+            pairs[:, j] = ordered_pair(gen, m, gen.uniform(0.5, 2.0))
+        # r1 and r2: (Lyapunov, Riccati) ratios of each sample's P1 and P2.
+        r1, r2 = np.stack(det_ratios(pairs, f, h, q, r), axis=1)
+        slack = r1 - r2 - 1e-9 * np.maximum(np.abs(r1), np.abs(r2))
+        violated = slack[slack > 0.0]
+        violations += int(violated.size)
+        worst = max(worst, float(violated.max(initial=0.0)))
+    return {"samples": n_samples, "violations": violations, "worst": worst}
 
 
 def _operator_monotonicity_suite(n_samples: int, seed: int) -> dict:
     """The Lyapunov and Riccati maps of the stock GMTI model, at priority
-    0.6, preserve the Loewner order of ordered pairs drawn into a stack
-    allocated before the first draw."""
-    pairs = np.empty((2, n_samples, 4, 4))  # P1 >= P2
+    0.6, preserve the Loewner order of ordered pairs. The pairs are
+    decided in blocks (``sample_blocks``); a block whose update fails
+    raises before the next block is drawn."""
     gen = stream(seed, "verify.operators")
-    for i in range(n_samples):
-        pairs[:, i] = ordered_pair(gen, 4, gen.uniform(0.5, 2.0))
     model = stock_scenario("flyby").models[0]
-    posterior, bad = correct(pairs, *moment_blocks(
-        model.F, model.H, model.Q, model.effective_noise(0.6)))
-    if bad is not None:
-        raise NumericalError("covariance update is not positive definite")
-    # updated[0] and [1]: (Lyapunov, Riccati) updates of P1 and of P2.
-    updated = np.stack([predict(pairs, model.F, model.Q), posterior], axis=1)
-    geq = loewner_geq(updated[0], updated[1],
-                      1e-9 * np.trace(pairs[0], axis1=-2, axis2=-1))
-    return {"samples": n_samples, "violations": int(np.sum(~geq))}
+    g, d = moment_blocks(model.F, model.H, model.Q,
+                         model.effective_noise(0.6))
+    violations = 0
+    for start, stop in sample_blocks(n_samples):
+        pairs = np.empty((2, stop - start, 4, 4))  # P1 >= P2
+        for j in range(stop - start):
+            pairs[:, j] = ordered_pair(gen, 4, gen.uniform(0.5, 2.0))
+        posterior, bad = correct(pairs, g, d)
+        if bad is not None:
+            raise NumericalError("covariance update is not positive definite")
+        # updated[0] and [1]: (Lyapunov, Riccati) updates of P1 and of P2.
+        updated = np.stack([predict(pairs, model.F, model.Q), posterior],
+                           axis=1)
+        geq = loewner_geq(updated[0], updated[1],
+                          1e-9 * np.trace(pairs[0], axis1=-2, axis2=-1))
+        violations += int(np.sum(~geq))
+    return {"samples": n_samples, "violations": violations}
 
 
 def _policy_suite(n_samples: int, seed: int) -> dict:
@@ -675,6 +709,9 @@ def _policy_suite(n_samples: int, seed: int) -> dict:
 
 def cmd_verify_properties(args) -> int:
     _require_count("--samples", args.samples)
+    if args.samples > MAX_SAMPLES:
+        raise MemoryError(f"--samples {args.samples} is more than "
+                          f"{MAX_SAMPLES}, the most a run draws")
     cfg = {"command": "verify-properties", "samples": args.samples,
            "seed": args.seed}
     report = {
@@ -804,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run seed, a non-negative integer")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--samples", type=int, default=1000,
-                   help="samples per property suite, at least 1")
+                   help="samples per property suite, 1 to 10**7")
     p.set_defaults(func=cmd_verify_properties)
 
     return parser

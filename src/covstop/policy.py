@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ContractError
 from .filter_core import eigenvalues_sorted, symmetrize
 from .observability import Belief, StoppingCase, aggregate_rivals
-from .sampling import random_pd, random_psd
+from .sampling import random_pd, random_psd, sample_blocks
 from .streams import stream
 
 
@@ -290,26 +290,31 @@ def verify_monotone(params: PolicyParams, n_samples: int, seed: int) -> int:
     with priority target 0, and raises one covariance slot in the Loewner
     order (adding A A'). Raising the priority posterior or a rival's
     prior may only move the decision toward continue, any other slot
-    only toward stop; valid parameter vectors give 0. All samples are
-    decided at once, by the stacked statistic the path engine stops on.
+    only toward stop; valid parameter vectors give 0. The samples are
+    decided in blocks (``sample_blocks``), each by the stacked statistic
+    the path engine stops on.
     """
     rng = stream(seed, "policy.verify_monotone")
     n_targets, m = params.theta.shape
-    # (samples, before/after, posteriors then priors, m, m)
-    beliefs = np.empty((n_samples, 2, 2 * n_targets, m, m))
-    slots = np.empty(n_samples, dtype=int)
-    for i in range(n_samples):
-        base_scale = rng.uniform(0.3, 3.0)
-        for j in range(2 * n_targets):
-            beliefs[i, :, j] = random_pd(rng, m,
-                                         base_scale * rng.uniform(0.5, 2.0))
-        slots[i] = slot = rng.integers(2 * n_targets)
-        bump = random_psd(rng, m, base_scale * rng.uniform(0.2, 4.0))
-        beliefs[i, 1, slot] = symmetrize(beliefs[i, 0, slot] + bump)
-    features = covariance_features(beliefs, params.family)
-    stops = weigh_features(features[..., :n_targets],
-                           features[..., n_targets:], 0, params) >= 1.0
-    before, after = stops[:, 0], stops[:, 1]
-    toward_continue = (slots == 0) | (slots > n_targets)
-    forbidden = np.where(toward_continue, after & ~before, before & ~after)
-    return int(forbidden.sum())
+    count = 0
+    for start, stop in sample_blocks(n_samples):
+        # (samples, before/after, posteriors then priors, m, m)
+        beliefs = np.empty((stop - start, 2, 2 * n_targets, m, m))
+        slots = np.empty(stop - start, dtype=int)
+        for i in range(stop - start):
+            base_scale = rng.uniform(0.3, 3.0)
+            for j in range(2 * n_targets):
+                beliefs[i, :, j] = random_pd(
+                    rng, m, base_scale * rng.uniform(0.5, 2.0))
+            slots[i] = slot = rng.integers(2 * n_targets)
+            bump = random_psd(rng, m, base_scale * rng.uniform(0.2, 4.0))
+            beliefs[i, 1, slot] = symmetrize(beliefs[i, 0, slot] + bump)
+        features = covariance_features(beliefs, params.family)
+        stops = weigh_features(features[..., :n_targets],
+                               features[..., n_targets:], 0, params) >= 1.0
+        before, after = stops[:, 0], stops[:, 1]
+        toward_continue = (slots == 0) | (slots > n_targets)
+        forbidden = np.where(toward_continue, after & ~before,
+                             before & ~after)
+        count += int(forbidden.sum())
+    return count

@@ -1,9 +1,13 @@
 """Random matrix samplers for property suites.
 
 The policy monotonicity checker and the verify-properties filter suites
-draw one sample at a time from a seeded stream, in a fixed order, into
-stacks that they then decide all at once. Tests reuse the samplers for
-inputs (never for expected values).
+draw one sample at a time from a seeded stream, in a fixed order, and
+decide them in blocks (``sample_blocks``): each block's samples are
+drawn into stacks and decided together before the next block is drawn,
+so a suite's memory does not grow with its sample count. The suites use
+only stack operations that give each matrix the same bits whatever the
+stack's size, so their counts do not depend on the block size. Tests
+reuse the samplers for inputs (never for expected values).
 """
 
 from __future__ import annotations
@@ -11,6 +15,16 @@ from __future__ import annotations
 import numpy as np
 
 from .filter_core import symmetrize
+
+# Samples a property suite draws and decides together.
+SAMPLE_BLOCK = 1024
+
+
+def sample_blocks(n_samples: int):
+    """(start, stop) of each block of at most SAMPLE_BLOCK samples, in
+    order; none for no samples."""
+    for start in range(0, n_samples, SAMPLE_BLOCK):
+        yield start, min(start + SAMPLE_BLOCK, n_samples)
 
 
 def random_psd(rng: np.random.Generator, m: int, scale: float = 1.0) -> np.ndarray:

@@ -10,13 +10,14 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import covstop
-from covstop import cli, optimizer
+from covstop import cli, optimizer, sampling
 from covstop.cli import main
 from covstop.config import (_bundled_path, params_from_dict, params_to_dict,
                             stock_scenario)
@@ -395,7 +396,9 @@ CLI_CHECKED_FLAGS = ("--rollouts", "--kmax", "--pd-grid", "--cnu-grid",
                      "--r")
 
 
-# Sizes numpy refuses, with a ValueError, before it allocates anything.
+# Sizes refused as too large for memory before anything is allocated:
+# by numpy, with a ValueError, or (verify-properties, whose suites decide
+# in blocks) by the CLI's bound on --samples.
 UNINDEXABLE_ARGV = [
     ["periodic-sweep", "--tau-max", str(10**21)],
     ["periodic-sweep", "--rollouts", "500", "--tau-max", str(10**17)],
@@ -405,6 +408,8 @@ UNINDEXABLE_ARGV = [
     ["verify-properties", "--samples", str(10**17)],
     ["verify-properties", "--samples", str(10**20)],
     ["validate-linearization", "--seeds", str(10**23)],
+    ["optimize", "--tau-max", str(10**17)],
+    ["optimize", "--tau-max", str(10**20)],
 ]
 
 
@@ -776,8 +781,8 @@ class TestExitCodes:
         # the engine must ask for before drawing 3.2 GB of detections.
         (optimizer, ["periodic-sweep", "--rollouts", "3", "--tau-max",
                      "100000000"]),
-        # 1e8 samples need 1.6e9-entry stacks, which the suites must ask
-        # for before their first draw.
+        # 1e8 samples are more than MAX_SAMPLES, which the CLI must
+        # refuse before the suites' first draw.
         (cli, ["verify-properties", "--samples", "100000000"]),
     ], ids=["periodic-sweep", "verify-properties"])
     def test_run_too_large_for_memory_exits_2(self, module, argv, tmp_path,
@@ -1239,6 +1244,104 @@ def test_stacked_suites_match_per_sample_loop(pair, seed, monkeypatch):
         assert theorem2["violations"] > 0 and operators["violations"] > 0
 
 
+def test_samples_bound_is_inclusive(tmp_path, monkeypatch, capsys):
+    # MAX_SAMPLES samples run; one more is refused before the first draw.
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 5)
+    assert main(["verify-properties", "--samples", "5", "--seed", "1",
+                 "--out", str(tmp_path / "at")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "stream", None)  # any draw would fail
+    out = tmp_path / "over"
+    assert main(["verify-properties", "--samples", "6", "--seed", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: run too large for memory: --samples 6 is more "
+        "than 5, the most a run draws\n")
+    assert not out.exists()
+
+
+def test_blocked_report_matches_one_block(tmp_path, monkeypatch, capsys):
+    # 50 samples in blocks of 7, the last of them partial (1 sample), and
+    # in one block.
+    reports = []
+    for block in (7, 50):
+        monkeypatch.setattr(sampling, "SAMPLE_BLOCK", block)
+        out = tmp_path / str(block)
+        assert main(["verify-properties", "--samples", "50", "--seed", "1",
+                     "--out", str(out)]) == 0
+        reports.append((out / "properties_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_first_violation_in_a_later_block(seed, monkeypatch):
+    # Pairs are swapped from the 11th draw on, which falls in the second
+    # block of 7; the counts and the worst slack equal one block's.
+    reports = []
+    for block in (7, 1024):
+        monkeypatch.setattr(sampling, "SAMPLE_BLOCK", block)
+        draws = 0
+
+        def late_swap(gen, m, scale):
+            nonlocal draws
+            draws += 1
+            p1, p2 = ordered_pair(gen, m, scale)
+            return (p1, p2) if draws <= 10 else (p2, p1)
+
+        monkeypatch.setattr(cli, "ordered_pair", late_swap)
+        reports.append(cli._theorem2_suite(60, seed))
+        draws = 0
+        reports.append(cli._operator_monotonicity_suite(60, seed))
+    assert reports[:2] == reports[2:]
+    assert reports[0]["worst"].hex() == reports[2]["worst"].hex()
+    assert reports[0]["violations"] > 0 and reports[1]["violations"] > 0
+    monkeypatch.setattr(sampling, "SAMPLE_BLOCK", 7)
+    draws = 0
+    assert cli._theorem2_suite(10, seed)["violations"] == 0
+    draws = 0
+    assert cli._operator_monotonicity_suite(10, seed)["violations"] == 0
+
+
+@pytest.mark.parametrize("suite,error,message", [
+    (cli._theorem2_suite, ContractError, "P must have positive determinant"),
+    (cli._operator_monotonicity_suite, NumericalError,
+     "covariance update is not positive definite"),
+], ids=["theorem2", "operators"])
+def test_bad_sample_in_a_later_block(suite, error, message, monkeypatch):
+    # The 11th pair is not positive definite. In blocks of 7 it is in the
+    # second block, which raises one block's error before the third is
+    # drawn; in one block the error is the same.
+    bad = -np.eye(4)
+    bad[0, 0] = 1.0  # determinant -1
+    for block, drawn in ((7, 14), (1024, 40)):
+        monkeypatch.setattr(sampling, "SAMPLE_BLOCK", block)
+        draws = 0
+
+        def bad_eleventh(gen, m, scale):
+            nonlocal draws
+            draws += 1
+            pair = ordered_pair(gen, m, scale)
+            return (bad, bad) if draws == 11 else pair
+
+        monkeypatch.setattr(cli, "ordered_pair", bad_eleventh)
+        with pytest.raises(error, match=f"^{message}$"):
+            suite(40, 1)
+        assert draws == drawn
+
+
+def test_suite_memory_does_not_grow_with_samples():
+    # The operator suite at 5,000 samples: its stacks held every sample
+    # at once before (a traced peak of 9.2 MB); one block of 1,024 peaks
+    # near 2.7 MB.
+    tracemalloc.start()
+    try:
+        cli._operator_monotonicity_suite(5000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
 def test_cli_import_loads_no_scipy():
     src = Path(covstop.__file__).resolve().parents[1]
     code = ("import sys, covstop.cli; print(sorted(m for m in sys.modules "
@@ -1355,8 +1458,9 @@ def expand_grid(columns):
 
 
 def reference_write_csv(path, names, columns, cfg_hash, units):
-    # The per-cell writer that block formatting replaced: one Python
-    # call per cell and one join per row, over a grid's expanded columns.
+    # The per-cell writer that piece formatting replaced: one Python
+    # call per cell and one join per row, over a grid's expanded columns,
+    # written 4,096 rows at a time.
     def cells(column):
         kind = column.dtype.kind
         if kind == "f":
@@ -1374,16 +1478,15 @@ def reference_write_csv(path, names, columns, cfg_hash, units):
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg_hash} units: {units}\n"
                  + ",".join(names) + "\n")
-        for start in range(0, len(columns[0]), cli.CSV_BLOCK_ROWS):
-            block = [cells(c[start:start + cli.CSV_BLOCK_ROWS])
-                     for c in columns]
+        for start in range(0, len(columns[0]), 4096):
+            block = [cells(c[start:start + 4096]) for c in columns]
             fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 # Column sets by name: every dtype kind the writer formats, float cells
 # whose repr is unusual, text cells that look like % conversions, more
-# rows than one block, and none.
-_BIG = cli.CSV_BLOCK_ROWS + 1
+# rows than the split threshold (so many pieces), and none.
+_BIG = cli.CSV_SPLIT_ROWS + 1
 REFERENCE_COLUMNS = {
     "kinds": [
         np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16,
@@ -1411,7 +1514,7 @@ REFERENCE_COLUMNS = {
 
 # Grid axes by name: every kind, floats whose repr is unusual and texts
 # that look like % conversions, mixed objects, 1 x N and N x 1 grids,
-# three axes, an empty axis, and leading axes longer than a block of 2.
+# three axes, an empty axis, and leading axes longer than a piece of 2.
 FLOAT_AXIS = np.array([-0.0, 1e16, 1e-05, 0.1 + 0.2, math.nan])
 TEXT_AXIS = ["%", "%s", "%%", "a%db", ""]
 GRID_AXES = {
@@ -1441,6 +1544,13 @@ def grid_cells(shape):
             .reshape(shape)]
 
 
+def set_piece_rows(monkeypatch, rows):
+    # Pieces of ``rows`` rows, and one process per ``rows`` rows (as many
+    # as the CPUs allow).
+    monkeypatch.setattr(cli, "CSV_PIECE_ROWS", rows)
+    monkeypatch.setattr(cli, "CSV_SPLIT_ROWS", rows)
+
+
 class TestWriteCsv:
     TYPED = [
         np.array([1e-05, 1e+16, -0.0, 0.1, 1.0 / 3.0]),
@@ -1457,7 +1567,7 @@ class TestWriteCsv:
     @pytest.mark.parametrize("block_rows", [2, 65536])
     def test_columns_match_per_cell_rule(self, block_rows, tmp_path,
                                          monkeypatch):
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        set_piece_rows(monkeypatch, block_rows)
         columns = self.TYPED + self.MIXED
         names = [f"c{i}" for i in range(len(columns))]
         path = tmp_path / "t.csv"
@@ -1471,7 +1581,7 @@ class TestWriteCsv:
     @pytest.mark.parametrize("block_rows", [3, 65536])
     def test_preformatted_text_columns_match_float_columns(
             self, block_rows, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        set_piece_rows(monkeypatch, block_rows)
         grid = np.array([1e-05, 1e+16, -0.0, 0.1, 1.0 / 3.0, 2.0])
         repeated = np.repeat(grid, 3)
         tiled = np.tile(grid[::-1], 3)
@@ -1489,7 +1599,7 @@ class TestWriteCsv:
     @pytest.mark.parametrize("name", list(GRID_AXES))
     def test_grid_matches_expanded_columns(self, name, block_rows, tmp_path,
                                            monkeypatch):
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        set_piece_rows(monkeypatch, block_rows)
         axes = GRID_AXES[name]
         columns = axes + grid_cells(tuple(len(a) for a in axes))
         names = [f"c{i}" for i in range(len(columns))]
@@ -1501,6 +1611,35 @@ class TestWriteCsv:
         grid, flat, ref = (path.read_bytes() for path in paths)
         assert grid == flat == ref
         assert grid.count(b"\n") == 2 + math.prod(map(len, axes))
+
+    @pytest.mark.parametrize("shape", [(200_000,), (400, 500)],
+                             ids=["flat", "grid"])
+    def test_traced_peak_does_not_grow_with_rows(self, shape, tmp_path,
+                                                 monkeypatch):
+        # 200,000 rows of 7 columns on one process. Formatted in pieces of
+        # 65,536 rows with a template per row, the flat table peaked at
+        # 30 MB traced; pieces of 2,048 rows take about 0.7 MB. The grid's
+        # pieces are its 500-row last axis.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        n = math.prod(shape)
+        gen = np.random.default_rng(11)
+        cells = [gen.standard_normal(n), gen.standard_normal(n) * 1e-300,
+                 np.arange(n) - n // 2, np.arange(n, dtype=np.uint32),
+                 np.arange(n) % 3 == 0]
+        axes = ([np.arange(shape[0]) * 0.5, gen.standard_normal(shape[1])]
+                if len(shape) == 2 else [np.arange(n) * 0.25, np.arange(n)])
+        columns = axes + [c.reshape(shape) for c in cells]
+        names = [f"c{i}" for i in range(len(columns))]
+        path, expected = tmp_path / "t.csv", tmp_path / "ref.csv"
+        tracemalloc.start()
+        try:
+            cli.write_csv(path, names, columns, "abc", "x=%s units")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        reference_write_csv(expected, names, columns, "abc", "x=%s units")
+        assert path.read_bytes() == expected.read_bytes()
 
     def test_no_rows_writes_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -1560,11 +1699,11 @@ def fail_cell():
 
 @pytest.fixture
 def split_writer(tmp_path, monkeypatch):
-    # Blocks of 2 rows. Yields a function that sets the CPU count and
-    # returns the list of pids the writer forks. Afterwards every worker
-    # has been reaped, and the directory holds no file but the tables
-    # the test wrote.
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 2)
+    # Pieces of 2 rows, and one process per 2 rows. Yields a function
+    # that sets the CPU count and returns the list of pids the writer
+    # forks. Afterwards every worker has been reaped, and the directory
+    # holds no file but the tables the test wrote.
+    set_piece_rows(monkeypatch, 2)
     forked, fork = [], os.fork
 
     def counted_fork():
@@ -1586,11 +1725,12 @@ def split_writer(tmp_path, monkeypatch):
 
 
 class TestSplitWriter:
-    # Tables of more than CSV_BLOCK_ROWS rows are split among processes.
-    # Flat: 7 rows in 4 blocks. Grids: 5 x 3 (2 blocks per axis-0 value,
-    # so parts split an axis-0 value's rows) and 2 x 2 x 5 (3 blocks per
-    # leading pair). Every kind of cell, texts that look like %
-    # conversions and non-ASCII text are in each part.
+    # Tables of more than CSV_SPLIT_ROWS rows are split among processes.
+    # Flat: 7 rows in 4 pieces; 3 parts of 1, 1 and 2 pieces, or 2 parts
+    # of 2 pieces. Grids: 5 x 3 (2 pieces per axis-0 value, so parts
+    # split an axis-0 value's rows) and 2 x 2 x 5 (3 pieces per leading
+    # pair). Every kind of cell, texts that look like % conversions and
+    # non-ASCII text are in each part.
     TABLES = {
         "flat": REFERENCE_COLUMNS["kinds"] + [
             ["é", "%s", "", "ß%", "a", "b", "%%"]],
@@ -1671,13 +1811,60 @@ class TestSplitWriter:
         assert time.monotonic() - start < 10
         assert len(forked) == 2
 
+    @pytest.mark.parametrize("split_rows,forks", [(3, 2), (5, 1), (7, 0)])
+    def test_parts_follow_the_split_threshold(self, split_rows, forks,
+                                              split_writer, tmp_path,
+                                              monkeypatch):
+        # 7 rows in pieces of 2, at 3 CPUs: one process per split_rows
+        # rows, the parts still cut at piece boundaries.
+        forked = split_writer(3)
+        monkeypatch.setattr(cli, "CSV_SPLIT_ROWS", split_rows)
+        columns = self.TABLES["flat"]
+        names = [f"c{i}" for i in range(len(columns))]
+        path, expected = tmp_path / "t.csv", tmp_path / "ref.csv"
+        cli.write_csv(path, names, columns, "abc", "x=%s units")
+        reference_write_csv(expected, names, columns, "abc", "x=%s units")
+        assert path.read_bytes() == expected.read_bytes()
+        assert len(forked) == forks
+
+    def test_fork_decisions_of_the_benchmark_tables(self, monkeypatch):
+        # At 2 CPUs: oracle's grid-512 qtable.csv (262,144 rows) on two
+        # processes, persistent's logdet_trace.csv (about 15,000 rows) on
+        # one.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert cli._csv_processes(262_144) == 2
+        assert cli._csv_processes(15_000) == 1
+        assert cli._csv_processes(cli.CSV_SPLIT_ROWS) == 1
+        assert cli._csv_processes(cli.CSV_SPLIT_ROWS + 1) == 2
+
+    def test_grid_512_parts_are_its_axis_0_values(self, tmp_path,
+                                                  monkeypatch):
+        # Oracle's qtable.csv: 512 pieces of 512 rows, one per P_a value,
+        # split 256 and 256 between 2 processes.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        split, seen = cli._write_split, []
+
+        def recorded(fh, write_rows, parts, directory):
+            seen.append(parts)
+            split(fh, write_rows, parts, directory)
+
+        monkeypatch.setattr(cli, "_write_split", recorded)
+        grid = np.linspace(0.0, 1.0, 512)
+        values = np.random.default_rng(3).standard_normal((512, 512))
+        path, expected = tmp_path / "t.csv", tmp_path / "ref.csv"
+        cli.write_csv(path, ["a", "b", "v"], [grid, grid, values], "h", "u")
+        assert seen == [[(0, 256), (256, 512)]]
+        reference_write_csv(expected, ["a", "b", "v"], [grid, grid, values],
+                            "h", "u")
+        assert path.read_bytes() == expected.read_bytes()
+
     @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
     def test_one_process_without_fork_or_affinity(self, missing,
                                                   monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert cli._csv_processes(10 * cli.CSV_BLOCK_ROWS) == 2
+        assert cli._csv_processes(10 * cli.CSV_SPLIT_ROWS) == 2
         monkeypatch.delattr(os, missing)
-        assert cli._csv_processes(10 * cli.CSV_BLOCK_ROWS) == 1
+        assert cli._csv_processes(10 * cli.CSV_SPLIT_ROWS) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ from covstop.policy import (Action, ParamLayout, PolicyFamily,
                             decision_statistic,
                             reparam_positive, reparam_spherical,
                             verify_monotone)
+from covstop import sampling
 from covstop.sampling import random_pd, random_psd
 from covstop.streams import stream
 
@@ -270,6 +271,18 @@ class TestVerifyMonotone:
         count = verify_monotone(params, 800, seed=23)
         assert count == expected
         assert count == per_belief_violations(params, 800, seed=23)
+
+    @pytest.mark.parametrize("theta,expected", [
+        ([[-0.6, 0.2, 0.2, 0.2], [0.3, 0.3, 0.3, 0.3]], 22),
+        ([[-0.6, 0.2], [0.3, 0.3], [0.3, 0.3]], 21)], ids=["2x4", "3x2"])
+    def test_blocks_count_as_one_stack(self, theta, expected, monkeypatch):
+        # 800 samples in blocks of 7, the last partial (2 samples); the
+        # first block holds no violation, so every one is in a later one.
+        theta = np.array(theta)
+        params = unchecked_eigen_sum(theta, np.full(theta.shape, 0.25))
+        monkeypatch.setattr(sampling, "SAMPLE_BLOCK", 7)
+        assert verify_monotone(params, 7, seed=23) == 0
+        assert verify_monotone(params, 800, seed=23) == expected
 
     def test_explicit_violating_pair_for_negated_weight(self):
         # analytic construction: increasing the priority posterior
