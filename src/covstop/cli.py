@@ -17,22 +17,23 @@ The outputs are written into a staging directory in ``--out`` and then
 renamed into place, the manifest last, so a run that fails while
 writing leaves the files in ``--out`` as they were. A table is
 formatted CSV_PIECE_ROWS rows at a time, so a writer's memory does not
-grow with the table. A table of more than CSV_SPLIT_ROWS rows is
-formatted by up to one process per CSV_SPLIT_ROWS rows and per CPU
-(forked workers, where the platform has ``os.fork``), with the bytes of
-one process. A part whose worker fails is formatted again by the run's
-own process, so an error surfaces as the one-process writer raises it.
+grow with the table. Its pieces are cut by count into P >= 1 parts, P
+at most one per CSV_SPLIT_ROWS rows and per CPU (one where the platform
+has no ``os.fork``). The run's own process formats the first part and
+a forked worker each other one; the bytes do not depend on P. A part
+whose worker fails is formatted again by the run's own process, so an
+error surfaces as it would in a one-part write.
 
 Before the work, ``main`` refuses an empty ``--out``, an ``--out``
 below a file, and a name the run will write (``OUTPUT_NAMES``) that
 exists in ``--out`` as anything but a regular file, so a typo or a
 taken name costs no run.
 
-Exit codes: 0 success, 2 validation error (bad input, a run too large
-for memory, with an array size numpy cannot index or with more than
-MAX_SAMPLES property samples, or an ``--out`` that cannot be made or
-written), 3 numerical failure, a sample cost
-that overflows to a non-finite value included.
+Exit codes: 0 success, 2 validation error (bad input, a count flag
+above MAX_COUNT, a run too large for memory with an array size numpy
+cannot index, or an ``--out`` that cannot be made or written), 3
+numerical failure, a sample cost that overflows to a non-finite value
+included.
 
 The process entry, ``python -m covstop.cli`` and the ``covstop``
 script, is ``run``: it calls ``main``, moves every object still alive
@@ -105,9 +106,7 @@ def _cell_spec(column: np.ndarray) -> str:
 def _cell_values(column: np.ndarray) -> list:
     """A 1-D column's cells as Python numbers, or else as ``_fmt`` texts."""
     cells = column.tolist()
-    if column.dtype.kind in "fiub" or set(map(type, cells)) == {str}:
-        return cells
-    return list(map(_fmt, cells))
+    return cells if column.dtype.kind in "fiub" else list(map(_fmt, cells))
 
 
 def _csv_processes(rows: int) -> int:
@@ -118,51 +117,39 @@ def _csv_processes(rows: int) -> int:
     return min(len(os.sched_getaffinity(0)), -(-rows // CSV_SPLIT_ROWS))
 
 
-def _fork_writer(write_rows, pieces: tuple, directory: Path,
-                 encoding: str) -> tuple:
-    """(pid, file) of a forked worker that writes ``pieces`` into an
-    unlinked temporary file in ``directory``, or (None, None) if either
-    cannot be made. The worker exits 0 once the file is flushed, 1 if it
-    raised; ``os._exit`` runs no exit hook and flushes no inherited
-    buffer."""
-    import tempfile  # loaded with numpy
-
-    try:
-        text = tempfile.TemporaryFile("w+", encoding=encoding, dir=directory)
-    except OSError:
-        return None, None
-    try:
-        pid = os.fork()
-    except OSError:
-        text.close()
-        return None, None
-    if pid == 0:
-        code = 1
-        try:
-            write_rows(text, *pieces)
-            text.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    return pid, text
-
-
 def _write_split(fh, write_rows, parts: list, directory: Path) -> None:
     """Write each part, a range of pieces, in order: the first straight
-    into ``fh`` and each other one by a ``_fork_writer`` worker, whose
-    file is appended once it has exited 0. A part whose worker could not
-    start or did not exit 0 is written here instead, so it raises what
-    the serial writer raises. If this process raises, every worker still
-    running is killed and reaped first."""
+    into ``fh`` and each other one by a forked worker into an unlinked
+    temporary file in ``directory``, appended once the worker has exited
+    0. A worker exits 0 once its file is flushed and 1 if it raised;
+    ``os._exit`` runs no exit hook and flushes no inherited buffer. A
+    part whose worker could not start or did not exit 0 is written here
+    instead, so it raises what a one-part write raises. If this process
+    raises, every worker still running is killed and reaped first. One
+    part forks nothing and opens no file."""
     import shutil  # loaded with numpy
-    import signal
+    import tempfile  # loaded with numpy
 
-    fh.flush()  # a worker must inherit no buffered text
     workers = []  # [pieces, pid, file]; pid is None once reaped
     try:
         for pieces in parts[1:]:
-            workers.append([pieces, *_fork_writer(write_rows, pieces,
-                                                  directory, fh.encoding)])
+            fh.flush()  # a worker must inherit no buffered text
+            pid = text = None
+            try:
+                text = tempfile.TemporaryFile("w+", encoding=fh.encoding,
+                                              dir=directory)
+                pid = os.fork()
+            except OSError:
+                pass
+            if pid == 0:
+                code = 1
+                try:
+                    write_rows(text, *pieces)
+                    text.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            workers.append([pieces, pid, text])
         write_rows(fh, *parts[0])
         for worker in workers:
             pieces, pid, text = worker
@@ -177,6 +164,8 @@ def _write_split(fh, write_rows, parts: list, directory: Path) -> None:
     finally:
         for _, pid, text in workers:
             if pid is not None:
+                import signal  # only to kill a worker still running
+
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             if text is not None:
@@ -202,15 +191,15 @@ def write_csv(path: Path, names: list, columns: list, cfg_hash: str,
     The rows go out in pieces: at most CSV_PIECE_ROWS rows of one value
     of the leading axes, formatted by one ``%``. A writer holds one
     piece's cells and text, and the axes' texts, at a time; nothing it
-    holds grows with the number of rows. A table of more than
-    CSV_SPLIT_ROWS rows is cut, at piece boundaries, into P contiguous
-    parts of near-equal rows, P = ``_csv_processes``. This process
-    writes the first part straight into the file while P - 1 forked
-    workers each write one of the others, piece by piece, into an
-    unlinked temporary file beside it; their files are then appended in
-    order. The bytes are those of the serial loop. A part whose worker
-    fails is written by this process, so every error is raised as the
-    serial writer raises it.
+    holds grows with the number of rows. The n pieces are cut by count
+    into P >= 1 contiguous parts, part i holding pieces n * i // P up to
+    n * (i + 1) // P, with P the smaller of n and ``_csv_processes``.
+    ``_write_split`` writes the first part straight into the file while
+    P - 1 forked workers each write one of the others, piece by piece,
+    into an unlinked temporary file beside it; their files are then
+    appended in order. The bytes do not depend on P. A part whose worker
+    fails is written by this process, so every error is raised as a
+    one-part write raises it.
     """
     columns = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object)
                for c in columns]
@@ -233,8 +222,8 @@ def write_csv(path: Path, names: list, columns: list, cfg_hash: str,
     # axis's value; a flat row's template is ``row``.
     tails = [t + "," + row for t in texts.pop()] if axes else None
 
-    def write_rows(fh, first: int, stop: int | None) -> None:
-        """Write pieces first to stop (None: the last) in file order."""
+    def write_rows(fh, first: int, stop: int) -> None:
+        """Write pieces first to stop in file order."""
         pieces = ((index, slice(start, min(start + CSV_PIECE_ROWS, shape[-1])))
                   for index in np.ndindex(shape[:-1])
                   for start in range(0, shape[-1], CSV_PIECE_ROWS))
@@ -248,22 +237,14 @@ def write_csv(path: Path, names: list, columns: list, cfg_hash: str,
                 zip(*[_cell_values(c[index][block]) for c in cells]))
             fh.write(template % tuple(values))
 
-    rows = int(np.prod(shape))
-    n_parts = _csv_processes(rows)
+    n_pieces = int(np.prod(shape[:-1])) * -(-shape[-1] // CSV_PIECE_ROWS)
+    n_parts = max(1, min(_csv_processes(int(np.prod(shape))), n_pieces))
+    bounds = [n_pieces * i // n_parts for i in range(n_parts + 1)]
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg_hash} units: {units}\n"
                  + ",".join(names) + "\n")
-        if n_parts < 2:
-            write_rows(fh, 0, None)
-            return
-        # The row each piece starts at; a piece joins the part that holds
-        # its middle row.
-        starts = (np.arange(0, rows, shape[-1])[:, None]
-                  + np.arange(0, shape[-1], CSV_PIECE_ROWS)).ravel()
-        owner = (starts + np.append(starts[1:], rows)) * n_parts // (2 * rows)
-        bounds = np.searchsorted(owner, np.arange(n_parts + 1)).tolist()
-        parts = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-        _write_split(fh, write_rows, parts, path.parent)
+        _write_split(fh, write_rows, list(zip(bounds, bounds[1:])),
+                     path.parent)
 
 
 def _gamma_table(gamma: float) -> str:
@@ -426,9 +407,24 @@ def _load_params(path: str, scenario: Scenario):
     return params, layout
 
 
-def _require_count(flag: str, value: int, least: int = 1) -> None:
+# The most any count flag takes. Memory bounds few runs, so a larger
+# count (an extra-zeros typo) would run until killed; it is refused
+# before the run's first work, with exit 2 and one line. A count that
+# sizes the run's arrays (grid points, seeds, and samples, whose suites
+# once held every sample) gets the "run too large for memory" line that
+# a size numpy cannot index gets; one that only sets how long the run
+# takes (rollouts, cycles, SPSA iterations and restarts) is bad input.
+MAX_COUNT = 10**7
+
+
+def _require_count(flag: str, value: int, least: int = 1,
+                   sizes_arrays: bool = False) -> None:
     if value < least:
         raise ContractError(f"{flag} must be at least {least}, got {value}")
+    if value > MAX_COUNT:
+        error = MemoryError if sizes_arrays else ContractError
+        raise error(f"{flag} {value} is more than {MAX_COUNT}, the most a "
+                    f"count flag takes")
 
 
 def _policy(scenario, args, seed: int, cfg: dict):
@@ -574,7 +570,7 @@ def cmd_persistent(args) -> int:
 
 
 def cmd_validate_linearization(args) -> int:
-    _require_count("--seeds", args.seeds)
+    _require_count("--seeds", args.seeds, sizes_arrays=True)
     cfg = {"command": "validate-linearization", "seeds": args.seeds,
            "seed": args.seed}
     report = validate_linearization(n_seeds=args.seeds, seed=args.seed)
@@ -599,7 +595,7 @@ def cmd_validate_linearization(args) -> int:
 
 
 def cmd_dp_threshold(args) -> int:
-    _require_count("--grid", args.grid)
+    _require_count("--grid", args.grid, sizes_arrays=True)
     values = {"f": args.f, "q": args.q, "r": args.r, "p_d": args.pd,
               "c_nu": args.c_nu}
     # Each value alone, the others at their defaults: a refusal names it.
@@ -624,14 +620,6 @@ def cmd_dp_threshold(args) -> int:
     print(f"value iteration: {qtable.n_iterations} iterations, residual "
           f"{qtable.residual:.3e}, monotonicity violations {violations}")
     return 0 if violations == 0 else 3
-
-
-# The most samples verify-properties draws per suite, about an hour's
-# run. The suites decide in blocks, so memory no longer bounds a run; a
-# larger --samples (an extra-zeros typo) is refused before the first
-# draw with the exit, 2, and the one "run too large for memory" line
-# that met it while the suites held every sample at once.
-MAX_SAMPLES = 10**7
 
 
 def _theorem2_suite(n_samples: int, seed: int) -> dict:
@@ -708,10 +696,7 @@ def _policy_suite(n_samples: int, seed: int) -> dict:
 
 
 def cmd_verify_properties(args) -> int:
-    _require_count("--samples", args.samples)
-    if args.samples > MAX_SAMPLES:
-        raise MemoryError(f"--samples {args.samples} is more than "
-                          f"{MAX_SAMPLES}, the most a run draws")
+    _require_count("--samples", args.samples, sizes_arrays=True)
     cfg = {"command": "verify-properties", "samples": args.samples,
            "seed": args.seed}
     report = {
@@ -750,11 +735,12 @@ def _add_train_args(p: argparse.ArgumentParser):
                    choices=[f.value for f in PolicyFamily],
                    help="policy family to train")
     p.add_argument("--iterations", type=int, default=200,
-                   help="SPSA iterations per restart, 0 or more")
+                   help="SPSA iterations per restart, 0 to 10**7")
     p.add_argument("--restarts", type=int, default=4,
-                   help="SPSA restarts, at least 1")
+                   help="SPSA restarts, 1 to 10**7")
     p.add_argument("--rollouts-per-eval", type=int, default=16,
-                   help="rollouts per training cost evaluation, at least 1")
+                   help="rollouts per training cost evaluation, "
+                        "1 to 10**7")
     p.add_argument("--epsilon", type=float, default=0.25,
                    help="SPSA step-gain numerator: iteration n steps by "
                         "epsilon/(n+2+s)^zeta, applied unscaled whatever "
@@ -780,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cnu-grid", default="0.2,0.4,0.8,1.6",
                    help="comma-separated operating costs")
     p.add_argument("--rollouts", type=int, default=500,
-                   help="rollouts per grid cell, at least 1")
+                   help="rollouts per grid cell, 1 to 10**7")
     p.set_defaults(func=cmd_flyby)
 
     p = sub.add_parser("persistent", help="macro/micro log-determinant traces")
@@ -788,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_args(p)
     p.add_argument("--params", help="trained policy params JSON")
     p.add_argument("--cycles", type=int, default=12,
-                   help="macro cycles, at least 1")
+                   help="macro cycles, 1 to 10**7")
     p.set_defaults(func=cmd_persistent)
 
     p = sub.add_parser("optimize", help="SPSA policy-parameter search")
@@ -803,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="last stopping epoch swept, in [1, tau_max] "
                         "(default: tau_max)")
     p.add_argument("--rollouts", type=int, default=500,
-                   help="rollouts, at least 1")
+                   help="rollouts, 1 to 10**7")
     p.add_argument("--params", help="compare against trained params JSON")
     p.set_defaults(func=cmd_periodic_sweep)
 
@@ -813,7 +799,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run seed, a non-negative integer")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seeds", type=int, default=100,
-                   help="true-track realizations per table cell")
+                   help="true-track realizations per table cell, "
+                        "1 to 10**7")
     p.set_defaults(func=cmd_validate_linearization)
 
     p = sub.add_parser("dp-threshold",
@@ -822,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run seed, a non-negative integer")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--grid", type=int, default=128,
-                   help="grid points per covariance axis, at least 1")
+                   help="grid points per covariance axis, 1 to 10**7")
     p.add_argument("--f", type=float, default=1.0,
                    help="scalar state transition of both targets")
     p.add_argument("--q", type=float, default=1.0,

@@ -397,8 +397,8 @@ CLI_CHECKED_FLAGS = ("--rollouts", "--kmax", "--pd-grid", "--cnu-grid",
 
 
 # Sizes refused as too large for memory before anything is allocated:
-# by numpy, with a ValueError, or (verify-properties, whose suites decide
-# in blocks) by the CLI's bound on --samples.
+# by numpy, with a ValueError, or by the CLI's bound on a count that
+# sizes the run's arrays (MAX_COUNT).
 UNINDEXABLE_ARGV = [
     ["periodic-sweep", "--tau-max", str(10**21)],
     ["periodic-sweep", "--rollouts", "500", "--tau-max", str(10**17)],
@@ -454,6 +454,13 @@ class TestExitCodes:
         ["optimize", "--rollouts-per-eval", "0"],
         ["optimize", "--iterations", "-1"],
         *UNINDEXABLE_ARGV,
+        # Counts that only set how long a run takes, above MAX_COUNT.
+        ["flyby", "--rollouts", str(10**20)],
+        ["periodic-sweep", "--rollouts", str(10**20)],
+        ["persistent", "--cycles", str(10**20)],
+        ["optimize", "--rollouts-per-eval", str(10**20)],
+        ["optimize", "--iterations", str(10**20)],
+        ["optimize", "--restarts", str(10**20)],
     ])
     def test_bad_input_exits_2(self, argv, tmp_path, stop_first_params,
                                capsys):
@@ -466,7 +473,7 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "validation error:" in err
-        if unindexable:  # numpy refuses the size, not the CLI
+        if unindexable:  # too large, not bad input
             assert err.startswith("validation error: run too large for "
                                   "memory: ")
             assert len(err.splitlines()) == 1
@@ -781,7 +788,7 @@ class TestExitCodes:
         # the engine must ask for before drawing 3.2 GB of detections.
         (optimizer, ["periodic-sweep", "--rollouts", "3", "--tau-max",
                      "100000000"]),
-        # 1e8 samples are more than MAX_SAMPLES, which the CLI must
+        # 1e8 samples are more than MAX_COUNT, which the CLI must
         # refuse before the suites' first draw.
         (cli, ["verify-properties", "--samples", "100000000"]),
     ], ids=["periodic-sweep", "verify-properties"])
@@ -1244,19 +1251,42 @@ def test_stacked_suites_match_per_sample_loop(pair, seed, monkeypatch):
         assert theorem2["violations"] > 0 and operators["violations"] > 0
 
 
-def test_samples_bound_is_inclusive(tmp_path, monkeypatch, capsys):
-    # MAX_SAMPLES samples run; one more is refused before the first draw.
-    monkeypatch.setattr(cli, "MAX_SAMPLES", 5)
-    assert main(["verify-properties", "--samples", "5", "--seed", "1",
-                 "--out", str(tmp_path / "at")]) == 0
+# Each count flag; the command that takes it, with every other count
+# flag at 1; the command's first work call; and the refusal's prefix, too
+# large for memory where the count sizes the run's arrays.
+MEMORY = "run too large for memory: "
+COUNT_FLAGS = [
+    (["flyby", "--params", "PARAMS"], "--rollouts", "policy_costs", ""),
+    (["periodic-sweep"], "--rollouts", "periodic_cost_curve", ""),
+    (["persistent", "--params", "PARAMS"], "--cycles", "run_macro_cycles",
+     ""),
+    *[(["optimize", "--iterations", "1", "--restarts", "1",
+        "--rollouts-per-eval", "1"], flag, "spsa_optimize", "")
+      for flag in ("--iterations", "--restarts", "--rollouts-per-eval")],
+    (["validate-linearization"], "--seeds", "validate_linearization",
+     MEMORY),
+    (["dp-threshold"], "--grid", "value_iterate", MEMORY),
+    (["verify-properties"], "--samples", "_theorem2_suite", MEMORY),
+]
+
+
+@pytest.mark.parametrize("argv,flag,work,prefix", COUNT_FLAGS,
+                         ids=[f"{a[0]}{f}" for a, f, _, _ in COUNT_FLAGS])
+def test_count_bound_is_inclusive(argv, flag, work, prefix, tmp_path,
+                                  monkeypatch, capsys, stop_first_params):
+    # MAX_COUNT runs; one more is refused before the command's first work
+    # call, with one line and no --out.
+    monkeypatch.setattr(cli, "MAX_COUNT", 5)
+    argv = with_params(argv, stop_first_params)
+    assert main(argv + [flag, "5", "--seed", "1",
+                        "--out", str(tmp_path / "at")]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cli, "stream", None)  # any draw would fail
+    monkeypatch.setattr(cli, work, None)  # any work call would fail
     out = tmp_path / "over"
-    assert main(["verify-properties", "--samples", "6", "--seed", "1",
-                 "--out", str(out)]) == 2
+    assert main(argv + [flag, "6", "--seed", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "validation error: run too large for memory: --samples 6 is more "
-        "than 5, the most a run draws\n")
+        f"validation error: {prefix}{flag} 6 is more than 5, the most a "
+        f"count flag takes\n")
     assert not out.exists()
 
 
@@ -1857,6 +1887,46 @@ class TestSplitWriter:
         reference_write_csv(expected, ["a", "b", "v"], [grid, grid, values],
                             "h", "u")
         assert path.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("cpus,parts", [
+        (2, [(0, 4), (4, 9)]),
+        (3, [(0, 3), (3, 6), (6, 9)]),
+    ])
+    def test_parts_are_cut_by_piece_count(self, cpus, parts, split_writer,
+                                          tmp_path, monkeypatch):
+        # A 3 x 5 grid in pieces of 2 rows: 9 pieces of 2, 2 and 1 rows,
+        # cut at pieces 9 * i // P.
+        forked = split_writer(cpus)
+        split, seen = cli._write_split, []
+
+        def recorded(fh, write_rows, parts, directory):
+            seen.append(parts)
+            split(fh, write_rows, parts, directory)
+
+        monkeypatch.setattr(cli, "_write_split", recorded)
+        columns = [np.array([-7, 0, 2**40]), FLOAT_AXIS] + grid_cells((3, 5))
+        names = [f"c{i}" for i in range(len(columns))]
+        path, expected = tmp_path / "t.csv", tmp_path / "ref.csv"
+        cli.write_csv(path, names, columns, "abc", "x=%s units")
+        assert seen == [parts]
+        reference_write_csv(expected, names, columns, "abc", "x=%s units")
+        assert path.read_bytes() == expected.read_bytes()
+        assert len(forked) == cpus - 1
+
+    def test_one_part_forks_nothing_and_opens_no_file(self, split_writer,
+                                                      tmp_path, monkeypatch):
+        # 2 rows, one process per 2 rows: one part, even at 3 CPUs.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-part table opened a temporary file")
+
+        forked = split_writer(3)
+        monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+        columns = [np.array([0.5, -0.0]), ["%s", "é"]]
+        path, expected = tmp_path / "t.csv", tmp_path / "ref.csv"
+        cli.write_csv(path, ["a", "b"], columns, "h", "u")
+        reference_write_csv(expected, ["a", "b"], columns, "h", "u")
+        assert path.read_bytes() == expected.read_bytes()
+        assert forked == []
 
     @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
     def test_one_process_without_fork_or_affinity(self, missing,
